@@ -101,17 +101,15 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         r1 = 1.0 / a[k, k].real
                         x = a[:k, k]
                         upd = r1 * np.outer(x, np.conj(x))
-                        iu = np.triu_indices(k)
-                        a[:k, :k][iu] -= upd[iu]
-                        di = np.arange(k)
-                        a[di, di] = a[di, di].real
+                        blk = a[:k, :k]
+                        blk -= upd
+                        np.fill_diagonal(blk, blk.diagonal().real)
                         a[:k, k] *= r1
                     else:
                         r1 = 1.0 / a[k, k]
                         x = a[:k, k]
                         upd = r1 * np.outer(x, x)
-                        iu = np.triu_indices(k)
-                        a[:k, :k][iu] -= upd[iu]
+                        a[:k, :k] -= upd
                         a[:k, k] *= r1
             else:
                 # 2x2 pivot in columns (k-1, k).
@@ -130,10 +128,9 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         wk = dsc * (d22 * colk - colkm1 * d12)
                         upd = (np.outer(colk, np.conj(wk))
                                + np.outer(colkm1, np.conj(wkm1)))
-                        iu = np.triu_indices(k - 1)
-                        a[:k - 1, :k - 1][iu] -= upd[iu]
-                        di = np.arange(k - 1)
-                        a[di, di] = a[di, di].real
+                        blk = a[:k - 1, :k - 1]
+                        blk -= upd
+                        np.fill_diagonal(blk, blk.diagonal().real)
                         a[:k - 1, k] = wk
                         a[:k - 1, k - 1] = wkm1
                     else:
@@ -147,8 +144,7 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         wkm1 = d12 * (d11 * colkm1 - colk)
                         wk = d12 * (d22 * colk - colkm1)
                         upd = np.outer(colk, wk) + np.outer(colkm1, wkm1)
-                        iu = np.triu_indices(k - 1)
-                        a[:k - 1, :k - 1][iu] -= upd[iu]
+                        a[:k - 1, :k - 1] -= upd
                         a[:k - 1, k] = wk
                         a[:k - 1, k - 1] = wkm1
         if kstep == 1:
@@ -226,17 +222,15 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         r1 = 1.0 / a[k, k].real
                         x = a[k + 1:, k]
                         upd = r1 * np.outer(x, np.conj(x))
-                        il = np.tril_indices(n - k - 1)
-                        a[k + 1:, k + 1:][il] -= upd[il]
-                        di = np.arange(k + 1, n)
-                        a[di, di] = a[di, di].real
+                        blk = a[k + 1:, k + 1:]
+                        blk -= upd
+                        np.fill_diagonal(blk, blk.diagonal().real)
                         a[k + 1:, k] *= r1
                     else:
                         r1 = 1.0 / a[k, k]
                         x = a[k + 1:, k]
                         upd = r1 * np.outer(x, x)
-                        il = np.tril_indices(n - k - 1)
-                        a[k + 1:, k + 1:][il] -= upd[il]
+                        a[k + 1:, k + 1:] -= upd
                         a[k + 1:, k] *= r1
             else:
                 if k < n - 2:
@@ -254,10 +248,9 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         wkp1 = dsc * (d22 * colkp1 - colk * np.conj(d21))
                         upd = (np.outer(colk, np.conj(wk))
                                + np.outer(colkp1, np.conj(wkp1)))
-                        il = np.tril_indices(n - k - 2)
-                        a[k + 2:, k + 2:][il] -= upd[il]
-                        di = np.arange(k + 2, n)
-                        a[di, di] = a[di, di].real
+                        blk = a[k + 2:, k + 2:]
+                        blk -= upd
+                        np.fill_diagonal(blk, blk.diagonal().real)
                         a[k + 2:, k] = wk
                         a[k + 2:, k + 1] = wkp1
                     else:
@@ -271,8 +264,7 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         wk = d21 * (d11 * colk - colkp1)
                         wkp1 = d21 * (d22 * colkp1 - colk)
                         upd = np.outer(colk, wk) + np.outer(colkp1, wkp1)
-                        il = np.tril_indices(n - k - 2)
-                        a[k + 2:, k + 2:][il] -= upd[il]
+                        a[k + 2:, k + 2:] -= upd
                         a[k + 2:, k] = wk
                         a[k + 2:, k + 1] = wkp1
         if kstep == 1:
@@ -295,10 +287,15 @@ def sytf2(a: np.ndarray, uplo: str = "U", hermitian: bool = False):
     if a.shape[1] != n:
         xerbla("SYTF2", 2, "matrix must be square")
     ipiv = np.zeros(n, dtype=np.int64)
-    if uplo.upper() == "U":
-        info = _sytf2_upper(a, ipiv, hermitian)
-    else:
-        info = _sytf2_lower(a, ipiv, hermitian)
+    up = uplo.upper() == "U"
+    tri = np.triu if up else np.tril
+    # The kernels read only the referenced triangle, so their rank-1/2
+    # updates run unmasked on a working copy whose other triangle starts
+    # at zero; only the referenced triangle is stored back, bit for bit,
+    # and the other triangle of ``a`` is never written.
+    w = tri(a)
+    info = (_sytf2_upper if up else _sytf2_lower)(w, ipiv, hermitian)
+    np.copyto(a, w, where=tri(np.ones((n, n), dtype=bool)))
     return ipiv, info
 
 

@@ -16,6 +16,8 @@ packed/band variants, which reduce to this dense path — DESIGN.md §7).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import xerbla
@@ -31,7 +33,13 @@ def sytd2(a: np.ndarray, uplo: str = "L", hermitian: bool | None = None):
 
     Returns ``(d, e, tau)``: the tridiagonal diagonals (real) and the
     reflector scalars.  The reflector vectors overwrite the corresponding
-    triangle of ``a``.
+    triangle of ``a``; the other triangle is never written.
+
+    ``uplo='U'`` is ``uplo='L'`` on the flipped view ``a[::-1, ::-1]``
+    (whose lower triangle is the upper triangle of ``a``), with ``d``,
+    ``e`` and ``tau`` read back in reverse: one loop serves both layouts.
+    The loop works on a full symmetric/Hermitian copy of the active
+    block, so each column costs one matvec and one rank-2 update.
     """
     n = a.shape[0]
     if hermitian is None:
@@ -43,54 +51,30 @@ def sytd2(a: np.ndarray, uplo: str = "L", hermitian: bool | None = None):
     e = np.zeros(max(n - 1, 0), dtype=rdtype)
     tau = np.zeros(max(n - 1, 0), dtype=a.dtype)
     conj = np.conj if hermitian else (lambda z: z)
+    b = a[::-1, ::-1] if up else a
+    full = np.tril(b) + conj(np.tril(b, -1)).T
+    if hermitian:
+        np.fill_diagonal(full, full.diagonal().real)
+    for i in range(n - 1):
+        # Annihilate B[i+2:, i], leaving e[i] at B[i+1, i].
+        beta, taui = larfg(full[i + 1, i], full[i + 2:, i])
+        e[i] = beta.real if hermitian else beta
+        tau[i] = taui
+        b[i + 1, i] = e[i]
+        b[i + 2:, i] = full[i + 2:, i]
+        if taui != 0:
+            v = full[i + 1:, i].copy()
+            v[0] = 1
+            blk = full[i + 1:, i + 1:]
+            x = taui * (blk @ v)
+            alpha = -0.5 * taui * np.dot(conj(x), v)
+            w = x + alpha * v
+            upd = np.outer(v, conj(w))
+            blk -= upd + conj(upd).T
+    d[:] = full.diagonal().real
+    np.fill_diagonal(b, d)
     if up:
-        for i in range(n - 2, -1, -1):
-            # Annihilate A[0:i, i+1] leaving e[i] at A[i, i+1].
-            beta, taui = larfg(a[i, i + 1], a[:i, i + 1])
-            e[i] = beta.real if hermitian else beta
-            if taui != 0:
-                a[i, i + 1] = 1
-                v = a[: i + 1, i + 1]
-                # x = tau * A[0:i+1, 0:i+1] v (using the 'U' triangle).
-                sub = np.triu(a[: i + 1, : i + 1])
-                full = sub + conj(np.triu(sub, 1)).T
-                if hermitian:
-                    np.fill_diagonal(full, full.diagonal().real)
-                x = taui * (full @ v)
-                alpha = -0.5 * taui * np.dot(conj(x), v)
-                w = x + alpha * v
-                upd = np.outer(v, conj(w)) + np.outer(w, conj(v))
-                iu = np.triu_indices(i + 1)
-                a[: i + 1, : i + 1][iu] -= upd[iu]
-                if hermitian:
-                    di = np.arange(i + 1)
-                    a[di, di] = a[di, di].real
-            a[i, i + 1] = e[i]
-            tau[i] = taui
-        d[:] = a.diagonal().real if hermitian else a.diagonal()
-    else:
-        for i in range(n - 1):
-            beta, taui = larfg(a[i + 1, i], a[i + 2:, i])
-            e[i] = beta.real if hermitian else beta
-            if taui != 0:
-                a[i + 1, i] = 1
-                v = a[i + 1:, i]
-                sub = np.tril(a[i + 1:, i + 1:])
-                full = sub + conj(np.tril(sub, -1)).T
-                if hermitian:
-                    np.fill_diagonal(full, full.diagonal().real)
-                x = taui * (full @ v)
-                alpha = -0.5 * taui * np.dot(conj(x), v)
-                w = x + alpha * v
-                upd = np.outer(v, conj(w)) + np.outer(w, conj(v))
-                il = np.tril_indices(n - i - 1)
-                a[i + 1:, i + 1:][il] -= upd[il]
-                if hermitian:
-                    di = np.arange(i + 1, n)
-                    a[di, di] = a[di, di].real
-            a[i + 1, i] = e[i]
-            tau[i] = taui
-        d[:] = a.diagonal().real if hermitian else a.diagonal()
+        return d[::-1].copy(), e[::-1].copy(), tau[::-1].copy()
     return d, e, tau
 
 
@@ -211,7 +195,12 @@ def steqr(d: np.ndarray, e: np.ndarray, z: np.ndarray | None = None,
 
     On success the eigenvalues overwrite ``d`` in ascending order and the
     columns of ``z`` are the matching eigenvectors.  Returns ``info``
-    (> 0: off-diagonal ``e[info-1]`` failed to converge).
+    (> 0: off-diagonal ``e[info-1]`` failed to converge; ``d``/``e`` then
+    hold a tridiagonal matrix orthogonally similar to the input).
+
+    The recurrence is scalar, so it runs on Python floats: ``d``/``e``
+    are read once and written back once, and float32 input is carried
+    in double precision and rounded on store.
     """
     c = compz.upper()
     if c not in ("N", "V", "I"):
@@ -226,46 +215,62 @@ def steqr(d: np.ndarray, e: np.ndarray, z: np.ndarray | None = None,
             z[np.arange(n), np.arange(n)] = 1
     if n <= 1:
         return 0
-    eps = lamch("E", d.dtype)
-    work_e = np.zeros(n, dtype=d.dtype)
-    work_e[: n - 1] = e
-    info = 0
-    nmax_iter = maxiter_factor * n
+    eps = float(lamch("E", d.dtype))
+    dv = d.tolist()
+    ev = e[: n - 1].tolist() + [0.0]
+    info = _ql(dv, ev, eps, maxiter_factor * n, z if want_z else None)
+    d[:] = dv
+    if info:
+        e[: n - 1] = ev[: n - 1]
+        return info
+    # Sort ascending (and permute z).
+    order = np.argsort(d, kind="stable")
+    d[:] = d[order]
+    e[:] = 0
+    if want_z:
+        z[:, :] = z[:, order]
+    return 0
+
+
+def _ql(d: list, e: list, eps: float, nmax_iter: int, z) -> int:
+    """Implicit-shift QL sweeps on the lists ``d``/``e`` (in place),
+    applying each plane rotation to the columns of ``z`` when given.
+
+    ``e`` carries a trailing zero.  Returns 0, or ``l + 1`` once more
+    than ``nmax_iter`` sweeps have run with ``e[l]`` not yet negligible.
+    """
+    hypot = math.hypot
+    n = len(d)
     total_iter = 0
     for l in range(n):
-        iters = 0
         while True:
             # Look for a negligible off-diagonal element.
             m = l
             while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(work_e[m]) <= eps * dd:
+                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
                     break
                 m += 1
             if m == l:
                 break
-            iters += 1
             total_iter += 1
             if total_iter > nmax_iter:
                 # Report the first non-converged off-diagonal.
                 return l + 1
             # Wilkinson shift.
-            g = (d[l + 1] - d[l]) / (2.0 * work_e[l])
-            r = float(np.hypot(g, 1.0))
-            g = d[m] - d[l] + work_e[l] / (g + (r if g >= 0 else -r))
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + (r if g >= 0 else -r))
             s = 1.0
             cth = 1.0
             p = 0.0
-            broke = False
             for i in range(m - 1, l - 1, -1):
-                f = s * work_e[i]
-                b = cth * work_e[i]
-                r = float(np.hypot(f, g))
-                work_e[i + 1] = r
+                f = s * e[i]
+                b = cth * e[i]
+                r = hypot(f, g)
+                e[i + 1] = r
                 if r == 0.0:
                     d[i + 1] -= p
-                    work_e[m] = 0.0
-                    broke = True
+                    e[m] = 0.0
                     break
                 s = f / r
                 cth = g / r
@@ -274,21 +279,15 @@ def steqr(d: np.ndarray, e: np.ndarray, z: np.ndarray | None = None,
                 p = s * r
                 d[i + 1] = g + p
                 g = cth * r - b
-                if want_z:
+                if z is not None:
                     col1 = z[:, i + 1].copy()
                     z[:, i + 1] = s * z[:, i] + cth * col1
                     z[:, i] = cth * z[:, i] - s * col1
-            if not broke:
+            else:
                 d[l] -= p
-                work_e[l] = g
-                work_e[m] = 0.0
-    # Sort ascending (and permute z).
-    order = np.argsort(d, kind="stable")
-    d[:] = d[order]
-    e[:] = 0
-    if want_z:
-        z[:, :] = z[:, order]
-    return info
+                e[l] = g
+                e[m] = 0.0
+    return 0
 
 
 def sterf(d: np.ndarray, e: np.ndarray, maxiter_factor: int = 30) -> int:

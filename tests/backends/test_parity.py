@@ -89,14 +89,20 @@ def test_posv_parity(n, seed, dtype):
 @settings(**SETTINGS)
 @given(n=dims, seed=seeds)
 def test_sysv_parity(n, seed):
+    """Diagonally shifted (1x1 pivots) and unshifted indefinite input,
+    whose 2x2 Bunch–Kaufman pivots run the rank-2 update."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n))
-    a = g + g.T + n * np.eye(n)
-    b = a @ rng.standard_normal(n)
-    x_ref, x_acc = _both(la_sysv, a, b)
     tol = _tol(np.float64)
-    assert _cwise_backward_error(a, x_ref, b) <= tol
-    assert _cwise_backward_error(a, x_acc, b) <= tol
+    for shift in (n, 0):
+        a = g + g.T + shift * np.eye(n)
+        # An unshifted draw may be singular to working precision.
+        if np.linalg.cond(a) > 1e8:
+            continue
+        b = a @ rng.standard_normal(n)
+        x_ref, x_acc = _both(la_sysv, a, b)
+        assert _cwise_backward_error(a, x_ref, b) <= tol
+        assert _cwise_backward_error(a, x_acc, b) <= tol
 
 
 @settings(**SETTINGS)
@@ -119,22 +125,29 @@ def test_lu_pivot_sequences_match(n, seed):
 @settings(**SETTINGS)
 @given(n=dims, seed=seeds)
 def test_syev_parity_spectrum(n, seed):
-    """Eigenvalues agree absolutely (eigenvectors may differ by sign /
-    phase, so parity is on the spectrum and the residual)."""
+    """Eigenvalues agree absolutely for both ``uplo`` and both ``jobz``
+    (eigenvectors may differ by sign / phase, so their parity is on the
+    residual and orthogonality of each backend's own vectors)."""
     from repro import la_syev
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((n, n))
     a = (g + g.T) / 2
-    outs = {}
-    for name in ("reference", "accelerated"):
-        with use_backend(name):
-            ai = a.copy()
-            w = la_syev(ai, jobz="V")
-            outs[name] = (w, ai)
-    w_ref, _ = outs["reference"]
-    w_acc, v_acc = outs["accelerated"]
-    scale = max(1.0, float(np.abs(w_ref).max()))
-    np.testing.assert_allclose(w_acc, w_ref, atol=200 * scale *
-                               np.finfo(np.float64).eps)
-    resid = np.linalg.norm(a @ v_acc - v_acc * w_acc)
-    assert resid <= 100 * n * scale * np.finfo(np.float64).eps
+    eps = np.finfo(np.float64).eps
+    for uplo in ("U", "L"):
+        for jobz in ("N", "V"):
+            outs = {}
+            for name in ("reference", "accelerated"):
+                with use_backend(name):
+                    ai = a.copy()
+                    w = la_syev(ai, jobz=jobz, uplo=uplo)
+                    outs[name] = (w, ai)
+            w_ref, w_acc = outs["reference"][0], outs["accelerated"][0]
+            scale = max(1.0, float(np.abs(w_ref).max()))
+            np.testing.assert_allclose(w_acc, w_ref, atol=200 * scale * eps)
+            if jobz == "N":
+                continue
+            for w, v in outs.values():
+                resid = np.linalg.norm(a @ v - v * w)
+                assert resid <= 100 * n * scale * eps
+                orth = np.linalg.norm(v.T @ v - np.eye(n))
+                assert orth <= 100 * n * eps

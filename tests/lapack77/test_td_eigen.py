@@ -212,3 +212,78 @@ def test_stedc_eigenvalues_only(rng):
     info = stedc(dd, ee, compz="N")
     assert info == 0
     np.testing.assert_allclose(np.sort(dd), ref, atol=1e-9)
+
+
+# -- QL edge cases -----------------------------------------------------------
+
+def test_steqr_iteration_cap_reports_the_first_unconverged_offdiagonal(rng):
+    n = 6
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    assert steqr(d.copy(), e.copy(), compz="N", maxiter_factor=0) == 1
+    z = np.empty((n, n))
+    assert steqr(d.copy(), e.copy(), z, compz="I", maxiter_factor=0) == 1
+
+
+def test_steqr_iteration_cap_mid_run_leaves_a_similar_matrix(rng):
+    # One sweep per order is too few: the cap hits part way through,
+    # and d/e come back as a tridiagonal matrix similar to the input.
+    n = 40
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    dd, ee = d.copy(), e.copy()
+    info = steqr(dd, ee, compz="N", maxiter_factor=1)
+    assert 1 < info <= n
+    np.testing.assert_allclose(np.linalg.eigvalsh(tridiag(dd, ee)),
+                               np.linalg.eigvalsh(tridiag(d, e)), atol=1e-12)
+
+
+@pytest.mark.parametrize("compz", ["N", "I"])
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_steqr_tiny_orders(rng, n, compz):
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(max(n - 1, 0))
+    t = tridiag(d, e)
+    z = np.empty((n, n)) if compz == "I" else None
+    assert steqr(d, e, z, compz=compz) == 0
+    np.testing.assert_allclose(d, np.linalg.eigvalsh(t), atol=1e-14)
+    if z is not None:
+        np.testing.assert_allclose(t @ z, z * d[None, :], atol=1e-14)
+        np.testing.assert_allclose(z.T @ z, np.eye(n), atol=1e-14)
+
+
+def test_steqr_exactly_split_matrix(rng):
+    # A zero off-diagonal splits T into two blocks iterated independently.
+    n = 12
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    e[4] = 0.0
+    t = tridiag(d, e)
+    dd, ee = d.copy(), e.copy()
+    z = np.empty((n, n))
+    assert steqr(dd, ee, z, compz="I") == 0
+    np.testing.assert_allclose(dd, np.linalg.eigvalsh(t), atol=1e-12)
+    np.testing.assert_allclose(t @ z, z * dd[None, :], atol=1e-12)
+    # Each eigenvector lives in one block.
+    top = np.abs(z[:5]).sum(axis=0) > 0
+    bottom = np.abs(z[5:]).sum(axis=0) > 0
+    assert not np.any(top & bottom)
+
+
+@pytest.mark.parametrize("compz", ["N", "I"])
+def test_steqr_float32_keeps_dtype(rng, compz):
+    # The recurrence runs in double precision and rounds on store.
+    n = 30
+    d = rng.standard_normal(n).astype(np.float32)
+    e = rng.standard_normal(n - 1).astype(np.float32)
+    ref = np.linalg.eigvalsh(tridiag(d, e))
+    dd, ee = d.copy(), e.copy()
+    z = np.empty((n, n), dtype=np.float32) if compz == "I" else None
+    assert steqr(dd, ee, z, compz=compz) == 0
+    assert dd.dtype == np.float32 and ee.dtype == np.float32
+    np.testing.assert_allclose(dd, ref, rtol=0,
+                               atol=tol_for(np.float32, 10) * np.abs(ref).max())
+    if z is not None:
+        assert z.dtype == np.float32
+        np.testing.assert_allclose(z.T @ z, np.eye(n),
+                                   atol=tol_for(np.float32, 10))
