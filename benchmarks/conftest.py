@@ -101,12 +101,13 @@ def record_dispatch(name, record):
 def _write_dispatch_report(root):
     out = {
         "experiment": "XB5-dispatch",
-        "description": "Front-door auto-dispatch cost: repro.solve with "
-                       "a warm structure cache vs calling the routed "
-                       "driver directly (gate: < 5% overhead on "
-                       "la_gesv-sized traffic), the cold probe cost, "
-                       "and the SPD-traffic win from reusing the "
-                       "cached trial-Cholesky factor",
+        "description": "Front-door auto-dispatch cost: repro.solve on "
+                       "a general operand seen before (probed again, "
+                       "not cached) vs calling the routed driver "
+                       "directly (gate: < 5% overhead on la_gesv-sized "
+                       "traffic), the probe cost, and the SPD-traffic "
+                       "win from reusing the exactly cached la_posv "
+                       "factor",
         "results": {k: DISPATCH_RECORDS[k]
                     for k in sorted(DISPATCH_RECORDS)},
     }

@@ -3,15 +3,17 @@
 Three measurements on ``la_gesv``-sized traffic (N = 384), flushed to
 ``BENCH_dispatch.json`` by the conftest session hook:
 
-* **cached dispatch overhead** — ``repro.solve`` with a warm structure
-  cache vs calling the routed driver directly.  The warm path pays one
-  cache lookup (metadata + sampled fingerprint revalidation) and one
-  walk of the spec-derived routing table; the acceptance gate pins it
-  under 5% of the direct call.
-* **cold probe cost** — the one-time classification (bandwidth sweep,
-  bitwise symmetry test) a first-seen operand pays.
+* **cached dispatch overhead** — ``repro.solve`` on a general operand
+  it has seen before vs calling the routed driver directly.  Only SPD
+  factors are cached, so every such call pays one cache miss (a dict
+  lookup), one probe (which exits early on a dense operand: nonzero
+  corners, first row vs first column) and one memoized route; the
+  acceptance gate pins it under 5% of the direct call.
+* **cold probe cost** — the classification a general operand pays on
+  every call.
 * **SPD-traffic win** — repeated ``solve`` against the same SPD operand
-  reuses the cached trial-Cholesky factor and goes straight to
+  hits the exact factor cache (the operand's bytes are compared with
+  the snapshot the factor was computed from) and goes straight to
   ``potrs``, skipping the O(n³/3) refactorization ``la_posv`` pays on
   every direct call.
 
@@ -60,13 +62,13 @@ def _spd_system(n=N, seed=8):
 
 
 def test_cached_dispatch_overhead_under_5_percent():
-    """The acceptance gate: with the structure already cached, the front
+    """The acceptance gate: on an operand it has seen before, the front
     door adds < 5% to a direct ``la_gesv`` call on N=384 traffic."""
     a, b = _general_system()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cache.clear()
-        solve(a, b)                       # probe once: warm the cache
+        solve(a, b)                       # warm up
         t_front = _best_of(lambda: solve(a, b))
         t_direct = _best_of(lambda: la_gesv(a.copy(), b.copy()))
     overhead = t_front / t_direct - 1.0
@@ -84,7 +86,7 @@ def test_cached_dispatch_overhead_under_5_percent():
 
 
 def test_cold_probe_cost_is_recorded():
-    """The one-time classification cost for a first-seen operand —
+    """The classification cost a non-SPD operand pays per call —
     bounded loosely (well under one solve), recorded precisely."""
     a, b = _general_system(seed=9)
     with warnings.catch_warnings():
@@ -109,7 +111,7 @@ def test_spd_traffic_win_from_cached_factor():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         cache.clear()
-        solve(a, b)                       # probe + retain the factor
+        solve(a, b)                       # la_posv; cache its factor
         t_front = _best_of(lambda: solve(a, b))
         t_direct = _best_of(lambda: la_posv(a.copy(), b.copy(),
                                             uplo="U"))

@@ -3,10 +3,10 @@
 Callers who know their matrix call ``la_posv``; callers who don't call
 :func:`solve` and get the same driver chosen for them.  The flow is
 
-1. **classify** — the per-array structure cache
-   (:mod:`repro.dispatch_front.cache`) answers instantly for a repeat
-   operand; otherwise :func:`~repro.dispatch_front.probe.probe` runs
-   once and its verdict (including any trial-Cholesky factor) is cached.
+1. **classify** — the exact factor cache
+   (:mod:`repro.dispatch_front.cache`) answers for a repeat SPD/HPD
+   operand whose bytes are unchanged; otherwise
+   :func:`~repro.dispatch_front.probe.probe` runs (it never factors).
 2. **route** — :func:`repro.specs.routing.route` walks the refinement
    lattice over the DriverSpec registry's declarative
    ``problem_kind``/``structure`` metadata.  There is no structure→
@@ -17,29 +17,35 @@ Callers who know their matrix call ``la_posv``; callers who don't call
 3. **execute** — the routed ``la_*`` driver runs with the caller's
    ``info`` handle, through the ordinary backend/resilience/deadline
    seams, *on copies*: unlike the drivers, the front door never
-   overwrites its operands (it must not — a mutated operand would
-   invalidate its own cache entry).  A cached ``spd``/``hpd`` verdict
-   skips the refactorization entirely: the retained ``potrf`` factor
-   goes straight to ``potrs`` inside the same ``LA_POSV`` contract
-   (spec validation, driver guard, ERINFO report).
+   overwrites its operands.  A probed ``spd``/``hpd`` operand (Hermitian,
+   strictly positive real diagonal) runs ``la_posv`` on a private
+   ``Info``: its ``potrf`` is the only definiteness test.  On success
+   the factor it left in the working copy is cached, so a cold SPD
+   solve factors once and a repeat one goes straight to ``potrs``
+   inside the same ``LA_POSV`` contract (spec validation, driver
+   guard, ERINFO report).  On a positive INFO the call re-solves
+   through the next route on the refinement chain
+   (``la_sysv``/``la_hesv``) on fresh copies, bit-identical to what a
+   symmetric/hermitian verdict would have routed.
 
 Stacked operands (``a.ndim == 3``) route through the spec-derived
 ``batch_*`` wrappers instead, chosen from the same metadata filtered by
-``spec.batchable``.
+``spec.batchable``; they are never cached.
 
 ``explain=True`` returns the :class:`Explanation` — classification,
-candidate ladder and chosen driver — *without executing*.  ``assume=``
-skips probing and pins the structure label (trusted, not verified: an
-``assume="spd"`` on an indefinite matrix fails exactly like calling
-``la_posv`` yourself).  When an :class:`~repro.errors.Info` handle is
-passed, the verdict comes back with ``info.structure``,
-``info.chosen_driver`` and ``info.probe_cost`` telemetry
-(``probe_cost == 0.0`` on a cache hit).
+candidate ladder and chosen driver — *without executing* (so it caches
+nothing; an ``spd`` plan may still fall back when executed).
+``assume=`` skips probing and the cache and pins the structure label
+(trusted, not verified: an ``assume="spd"`` on an indefinite matrix
+fails exactly like calling ``la_posv`` yourself, with no fallback).
+When an :class:`~repro.errors.Info` handle is passed, the verdict comes
+back with ``info.structure``, ``info.chosen_driver`` and
+``info.probe_cost`` telemetry (``probe_cost == 0.0`` on a cache hit).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,9 +53,9 @@ from ..backends.kernels import potrs
 from ..core import (la_gbsv, la_gels, la_geev, la_gesv, la_gtsv, la_heev,
                     la_hesv, la_posv, la_syev, la_sysv, la_trtrs)
 from ..core.auxmod import _report, as_matrix, driver_guard
-from ..errors import Info, is_error_code
+from ..errors import Info, erinfo, is_error_code
 from ..specs import validate_args
-from ..specs.routing import STRUCTURES, candidates, route
+from ..specs.routing import REFINEMENTS, STRUCTURES, candidates, route
 from . import cache
 from .probe import Structure, probe, probe_stack
 
@@ -62,7 +68,7 @@ class Explanation:
 
     ``candidates`` is the full refinement ladder the router considered,
     most specific first; ``chosen_driver`` is its head.  ``cached`` says
-    whether the classification came from the structure cache;
+    whether the operand hit the factor cache (so no probe ran);
     ``probe_cost`` is the probe's wall-clock seconds (0.0 when cached
     or assumed).
     """
@@ -89,9 +95,7 @@ def _classify(a, assume):
     st = cache.lookup(a)
     if st is not None:
         return st, True
-    st = probe_stack(a) if a.ndim == 3 else probe(a)
-    cache.store(a, st)  # laflow: atomic-split — probing runs unlocked by design; a racing store of the same verdict is idempotent
-    return st, False
+    return (probe_stack(a) if a.ndim == 3 else probe(a)), False
 
 
 def _note(info, st, driver, cached):
@@ -127,7 +131,7 @@ def _batch_route(kind, st, iscomplex):
 # -- per-kernel calling conventions (the hand-written residue) --------
 # Each executor receives the *original* operands plus the probe verdict
 # and runs the routed driver on copies, returning the solution.  The
-# ``cached`` flag lets the posv convention reuse the retained factor.
+# ``cached`` flag lets the posv convention reuse the cached factor.
 
 def _band_storage(a, kl, ku):
     """Pack a dense band matrix into ``la_gbsv``'s ``2·kl+ku+1``-row
@@ -141,7 +145,7 @@ def _band_storage(a, kl, ku):
 
 
 def _posv_from_factor(st, a, bc, info):
-    """Repeat SPD solve: the cached trial-``potrf`` factor goes straight
+    """Repeat SPD solve: the cached ``la_posv`` factor goes straight
     to ``potrs``, inside the full ``LA_POSV`` contract (spec validation,
     driver guard, ERINFO report) — the refactorization is what the cache
     exists to skip."""
@@ -162,9 +166,37 @@ def _exec_gesv(st, a, bc, info, cached):
 
 
 def _exec_posv(st, a, bc, info, cached):
-    if cached and st.cholesky is not None:
+    if cached:
         return _posv_from_factor(st, a, bc, info)
     return la_posv(a.copy(), bc, uplo=st.uplo, info=info)
+
+
+def _solve_probed_definite(st, a, b, iscomplex, info):
+    """``(x, structure, spec)`` for a cold probed ``spd``/``hpd`` solve.
+
+    ``la_posv`` runs on a private ``Info`` so a positive INFO (or its
+    own fallback ladder firing) can be caught: the call then re-solves
+    through the next structure on the refinement chain on fresh
+    copies.  Otherwise the factor left in the working copy is cached
+    against the bits it was computed from, and the outcome goes to
+    the caller's handle (or raises) exactly as ``la_posv``'s would.
+    """
+    ac, bc, trial = a.copy(), _rhs_copy(a, b), Info()
+    bits = cache.snapshot(ac)
+    la_posv(ac, bc, uplo=st.uplo, info=trial)
+    if trial.value > 0 or trial.fallback is not None:
+        st = replace(st, label=REFINEMENTS[st.label][0])
+        spec = route("solve", st.label, iscomplex)
+        return (_SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, False),
+                st, spec)
+    if trial.value == 0:
+        cache.store(a, replace(st, cholesky=ac), bits)  # laflow: atomic-split — the factor is computed unlocked by design; a racing store for the same operand carries its own snapshot
+    if info is None:
+        erinfo(trial.value, "LA_POSV")
+    else:
+        for slot in Info.__slots__:
+            setattr(info, slot, getattr(trial, slot))
+    return bc, st, route("solve", st.label, iscomplex)
 
 
 def _exec_sysv(st, a, bc, info, cached):
@@ -262,7 +294,10 @@ def solve(a, b, *, info=None, explain=False, assume=None):
             tuple(s.name for s in candidates("solve", st.label,
                                              iscomplex)),
             cached=cached, probe_cost=0.0 if cached else st.probe_cost)
-    x = _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, cached)
+    if spec.kernel == "posv" and not cached and assume is None:
+        x, st, spec = _solve_probed_definite(st, a, b, iscomplex, info)
+    else:
+        x = _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, cached)
     _note(info, st, spec.name, cached)
     return x
 

@@ -8,15 +8,19 @@ almost-symmetric matrix handed to ``la_sysv`` (which reads one triangle)
 would silently solve a different system.  Near-misses therefore probe as
 ``general`` — the adversarial suite in ``tests/dispatch`` pins this.
 
-Positive definiteness is established by a *trial Cholesky*: a ``potrf``
-kernel call (through the full backend/resilience dispatch seam) on a
-copy of the operand.  On success the factor travels with the probe
-result and becomes the cached factorization — repeated SPD solves
-against the same array skip straight to ``potrs``.
+The probe never factors.  A Hermitian operand with a strictly positive
+real diagonal is labelled ``spd``/``hpd`` — a necessary condition for
+definiteness, not a sufficient one — and the routed ``la_posv``'s own
+``potrf`` is the definiteness test: when it reports a positive INFO the
+front door re-solves through ``la_sysv``/``la_hesv``.
 
 Band widths are extracted vectorized (one ``nonzero`` sweep); a matrix
 only probes as ``banded`` when band storage actually pays,
 ``2·kl + ku + 1 < n`` — so bandwidth ``n−1`` routes as ``general``.
+The common dense case exits early on both O(n²) tests without changing
+a verdict: two nonzero off-diagonal corners already fix the bandwidths
+at ``(n−1, n−1)``, and a first row that differs from the first column
+already rules out symmetry.
 """
 
 from __future__ import annotations
@@ -38,9 +42,10 @@ class Structure:
     ``label`` is the routing-table key; ``kl``/``ku`` the extracted
     band widths (dense fallback: ``n-1``); ``uplo`` the triangle a
     triangular/Cholesky route should reference; ``cholesky`` the
-    retained trial-``potrf`` factor for ``spd``/``hpd`` (the caller's
-    array is never touched); ``probe_cost`` the wall-clock seconds the
-    probe took.
+    Cholesky factor a successful ``la_posv`` left in the front door's
+    working copy, set only on cached ``spd``/``hpd`` entries (the
+    caller's array is never touched); ``probe_cost`` the wall-clock
+    seconds the probe took.
     """
 
     label: str
@@ -58,7 +63,12 @@ class Structure:
 
 
 def bandwidths(a):
-    """Exact ``(kl, ku)`` of a 2-D matrix from one nonzero sweep."""
+    """Exact ``(kl, ku)`` of a 2-D matrix.  Two nonzero off-diagonal
+    corners are the widest possible band; anything else takes one
+    nonzero sweep."""
+    m, n = a.shape
+    if m and n and a[m - 1, 0] != 0 and a[0, n - 1] != 0:
+        return m - 1, n - 1
     rows, cols = np.nonzero(a)
     if rows.size == 0:
         return 0, 0
@@ -66,16 +76,31 @@ def bandwidths(a):
     return int(max(0, -offsets.min())), int(max(0, offsets.max()))
 
 
-def _trial_cholesky(a, uplo="U"):
-    """``potrf`` on a copy through the dispatch seam; ``None`` unless
-    positive definite.  The probe pre-filters on a strictly positive
-    real diagonal so obviously indefinite operands skip the kernel."""
+def _equals_adjoint(a, conj):
+    """Bitwise ``a == a.T`` (``a == a.conj().T`` with ``conj``); row 0
+    against column 0 first, so most non-symmetric matrices exit in
+    O(n)."""
+    if a.size and not np.array_equal(
+            a[0], a[:, 0].conj() if conj else a[:, 0]):
+        return False
+    return np.array_equal(a, a.conj().T if conj else a.T)
+
+
+def _positive_diagonal(a):
+    """A strictly positive real diagonal: necessary for definiteness."""
     diag = np.diagonal(a)
     if np.iscomplexobj(diag):
         if (diag.imag != 0).any():
-            return None
+            return False
         diag = diag.real
-    if not (diag > 0).all():
+    return bool((diag > 0).all())
+
+
+def _trial_cholesky(a, uplo="U"):
+    """``potrf`` on a copy through the dispatch seam; ``None`` unless
+    positive definite.  Obviously indefinite operands (diagonal not
+    strictly positive and real) skip the kernel."""
+    if not _positive_diagonal(a):
         return None
     from ..backends.kernels import potrf
     factor = a.copy()
@@ -100,9 +125,9 @@ def probe(a) -> Structure:
     n = a.shape[0]
     kl, ku = bandwidths(a)
     iscomplex = np.iscomplexobj(a)
-    symmetric = np.array_equal(a, a.T)
-    hermitian = np.array_equal(a, a.conj().T) if iscomplex else symmetric
-    label, uplo, factor = "general", "U", None
+    symmetric = _equals_adjoint(a, conj=False)
+    hermitian = _equals_adjoint(a, conj=True) if iscomplex else symmetric
+    label, uplo = "general", "U"
     if kl == 0 and ku == 0:
         label = "diagonal"
     elif ku == 0:
@@ -114,8 +139,7 @@ def probe(a) -> Structure:
     elif 2 * kl + ku + 1 < n:
         label = "banded"
     elif hermitian:
-        factor = _trial_cholesky(a)
-        if factor is not None:
+        if _positive_diagonal(a):
             label = "hpd" if iscomplex else "spd"
         else:
             label = "hermitian" if iscomplex else "symmetric"
@@ -123,7 +147,6 @@ def probe(a) -> Structure:
         label = "symmetric"          # complex symmetric, non-Hermitian
     return Structure(label, kl=kl, ku=ku, uplo=uplo,
                      symmetric=symmetric, hermitian=hermitian,
-                     cholesky=factor,
                      probe_cost=time.perf_counter() - start)
 
 

@@ -24,6 +24,8 @@ domains.
 
 from __future__ import annotations
 
+import functools
+
 from .registry import SPECS
 
 __all__ = [
@@ -69,31 +71,36 @@ def _claims(kind=None):
             and (kind is None or s.problem_kind == kind)]
 
 
+@functools.cache
+def _table():
+    """The routing table with tuple rows, built once: the registry is
+    immutable after import."""
+    table = {}
+    for spec in _claims():
+        row = table.setdefault(spec.problem_kind, {})
+        for label in spec.structure:
+            row.setdefault(label, []).append(spec)
+    return {kind: {label: tuple(specs) for label, specs in row.items()}
+            for kind, row in table.items()}
+
+
 def routing_table():
     """``{problem_kind: {structure: [spec, ...]}}`` from the registry.
 
     Only structures some spec explicitly claims appear; the refinement
     chains make the rest reachable at :func:`route` time.
     """
-    table = {}
-    for spec in _claims():
-        row = table.setdefault(spec.problem_kind, {})
-        for label in spec.structure:
-            row.setdefault(label, []).append(spec)
-    return table
+    return {kind: {label: list(specs) for label, specs in row.items()}
+            for kind, row in _table().items()}
 
 
 def _serves_dtype(spec, iscomplex):
     return spec.dtypes != ("real" if iscomplex else "complex")
 
 
-def candidates(kind, structure, iscomplex=False):
-    """Every spec that could serve the triple, best first.
-
-    Walks the refinement chain and, at each structure, yields the specs
-    claiming it (registry order) whose dtype domain covers the input.
-    """
-    table = routing_table().get(kind)
+@functools.cache
+def _candidates(kind, structure, iscomplex):
+    table = _table().get(kind)
     if table is None:
         raise ValueError("unknown problem kind {!r}; known: {}".format(
             kind, ", ".join(PROBLEM_KINDS)))
@@ -101,7 +108,17 @@ def candidates(kind, structure, iscomplex=False):
     for label in refinement_chain(structure):
         out.extend(s for s in table.get(label, ())
                    if _serves_dtype(s, iscomplex) and s not in out)
-    return out
+    return tuple(out)
+
+
+def candidates(kind, structure, iscomplex=False):
+    """Every spec that could serve the triple, best first.
+
+    Walks the refinement chain and, at each structure, yields the specs
+    claiming it (registry order) whose dtype domain covers the input.
+    Derived once per triple.
+    """
+    return list(_candidates(kind, structure, bool(iscomplex)))
 
 
 def route(kind, structure, iscomplex=False):
@@ -112,7 +129,7 @@ def route(kind, structure, iscomplex=False):
     shipped registry, where every chain ends in ``general`` and every
     verb has a general-structure driver.
     """
-    found = candidates(kind, structure, iscomplex)
+    found = _candidates(kind, structure, bool(iscomplex))
     if not found:
         raise LookupError(
             "no driver routes ({!r}, {!r}, {})".format(

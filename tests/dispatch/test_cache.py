@@ -1,15 +1,18 @@
-"""The per-array structure cache: probe-once semantics, fingerprint
-revalidation on mutation, FIFO bounding, and backend-switch
-invalidation (the satellite-2 seam: a factor computed by the departed
+"""The exact factor cache: probe-once semantics for SPD operands,
+bitwise revalidation on mutation (no edit, however small, returns a
+stale answer), one factorization per cold SPD solve, FIFO bounding, and
+backend-switch invalidation (a factor computed by the departed
 substrate must never be reused)."""
 
 import numpy as np
 import pytest
 
-from repro import (backends, invalidate_structure_cache, solve,
-                   structure_cache_stats)
+from repro import (backends, invalidate_structure_cache, la_gesv, la_posv,
+                   solve, structure_cache_stats, use_backend)
 from repro.dispatch_front import cache
 from repro.dispatch_front.probe import probe
+from repro.errors import Info
+from repro.resilience import dispatch
 
 
 @pytest.fixture(autouse=True)
@@ -50,13 +53,13 @@ def test_cache_hit_reports_zero_probe_cost():
 
 
 def test_mutation_is_detected_and_reclassified():
-    a = _spd(4, seed=2)           # 16 elements: fully fingerprinted
+    a = _spd(4, seed=2)
     b = a @ np.ones(4)
     solve(a, b)
     assert structure_cache_stats()["entries"] == 1
     a[0, 1] += 1.0                # break symmetry in place
     st = cache.lookup(a)
-    assert st is None             # fingerprint drift evicts the entry
+    assert st is None             # changed bits evict the entry
     assert structure_cache_stats()["invalidated"] >= 1
     from repro.errors import Info
     info = Info()
@@ -69,7 +72,7 @@ def test_store_is_fifo_bounded():
     for k in range(cache.MAX_ENTRIES + 8):
         a = np.diag(np.full(2, float(k + 1)))
         keep.append(a)
-        cache.store(a, probe(a))
+        cache.store(a, probe(a), cache.snapshot(a))
     assert structure_cache_stats()["entries"] == cache.MAX_ENTRIES
     # The oldest entries were evicted, the newest survive.
     assert cache.lookup(keep[0]) is None
@@ -78,8 +81,8 @@ def test_store_is_fifo_bounded():
 
 def test_invalidate_one_array_and_all():
     a, b = _spd(3, seed=3), _spd(3, seed=4)
-    cache.store(a, probe(a))
-    cache.store(b, probe(b))
+    cache.store(a, probe(a), cache.snapshot(a))
+    cache.store(b, probe(b), cache.snapshot(b))
     assert invalidate_structure_cache(a) == 1
     assert structure_cache_stats()["entries"] == 1
     assert invalidate_structure_cache() == 1
@@ -92,7 +95,7 @@ def test_backend_switch_clears_cache_and_bumps_epoch():
         pytest.skip("only one backend registered")
     other = [n for n in names if n != backends.get_backend_name()][0]
     a = _spd(5, seed=5)
-    cache.store(a, probe(a))
+    cache.store(a, probe(a), cache.snapshot(a))
     epoch = structure_cache_stats()["epoch"]
     previous = backends.set_backend(other)
     try:
@@ -109,10 +112,104 @@ def test_use_backend_round_trip_also_invalidates():
         pytest.skip("only one backend registered")
     other = [n for n in names if n != backends.get_backend_name()][0]
     a = _spd(5, seed=6)
-    cache.store(a, probe(a))
+    cache.store(a, probe(a), cache.snapshot(a))
     epoch = structure_cache_stats()["epoch"]
     with backends.use_backend(other):
         assert structure_cache_stats()["entries"] == 0
     # Entry and restore are both effective switches: two epoch bumps,
     # and anything cached inside the block is dropped on the way out.
     assert structure_cache_stats()["epoch"] == epoch + 2
+
+
+# -- in-place edits between solves: the second answer must be the one
+# the routed driver gives for the edited operand, bit for bit ---------
+
+def _solve_edit_solve(a, edit):
+    b = a @ np.linspace(1.0, 2.0, a.shape[0])
+    solve(a, b)
+    edit(a)
+    info = Info()
+    x = solve(a, b, info=info)
+    return x, b, info
+
+
+def test_off_triangle_edit_is_not_answered_from_the_stale_factor():
+    # n=100, then A[3, 7] += 50: an entry a 16-element sampled
+    # fingerprint never looks at, and A is no longer symmetric.
+    a = _spd(100, seed=10)
+    x, b, info = _solve_edit_solve(
+        a, lambda m: m.__setitem__((3, 7), m[3, 7] + 50.0))
+    want = la_gesv(a.copy(), b.copy())
+    np.testing.assert_array_equal(x, want)
+    assert info.chosen_driver == "la_gesv"
+    assert info.probe_cost > 0.0
+
+
+def test_symmetric_conductance_stamp_refactors():
+    a = _spd(100, seed=11)
+    i, j, g = 3, 7, 1.25
+
+    def stamp(m):
+        m[i, i] += g
+        m[j, j] += g
+        m[i, j] -= g
+        m[j, i] -= g
+
+    x, b, info = _solve_edit_solve(a, stamp)
+    want = la_posv(a.copy(), b.copy(), uplo="U")
+    np.testing.assert_array_equal(x, want)
+    assert info.chosen_driver == "la_posv"
+    assert info.probe_cost > 0.0
+
+
+def test_one_ulp_edit_refactors():
+    a = _spd(100, seed=12)
+    x, b, info = _solve_edit_solve(
+        a, lambda m: m.__setitem__((5, 5), np.nextafter(m[5, 5], np.inf)))
+    want = la_posv(a.copy(), b.copy(), uplo="U")
+    np.testing.assert_array_equal(x, want)
+    assert info.chosen_driver == "la_posv"
+    assert info.probe_cost > 0.0
+
+
+def test_signed_zero_flip_is_an_edit():
+    # -0.0 == 0.0 as values, but not as bits: the cache compares bits.
+    a = _spd(100, seed=13)
+    a[3, 7] = a[7, 3] = 0.0
+    x, b, info = _solve_edit_solve(
+        a, lambda m: m.__setitem__((3, 7), -0.0))
+    want = la_posv(a.copy(), b.copy(), uplo="U")
+    np.testing.assert_array_equal(x, want)
+    assert info.chosen_driver == "la_posv"
+    assert info.probe_cost > 0.0
+    assert structure_cache_stats()["hits"] == 0
+
+
+def test_only_successful_spd_solves_are_cached():
+    g = np.random.default_rng(14).standard_normal((6, 6))
+    solve(g + 6 * np.eye(6), np.ones(6))                 # general
+    solve(g + g.T - 30 * np.eye(6), np.ones(6))          # indefinite
+    solve(2 * np.ones((4, 4)) - np.eye(4), np.ones(4))   # posv fails
+    assert structure_cache_stats()["entries"] == 0
+    solve(_spd(6, seed=15), np.ones(6))
+    assert structure_cache_stats()["entries"] == 1
+
+
+@pytest.mark.parametrize("name", backends.available_backends())
+def test_cold_spd_solve_factors_once_warm_solve_only_substitutes(
+        monkeypatch, name):
+    """Kernel calls at the dispatch seam: a cold SPD solve is one
+    ``posv`` (one ``potrf`` plus its ``potrs``), a warm one a single
+    ``potrs``."""
+    routines = []
+    real_call = dispatch.call
+    monkeypatch.setattr(dispatch, "call", lambda routine, *rest: (
+        routines.append(routine), real_call(routine, *rest))[1])
+    a = _spd(12, seed=16)
+    b = a @ np.ones(12)
+    with use_backend(name):
+        solve(a, b)
+        assert routines == ["posv"]
+        del routines[:]
+        solve(a, b)
+        assert routines == ["potrs"]

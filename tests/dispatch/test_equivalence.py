@@ -72,7 +72,7 @@ def test_definite_matches_la_posv_including_cached_refit(
         bw, winfo = b.copy(), Info()
         la_posv(a.copy(), bw, uplo="U", info=winfo)
         info = _pair(bw, winfo, a, b)
-        # The repeat solve reuses the cached trial-Cholesky factor
+        # The repeat solve reuses the factor la_posv left behind
         # (potrs path) and must still be bit-identical to the driver.
         again = Info()
         x2 = solve(a, b, info=again)
@@ -112,6 +112,39 @@ def test_hermitian_indefinite_matches_la_hesv(n, seed, name):
         info = _pair(bw, winfo, a, b)
     assert info.chosen_driver == "la_hesv"
     assert info.structure == "hermitian"
+
+
+def _positive_diagonal_indefinite(rng, n, iscomplex):
+    """Hermitian with a strictly positive real diagonal — so the probe
+    routes it to ``la_posv`` — whose leading 2x2 minor is negative, so
+    ``potrf`` fails and the front door must fall back."""
+    g = rng.standard_normal((n, n))
+    if iscomplex:
+        g = g + 1j * rng.standard_normal((n, n))
+    a = g + g.conj().T
+    np.fill_diagonal(a, rng.uniform(0.5, 1.0, n))
+    a[0, 1] = 3.0 + (2j if iscomplex else 0.0)
+    a[1, 0] = np.conj(a[0, 1])
+    return a
+
+
+@settings(**SETTINGS)
+@given(n=dims, seed=seeds, name=backend_names,
+       iscomplex=st.booleans())
+def test_positive_diagonal_indefinite_falls_back_bit_identically(
+        n, seed, name, iscomplex):
+    rng = np.random.default_rng(seed)
+    a = _positive_diagonal_indefinite(rng, n, iscomplex)
+    b = a @ rng.standard_normal(n)
+    driver = la_hesv if iscomplex else la_sysv
+    with use_backend(name):
+        bw, winfo = b.astype(a.dtype), Info()
+        driver(a.copy(), bw, info=winfo)
+        info = _pair(bw, winfo, a, b)
+    assert int(info) == 0
+    assert info.chosen_driver == driver.__name__
+    assert info.structure == ("hermitian" if iscomplex else "symmetric")
+    assert cache.stats()["entries"] == 0
 
 
 @settings(**SETTINGS)

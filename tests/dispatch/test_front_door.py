@@ -46,10 +46,15 @@ def test_explain_returns_the_plan_without_executing():
     assert plan.chosen_driver == route("solve", "spd", False).name
     assert not plan.batch
     assert plan.probe_cost > 0.0
-    # explain classified (and cached) but never ran a driver: the
-    # operands are untouched and a real solve now hits the cache.
+    # explain never executes, so it caches nothing: only a successful
+    # la_posv stores an entry, and then a plan reads it.
     plan2 = solve(a, b, explain=True)
-    assert plan2.cached and plan2.probe_cost == 0.0
+    assert not plan2.cached and plan2.probe_cost > 0.0
+    assert cache.stats()["entries"] == 0
+    solve(a, b)
+    plan3 = solve(a, b, explain=True)
+    assert plan3.cached and plan3.probe_cost == 0.0
+    assert cache.stats()["entries"] == 1
 
 
 def test_explain_matches_execution_choice():

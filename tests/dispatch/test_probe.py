@@ -49,16 +49,66 @@ def test_tridiagonal_and_banded():
     assert (st.kl, st.ku) == (3, 2)
 
 
-def test_spd_retains_the_trial_factor():
+def test_spd_is_labelled_without_factoring(monkeypatch):
+    # The probe only checks a strictly positive real diagonal; la_posv's
+    # own potrf is the definiteness test, so probing runs no kernel.
+    from repro.resilience import dispatch
+    calls = []
+    real_call = dispatch.call
+    monkeypatch.setattr(dispatch, "call", lambda routine, *rest: (
+        calls.append(routine), real_call(routine, *rest))[1])
     g = _rng(3).standard_normal((7, 7))
     a = g @ g.T + 7 * np.eye(7)
     a = (a + a.T) / 2
     st = probe(a)
     assert st.label == "spd"
     assert st.symmetric and st.hermitian
-    assert st.cholesky is not None
-    assert st.cholesky.shape == a.shape
+    assert st.cholesky is None
     assert st.probe_cost > 0.0
+    # Positive diagonal, indefinite (eigenvalues 7, -1, -1, -1): the
+    # probe still says spd; the executed solve falls back.
+    assert probe(2 * np.ones((4, 4)) - np.eye(4)).label == "spd"
+    assert calls == []
+
+
+def test_early_exits_match_the_full_tests():
+    """The corner and first-row shortcuts return what the full
+    ``nonzero`` sweep and ``array_equal`` would, including on signed
+    zeros and NaNs."""
+    def full_bandwidths(a):
+        rows, cols = np.nonzero(a)
+        if rows.size == 0:
+            return 0, 0
+        off = cols - rows
+        return int(max(0, -off.min())), int(max(0, off.max()))
+
+    rng = _rng(9)
+    cases = []
+    for n in (1, 2, 3, 6):
+        g = rng.standard_normal((n, n))
+        cases += [g, g + g.T, np.triu(g), np.tril(g, 1), np.eye(n)]
+    for corner in (0.0, -0.0, np.nan):
+        c = rng.standard_normal((5, 5))
+        c = c + c.T
+        c[4, 0] = c[0, 4] = corner
+        cases.append(c)
+        d = c.copy()
+        d[0, 4] = 1.0
+        cases.append(d)
+    z = np.zeros((5, 5))
+    z[0, 3] = -0.0
+    z[3, 0] = 0.0
+    cases += [z, np.zeros((4, 6)), np.ones((3, 5)),
+              np.full((4, 4), np.nan)]
+    h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    cases += [h, h + h.conj().T, h + h.T]
+    for a in cases:
+        assert bandwidths(a) == full_bandwidths(a), a
+        if a.shape[0] != a.shape[1]:
+            continue
+        st = probe(a)
+        assert st.symmetric == np.array_equal(a, a.T), a
+        assert st.hermitian == np.array_equal(a, a.conj().T), a
 
 
 def test_hpd_versus_complex_symmetric():
