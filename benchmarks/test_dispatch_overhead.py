@@ -18,7 +18,9 @@ Three measurements on ``la_gesv``-sized traffic (N = 384), flushed to
   every direct call.
 
 All timings are measured directly (best of R rounds) so the gates hold
-under ``--benchmark-disable``.
+under ``--benchmark-disable``.  Each compared pair runs interleaved,
+one call of each per round, so a burst of background load hits both
+sides alike instead of skewing whichever side it lands on.
 """
 
 import time
@@ -36,13 +38,15 @@ N = 384
 ROUNDS = 7
 
 
-def _best_of(fn, rounds=ROUNDS):
-    times = []
+def _best_of(*fns, rounds=ROUNDS):
+    """Best-of-``rounds`` wall time of each of ``fns``, interleaved."""
+    best = [float("inf")] * len(fns)
     for _ in range(rounds):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return min(times)
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
 
 
 def _general_system(n=N, seed=7):
@@ -69,8 +73,8 @@ def test_cached_dispatch_overhead_under_5_percent():
         warnings.simplefilter("ignore")
         cache.clear()
         solve(a, b)                       # warm up
-        t_front = _best_of(lambda: solve(a, b))
-        t_direct = _best_of(lambda: la_gesv(a.copy(), b.copy()))
+        t_front, t_direct = _best_of(
+            lambda: solve(a, b), lambda: la_gesv(a.copy(), b.copy()))
     overhead = t_front / t_direct - 1.0
     record_dispatch("cached_gesv", {
         "n": N,
@@ -91,8 +95,8 @@ def test_cold_probe_cost_is_recorded():
     a, b = _general_system(seed=9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        t_probe = _best_of(lambda: probe(a))
-        t_direct = _best_of(lambda: la_gesv(a.copy(), b.copy()))
+        t_probe, t_direct = _best_of(
+            lambda: probe(a), lambda: la_gesv(a.copy(), b.copy()))
     record_dispatch("cold_probe", {
         "n": N,
         "probe_min_s": t_probe,
@@ -112,9 +116,9 @@ def test_spd_traffic_win_from_cached_factor():
         warnings.simplefilter("ignore")
         cache.clear()
         solve(a, b)                       # la_posv; cache its factor
-        t_front = _best_of(lambda: solve(a, b))
-        t_direct = _best_of(lambda: la_posv(a.copy(), b.copy(),
-                                            uplo="U"))
+        t_front, t_direct = _best_of(
+            lambda: solve(a, b),
+            lambda: la_posv(a.copy(), b.copy(), uplo="U"))
     win = t_direct / t_front
     record_dispatch("spd_cached_reuse", {
         "n": N,

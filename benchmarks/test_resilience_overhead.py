@@ -1,8 +1,8 @@
 """Resilience-seam overhead on the la_gesv hot loop (reference backend).
 
 Times the dispatching kernel proxy, which runs the resilience seam,
-against the directly resolved kernel with no deadline armed, no chaos
-and no tracked breakers, and writes BENCH_resilience.json.  It lives
+against the directly resolved kernel with no deadline armed and no
+chaos, and writes BENCH_resilience.json.  It lives
 here, not in the test suite, because it rewrites that tracked file.
 
     PYTHONPATH=src python -m pytest benchmarks/test_resilience_overhead.py -q
@@ -18,9 +18,9 @@ from repro import la_gesv
 
 
 def test_resilience_overhead_on_undeadlined_hot_loop():
-    """The acceptance bound: with no deadline armed, no chaos and no
-    tracked breakers, the resilient seam must cost ~nothing on the
-    la_gesv hot loop (target <1%).  Isolated by timing the dispatching
+    """The acceptance bound: with no deadline armed and no chaos, the
+    resilient seam must cost ~nothing on the la_gesv hot loop (target
+    <1%).  Isolated by timing the dispatching
     kernel proxy (which now runs ``resilience.dispatch.call``) against
     the directly-resolved kernel on a size where the kernel dominates.
     The measured numbers land in BENCH_resilience.json; the assertion is

@@ -102,7 +102,7 @@ class Sink:
 
     ``values`` keeps the flat positional-then-keyword value tuple the
     original LA011–LA014 rules consume; ``args``/``kwargs`` preserve the
-    call structure for slot-aligned rules (LA018/LA019), and ``callees``
+    call structure for slot-aligned rules (LA018), and ``callees``
     is the set of substrate kernel names the call may resolve to (empty
     when the callee is an unresolved callable parameter).
     """

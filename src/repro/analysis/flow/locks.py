@@ -7,19 +7,18 @@ interpreter: the abstract environment carries the set of ``(lock,
 region)`` pairs held at every point (:data:`~.interp.LOCKSET`), helper
 summaries record the guarded state they touch and the locks they
 acquire, and replay unions the caller's lockset on top — so a helper
-that *relies on* its caller's lock (``breaker._sync``) is clean at
+that *relies on* its caller's lock (``faults._chaos_sync``) is clean at
 every locked call site while still flagging an unlocked one.
 
 The rules are driven by a declarative **guarded_by registry**: every
 shared mutable name in the package — the policy object, backend
-registry and selection, blocking knobs, breaker registry and tracking
-flag, resilience policy, deadline arming, fault/chaos tables, the
-structure cache with its stats/epoch counters, switch hooks, and the
-rate-limiter windows behind the fallback-announcement state — mapped to
-the lock that owns it.  The module-level entries are derived from the
-same owner tables LA015/LA016 police (:data:`~.rules.GLOBAL_STATE`,
-:data:`~.rules.RESILIENCE_STATE`) plus the registries that grew after
-those rules landed; instance state (``RateLimiter._seen``) is guarded
+registry and selection, blocking knobs, deadline arming, fault/chaos
+tables, the structure cache with its stats/epoch counters, switch
+hooks, and the rate-limiter windows behind the fallback-announcement
+state — mapped to the lock that owns it.  The module-level entries are
+derived from the same owner tables LA015/LA016 police
+(:data:`~.rules.GLOBAL_STATE`, :data:`~.rules.RESILIENCE_STATE`) plus
+the registries that grew after those rules landed; instance state (``RateLimiter._seen``) is guarded
 by a per-object lock discovered from the class ``__init__``.  A module
 outside the shipped tree can declare its own table with a top-level
 ``_LAFLOW_GUARDED = {"_NAME": "LOCK"}`` literal (fixtures use this).
@@ -90,8 +89,6 @@ GUARDED_BY.update({
     # through _switched ride the same lock)
     "_REGISTRY": ("repro/backends/__init__.py", STATE_LOCK),
     "_SWITCH_HOOKS": ("repro/backends/__init__.py", STATE_LOCK),
-    # breaker tracking flag (the registry itself is LA016-inherited)
-    "TRACKING": ("repro/resilience/breaker.py", STATE_LOCK),
     # fault-injection tables and their fast-path gates
     "_FAULTS": ("repro/faults.py", STATE_LOCK),
     "ACTIVE": ("repro/faults.py", STATE_LOCK),
@@ -99,8 +96,6 @@ GUARDED_BY.update({
     # the PR 9 structure cache and its stats/epoch counters
     "_ENTRIES": ("repro/dispatch_front/cache.py", STATE_LOCK),
     "_STATS": ("repro/dispatch_front/cache.py", STATE_LOCK),
-    # lazily-initialised retry exemption set at the dispatch seam
-    "_EXEMPT": ("repro/resilience/dispatch.py", STATE_LOCK),
 })
 
 #: Instance state guarded by a per-object lock: ``"Class.attr" ->

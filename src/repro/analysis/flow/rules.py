@@ -1,6 +1,6 @@
-"""The laflow rule catalogue (LA011–LA020).
+"""The laflow rule catalogue (LA011–LA018, LA020).
 
-LA011–LA014 and LA017–LA020 run the symbolic interpreter
+LA011–LA014, LA017, LA018 and LA020 run the symbolic interpreter
 (:class:`.interp.DriverFlow`) over every core driver implementation
 that has a registered spec and compare the recorded dataflow events
 against the spec's promises; since the interprocedural layer landed
@@ -8,12 +8,12 @@ every flow runs with a shared :class:`~.summaries.SummaryEngine`, so
 helper calls contribute their effects instead of poisoning the
 environment, and kernel calls carry spec-derived read/write effect
 signatures.  Flows are interpreted once per project and cached — the
-eight dataflow rules share one pass.
+seven dataflow rules share one pass.
 
 LA015 and LA016 are plain module scans policing process-global state:
 LA015 the configuration knobs (policy, backend selection, blocking
-configuration), LA016 the resilience registries (circuit breakers,
-resilience policy, deadline arming, the chaos-fault table).
+configuration), LA016 the resilience state (deadline arming, the
+chaos-fault table).
 
 Since the dispatch front door landed, LA017 also covers *borrowed*
 validation ladders: a :mod:`repro.dispatch_front` function that calls
@@ -40,7 +40,7 @@ from .summaries import SummaryEngine, kernel_effects
 
 __all__ = ["check_la011", "check_la012", "check_la013", "check_la014",
            "check_la015", "check_la016", "check_la017", "check_la018",
-           "check_la019", "check_la020", "front_door_sites"]
+           "check_la020", "front_door_sites"]
 
 _ARRAY_KINDS = {"matrix", "rhs", "vector"}
 _LEN_CHECKS = {"optlen", "reqlen"}
@@ -331,12 +331,6 @@ GLOBAL_STATE = {
 #: ``threading.local`` — per-thread by construction, so its owner
 #: mutates it without the lock).
 RESILIENCE_STATE = {
-    "_BREAKERS": ("repro/resilience/breaker.py",
-                  "admit()/record_failure()/record_success()/"
-                  "breaker_state()/states()/reset_breakers()"),
-    "_RESILIENCE": ("repro/resilience/config.py",
-                    "get_resilience()/set_resilience()/"
-                    "resilience_policy()"),
     "_ARMED": ("repro/resilience/deadlines.py",
                "repro.deadline()/remaining()/check()"),
     "_DEADLINES": ("repro/resilience/deadlines.py",
@@ -495,13 +489,13 @@ def check_la015(project: Project):
 
 
 def check_la016(project: Project):
-    """Resilience-state discipline: the breaker registry, resilience
-    policy, deadline arming and chaos-fault table may only be touched by
-    their owning module, and every owner mutation must lexically hold
-    ``with STATE_LOCK:`` — the same shared RLock LA015 polices, so the
-    resilience layer can never deadlock against (or race) the
-    configuration knobs.  The thread-local deadline stack is exempt from
-    the lock requirement but still closed to foreign access."""
+    """Resilience-state discipline: the deadline arming and chaos-fault
+    table may only be touched by their owning module, and every owner
+    mutation must lexically hold ``with STATE_LOCK:`` — the same shared
+    RLock LA015 polices, so the resilience layer can never deadlock
+    against (or race) the configuration knobs.  The thread-local
+    deadline stack is exempt from the lock requirement but still closed
+    to foreign access."""
     return _state_discipline(project, RESILIENCE_STATE, "LA016",
                              unlocked_ok=_UNLOCKED_OK)
 
@@ -819,46 +813,6 @@ def check_la018(project: Project):
                         f"may overlap ({via}) while {wrote} is "
                         "written in place — pass independent arrays "
                         "or copy first",
-                        impl.impl_module, sink.node,
-                        context=impl.driver))
-    return findings
-
-
-# ---------------------------------------------------------------------
-# LA019 — retry-snapshot completeness
-# ---------------------------------------------------------------------
-
-def check_la019(project: Project):
-    """Retry-snapshot completeness: the resilience layer snapshots and
-    restores every *ndarray* operand around a retried kernel call
-    (:func:`repro.resilience.dispatch.snapshot_set`), so an operand the
-    kernel's effect signature marks written must actually be an array
-    at the call site.  Passing a scalar or tuple into a written slot
-    means a retry would replay the kernel against state the first
-    attempt already mutated.  Kernels the specs mark ``breaker_exempt``
-    are never retried and are exempt."""
-    specs = _load_specs()
-    if specs is None:
-        return []
-    exempt = {s.kernel for s in specs.values()
-              if s.breaker_exempt and s.kernel}
-    findings = []
-    for impl, spec, flow in _flows(project, specs):
-        for sink, kernel, eff, slots in _effect_sinks(project, specs,
-                                                      flow):
-            if kernel in exempt:
-                continue
-            for name in sorted(eff.written):
-                val = slots.get(name)
-                if isinstance(val, (V.DimScalar, V.TupleVal,
-                                    V.KernelRef)):
-                    findings.append(_f(
-                        "LA019",
-                        f"operand {name} of kernel {kernel} is "
-                        "written in place but the value passed is not "
-                        "an ndarray, so dispatch.snapshot_set cannot "
-                        "capture it for retry restore — pass the "
-                        "array itself",
                         impl.impl_module, sink.node,
                         context=impl.driver))
     return findings

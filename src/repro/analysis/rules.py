@@ -792,7 +792,7 @@ def check_la022(project: Project):
 
 from .flow import (check_la011, check_la012, check_la013,  # noqa: E402
                    check_la014, check_la015, check_la016, check_la017,
-                   check_la018, check_la019, check_la020, check_la023,
+                   check_la018, check_la020, check_la023,
                    check_la024, check_la025, check_la026)
 
 RULES = [
@@ -824,8 +824,6 @@ RULES = [
      check_la017),
     ("LA018", "no aliased operands into distinct written kernel slots",
      check_la018),
-    ("LA019", "written kernel operands stay retry-snapshotable",
-     check_la019),
     ("LA020", "deadline checkpoints between expert driver stages",
      check_la020),
     ("LA021", "no hand-rolled batch ladders outside the generator",

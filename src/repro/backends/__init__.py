@@ -27,8 +27,9 @@ escape hatch on every ``la_*`` driver (via :func:`backend_aware`).
 When the selected backend cannot serve a routine the call falls back to
 ``reference`` and a :class:`~repro.errors.BackendFallbackWarning` is
 announced — rate-limited to once per (backend, routine) pair per
-resilience-policy ``warning_window``, with the next announcement after a
-window carrying how many identical warnings were suppressed meanwhile.
+:data:`~repro.resilience.ratelimit.WARNING_WINDOW` (60 s), with the
+next announcement after a window carrying how many identical warnings
+were suppressed meanwhile.
 
 Fault injection (:mod:`repro.faults`) hooks into the reference kernels;
 while any fault is armed, :func:`resolve` routes every dispatch to
@@ -47,8 +48,7 @@ import numpy as np
 from .. import faults
 from .._sync import STATE_LOCK
 from ..errors import BackendFallbackWarning
-from ..resilience.config import get_resilience
-from ..resilience.ratelimit import RateLimiter
+from ..resilience.ratelimit import WARNING_WINDOW, RateLimiter
 
 __all__ = [
     "Backend",
@@ -85,12 +85,20 @@ class Backend:
     ``dtype_chars`` optionally restricts individual routines to NumPy
     dtype characters (e.g. ``{"syev": "fd"}``); routines absent from the
     map accept any dtype the kernel itself accepts.
+
+    ``write_back`` names the entries that write their operands only
+    after the underlying call returns, so a failed call leaves them
+    untouched.  The dispatch seam (:mod:`repro.resilience.dispatch`)
+    serves a failure of such an entry once from the reference kernel;
+    a failure of any other entry propagates.  Entries added later with
+    :meth:`extend` are not declared.
     """
 
-    def __init__(self, name, table, dtype_chars=None):
+    def __init__(self, name, table, dtype_chars=None, write_back=()):
         self.name = name
         self._table = dict(table)
         self._dtype_chars = dict(dtype_chars or {})
+        self.write_back = frozenset(write_back)
 
     def routines(self):
         """The routine names this backend can serve (any dtype)."""
@@ -211,9 +219,6 @@ def _switched(previous, selected, durable):
     each restore would turn one suppressed warning into a flood."""
     if durable:
         _ANNOUNCED.reset(where=lambda key: key[0] == previous)
-        from ..resilience import dispatch as _dispatch
-        _dispatch._OPEN_WARNINGS.reset(
-            where=lambda key: key[0] == previous)
     with STATE_LOCK:
         hooks = list(_SWITCH_HOOKS)
     for hook in hooks:       # outside the lock: hooks may take it
@@ -269,8 +274,8 @@ def reset_fallback_announcements():
 
 
 def _announce(name, routine, reason):
-    emit, suppressed = _ANNOUNCED.tick(
-        (name, routine), window=get_resilience().warning_window)
+    emit, suppressed = _ANNOUNCED.tick((name, routine),
+                                       window=WARNING_WINDOW)
     if not emit:
         return
     message = ("backend {!r} cannot serve routine {!r} ({}); falling "

@@ -5,7 +5,11 @@ Each adapter presents the exact Python signature, in-place semantics and
 the :mod:`repro.core` drivers cannot tell the substrates apart:
 
 * arrays the reference kernel overwrites (factors, solutions) are copied
-  back from SciPy's returned copies;
+  back from SciPy's returned copies, and only after every SciPy call
+  the adapter makes has returned.  SciPy's wrappers do not overwrite
+  their inputs, so a failed adapter call leaves its operands untouched:
+  every adapter is declared :attr:`~repro.backends.Backend.write_back`
+  and a failure escalates once to the reference kernel;
 * SciPy's LU pivots are already 0-based like ours; the Bunch–Kaufman
   ``ipiv`` from ``?sysv``/``?hesv`` is 1-based for interchanges and is
   shifted down (negative 2x2-block entries already match our encoding);
@@ -88,6 +92,8 @@ def gesv_stack(a, b):
     the loop; each slice then runs the very same ``?gesv`` call as a
     scalar :func:`gesv`, so per-problem factors, pivots and info codes
     stay bit-identical to the scalar path (the parity suite pins this).
+    Each slice's outputs are kept and written back only after the last
+    slice returns, so a failure mid-stack leaves the operands untouched.
     """
     n = a.shape[1]
     if a.shape[2] != n:
@@ -98,15 +104,16 @@ def gesv_stack(a, b):
     batch = a.shape[0]
     pivs = np.empty((batch, n), dtype=np.int64)
     infos = np.empty(batch, dtype=np.int64)
+    lus, xs = [], []
     for k in range(batch):
-        ak = a[k]
-        bk = _as2d(b[k])
-        lu, piv, x, info = f(ak, bk)
-        ak[...] = lu
-        if info == 0:
-            bk[...] = x
+        lu, piv, x, info = f(a[k], _as2d(b[k]))
+        lus.append(lu)
+        xs.append(x)
         pivs[k] = piv
         infos[k] = info
+    a[...] = np.reshape(lus, a.shape)
+    ok = infos == 0
+    b[ok] = np.reshape(xs, b.shape)[ok]
     return pivs, infos
 
 
@@ -145,11 +152,12 @@ def posv(a, b, uplo="U"):
 def posv_stack(a, b, uplo="U"):
     """Natively batched ``posv``: one seam crossing per SPD stack.
 
-    Mirrors :func:`gesv_stack` — the typed wrapper is resolved once and
+    Mirrors :func:`gesv_stack` — the typed wrapper is resolved once,
     each ``(n, n)`` / ``(n, nrhs)`` slice runs the very same ``?posv``
     call as the scalar :func:`posv` adapter (including the NaN-diagonal
     pivot check and the unsolved-B-on-failure contract), so per-problem
-    factors and info codes stay bit-identical to the scalar path.
+    factors and info codes stay bit-identical to the scalar path, and
+    nothing is written back before the last slice returns.
     """
     n = a.shape[1]
     if a.shape[2] != n:
@@ -162,17 +170,17 @@ def posv_stack(a, b, uplo="U"):
     lower = uplo.upper() == "L"
     batch = a.shape[0]
     infos = np.empty(batch, dtype=np.int64)
+    cs, xs = [], []
     for k in range(batch):
-        ak = a[k]
-        bk = _as2d(b[k])
-        c, x, info = f(ak, bk, lower=lower)
-        ak[...] = c
-        info = int(info)
+        c, x, info = f(a[k], _as2d(b[k]), lower=lower)
         if info == 0:
             info = _nan_diag_info(np.diagonal(c).real)
-        if info == 0:
-            bk[...] = x
+        cs.append(c)
+        xs.append(x)
         infos[k] = info
+    a[...] = np.reshape(cs, a.shape)
+    ok = infos == 0
+    b[ok] = np.reshape(xs, b.shape)[ok]
     return infos
 
 
@@ -182,7 +190,8 @@ def gels_stack(a, b, trans="N"):
     Same hoisting as :func:`gesv_stack`: one typed-wrapper resolution
     and one trans validation for the whole ``(batch, m, n)`` stack, with
     each slice running the scalar adapter's exact ``?gels`` call
-    (complex ``T`` promoted to ``C`` the same way).
+    (complex ``T`` promoted to ``C`` the same way) and every slice
+    written back only after the last one returns.
     """
     t = trans.upper()
     if t not in ("N", "T", "C"):
@@ -195,13 +204,14 @@ def gels_stack(a, b, trans="N"):
     f = _flavor("gels", a.dtype)
     batch = a.shape[0]
     infos = np.empty(batch, dtype=np.int64)
+    lqrs, xs = [], []
     for k in range(batch):
-        ak = a[k]
-        bk = _as2d(b[k])
-        lqr, x, info = f(ak, bk, trans=t)
-        ak[...] = lqr
-        bk[...] = x
+        lqr, x, info = f(a[k], _as2d(b[k]), trans=t)
+        lqrs.append(lqr)
+        xs.append(x)
         infos[k] = info
+    a[...] = np.reshape(lqrs, a.shape)
+    b[...] = np.reshape(xs, b.shape)
     return infos
 
 
@@ -344,11 +354,16 @@ def heev(a, jobz="N", uplo="U"):
 
 
 def gesvd(a, jobu="N", jobvt="N", superdiag=None):
+    s, u, vt, info = _gesvd(a, jobu, jobvt)
     # SciPy's gesvd does not expose the bidiagonal work array; the
     # superdiagonal output is defined (all zero) only on convergence,
     # and LAPACK overwrites it before any info > 0 return anyway.
     if superdiag is not None:
         superdiag[:] = 0
+    return s, u, vt, info
+
+
+def _gesvd(a, jobu, jobvt):
     ju, jvt = jobu.upper(), jobvt.upper()
     if ju not in ("N", "S", "A"):
         xerbla("GESVD", 2, f"jobu={jobu!r}")
@@ -407,4 +422,5 @@ def build_accelerated_backend():
     from . import Backend
     table = {fn.__name__: fn for fn in _ADAPTERS}
     chars = {name: _DTYPES.get(name, "fdFD") for name in table}
-    return Backend("accelerated", table, dtype_chars=chars)
+    return Backend("accelerated", table, dtype_chars=chars,
+                   write_back=table)

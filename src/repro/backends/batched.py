@@ -2,12 +2,11 @@
 
 The batched wrappers (:mod:`repro.batch`) want to cross the dispatch
 seam **once** per stack, not once per problem: the resilience layer then
-sees a single kernel call (one breaker admit, one snapshot set, one
-retry ladder covering the whole stack), and the per-problem Python
-overhead of proxy resolution, chaos consultation and calllog recording
-is amortized away.  This module builds one synthetic ``<kernel>_stack``
-routine per batchable solver and grafts it onto every registered
-backend via :meth:`repro.backends.Backend.extend`.
+sees a single kernel call, and the per-problem Python overhead of proxy
+resolution, chaos consultation and calllog recording is amortized away.
+This module builds one synthetic ``<kernel>_stack`` routine per
+batchable solver and grafts it onto every registered backend via
+:meth:`repro.backends.Backend.extend`.
 
 Each stack kernel is a closure over the owning backend's *own* base
 kernel, so problem *k* of a stacked call runs byte-for-byte the same
@@ -20,7 +19,7 @@ so ``repro.healthcheck()`` can say which one a backend is using.
 
 Eigen drivers (``syev``/``heev``) are deliberately *not* given stack
 entries: their wrappers loop per problem inside the driver so that
-deadlines and breakers interleave with individual solves (a mid-batch
+deadlines interleave with individual solves (a mid-batch
 ``DeadlineExceeded`` then returns the completed prefix).
 """
 
@@ -61,7 +60,10 @@ def _make_stack_kernel(base, routine):
 
     Slices every ndarray argument along axis 0 (views, so in-place
     writes land back in the caller's stacks), passes everything else
-    through unchanged, and restacks the per-problem returns.
+    through unchanged, and restacks the per-problem returns.  Slice *k*
+    is written before slice *k+1* runs, so the entry is never declared
+    :attr:`~repro.backends.Backend.write_back`: a failure mid-stack
+    propagates instead of escalating.
     """
     def stack_kernel(*args, **kwargs):
         batch = next(a.shape[0] for a in args if isinstance(a, np.ndarray))
@@ -115,7 +117,7 @@ def batch_capability():
     whole stack), ``"stack"`` means the grafted loop-mode entry serves
     it (one *seam* crossing, per-problem base-kernel calls inside),
     ``"loop"`` means the derived wrapper loops per problem inside the
-    seam (individual breaker/retry/deadline visibility).
+    seam (individual escalation/deadline visibility).
     """
     from ..specs import all_specs
     kernels = sorted({s.kernel for s in all_specs()

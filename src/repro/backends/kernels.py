@@ -1,19 +1,17 @@
 """Dispatching kernel proxies — the drivers' import surface.
 
 One :class:`KernelProxy` is exported per name in the lapack77 catalogue.
-Calling a proxy resolves ``(routine, dtype-of-first-array-argument)``
-through the backend registry at call time and invokes the winning
-kernel, so ``from ..backends.kernels import gesv`` behaves exactly like
-the direct substrate import it replaces while honouring the backend
-selection in effect at each call.
-
-Since the resilience subsystem landed, the invocation itself goes
-through :func:`repro.resilience.dispatch.call`, which layers retry,
-accelerated→reference escalation, circuit breaking, and chaos injection
-over the resolved kernel.  The registry's ``resolve`` and
-``get_backend_name`` are handed in as parameters so the resilience
-package never has to import this one (avoiding an import cycle).  The
-reference-served, un-chaosed call keeps a near-zero-overhead fast path.
+Calling a proxy hands ``(routine, dtype-of-first-array-argument)`` to
+:func:`repro.resilience.dispatch.call`, which resolves it through the
+backend registry once, at call time, and invokes the winning kernel —
+so ``from ..backends.kernels import gesv`` behaves exactly like the
+direct substrate import it replaces while honouring the backend
+selection in effect at each call.  A kernel failure that is not a
+contract verdict escalates once to the reference kernel when the failed
+entry is declared write-back, and propagates otherwise.  The registry's
+``resolve`` and ``get_backend_name`` are handed in as parameters so the
+resilience package never has to import this one (avoiding an import
+cycle).
 
 lalint treats these imports as substrate imports: LA004/LA006 see a
 dispatched call as "the lapack77 call", and LA008 requires driver

@@ -17,7 +17,7 @@ wrappers over the F77 kernels, a ``batch_gesv`` is a mechanical lift of
   backend serves a ``<kernel>_stack`` entry (see
   :mod:`repro.backends.batched`) the whole stack crosses the dispatch
   seam once, otherwise the wrapper loops per problem *inside* the seam
-  so breakers, retries and deadlines observe individual kernel calls
+  so escalation and deadlines observe individual kernel calls
   and a mid-batch :class:`~repro.errors.DeadlineExceeded` leaves the
   completed prefix intact;
 * the error contract is the parent's, lifted: per-problem codes land
@@ -266,8 +266,7 @@ def make_batched(spec):
         wouts = [None] * batch
         if use_stack:
             # One seam crossing for the whole stack: the resilience
-            # layer sees a single kernel call (one breaker admit, one
-            # snapshot set covering every operand stack).
+            # layer sees a single kernel call.
             linfos, extras = family.run(_stack_proxy(spec.kernel), c)
             for k in range(batch):
                 binfo.problems[k].value = int(linfos[k])

@@ -23,7 +23,7 @@ class BatchInfo(Info):
     ``value`` carries the aggregate verdict the wrapper reported through
     ``erinfo`` (the first failing problem's code, or 0); ``problems`` is
     one scalar ``Info`` per problem in stack order, each carrying its
-    own code plus fallback/attempts/breaker telemetry::
+    own code plus fallback/attempts telemetry::
 
         info = BatchInfo()
         batch_gesv(a, b, info=info)

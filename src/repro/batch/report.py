@@ -5,10 +5,11 @@ the originating routine — but a 10⁶-problem stack of NaN inputs must
 not emit 10⁶ warnings.  :func:`warn_batch` therefore rate-limits per
 ``(routine, key)`` through the same
 :class:`repro.resilience.ratelimit.RateLimiter` windows the backend
-fallback announcements use (one window per resilience-policy
-``warning_window``), *not* per problem: the first offending problem in
-a window is announced with its index, later identical ones only bump
-the suppressed count reported when the window rolls over.
+fallback announcements use (one window per
+:data:`~repro.resilience.ratelimit.WARNING_WINDOW`), *not* per problem:
+the first offending problem in a window is announced with its index,
+later identical ones only bump the suppressed count reported when the
+window rolls over.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from __future__ import annotations
 import warnings
 
 from ..errors import NumericalWarning
-from ..resilience.config import get_resilience
-from ..resilience.ratelimit import RateLimiter
+from ..resilience.ratelimit import WARNING_WINDOW, RateLimiter
 
 __all__ = ["warn_batch", "reset_batch_announcements"]
 
@@ -39,8 +39,8 @@ def warn_batch(srname: str, key, index: int, message: str,
     index shares the same key, so a stack full of the same condition
     costs one warning per window.
     """
-    emit, suppressed = _ANNOUNCED.tick(
-        (srname, key), window=get_resilience().warning_window)
+    emit, suppressed = _ANNOUNCED.tick((srname, key),
+                                       window=WARNING_WINDOW)
     if not emit:
         return
     text = f"{srname}[batch problem {index}]: {message}"

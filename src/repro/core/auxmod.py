@@ -33,8 +33,8 @@ def _report(srname, linfo, info, exc=None):
     """Funnel a driver outcome through :func:`repro.errors.erinfo`.
 
     The open resilience call-log frame (if any) is drained onto the Info
-    handle first, so ``info.attempts``/``info.breaker`` are populated
-    even when ``erinfo`` goes on to raise.
+    handle first, so ``info.attempts`` is populated even when
+    ``erinfo`` goes on to raise.
     """
     calllog.drain_into(info)
     erinfo(linfo, srname, info, exc=exc)

@@ -162,7 +162,7 @@ class DeadlineExceeded(LinAlgError):
     the caller regains control.  What the driver had established by the
     time the budget expired travels on :attr:`partial` — an
     :class:`Info` whose ``value`` is :data:`DEADLINE` and whose
-    ``attempts``/``breaker``/``fallback`` fields hold the resilience
+    ``attempts``/``fallback`` fields hold the resilience
     telemetry collected so far.
 
     ``stage`` names the checkpoint that noticed the expiry (``"entry"``,
@@ -221,12 +221,11 @@ class Info:
     ``fallback`` names the substitute path a driver took (``None`` when the
     primary path succeeded) and ``rcond`` carries the reciprocal condition
     estimate when the fallback route computed one.  The resilience layer
-    (:mod:`repro.resilience`) adds two more telemetry fields: ``attempts``
+    (:mod:`repro.resilience`) adds one more telemetry field: ``attempts``
     is the per-call kernel attempt trail (a tuple of
-    ``"backend:routine#n:outcome"`` strings — only populated when
-    something beyond a clean first attempt happened) and ``breaker``
-    summarises circuit-breaker involvement
-    (``"accelerated:gesv:open"`` …).
+    ``"backend:routine#n:outcome"`` strings — only populated when a
+    kernel failed, e.g. ``("accelerated:gesv#1:error=InjectedFault",
+    "reference:gesv#2")`` for a failure served once by reference).
 
     The dispatch front end (:mod:`repro.dispatch_front`) adds three
     more: ``structure`` is the probed structure class the routing
@@ -237,15 +236,14 @@ class Info:
     calls.
     """
 
-    __slots__ = ("value", "fallback", "rcond", "attempts", "breaker",
-                 "structure", "chosen_driver", "probe_cost")
+    __slots__ = ("value", "fallback", "rcond", "attempts", "structure",
+                 "chosen_driver", "probe_cost")
 
     def __init__(self, value: int = 0):
         self.value = int(value)
         self.fallback: str | None = None
         self.rcond: float | None = None
         self.attempts: tuple | None = None
-        self.breaker: str | None = None
         self.structure: str | None = None
         self.chosen_driver: str | None = None
         self.probe_cost: float | None = None
@@ -269,8 +267,8 @@ class Info:
     # Equality is by code, so hash by code too (defining __eq__ alone
     # would have left the class silently unhashable).  Equality and hash
     # deliberately ignore the telemetry fields (fallback, rcond,
-    # attempts, breaker): those depend on which backend happened to be
-    # healthy and how many retries fired — timing-dependent facts that
+    # attempts): those depend on which backend happened to be healthy
+    # and whether a call escalated — environment-dependent facts that
     # would make otherwise-identical outcomes compare unequal.  The
     # handle is mutable, so hash-based collections are only safe once a
     # driver has finished writing to it — the same caveat LAPACK's
@@ -286,8 +284,6 @@ class Info:
             extras.append(f"rcond={self.rcond!r}")
         if self.attempts is not None:
             extras.append(f"attempts={self.attempts!r}")
-        if self.breaker is not None:
-            extras.append(f"breaker={self.breaker!r}")
         if self.structure is not None:
             extras.append(f"structure={self.structure!r}")
         if self.chosen_driver is not None:

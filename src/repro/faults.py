@@ -25,17 +25,13 @@ checks a module-level flag.
 
 A second, independent registry — the **chaos harness** — injects faults
 at the *dispatch seam* (:mod:`repro.backends.kernels`) rather than
-inside the substrate kernels, so the resilience layer's retry ladder and
-circuit breakers can be exercised deterministically against any backend:
+inside the substrate kernels, so the resilience layer's escalation can
+be exercised deterministically against any backend:
 
 * ``flaky_every=k`` — every *k*-th dispatched call of the routine raises
-  a transient :class:`InjectedFault` before the kernel runs;
-* ``fail_next=n`` — the next *n* dispatched calls fail, then the routine
-  is healthy again (the breaker trip/recover shape);
+  :class:`InjectedFault` before the kernel runs;
 * ``latency=s`` — sleep *s* seconds before the kernel runs (for
-  deadline testing);
-* ``error="alloc"`` — raise ``MemoryError`` instead of
-  :class:`InjectedFault` (a transient allocation failure).
+  deadline testing).
 
 Chaos faults are keyed ``(routine, backend)`` (``backend=None`` matches
 any) and — unlike the substrate registry above — arming them does *not*
@@ -165,10 +161,10 @@ def linfo_fault(routine: str) -> int | None:
 # ---------------------------------------------------------------------
 
 class InjectedFault(RuntimeError):
-    """The transient error the chaos harness raises in place of a kernel
-    call.  Deliberately *not* a :class:`repro.errors.LinAlgError`: the
+    """The error the chaos harness raises in place of a kernel call.
+    Deliberately *not* a :class:`repro.errors.LinAlgError`: the
     resilience layer treats contract outcomes (singular matrix, …) as
-    verdicts and only retries genuine kernel failures like this one."""
+    verdicts and only escalates genuine kernel failures like this one."""
 
 
 #: Fast-path flag: True only while at least one chaos fault is armed.
@@ -183,31 +179,23 @@ def _chaos_sync() -> None:
 
 
 def chaos_install(routine: str, *, flaky_every: int | None = None,
-                  fail_next: int | None = None,
                   latency: float | None = None,
-                  error: str = "transient",
                   backend: str | None = None) -> None:
     """Arm a chaos fault against ``routine`` at the dispatch seam.
 
     ``backend`` restricts the fault to dispatches served by that backend
-    (``None`` matches any — including the reference rung an escalation
-    lands on).  ``error`` picks the raised class: ``"transient"``
-    (:class:`InjectedFault`) or ``"alloc"`` (``MemoryError``).
+    (``None`` matches any — including the reference kernel an
+    escalation lands on).
     """
-    if flaky_every is None and fail_next is None and latency is None:
+    if flaky_every is None and latency is None:
         raise ValueError("chaos_install() needs one of flaky_every=, "
-                         "fail_next=, latency=")
+                         "latency=")
     if flaky_every is not None and flaky_every < 1:
         raise ValueError("flaky_every must be >= 1")
-    if error not in ("transient", "alloc"):
-        raise ValueError(f"error must be 'transient' or 'alloc', "
-                         f"got {error!r}")
     with STATE_LOCK:
         _CHAOS[routine.lower()] = {
             "flaky_every": flaky_every,
-            "fail_next": fail_next,
             "latency": latency,
-            "error": error,
             "backend": backend,
             "calls": 0,
         }
@@ -244,7 +232,7 @@ def chaos(routine: str, **kwargs):
 
 
 def chaos_fault(routine: str, backend: str) -> Exception | None:
-    """Consulted by the dispatch seam before each kernel attempt.
+    """Consulted by the dispatch seam before each kernel call.
 
     Applies any armed latency (sleeps here) and returns the exception
     the attempt should raise instead of running the kernel, or ``None``
@@ -259,38 +247,31 @@ def chaos_fault(routine: str, backend: str) -> Exception | None:
                             and spec["backend"] != backend):
             return None
         spec["calls"] += 1
-        fire = False
-        if spec["fail_next"] is not None and spec["fail_next"] > 0:
-            spec["fail_next"] -= 1
-            fire = True
-        elif spec["flaky_every"] is not None \
-                and spec["calls"] % spec["flaky_every"] == 0:
-            fire = True
+        every = spec["flaky_every"]
+        fire = every is not None and spec["calls"] % every == 0
         latency = spec["latency"]
-        error = spec["error"]
     if latency:
         time.sleep(latency)
     if not fire:
         return None
-    if error == "alloc":
-        return MemoryError(
-            f"injected transient allocation failure in {routine!r}")
-    return InjectedFault(f"injected transient fault in {routine!r} "
+    return InjectedFault(f"injected fault in {routine!r} "
                          f"(backend {backend!r})")
 
 
-#: Hot kernels the ``REPRO_CHAOS=1`` profile makes intermittently flaky.
+#: Hot kernels the ``REPRO_CHAOS=1`` profile makes fail.
 CHAOS_DEFAULT_ROUTINES = (
     "gesv", "gbsv", "posv", "sysv", "hesv", "getrf", "potrf", "sytrf",
     "getrs", "potrs", "gels", "syev", "heev", "gesvd", "geev",
 )
 
 
-def default_chaos_profile(every: int = 5) -> None:
-    """Arm the CI chaos profile: every ``every``-th dispatched call of
-    each hot kernel raises a transient fault.  With the default
-    resilience policy (one same-kernel retry) a suite run under this
-    profile must pass through degradation — retries and escalation —
-    rather than crash."""
+def default_chaos_profile() -> None:
+    """Arm the CI chaos profile: every accelerated call of each hot
+    kernel fails before it runs.  The accelerated adapters are declared
+    write-back, so each failure escalates once to the reference kernel
+    and a suite run under this profile must pass on reference-served
+    answers.  The schedule is deterministic (every call, not every
+    *k*-th), so both sides of a bit-identity comparison escalate alike.
+    On the reference backend nothing fires."""
     for routine in CHAOS_DEFAULT_ROUTINES:
-        chaos_install(routine, flaky_every=every)
+        chaos_install(routine, flaky_every=1, backend="accelerated")

@@ -1,7 +1,7 @@
 """Per-driver-call attempt telemetry (thread-local frames).
 
 The dispatch seam (:mod:`repro.resilience.dispatch`) runs per *kernel*
-call, but the ``attempts``/``breaker`` fields live on the *driver's*
+call, but the ``attempts`` field lives on the *driver's*
 :class:`repro.errors.Info` handle.  This module bridges the two layers
 without plumbing the handle through every kernel signature: the driver
 entry gate (:func:`repro.core.auxmod.driver_guard`) pushes a frame, the
@@ -10,8 +10,8 @@ shim (``_report``/``_record_fallback``/``_finish``) drains the frame
 into the caller's ``Info`` on the way out.
 
 Frames are purely thread-local telemetry — there is no cross-thread
-state here, so (unlike the breaker/deadline registries LA016 polices)
-no lock is taken on the per-call hot path.  Kernel calls made outside a
+state here, so (unlike the deadline arming LA016 polices) no lock is
+taken on the per-call hot path.  Kernel calls made outside a
 driver frame (the F77 layer, direct proxy use) are simply not recorded.
 """
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import threading
 
-__all__ = ["push", "record", "note", "drain", "drain_into", "depth"]
+__all__ = ["push", "record", "drain", "drain_into", "depth"]
 
 _FRAMES = threading.local()
 
@@ -41,7 +41,7 @@ def push() -> None:
     stack = _stack()
     if len(stack) > 64:
         del stack[0]
-    stack.append({"attempts": [], "breaker": []})
+    stack.append({"attempts": []})
 
 
 def record(attempt: str) -> None:
@@ -49,13 +49,6 @@ def record(attempt: str) -> None:
     stack = _stack()
     if stack:
         stack[-1]["attempts"].append(attempt)
-
-
-def note(event: str) -> None:
-    """Append one breaker-transition note to the innermost frame."""
-    stack = _stack()
-    if stack:
-        stack[-1]["breaker"].append(event)
 
 
 def drain() -> dict | None:
@@ -75,8 +68,6 @@ def drain_into(info) -> None:
         return
     if frame["attempts"]:
         info.attempts = tuple(frame["attempts"])
-    if frame["breaker"]:
-        info.breaker = ";".join(frame["breaker"])
 
 
 def depth() -> int:

@@ -1,4 +1,4 @@
-"""The resilient dispatch seam: retries, escalation, breakers, chaos.
+"""The dispatch seam: resolve once, call, escalate at most once.
 
 :func:`call` is what :class:`repro.backends.kernels.KernelProxy`
 delegates to.  The registry's ``resolve`` and ``get_backend_name`` are
@@ -7,209 +7,90 @@ imports :mod:`repro.backends` at module level (the backends package
 imports :mod:`repro.faults` and the drivers import the backends — a
 top-level import here would close a cycle).
 
-The undeadlined, un-chaosed, reference-served call — the overwhelming
-majority — takes a fast path that adds two flag reads and one name
-compare over the pre-resilience seam.  Everything else goes through
-:func:`_resilient_call`:
+A deterministic in-process kernel that fails once fails the same way
+again, so nothing is retried.  The contract is the one Demmel et al.
+ask of consistent exception handling: report the failure, or serve it
+once from a path known to be correct.
 
-1. **Classify.**  ``LinAlgError`` is a contract *verdict* (singular
-   matrix, failed convergence): never retried, counts as breaker
-   success, re-raised as-is.  ``KeyboardInterrupt``/``SystemExit``
-   always propagate.  Anything else is a *transient kernel failure*.
-2. **Retry.**  Transient failures retry the same kernel up to the
-   policy's ``retries`` budget.  Because kernels mutate their array
-   arguments in place, the arrays are snapshotted up front and restored
-   before every re-attempt.
-3. **Escalate.**  When a non-reference rung exhausts its budget, the
-   call escalates to the reference substrate (the accelerated→reference
-   ladder; the drivers' own simple→expert ladder sits above this seam).
-4. **Break.**  Consecutive transient failures trip the pair's circuit
-   breaker (:mod:`repro.resilience.breaker`); an open breaker routes
-   straight to reference with a rate-limited
-   :class:`~repro.errors.BackendFallbackWarning`.
-5. **Record.**  Failures, escalations, and breaker transitions land on
-   the driver's open call-log frame, surfacing as ``info.attempts`` /
-   ``info.breaker``.  Clean first-attempt successes record nothing.
+* ``LinAlgError`` is a contract *verdict* (singular matrix, failed
+  convergence) and propagates unchanged, as do ``KeyboardInterrupt``
+  and ``SystemExit``.
+* Any other exception is a kernel failure.  It is recorded on the
+  driver's call log as ``"<backend>:<routine>#1:error=<Type>"``.  When
+  the failed kernel is not the reference kernel and its backend
+  declares the entry write-back (:attr:`repro.backends.Backend.write_back`:
+  operands are written only after the underlying call returns, so a
+  failure leaves them untouched), the reference kernel serves the call
+  once, recorded as ``"reference:<routine>#2"``.  Otherwise the failure
+  propagates: operands a kernel may have half-written cannot be handed
+  to another one.
+
+A clean call resolves once and records nothing.  The chaos harness
+(:mod:`repro.faults`) is consulted before each kernel only while a
+chaos fault is armed.
 """
 
 from __future__ import annotations
 
-import warnings
-
-import numpy as np
-
 from .. import faults
-from ..errors import BackendFallbackWarning, LinAlgError
-from . import breaker, calllog
-from .config import get_resilience
-from .ratelimit import RateLimiter
+from ..errors import LinAlgError
+from . import calllog
 
-__all__ = ["call", "snapshot_set", "exempt_kernels",
-           "reset_open_warnings"]
-
-_OPEN_WARNINGS = RateLimiter()
-
-#: Lazily-built set of kernel names whose driver specs opt out of the
-#: retry/escalation ladder (e.g. kernels consuming stateful RNGs, where
-#: a re-attempt would observe different inputs).
-_EXEMPT: frozenset | None = None
-
-
-def exempt_kernels() -> frozenset:
-    """Kernel names whose specs opt out of retry/escalation."""
-    global _EXEMPT
-    # Deliberately lock-free: importing SPECS under STATE_LOCK could
-    # deadlock against the import lock at first use; the computed set is
-    # deterministic, so racing initialisations agree.
-    if _EXEMPT is None:  # laflow: benign-race — idempotent lazy init; racing builders compute identical sets
-        from ..specs import SPECS
-        _EXEMPT = frozenset(  # laflow: benign-race — idempotent lazy init; racing builders compute identical sets
-            spec.kernel for spec in SPECS.values()
-            if spec.breaker_exempt and spec.kernel is not None)
-    return _EXEMPT  # laflow: benign-race — frozenset snapshot, immutable once built
-
-
-_exempt_kernels = exempt_kernels    # backwards-compatible alias
-
-
-def reset_open_warnings() -> None:
-    """Forget breaker-open warning history (tests)."""
-    _OPEN_WARNINGS.reset()
+__all__ = ["call"]
 
 
 def call(routine, dtype, args, kwargs, resolve, get_backend_name):
-    """Dispatch one kernel call through the resilience ladder."""
-    if (not faults.CHAOS_ACTIVE and not breaker.TRACKING
-            and get_backend_name() == "reference"):
-        return resolve(routine, dtype)(*args, **kwargs)
-    return _resilient_call(routine, dtype, args, kwargs, resolve,
-                           get_backend_name())
+    """Dispatch one kernel call, escalating a failure at most once."""
+    kernel = resolve(routine, dtype)
+    try:
+        if faults.CHAOS_ACTIVE:
+            _chaos(routine, _serving(kernel, routine, dtype, resolve,
+                                     get_backend_name))
+        return kernel(*args, **kwargs)
+    except LinAlgError:
+        raise
+    except Exception as exc:
+        reference = resolve(routine, dtype, backend="reference")
+        backend = "reference" if kernel is reference \
+            else get_backend_name()
+        calllog.record("{}:{}#1:error={}".format(
+            backend, routine, type(exc).__name__))
+        if backend == "reference" or routine not in _write_back(backend):
+            raise
+    return _escalate(routine, reference, args, kwargs)
 
 
-def snapshot_set(args, kwargs) -> list:
-    """The operands the retry machinery snapshots and restores: every
-    ndarray among the positional and keyword arguments, in call order.
-
-    This is the resilience layer's mutation contract — a kernel operand
-    that is written in place but is *not* in this set cannot be rolled
-    back before a re-attempt.  lalint's LA019 verifies the driver side
-    of that contract statically against the spec effect signatures.
-    """
-    return [value for value in list(args) + list(kwargs.values())
-            if isinstance(value, np.ndarray)]
-
-
-def _snapshot(args, kwargs):
-    return [(value, value.copy()) for value in snapshot_set(args, kwargs)]
-
-
-def _restore(saved):
-    for arr, snap in saved:
-        arr[...] = snap
+def _escalate(routine, reference, args, kwargs):
+    """Serve a failed write-back call once from the reference kernel."""
+    attempt = "reference:{}#2".format(routine)
+    try:
+        if faults.CHAOS_ACTIVE:
+            _chaos(routine, "reference")
+        result = reference(*args, **kwargs)
+    except LinAlgError:
+        calllog.record(attempt + ":verdict")
+        raise
+    except Exception as exc:
+        calllog.record("{}:error={}".format(attempt, type(exc).__name__))
+        raise
+    calllog.record(attempt)
+    return result
 
 
-def _warn_open(serving, routine, window):
-    emit, suppressed = _OPEN_WARNINGS.tick((serving, routine),
-                                           window=window)
-    if not emit:
-        return
-    message = ("circuit breaker open for backend {!r} routine {!r}; "
-               "routing to the reference kernel".format(serving, routine))
-    if suppressed:
-        message += (" ({} identical warnings suppressed in the last "
-                    "window)".format(suppressed))
-    warnings.warn(message, BackendFallbackWarning, stacklevel=5)
+def _serving(kernel, routine, dtype, resolve, get_backend_name):
+    """Name of the backend whose entry ``kernel`` is."""
+    if kernel is resolve(routine, dtype, backend="reference"):
+        return "reference"
+    return get_backend_name()
 
 
-def _resilient_call(routine, dtype, args, kwargs, resolve, selected):
-    reference = resolve(routine, dtype, backend="reference")
-    primary = resolve(routine, dtype)
-    serving = "reference" if primary is reference else selected
-    policy = get_resilience()
+def _write_back(backend):
+    """The routine names ``backend`` declares write-back."""
+    from ..backends import get_backend
+    return get_backend(backend).write_back
 
-    events: list[str] = []
-    disposition = "closed"
-    if serving != "reference":
-        disposition = breaker.admit(serving, routine)
-        if disposition == "open":
-            events.append("open:{}:{}".format(serving, routine))
-            _warn_open(serving, routine, policy.warning_window)
-        elif disposition == "probe":
-            events.append("probe:{}:{}".format(serving, routine))
 
-    if disposition == "open":
-        rungs = [("reference", reference)]
-    elif serving != "reference":
-        rungs = [(serving, primary), ("reference", reference)]
-    else:
-        rungs = [("reference", reference)]
-
-    exempt = routine in _exempt_kernels()
-    retries = 0 if exempt else policy.retries
-    if exempt:
-        rungs = rungs[:1]
-
-    saved = _snapshot(args, kwargs) \
-        if (retries or len(rungs) > 1) and not exempt else []
-
-    noteworthy = bool(events)
-    failures = 0
-    attempt = 0
-    last_exc: BaseException | None = None
-    for rung_backend, kernel in rungs:
-        for _ in range(retries + 1):
-            attempt += 1
-            if attempt > 1:
-                _restore(saved)
-            try:
-                fault = faults.chaos_fault(routine, rung_backend) \
-                    if faults.CHAOS_ACTIVE else None
-                if fault is not None:
-                    raise fault
-                result = kernel(*args, **kwargs)
-            except LinAlgError:
-                # Contract verdict: the kernel worked, the input was the
-                # problem.  Counts as breaker success; never retried.
-                if not exempt:
-                    note = breaker.record_success(rung_backend, routine)
-                    if note:
-                        events.append("closed:{}:{}".format(
-                            rung_backend, routine))
-                        noteworthy = True
-                if noteworthy or failures:
-                    calllog.record("{}:{}#{}:verdict".format(
-                        rung_backend, routine, attempt))
-                    for event in events:
-                        calllog.note(event)
-                raise
-            except (KeyboardInterrupt, SystemExit):
-                raise
-            except Exception as exc:
-                failures += 1
-                last_exc = exc
-                calllog.record("{}:{}#{}:error={}".format(
-                    rung_backend, routine, attempt, type(exc).__name__))
-                if not exempt:
-                    note = breaker.record_failure(rung_backend, routine)
-                    if note:
-                        events.append("{}:{}:{}".format(
-                            note, rung_backend, routine))
-                continue
-            if not exempt:
-                note = breaker.record_success(rung_backend, routine)
-                if note:
-                    events.append("closed:{}:{}".format(
-                        rung_backend, routine))
-                    noteworthy = True
-            if noteworthy or failures:
-                calllog.record("{}:{}#{}".format(
-                    rung_backend, routine, attempt))
-                for event in events:
-                    calllog.note(event)
-            return result
-
-    # Every rung exhausted: surface the breaker notes, then let the last
-    # transient failure propagate to the caller.
-    for event in events:
-        calllog.note(event)
-    raise last_exc
+def _chaos(routine, backend):
+    fault = faults.chaos_fault(routine, backend)
+    if fault is not None:
+        raise fault

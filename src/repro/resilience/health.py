@@ -1,11 +1,8 @@
 """Liveness probing: one small solve per registered backend.
 
 :func:`healthcheck` answers "which substrates can actually serve a
-solve right now, and which breakers are open?" — the operational
-companion to the passive breaker registry.  Each probe is a real
-``la_gesv`` call pinned to one backend, so it travels the full dispatch
-seam: a probe against a half-open pair doubles as the breaker's
-recovery probe, and a healthy run closes it.
+solve right now?".  Each probe is a real ``la_gesv`` call pinned to one
+backend, so it travels the full dispatch seam.
 
 Imports of the driver layer are deferred into the function body: the
 resilience package is imported by :mod:`repro.backends`, which the
@@ -15,9 +12,6 @@ drivers themselves import.
 from __future__ import annotations
 
 import numpy as np
-
-from . import breaker
-from .config import get_resilience
 
 __all__ = ["healthcheck"]
 
@@ -33,16 +27,12 @@ def healthcheck() -> dict:
                                        "modes": {"gesv": "native" |
                                                  "stack" | "loop",
                                                  ...}}}},
-         "breakers": {"backend:routine": "open" | "half-open" | ...},
          "dispatch": {"structure_cache": {"entries": ..., "hits": ...,
                                           "misses": ...,
                                           "invalidated": ...,
-                                          "epoch": ...}},
-         "policy": {"retries": ..., "breaker_threshold": ...,
-                    "breaker_cooldown": ..., "warning_window": ...}}
+                                          "epoch": ...}}}
 
-    ``breakers`` holds only unhealthy pairs (an empty dict means every
-    tracked pair recovered).  The probe solves a fixed well-conditioned
+    The probe solves a fixed well-conditioned
     3×3 system, so ``residual`` should be at round-off level for any
     correct substrate.  The ``batch`` entry reports the backend's batch
     capability per batchable kernel — ``"stack"`` when a ``*_stack``
@@ -63,7 +53,7 @@ def healthcheck() -> dict:
                    [0.0, 1.0, 2.0]])
     b0 = a0 @ np.array([1.0, -1.0, 2.0])
 
-    report: dict = {"backends": {}, "breakers": {}, "policy": {}}
+    report: dict = {"backends": {}}
     capability = batch_capability()
     for name in available_backends():
         entry = {"ok": False, "error": None, "residual": None}
@@ -100,14 +90,6 @@ def healthcheck() -> dict:
                 type(exc).__name__, exc)
         report["backends"][name] = entry
 
-    report["breakers"] = breaker.states()
     from ..dispatch_front import cache as _structure_cache
     report["dispatch"] = {"structure_cache": _structure_cache.stats()}
-    policy = get_resilience()
-    report["policy"] = {
-        "retries": policy.retries,
-        "breaker_threshold": policy.breaker_threshold,
-        "breaker_cooldown": policy.breaker_cooldown,
-        "warning_window": policy.warning_window,
-    }
     return report

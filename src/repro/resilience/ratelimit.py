@@ -12,7 +12,11 @@ from __future__ import annotations
 import threading
 import time
 
-__all__ = ["RateLimiter"]
+__all__ = ["RateLimiter", "WARNING_WINDOW"]
+
+#: Seconds between repeated announcements of one key: the window the
+#: backend-fallback and batch warnings are aggregated over.
+WARNING_WINDOW = 60.0
 
 
 class RateLimiter:
@@ -24,7 +28,8 @@ class RateLimiter:
     A key's first tick always emits.
     """
 
-    def __init__(self, window: float = 60.0, clock=time.monotonic):
+    def __init__(self, window: float = WARNING_WINDOW,
+                 clock=time.monotonic):
         self.window = float(window)
         self._clock = clock
         self._lock = threading.Lock()
@@ -35,8 +40,7 @@ class RateLimiter:
         """Record one event for ``key``; decide whether to emit.
 
         ``now`` overrides the clock and ``window`` the instance window
-        (both for tests and for callers whose window is a live policy
-        knob).
+        (both for tests).
         """
         if now is None:
             now = self._clock()

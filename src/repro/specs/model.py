@@ -104,10 +104,6 @@ class DriverSpec:
     pair: str | None = None         # generic real<->complex partner
     positive_info: str = ""         # meaning of INFO > 0
     warn: str | None = None         # warning-band semantics, if any
-    breaker_exempt: bool = False    # resilience: never retry/escalate
-    # (breaker_exempt marks kernels whose inputs are not replayable —
-    # e.g. they consume a stateful RNG — so a dispatch re-attempt would
-    # observe different arguments than the first try.)
     batchable: bool = False         # repro.batch derives a batch_* wrapper
     problem_kind: str | None = None  # front-door verb: solve | lstsq | eig
     structure: tuple = ()           # matrix structures this driver is the

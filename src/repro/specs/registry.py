@@ -1017,10 +1017,7 @@ _SPEC_LIST = [
               ("mn", "min", "m", "nc")),
         checks=(C(-1, "matrix2d", ("a",)),
                 C(-4, "minlen", ("d",), "mn", {"optional": True})),
-        # The lagge kernel consumes a caller-seeded RNG stream; a
-        # resilience-layer retry would re-draw from an advanced stream
-        # and silently change the generated matrix.
-        kernel="lagge", breaker_exempt=True),
+        kernel="lagge"),
 ]
 
 #: Driver name -> spec, in Appendix-G catalogue order.

@@ -20,10 +20,10 @@ Typical use::
         la_gesv(bad, b)        # -> NonFiniteInput, info = -1001
 
 The chaos harness (dispatch-seam faults driving the resilience layer's
-retries, escalation, and circuit breakers) is re-exported here too::
+escalation) is re-exported here too::
 
-    with fi.chaos("gesv", fail_next=3, backend="accelerated"):
-        la_gesv(a, b)          # retries, then escalates to reference
+    with fi.chaos("gesv", flaky_every=1, backend="accelerated"):
+        la_gesv(a, b)          # fails on accelerated, served by reference
 """
 
 from __future__ import annotations

@@ -1,23 +1,23 @@
-"""LA016 fixture: reaching around the resilience APIs into the breaker
-registry, resilience policy, deadline arming and chaos-fault table."""
+"""LA016 fixture: reaching around the resilience APIs into the deadline
+arming and stack and the chaos-fault table."""
 
-from repro.resilience.breaker import _BREAKERS  # lint: LA016
+from repro.faults import _CHAOS  # lint: LA016
 
 from repro import faults
-from repro.resilience import config, deadlines
+from repro.resilience import deadlines
 
 
-def force_close(backend, routine):
-    _BREAKERS.pop((backend, routine), None)     # lint: LA016
-
-
-def crank_retries(n):
-    config._RESILIENCE.retries = n              # lint: LA016
+def silence_chaos(routine):
+    _CHAOS.pop(routine, None)                   # lint: LA016
 
 
 def disarm_deadlines():
     deadlines._ARMED = 0                        # lint: LA016
 
 
-def silence_chaos(routine):
-    faults._CHAOS.pop(routine, None)            # lint: LA016
+def drop_budgets():
+    deadlines._DEADLINES.stack = []             # lint: LA016
+
+
+def reset_counters(routine):
+    faults._CHAOS[routine]["calls"] = 0         # lint: LA016

@@ -1,26 +1,17 @@
 """LA016 clean fixture: the resilience state only through its APIs."""
 
 from repro import deadline, healthcheck
-from repro.faults import chaos, chaos_clear
-from repro.resilience import (breaker_states, get_resilience,
-                              reset_breakers, resilience_policy,
-                              set_resilience)
-
-
-def tighten():
-    return set_resilience(retries=0, breaker_threshold=2)
+from repro.faults import chaos, chaos_active, chaos_clear
+from repro.resilience import remaining
 
 
 def scoped_solve(run):
-    with resilience_policy(breaker_cooldown=0.1):
-        with deadline(5.0):
-            return run()
+    with deadline(5.0):
+        return run(), remaining()
 
 
 def drill(run):
-    with chaos("gesv", fail_next=2):
+    with chaos("gesv", flaky_every=2, backend="accelerated"):
         run()
     chaos_clear()
-    report = healthcheck()
-    reset_breakers()
-    return report, breaker_states(), get_resilience().retries
+    return healthcheck(), chaos_active()

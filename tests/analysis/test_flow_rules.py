@@ -1,4 +1,4 @@
-"""laflow self-tests: LA011–LA020 fire on their seeded fixtures (exact
+"""laflow self-tests: LA011–LA018 and LA020 fire on their seeded fixtures (exact
 marker lines), stay quiet on the conforming twins, the owner-module
 lock discipline of LA015/LA016 is checked against synthesized owners,
 and the interprocedural machinery (summary memoization, helper-call
@@ -9,7 +9,7 @@ The dataflow fixtures live under ``fixtures/flow/repro/core/`` so the
 spec-bound rules (which only police the core driver package) pick them
 up; the LA015/LA016 fixtures sit at the fixtures top level because
 those rules scan every module.  ``fixtures/flow/repro/lapack77/stub.py``
-is the substrate stub whose ``def`` signatures give the LA018/LA019
+is the substrate stub whose ``def`` signatures give the LA018
 effect signatures their kernel parameter order — the fixtures that need
 effects are loaded together with it.
 """
@@ -133,11 +133,10 @@ def test_la016_fires_on_seeded_violations():
     path = os.path.join(FIXTURES, "bad_la016.py")
     found = _assert_matches_markers(path, "LA016")
     messages = " | ".join(f.message for f in found)
-    assert "_BREAKERS" in messages
-    assert "_RESILIENCE" in messages
     assert "_ARMED" in messages
     assert "_CHAOS" in messages
-    assert "set_resilience()" in messages
+    assert "_DEADLINES" in messages
+    assert "chaos_install()" in messages
 
 
 def test_la017_fires_on_seeded_violations():
@@ -210,13 +209,6 @@ def test_la018_fires_on_seeded_violations():
     assert "written in place" in found[0].message
 
 
-def test_la019_fires_on_seeded_violations():
-    found = _assert_matches_markers(_flow_fixture("bad_la019.py"),
-                                    "LA019", extra=[STUB])
-    assert "operand b of kernel gesv" in found[0].message
-    assert "snapshot_set" in found[0].message
-
-
 def test_la020_fires_on_seeded_violations():
     found = _assert_matches_markers(_flow_fixture("bad_la020.py"),
                                     "LA020")
@@ -234,10 +226,8 @@ def test_bad_flow_fixtures_only_fire_their_own_rule():
                        ("bad_la020.py", "LA020")]:
         found = _findings([_flow_fixture(name)])
         assert {f.code for f in found} == {code}, name
-    for name, code in [("bad_la018.py", "LA018"),
-                       ("bad_la019.py", "LA019")]:
-        found = _findings([_flow_fixture(name), STUB])
-        assert {f.code for f in found} == {code}, name
+    found = _findings([_flow_fixture("bad_la018.py"), STUB])
+    assert {f.code for f in found} == {"LA018"}
     found = _findings([os.path.join(FIXTURES, "bad_la015.py")])
     assert {f.code for f in found} == {"LA015"}
     found = _findings([os.path.join(FIXTURES, "bad_la016.py")])
@@ -248,10 +238,9 @@ def test_good_flow_fixtures_are_clean():
     for name in ("good_la011.py", "good_la012.py", "good_la013.py",
                  "good_la014.py"):
         assert _findings([_flow_fixture(name)]) == [], name
-    # The LA017-LA020 twins load together with the substrate stub so
-    # the effect signatures (and LA006's import audit) see its defs.
-    for name in ("good_la017.py", "good_la018.py", "good_la019.py",
-                 "good_la020.py"):
+    # The LA017/LA018/LA020 twins load together with the substrate stub
+    # so the effect signatures (and LA006's import audit) see its defs.
+    for name in ("good_la017.py", "good_la018.py", "good_la020.py"):
         assert _findings([_flow_fixture(name), STUB]) == [], name
     assert _findings([os.path.join(FIXTURES, "good_la015.py")]) == []
     assert _findings([os.path.join(FIXTURES, "good_la016.py")]) == []
@@ -315,26 +304,26 @@ def test_la015_nested_def_loses_the_lexical_lock(tmp_path):
 
 # -- LA016 owner-module lock discipline -------------------------------
 
-def _breaker_owner(tmp_path, source):
-    pkg = tmp_path / "repro" / "resilience"
+def _chaos_owner(tmp_path, source):
+    pkg = tmp_path / "repro"
     pkg.mkdir(parents=True)
-    path = pkg / "breaker.py"
+    path = pkg / "faults.py"
     path.write_text(textwrap.dedent(source), encoding="utf-8")
     return str(path)
 
 
 def test_la016_owner_mutation_requires_the_lock(tmp_path):
-    path = _breaker_owner(tmp_path, """\
-        from .._sync import STATE_LOCK
+    path = _chaos_owner(tmp_path, """\
+        from ._sync import STATE_LOCK
 
-        _BREAKERS = {}              # top-level init: allowed
+        _CHAOS = {}                 # top-level init: allowed
 
-        def trip(key):
-            _BREAKERS[key] = 1      # unlocked mutation
+        def arm(key):
+            _CHAOS[key] = 1         # unlocked mutation
 
-        def trip_locked(key):
+        def arm_locked(key):
             with STATE_LOCK:
-                _BREAKERS[key] = 1
+                _CHAOS[key] = 1
         """)
     found = check_la016(Project.load([path]))
     assert len(found) == 1
@@ -360,7 +349,7 @@ def test_la016_thread_local_deadline_stack_is_lock_exempt(tmp_path):
 
 def test_la016_is_silent_for_la015_state_and_vice_versa(tmp_path):
     # The two rules police disjoint tables: the policy owner's unlocked
-    # mutation is LA015's business only, and the breaker owner's is
+    # mutation is LA015's business only, and the chaos owner's is
     # LA016's only.
     policy = _owner_tree(tmp_path, """\
         _POLICY = object()
@@ -369,13 +358,13 @@ def test_la016_is_silent_for_la015_state_and_vice_versa(tmp_path):
             _POLICY.mode = value
         """)
     assert check_la016(Project.load([policy])) == []
-    breaker = _breaker_owner(tmp_path, """\
-        _BREAKERS = {}
+    chaos = _chaos_owner(tmp_path / "chaos", """\
+        _CHAOS = {}
 
-        def trip(key):
-            _BREAKERS[key] = 1
+        def arm(key):
+            _CHAOS[key] = 1
         """)
-    assert check_la015(Project.load([breaker])) == []
+    assert check_la015(Project.load([chaos])) == []
 
 
 # -- interprocedural machinery: summaries, effects, classifier --------

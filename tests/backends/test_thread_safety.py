@@ -17,10 +17,6 @@ from repro import _sync, backends, config, policy
 from repro import exception_policy, la_gesv, set_policy, solve, use_backend
 from repro.dispatch_front import cache
 from repro.errors import Info
-from repro.resilience import (breaker, breaker_state, breaker_states,
-                              get_resilience, reset_breakers,
-                              reset_open_warnings, resilience_policy,
-                              set_resilience)
 from repro.resilience.ratelimit import RateLimiter
 from repro.testing import faultinject as fi
 
@@ -34,20 +30,12 @@ def _restore_state():
     pol = policy.get_policy()
     before = (pol.nonfinite, pol.rcond_guard, pol.fallbacks)
     nb = config.get_block_size("getrf")
-    res = get_resilience()
-    res_before = (res.retries, res.breaker_threshold,
-                  res.breaker_cooldown, res.warning_window)
     yield
     backends.set_backend(backend)
     set_policy(nonfinite=before[0], rcond_guard=before[1],
                fallbacks=before[2])
     config.set_block_size("getrf", nb)
-    set_resilience(retries=res_before[0], breaker_threshold=res_before[1],
-                   breaker_cooldown=res_before[2],
-                   warning_window=res_before[3])
     fi.chaos_clear()
-    reset_breakers()
-    reset_open_warnings()
 
 
 def _system(n=8, seed=0):
@@ -180,115 +168,6 @@ def test_context_managers_restore_under_contention():
     assert (pol.nonfinite, pol.rcond_guard, pol.fallbacks) \
         == ("propagate", "silent", False)
     assert config.get_block_size("getrf") == 64
-
-
-def test_breaker_trips_and_resets_under_contention():
-    # Solver threads hammer a permanently-failing accelerated pair —
-    # tripping its breaker — while other threads reset and read the
-    # registry concurrently.  Every solve must still come back correct
-    # (escalation or open-route), and no reader may observe a state
-    # outside the three-value machine.
-    if "accelerated" not in backends.available_backends():
-        pytest.skip("breaker contention needs a second backend")
-    errors = []
-    start = threading.Barrier(N_THREADS)
-
-    def failing_solver(seed):
-        start.wait()
-        a, b = _system(seed=seed)
-        for _ in range(N_ITER):
-            info = Info()
-            x = la_gesv(a.copy(), b.copy(), info=info,
-                        backend="accelerated")
-            if info.value != 0:
-                errors.append(f"solver info={info.value}")
-                return
-            if not np.allclose(a @ x, b, atol=1e-8):
-                errors.append("solver residual blew up")
-                return
-
-    def resetter():
-        start.wait()
-        for _ in range(N_ITER):
-            try:
-                reset_breakers()
-            except Exception as exc:          # noqa: BLE001
-                errors.append(f"reset raised: {exc!r}")
-                return
-
-    def reader():
-        start.wait()
-        for _ in range(N_ITER):
-            st = breaker_state("accelerated", "gesv")
-            if st not in ("closed", "open", "half-open"):
-                errors.append(f"torn breaker state: {st!r}")
-                return
-            for state in breaker_states().values():
-                if state not in ("open", "half-open"):
-                    errors.append(f"torn registry entry: {state!r}")
-                    return
-
-    with resilience_policy(retries=0, breaker_threshold=2,
-                           breaker_cooldown=30.0):
-        # Every accelerated attempt fails; escalation keeps answers
-        # correct while failures accumulate toward (and past) the trip.
-        fi.chaos_install("gesv", flaky_every=1, backend="accelerated")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            workers = [threading.Thread(target=failing_solver, args=(s,))
-                       for s in range(N_THREADS - 3)]
-            workers += [threading.Thread(target=resetter),
-                        threading.Thread(target=resetter),
-                        threading.Thread(target=reader)]
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join(timeout=120)
-    assert not any(t.is_alive() for t in workers), "stress test hung"
-    assert errors == []
-    # Once quiet and reset, the registry drains and tracking disarms.
-    fi.chaos_clear()
-    reset_breakers()
-    assert breaker_states() == {}
-    assert not breaker.TRACKING
-
-
-def test_resilience_policy_restores_under_contention():
-    # Same contract as the config/policy churn above: concurrent scoped
-    # overrides of *distinct* resilience knobs must leave the globals
-    # exactly as they found them.
-    set_resilience(retries=1, breaker_threshold=3,
-                   breaker_cooldown=30.0, warning_window=60.0)
-    start = threading.Barrier(3)
-
-    def churn_retries():
-        start.wait()
-        for j in range(N_ITER):
-            with resilience_policy(retries=j % 4):
-                get_resilience()
-
-    def churn_threshold():
-        start.wait()
-        for j in range(N_ITER):
-            with resilience_policy(breaker_threshold=2 + (j % 5)):
-                get_resilience()
-
-    def churn_windows():
-        start.wait()
-        for j in range(N_ITER):
-            with resilience_policy(breaker_cooldown=float(j % 7),
-                                   warning_window=float(j % 3)):
-                get_resilience()
-
-    threads = [threading.Thread(target=f)
-               for f in (churn_retries, churn_threshold, churn_windows)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join(timeout=120)
-    res = get_resilience()
-    assert (res.retries, res.breaker_threshold, res.breaker_cooldown,
-            res.warning_window) == (1, 3, 30.0, 60.0)
 
 
 def test_structure_cache_survives_probe_insert_invalidate_races():
@@ -427,51 +306,37 @@ def test_fallback_warning_windows_under_concurrent_resets():
     assert sum(emits) <= sum(resets) + 1
 
 
-def test_fallback_warnings_stay_windowed_during_breaker_churn():
-    # End-to-end: accelerated gesv fails every call, so every solve
-    # escalates through the fallback seam and ticks the live warning
-    # window, while a thread keeps calling reset_open_warnings() —
-    # exactly the probe/insert/reset interleaving LA023 polices on
-    # ``_seen``.  Nothing may raise, and every answer must be right.
+def test_escalation_stays_correct_under_concurrent_solves():
+    # Every accelerated gesv fails, so every solve escalates once to
+    # reference while other threads do the same.  No answer may be
+    # wrong and every thread-local trail must read exactly one failure
+    # and one reference call.
     if "accelerated" not in backends.available_backends():
-        pytest.skip("fallback windows need a second backend")
+        pytest.skip("escalation needs a second backend")
     errors = []
-    start = threading.Barrier(4)
+    start = threading.Barrier(N_THREADS)
+    want = ("accelerated:gesv#1:error=InjectedFault", "reference:gesv#2")
 
     def solver(seed):
         start.wait()
         a, b = _system(seed=seed)
         for _ in range(N_ITER):
             info = Info()
-            x = la_gesv(a.copy(), b.copy(), info=info,
-                        backend="accelerated")
-            if info.value != 0:
-                errors.append(f"solver info={info.value}")
+            x = la_gesv(a.copy(), b.copy(), info=info)
+            if info.value != 0 or info.attempts != want:
+                errors.append(f"solver info={info!r}")
                 return
             if not np.allclose(a @ x, b, atol=1e-8):
-                errors.append("fallback residual blew up")
+                errors.append("escalated residual blew up")
                 return
 
-    def window_resetter():
-        start.wait()
-        for _ in range(N_ITER):
-            try:
-                reset_open_warnings()
-            except Exception as exc:          # noqa: BLE001
-                errors.append(f"window reset raised: {exc!r}")
-                return
-
-    with resilience_policy(retries=0, breaker_threshold=10**9,
-                           warning_window=0.0):
-        fi.chaos_install("gesv", flaky_every=1, backend="accelerated")
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            workers = [threading.Thread(target=solver, args=(s,))
-                       for s in range(3)]
-            workers += [threading.Thread(target=window_resetter)]
-            for t in workers:
-                t.start()
-            for t in workers:
-                t.join(timeout=120)
-    assert not any(t.is_alive() for t in workers), "window stress hung"
+    backends.set_backend("accelerated")
+    fi.chaos_install("gesv", flaky_every=1, backend="accelerated")
+    workers = [threading.Thread(target=solver, args=(s,))
+               for s in range(N_THREADS)]
+    for t in workers:
+        t.start()
+    for t in workers:
+        t.join(timeout=120)
+    assert not any(t.is_alive() for t in workers), "escalation stress hung"
     assert errors == []

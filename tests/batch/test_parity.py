@@ -1,7 +1,7 @@
 """Property-based parity: ``batch_gesv`` over a stack is elementwise
 identical to looping ``la_gesv`` — same solutions bit-for-bit, same
 pivots, same per-problem ``Info`` codes, same componentwise backward
-error — on every registered backend and under chaos injection.
+error — on every registered backend and under the chaos profile.
 
 Both runs share one dispatch seam, so parity is the strongest possible
 statement that the generated wrapper adds *nothing* numerically: it
@@ -14,7 +14,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro import Info, available_backends, faults, la_gesv, use_backend
 from repro.batch import BatchInfo, batch_gesv
-from repro.resilience import reset_breakers
 
 SETTINGS = dict(max_examples=15, deadline=None)
 
@@ -91,21 +90,21 @@ def test_parity_holds_through_failures(backend, batch, n, seed):
        seed=st.integers(0, 2**31))
 @settings(**SETTINGS)
 def test_parity_under_chaos(backend, batch, n, seed):
-    """Chaos injection (flaky kernels, retry ladder) must not open a gap
-    between the batched and looped paths: each run gets a fresh fault
-    schedule, so both see identical per-call faults and recover to
-    identical results."""
+    """The CI chaos profile's accelerated rung (every accelerated
+    ``gesv`` fails and escalates once to reference) must not open a gap
+    between the batched and looped paths: both escalate every problem
+    alike and land on identical reference-served results.  On reference
+    nothing fires."""
     a, b = _problems(seed, batch, n, nrhs=2)
     batch_, n_ = a.shape[0], a.shape[1]
     ab, bb = a.copy(), b.copy()
     bipiv = np.zeros((batch_, n_), dtype=np.int64)
     binfo = BatchInfo()
-    reset_breakers()
-    with faults.chaos("gesv", flaky_every=3):
+    escalated = (("accelerated:gesv#1:error=InjectedFault",
+                  "reference:gesv#2") if backend == "accelerated" else None)
+    with faults.chaos("gesv", flaky_every=1, backend="accelerated"):
         with use_backend(backend):
             x = batch_gesv(ab, bb, bipiv, info=binfo)
-    reset_breakers()
-    with faults.chaos("gesv", flaky_every=3):
         for k in range(batch_):
             ak, bk = a[k].copy(), b[k].copy()
             pk = np.zeros(n_, dtype=np.int64)
@@ -113,6 +112,8 @@ def test_parity_under_chaos(backend, batch, n, seed):
             with use_backend(backend):
                 la_gesv(ak, bk, pk, info=pinfo)
             assert binfo.problems[k].value == int(pinfo), k
+            assert binfo.problems[k].attempts == escalated, k
+            assert pinfo.attempts == escalated, k
             np.testing.assert_array_equal(x[k], bk, err_msg=f"problem {k}")
             np.testing.assert_array_equal(bipiv[k], pk,
                                           err_msg=f"problem {k}")

@@ -1,9 +1,16 @@
-"""Shared fixtures: seeded RNG, dtype parametrization, tolerance helpers."""
+"""Shared fixtures: seeded RNG, dtype parametrization, tolerance helpers,
+and the chaos profile re-armed before every test under ``REPRO_CHAOS``."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+
+from repro import faults
+
+CHAOS = os.environ.get("REPRO_CHAOS", "").strip() not in ("", "0")
 
 REAL_DTYPES = [np.float32, np.float64]
 COMPLEX_DTYPES = [np.complex64, np.complex128]
@@ -75,3 +82,14 @@ def real_dtype(request):
 @pytest.fixture(params=COMPLEX_DTYPES, ids=["c64", "c128"])
 def complex_dtype(request):
     return request.param
+
+
+@pytest.fixture(autouse=True)
+def _chaos_profile():
+    """Under ``REPRO_CHAOS`` every test starts with exactly the default
+    chaos profile armed, whatever the previous test left behind.  A test
+    that needs a clean harness clears it in its own setup."""
+    if CHAOS:
+        faults.chaos_clear()
+        faults.default_chaos_profile()
+    yield

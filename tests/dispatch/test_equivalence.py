@@ -3,9 +3,9 @@
 For every structure class, ``repro.solve`` must return the *same bits*
 as calling the routed driver directly — same solution array, same
 ``Info`` code — on every registered backend.  The suite runs unchanged
-under ``REPRO_CHAOS=1``: chaos faults are transient and the resilience
-layer retries them, and armed faults pin dispatch to the reference
-kernels for the front door and the direct call alike.
+under ``REPRO_CHAOS=1``: the profile fails every accelerated call of a
+hot kernel and the resilience layer serves each once from reference,
+for the front door and the direct call alike.
 """
 
 import numpy as np

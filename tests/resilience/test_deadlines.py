@@ -8,7 +8,7 @@ import pytest
 import repro
 from repro import DeadlineExceeded, Info, deadline, la_gesv, la_gesvx
 from repro.errors import DEADLINE
-from repro.resilience import deadlines, remaining, reset_breakers
+from repro.resilience import deadlines, remaining
 from repro.resilience.calllog import depth
 from repro.testing import faultinject as fi
 
@@ -17,7 +17,6 @@ from repro.testing import faultinject as fi
 def _clean_state():
     yield
     fi.chaos_clear()
-    reset_breakers()
 
 
 def _system():
@@ -49,16 +48,21 @@ def test_stage_checkpoint_interrupts_between_factor_and_condition():
 
 
 def test_partial_info_carries_attempts_made_before_expiry():
+    if "accelerated" not in repro.available_backends():
+        pytest.skip("needs the accelerated backend registered")
     a, b = _system()
-    fi.chaos_install("getrf", latency=0.05, fail_next=1)
+    # The slow accelerated getrf fails and escalates to reference; the
+    # budget is spent by the time the factor stage ends.
+    fi.chaos_install("getrf", latency=0.05, flaky_every=1,
+                     backend="accelerated")
     info = Info()
     with pytest.raises(DeadlineExceeded) as exc:
         with deadline(0.02):
-            la_gesvx(a.copy(), b.copy(), info=info)
+            la_gesvx(a.copy(), b.copy(), info=info, backend="accelerated")
     partial = exc.value.partial
     assert partial is info
-    assert partial.attempts is not None
-    assert any("getrf" in att for att in partial.attempts)
+    assert partial.attempts == ("accelerated:getrf#1:error=InjectedFault",
+                                "reference:getrf#2")
 
 
 def test_nested_deadlines_tightest_wins_and_unwind():

@@ -1,5 +1,5 @@
-"""Windowed warning aggregation: the RateLimiter and its two consumers
-(backend-fallback announcements and breaker-open reroutes)."""
+"""Windowed warning aggregation: the RateLimiter and the
+backend-fallback announcements it paces."""
 
 import warnings
 
@@ -8,9 +8,9 @@ import pytest
 
 import repro
 from repro import la_gesv
+from repro import backends
 from repro.backends import reset_fallback_announcements, use_backend
 from repro.errors import BackendFallbackWarning
-from repro.resilience import resilience_policy
 from repro.resilience.ratelimit import RateLimiter
 
 
@@ -76,22 +76,23 @@ def test_fallback_warning_aggregates_within_window():
     assert "lagge" in msgs[0]
 
 
-def test_fallback_warning_reports_suppressed_count_after_window():
+def test_fallback_warning_reports_suppressed_count_after_window(
+        monkeypatch):
     if "accelerated" not in repro.available_backends():
         pytest.skip("needs the accelerated backend registered")
     a0 = np.array([[4.0, 1.0], [1.0, 3.0]])
-    with resilience_policy(warning_window=0.05):
-        with use_backend("accelerated"):
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                # gecon is reference-only: each expert solve announces.
-                from repro.backends.kernels import gecon
-                gecon(a0.copy(), 5.0)
-                gecon(a0.copy(), 5.0)
-                gecon(a0.copy(), 5.0)
-                import time
-                time.sleep(0.06)
-                gecon(a0.copy(), 5.0)
+    monkeypatch.setattr(backends, "WARNING_WINDOW", 0.05)
+    with use_backend("accelerated"):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # gecon is reference-only: each expert solve announces.
+            from repro.backends.kernels import gecon
+            gecon(a0.copy(), 5.0)
+            gecon(a0.copy(), 5.0)
+            gecon(a0.copy(), 5.0)
+            import time
+            time.sleep(0.06)
+            gecon(a0.copy(), 5.0)
     msgs = [str(w.message) for w in caught
             if issubclass(w.category, BackendFallbackWarning)
             and "gecon" in str(w.message)]
