@@ -2,6 +2,7 @@
 
 import json
 import pathlib
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +22,19 @@ BATCH_RECORDS = {}
 # overhead vs the direct driver call, the cold probe cost, and the
 # SPD-traffic win from cached-factor reuse.
 DISPATCH_RECORDS = {}
+
+
+def best_of(*fns, rounds):
+    """Best single-call wall time of each of ``fns`` over ``rounds``
+    rounds, interleaved call by call, so a burst of background load hits
+    every side alike instead of skewing whichever side it lands on."""
+    best = [float("inf")] * len(fns)
+    for _ in range(rounds):
+        for i, fn in enumerate(fns):
+            t0 = time.perf_counter()
+            fn()
+            best[i] = min(best[i], time.perf_counter() - t0)
+    return best
 
 
 def record_backend_timing(routine, backend, n, stats):

@@ -23,7 +23,6 @@ one call of each per round, so a burst of background load hits both
 sides alike instead of skewing whichever side it lands on.
 """
 
-import time
 import warnings
 
 import numpy as np
@@ -32,21 +31,10 @@ from repro import backends, la_gesv, la_posv, solve
 from repro.dispatch_front import cache
 from repro.dispatch_front.probe import probe
 
-from .conftest import record_dispatch
+from .conftest import best_of, record_dispatch
 
 N = 384
 ROUNDS = 7
-
-
-def _best_of(*fns, rounds=ROUNDS):
-    """Best-of-``rounds`` wall time of each of ``fns``, interleaved."""
-    best = [float("inf")] * len(fns)
-    for _ in range(rounds):
-        for i, fn in enumerate(fns):
-            t0 = time.perf_counter()
-            fn()
-            best[i] = min(best[i], time.perf_counter() - t0)
-    return best
 
 
 def _general_system(n=N, seed=7):
@@ -73,8 +61,9 @@ def test_cached_dispatch_overhead_under_5_percent():
         warnings.simplefilter("ignore")
         cache.clear()
         solve(a, b)                       # warm up
-        t_front, t_direct = _best_of(
-            lambda: solve(a, b), lambda: la_gesv(a.copy(), b.copy()))
+        t_front, t_direct = best_of(
+            lambda: solve(a, b), lambda: la_gesv(a.copy(), b.copy()),
+            rounds=ROUNDS)
     overhead = t_front / t_direct - 1.0
     record_dispatch("cached_gesv", {
         "n": N,
@@ -95,8 +84,9 @@ def test_cold_probe_cost_is_recorded():
     a, b = _general_system(seed=9)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        t_probe, t_direct = _best_of(
-            lambda: probe(a), lambda: la_gesv(a.copy(), b.copy()))
+        t_probe, t_direct = best_of(
+            lambda: probe(a), lambda: la_gesv(a.copy(), b.copy()),
+            rounds=ROUNDS)
     record_dispatch("cold_probe", {
         "n": N,
         "probe_min_s": t_probe,
@@ -116,9 +106,10 @@ def test_spd_traffic_win_from_cached_factor():
         warnings.simplefilter("ignore")
         cache.clear()
         solve(a, b)                       # la_posv; cache its factor
-        t_front, t_direct = _best_of(
+        t_front, t_direct = best_of(
             lambda: solve(a, b),
-            lambda: la_posv(a.copy(), b.copy(), uplo="U"))
+            lambda: la_posv(a.copy(), b.copy(), uplo="U"),
+            rounds=ROUNDS)
     win = t_direct / t_front
     record_dispatch("spd_cached_reuse", {
         "n": N,

@@ -3,7 +3,7 @@
 The interprocedural pass (helper summaries, kernel effect tables, the
 shared flow cache, and the concurrency pass's lockset replay) must stay
 cheap enough to run on every CI push: one cold end-to-end run — parse,
-interpret, all twenty-five rules — is timed and recorded to
+interpret, all twenty-three rules — is timed and recorded to
 BENCH_lalint.json, and the run must finish well under a minute.  The
 memo numbers ride along so a regression in summary reuse shows up as a
 count, not just as seconds.
@@ -36,8 +36,8 @@ def test_full_lalint_sweep_fits_the_ci_budget():
         "description": "One cold lalint sweep of src/repro: parse, "
                        "interpret every driver flow (interprocedural "
                        "summaries + kernel effects + the lockset-"
-                       "replaying concurrency pass), run LA001-LA018 "
-                       "and LA020-LA026.",
+                       "replaying concurrency pass), run LA001-LA014, "
+                       "LA017, LA018 and LA020-LA026.",
         "modules": len(project.modules),
         "driver_flows": len(cache.get("flows", ())),
         "kernel_effects": len(cache.get("effects", ())),

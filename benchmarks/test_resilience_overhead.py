@@ -2,7 +2,8 @@
 
 Times the dispatching kernel proxy, which runs the resilience seam,
 against the directly resolved kernel with no deadline armed and no
-chaos, and writes BENCH_resilience.json.  It lives
+chaos, best single call of each over interleaved rounds, and writes
+BENCH_resilience.json (seconds per call).  It lives
 here, not in the test suite, because it rewrites that tracked file.
 
     PYTHONPATH=src python -m pytest benchmarks/test_resilience_overhead.py -q
@@ -10,11 +11,14 @@ here, not in the test suite, because it rewrites that tracked file.
 
 import json
 import os
-import time
 
 import numpy as np
 
 from repro import la_gesv
+
+from .conftest import best_of
+
+ROUNDS = 600
 
 
 def test_resilience_overhead_on_undeadlined_hot_loop():
@@ -29,7 +33,6 @@ def test_resilience_overhead_on_undeadlined_hot_loop():
     n = 50
     a0 = rng.standard_normal((n, n)) + n * np.eye(n)
     b0 = rng.standard_normal((n, 1))
-    n_iter = 60
 
     from repro.backends import kernels, resolve
 
@@ -43,32 +46,20 @@ def test_resilience_overhead_on_undeadlined_hot_loop():
                 break
         return resolve("gesv", dtype)(*args, **kwargs)
 
-    def loop(fn):
-        t0 = time.perf_counter()
-        for _ in range(n_iter):
-            fn(a0.copy(), b0.copy())
-        return time.perf_counter() - t0
+    def timed(fn):
+        # Fresh operands every call (gesv overwrites them in place);
+        # the copy is part of the timed call on both sides alike.
+        return lambda: fn(a0.copy(), b0.copy())
 
-    loop(kernels.gesv)  # warm both paths
-    loop(pre_resilience_seam)
-    # Interleave the rounds so background load hits both paths alike,
-    # and let min-of-many converge on the unloaded time for each.
-    seam = base = float("inf")
-    for _ in range(10):
-        seam = min(seam, loop(kernels.gesv))
-        base = min(base, loop(pre_resilience_seam))
+    best_of(timed(kernels.gesv), timed(pre_resilience_seam),
+            rounds=20)                      # warm both paths
+    seam, base = best_of(timed(kernels.gesv), timed(pre_resilience_seam),
+                         rounds=ROUNDS)
     overhead = (seam - base) / base if base > 0 else 0.0
-
-    def driver_loop():
-        t0 = time.perf_counter()
-        for _ in range(n_iter):
-            la_gesv(a0.copy(), b0.copy())
-        return time.perf_counter() - t0
-
-    driver_loop()
-    driver = min(driver_loop() for _ in range(3))
-    out = {"n": n, "iters": n_iter, "proxy_seam_s": seam,
-           "pre_resilience_seam_s": base, "driver_loop_s": driver,
+    (driver,) = best_of(lambda: la_gesv(a0.copy(), b0.copy()),
+                        rounds=ROUNDS // 10)
+    out = {"n": n, "rounds": ROUNDS, "proxy_seam_s": seam,
+           "pre_resilience_seam_s": base, "driver_call_s": driver,
            "relative_seam_overhead": overhead}
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "..", "BENCH_resilience.json")

@@ -11,19 +11,16 @@ An :class:`~threading.RLock` (not a plain Lock) because the setters
 nest: ``exception_policy`` restores via ``set_policy`` while already
 holding the lock, and ``use_backend`` enters ``set_backend`` twice.
 
-lalint's LA015 rule enforces the discipline statically: outside the
-owner modules the state may only be touched through the designated
-setters, and every mutation site inside the owners must lexically hold
-``with STATE_LOCK:``.
-
-Since LA023–LA026 the discipline is also *semantic*: the laflow
-concurrency pass (:mod:`repro.analysis.flow.locks`) tracks this lock as
-part of the abstract environment — reads as well as writes of every
-name in the ``guarded_by`` registry must be proved to hold it on all
-paths, interprocedurally; check-then-act sequences may not straddle two
-lock regions; and the static acquisition graph over this and every
-other lock in the tree must stay acyclic (re-entrant self-nesting of
-this RLock is modelled and allowed).  Deliberate lock-free reads carry
+lalint enforces the discipline statically from one table,
+``GUARDED_BY`` in :mod:`repro.analysis.flow.locks`.  Under LA023 a
+listed name may be named only in its owner module (everyone else goes
+through that module's functions), and inside the owner the laflow
+concurrency pass tracks this lock as part of the abstract environment:
+reads as well as writes must be proved to hold it on all paths,
+interprocedurally.  LA024 forbids check-then-act sequences that
+straddle two lock regions, and LA025 keeps the static acquisition graph
+over this and every other lock in the tree acyclic (re-entrant
+self-nesting of this RLock is modelled and allowed).  Deliberate lock-free reads carry
 a justified ``laflow: benign-race`` comment at the access site and the
 annotation itself is verified load-bearing.  DESIGN.md §15 has the
 model; the Users' Guide "Concurrency contract" section has the rules.

@@ -138,7 +138,7 @@ class Access:
     """
     name: str               # guarded name ("_FAULTS", "RateLimiter._seen")
     kind: str               # "read" | "write"
-    lock: str               # lock the guarded_by registry requires
+    lock: str               # lock the GUARDED_BY table requires
     locks: frozenset        # (lock, region) pairs held at the access
     node: object
     path: str

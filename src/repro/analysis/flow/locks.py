@@ -1,35 +1,34 @@
 """The laflow lock model and concurrency rules (LA023–LA026).
 
-LA015/LA016 are syntactic: a mutation of owned global state must sit
-lexically inside ``with STATE_LOCK:`` in its owner module.  This module
-upgrades that to real lockset reasoning on top of the interprocedural
-interpreter: the abstract environment carries the set of ``(lock,
-region)`` pairs held at every point (:data:`~.interp.LOCKSET`), helper
-summaries record the guarded state they touch and the locks they
-acquire, and replay unions the caller's lockset on top — so a helper
-that *relies on* its caller's lock (``faults._chaos_sync``) is clean at
-every locked call site while still flagging an unlocked one.
+Lockset reasoning on top of the interprocedural interpreter: the
+abstract environment carries the set of ``(lock, region)`` pairs held
+at every point (:data:`~.interp.LOCKSET`), helper summaries record the
+guarded state they touch and the locks they acquire, and replay unions
+the caller's lockset on top — so a helper that *relies on* its caller's
+lock (``faults._chaos_sync``) is clean at every locked call site while
+still flagging an unlocked one.
 
-The rules are driven by a declarative **guarded_by registry**: every
-shared mutable name in the package — the policy object, backend
-registry and selection, blocking knobs, deadline arming, fault/chaos
-tables, the structure cache with its stats/epoch counters, switch
-hooks, and the rate-limiter windows behind the fallback-announcement
-state — mapped to the lock that owns it.  The module-level entries are
-derived from the same owner tables LA015/LA016 police
-(:data:`~.rules.GLOBAL_STATE`, :data:`~.rules.RESILIENCE_STATE`) plus
-the registries that grew after those rules landed; instance state (``RateLimiter._seen``) is guarded
+The rules are driven by one declarative table, :data:`GUARDED_BY`:
+every shared mutable name in the package — the policy object, backend
+registry, selection and switch hooks, the block-size table, deadline
+arming, the fault/chaos tables with their fast-path gates, and the
+structure cache with its stats — mapped to its owner module and the
+lock that owns it.  Instance state (``RateLimiter._seen``) is guarded
 by a per-object lock discovered from the class ``__init__``.  A module
 outside the shipped tree can declare its own table with a top-level
 ``_LAFLOW_GUARDED = {"_NAME": "LOCK"}`` literal (fixtures use this).
 
 The four rules:
 
-* **LA023 — lockset consistency.**  Every read *and* write of a
-  guarded name must happen with its lock in the current lockset,
-  interprocedurally.  Deliberate unlocked fast-path reads carry a
-  ``# laflow: benign-race — <why>`` pragma; the rule verifies each
-  pragma has a justification and actually covers a reached access.
+* **LA023 — guarded state.**  A :data:`GUARDED_BY` name may be named
+  only in its owner module: an import, a bare name or an attribute
+  chain anywhere else is a finding no pragma suppresses.  Inside the
+  owner every read *and* write must happen with its lock in the
+  current lockset, interprocedurally; a nested ``def`` runs later, so
+  it is checked as its own entry point with no lock held.  Deliberate
+  unlocked fast-path reads carry a ``# laflow: benign-race — <why>``
+  pragma; the rule verifies each pragma has a justification and
+  actually covers a reached access.
 * **LA024 — atomicity.**  A read of a guarded name under one lock
   region followed by a write under a *disjoint* region is a split
   check-then-act (the classic cache lookup-then-insert race shape).
@@ -64,39 +63,41 @@ from ..model import Project, body_statements, call_name
 from . import values as V
 from .interp import FlowInterpreter
 from .summaries import SummaryEngine
-from .rules import (GLOBAL_STATE, RESILIENCE_STATE, STATE_LOCK,
-                    _UNLOCKED_OK)
 
 __all__ = ["GUARDED_BY", "GUARDED_ATTRS", "ConcurrencySummaryEngine",
            "check_la023", "check_la024", "check_la025", "check_la026"]
 
 
 # ---------------------------------------------------------------------
-# The guarded_by registry
+# The GUARDED_BY state table
 # ---------------------------------------------------------------------
 
-#: name -> (owner-path suffix, owning lock).  Seeded from the LA015 /
-#: LA016 owner tables (everything there is STATE_LOCK-guarded except
-#: the thread-local deadline stack), then extended with the shared
-#: registries that grew after those rules landed.
-GUARDED_BY: dict = {}
-for _var, (_owner, _api) in {**GLOBAL_STATE, **RESILIENCE_STATE}.items():
-    if _var in _UNLOCKED_OK:        # threading.local: per-thread
-        continue
-    GUARDED_BY[_var] = (_owner, STATE_LOCK)
-GUARDED_BY.update({
-    # backend registry and switch hooks (fallback announcements reset
-    # through _switched ride the same lock)
+#: The process-wide re-entrant lock, ``repro._sync.STATE_LOCK``.
+STATE_LOCK = "STATE_LOCK"
+
+#: The one guarded-state table: name -> (owner-path suffix, lock).
+#: Outside its owner a listed name may not be named at all; inside it
+#: every read and write holds the lock.  A lock of ``None`` marks an
+#: owner-only ``threading.local`` (per-thread by construction).
+GUARDED_BY = {
+    # exception policy, backend selection/registry, block sizes
+    "_POLICY": ("repro/policy.py", STATE_LOCK),
+    "_SELECTED": ("repro/backends/__init__.py", STATE_LOCK),
     "_REGISTRY": ("repro/backends/__init__.py", STATE_LOCK),
     "_SWITCH_HOOKS": ("repro/backends/__init__.py", STATE_LOCK),
-    # fault-injection tables and their fast-path gates
+    "_BLOCK_SIZES": ("repro/config.py", STATE_LOCK),
+    # deadline arming and the per-thread deadline stack
+    "_ARMED": ("repro/resilience/deadlines.py", STATE_LOCK),
+    "_DEADLINES": ("repro/resilience/deadlines.py", None),
+    # fault-injection and chaos tables and their fast-path gates
     "_FAULTS": ("repro/faults.py", STATE_LOCK),
     "ACTIVE": ("repro/faults.py", STATE_LOCK),
+    "_CHAOS": ("repro/faults.py", STATE_LOCK),
     "CHAOS_ACTIVE": ("repro/faults.py", STATE_LOCK),
-    # the PR 9 structure cache and its stats/epoch counters
+    # the structure cache and its stats
     "_ENTRIES": ("repro/dispatch_front/cache.py", STATE_LOCK),
     "_STATS": ("repro/dispatch_front/cache.py", STATE_LOCK),
-})
+}
 
 #: Instance state guarded by a per-object lock: ``"Class.attr" ->
 #: "Class.lockattr"``.  The owner is wherever the class is defined; the
@@ -156,7 +157,7 @@ def _module_config(mod) -> ModuleConfig:
     cfg = ModuleConfig()
     cfg.reentrant.add(STATE_LOCK)   # repro._sync.STATE_LOCK is an RLock
     for name, (owner, lock) in GUARDED_BY.items():
-        if p.endswith(owner):
+        if lock is not None and p.endswith(owner):
             cfg.guarded[name] = (name, lock)
     cfg.imports_state_lock = any(
         alias == "STATE_LOCK"
@@ -363,12 +364,14 @@ class ConcurrencySummaryEngine(SummaryEngine):
         self.configure(sub, mod, func)
         return sub
 
-    def configure(self, interp, mod, func, cls=None):
-        """Install the lock model for one function (or method)."""
+    def configure(self, interp, mod, func, cls=None, scope=None):
+        """Install the lock model for one function (or method).  Locals
+        of ``scope`` (default ``func``; a nested def passes its
+        enclosing function) shadow guarded globals."""
         cfg = self._config(mod)
         if cfg is None:
             return
-        shadows = _local_shadows(func)
+        shadows = _local_shadows(scope or func)
         interp.guarded = {k: v for k, v in cfg.guarded.items()
                           if k not in shadows}
         interp.lock_table = dict(cfg.lock_table)
@@ -417,6 +420,24 @@ def _roots(mod):
             if mname.startswith("_") and mname in self_called:
                 continue
             yield f"{cname}.{mname}", cname, m
+
+
+def _nested_defs(mod):
+    """Yield ``(display name, class or None, enclosing function, def)``
+    for every function defined inside a module function or method.  A
+    nested body runs later, after any lock its creator held is gone, so
+    each one is an entry point of its own with an empty lockset."""
+    outers = [(fname, None, func)
+              for fname, func in sorted(mod.functions.items())]
+    for cname, cnode in sorted(mod.classes.items()):
+        outers += [(f"{cname}.{n.name}", cname, n) for n in cnode.body
+                   if isinstance(n, (ast.FunctionDef,
+                                     ast.AsyncFunctionDef))]
+    for oname, cls, outer in outers:
+        for node in ast.walk(outer):
+            if node is not outer and isinstance(
+                    node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield f"{oname}.{node.name}", cls, outer, node
 
 
 def _is_generator(func) -> bool:
@@ -486,21 +507,27 @@ def _concurrency(project: Project) -> dict:
                 break
     engine = ConcurrencySummaryEngine(project, configs, resolver)
     runs = []
+
+    def run(mod, name, cls, func, scope=None):
+        interp = FlowInterpreter(module=mod, func=func,
+                                 substrate=frozenset(),
+                                 summaries=engine, depth=0)
+        engine.configure(interp, mod, func, cls=cls, scope=scope)
+        env = {}
+        a = func.args
+        for par in (list(a.posonlyargs) + list(a.args)
+                    + list(a.kwonlyargs)):
+            env[par.arg] = V.UNKNOWN
+        interp._exec_block(body_statements(func), env)
+        runs.append(_Run(mod=mod, name=name, interp=interp,
+                         generator=_is_generator(func)))
+
     for p in sorted(configs):
         mod, _cfg = configs[p]
         for name, cls, func in _roots(mod):
-            interp = FlowInterpreter(module=mod, func=func,
-                                     substrate=frozenset(),
-                                     summaries=engine, depth=0)
-            engine.configure(interp, mod, func, cls=cls)
-            env = {}
-            a = func.args
-            for par in (list(a.posonlyargs) + list(a.args)
-                        + list(a.kwonlyargs)):
-                env[par.arg] = V.UNKNOWN
-            interp._exec_block(body_statements(func), env)
-            runs.append(_Run(mod=mod, name=name, interp=interp,
-                             generator=_is_generator(func)))
+            run(mod, name, cls, func)
+        for name, cls, outer, func in _nested_defs(mod):
+            run(mod, name, cls, func, scope=outer)
     pragmas = {p: _scan_pragmas(mod) for p, (mod, _c) in configs.items()}
     cache = {"runs": runs, "pragmas": pragmas, "configs": configs,
              "engine": engine}
@@ -573,16 +600,57 @@ def _pragma_findings(data, kind, code) -> list:
 
 
 # ---------------------------------------------------------------------
-# LA023 — lockset consistency
+# LA023 — guarded state: owner-only names, lockset consistency
 # ---------------------------------------------------------------------
 
-def check_la023(project: Project):
-    """Every read and write of a guarded name happens with its owning
-    lock held, interprocedurally; deliberate unlocked fast-path reads
-    carry a justified ``# laflow: benign-race`` pragma (verified to be
-    load-bearing)."""
-    data = _concurrency(project)
+def _foreign_names(project: Project) -> list:
+    """Every place a module names :data:`GUARDED_BY` state it does not
+    own.  A substring prefilter skips the modules whose text never
+    spells a foreign name, so only a handful are walked."""
     findings = []
+    for mod in project.modules:
+        p = _norm(mod.path)
+        text = "\n".join(mod.source_lines)
+        foreign = {name for name, (owner, _lock) in GUARDED_BY.items()
+                   if name in text and not p.endswith(owner)}
+        if not foreign:
+            continue
+        seen: set = set()
+        for node in ast.walk(mod.tree):
+            if isinstance(node, ast.ImportFrom):
+                hits = [("import", a.name) for a in node.names
+                        if a.name in foreign]
+            elif isinstance(node, ast.Name) and node.id in foreign:
+                hits = [("use", node.id)]
+            elif isinstance(node, ast.Attribute) and node.attr in foreign:
+                hits = [("use", node.attr)]
+            else:
+                continue
+            for what, name in hits:
+                key = (name, node.lineno)
+                if key in seen:
+                    continue
+                seen.add(key)
+                findings.append(Finding(
+                    code="LA023",
+                    message=f"{what} of guarded state {name} outside its "
+                            f"owner {GUARDED_BY[name][0]}; go through "
+                            "that module's functions",
+                    path=mod.path, line=node.lineno,
+                    col=node.col_offset, context=name))
+    return findings
+
+
+def check_la023(project: Project):
+    """Guarded state stays with its owner and its lock.  A
+    :data:`GUARDED_BY` name may be named only in its owner module (no
+    pragma suppresses a foreign import, name or attribute chain); there,
+    every read and write happens with the owning lock held,
+    interprocedurally, and nested defs start with no lock.  Deliberate
+    unlocked fast-path reads carry a justified ``# laflow:
+    benign-race`` pragma (verified to be load-bearing)."""
+    data = _concurrency(project)
+    findings = _foreign_names(project)
     seen: set = set()
     for run in data["runs"]:
         for a in run.interp.accesses:

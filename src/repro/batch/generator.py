@@ -258,7 +258,7 @@ def make_batched(spec):
             snaps = {"a": a.copy()}
 
         use_stack = (family.stack
-                     and not faults.CHAOS_ACTIVE and not faults.active()
+                     and not faults.chaos_active() and not faults.active()
                      and deadlines.remaining() is None
                      and not codes.any()
                      and _stack_capable(spec.kernel, a.dtype))

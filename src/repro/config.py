@@ -22,6 +22,7 @@ for discoverability.  So does the compute-backend selection
 from __future__ import annotations
 
 from contextlib import contextmanager
+from types import MappingProxyType
 
 from ._sync import STATE_LOCK
 from .policy import (exception_policy, get_policy,  # noqa: F401
@@ -51,12 +52,14 @@ _BLOCK_SIZES: dict[str, int] = {
     "gbtrf": 32,
 }
 
-# ISPEC=2: minimum block size for which blocking pays off at all.
-_MIN_BLOCK = {name: 2 for name in _BLOCK_SIZES}
+# ISPEC=2: minimum block size for which blocking pays off at all (the
+# same for every family).
+_MIN_BLOCK = 2
 
 # ISPEC=3: crossover point below which the unblocked routine is used.
-_CROSSOVER: dict[str, int] = {name: 128 for name in _BLOCK_SIZES}
-_CROSSOVER.update({"getrf": 96, "potrf": 96})
+# Fixed at import; unknown routines answer 0.
+_CROSSOVER = MappingProxyType({**{name: 128 for name in _BLOCK_SIZES},
+                               "getrf": 96, "potrf": 96})
 
 
 def _family(name: str) -> str:
@@ -84,9 +87,9 @@ def ilaenv(ispec: int, name: str, opts: str = "", n1: int = -1,
     if ispec == 1:
         return _BLOCK_SIZES.get(fam, 1)  # laflow: benign-race — single tear-free dict read of an int tuning knob
     if ispec == 2:
-        return _MIN_BLOCK.get(fam, 2)  # laflow: benign-race — single tear-free dict read of an int tuning knob
+        return _MIN_BLOCK
     if ispec == 3:
-        return _CROSSOVER.get(fam, 0)  # laflow: benign-race — single tear-free dict read of an int tuning knob
+        return _CROSSOVER.get(fam, 0)
     # Other ISPEC values exist in LAPACK (environmental enquiries); nothing
     # in this package consults them.
     return -1

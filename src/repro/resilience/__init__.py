@@ -22,8 +22,9 @@ seam in :mod:`repro.backends.kernels`:
 
 Every failed attempt and escalation is visible on the driver's ``Info``
 handle (``info.attempts``); the chaos harness in :mod:`repro.faults`
-exercises it deterministically.  lalint rule LA016 pins the package's
-shared state behind :data:`repro._sync.STATE_LOCK`.
+exercises it deterministically.  lalint rule LA023 keeps the package's
+shared state in its owner modules, behind
+:data:`repro._sync.STATE_LOCK`.
 """
 
 from __future__ import annotations

@@ -12,9 +12,10 @@ keeps every intermediate array in a consistent state.
 Deadlines nest: the tightest (earliest) limit on the stack wins.  The
 stack is thread-local; ``_ARMED`` is the process-global armed-scope
 count that lets :func:`check` bail out with a single integer compare on
-the (overwhelmingly common) undeadlined path.  ``_ARMED`` mutations hold
-:data:`repro._sync.STATE_LOCK` (LA016); the thread-local stack needs no
-lock.
+the (overwhelmingly common) undeadlined path.  ``_ARMED`` accesses hold
+:data:`repro._sync.STATE_LOCK` or carry a justified pragma (LA023); the
+thread-local stack needs no lock.  Neither may be named outside this
+module.
 """
 
 from __future__ import annotations

@@ -43,7 +43,7 @@ def call(routine, dtype, args, kwargs, resolve, get_backend_name):
     """Dispatch one kernel call, escalating a failure at most once."""
     kernel = resolve(routine, dtype)
     try:
-        if faults.CHAOS_ACTIVE:
+        if faults.chaos_active():
             _chaos(routine, _serving(kernel, routine, dtype, resolve,
                                      get_backend_name))
         return kernel(*args, **kwargs)
@@ -64,7 +64,7 @@ def _escalate(routine, reference, args, kwargs):
     """Serve a failed write-back call once from the reference kernel."""
     attempt = "reference:{}#2".format(routine)
     try:
-        if faults.CHAOS_ACTIVE:
+        if faults.chaos_active():
             _chaos(routine, "reference")
         result = reference(*args, **kwargs)
     except LinAlgError:

@@ -1,4 +1,5 @@
-"""LA015 clean fixture: the global knobs only through their APIs."""
+"""LA023 clean twin: the global knobs only through their owners'
+functions."""
 
 from repro import config
 from repro.backends import set_backend, use_backend

@@ -1,4 +1,5 @@
-"""LA016 clean fixture: the resilience state only through its APIs."""
+"""LA023 clean twin: the resilience state only through its owners'
+functions."""
 
 from repro import deadline, healthcheck
 from repro.faults import chaos, chaos_active, chaos_clear

@@ -80,9 +80,11 @@ def test_cli_list_rules(capsys):
     out = capsys.readouterr().out
     for code in ("LA001", "LA002", "LA003", "LA004", "LA005", "LA006",
                  "LA007", "LA008", "LA009", "LA010", "LA011", "LA012",
-                 "LA013", "LA014", "LA015", "LA016", "LA017", "LA018",
-                 "LA020"):
+                 "LA013", "LA014", "LA017", "LA018", "LA020", "LA021",
+                 "LA022", "LA023", "LA024", "LA025", "LA026"):
         assert code in out
+    for retired in ("LA015", "LA016", "LA019"):
+        assert retired not in out
 
 
 def test_cli_sarif_output_round_trips(capsys):

@@ -2,23 +2,24 @@
 fixtures (exact marker lines), stay quiet on the conforming twins, and
 the lock-model machinery behind them — locksets joining at branch
 merges, locksets propagating through memoized cross-module summaries,
-STATE_LOCK re-entrancy, the ``guarded_by`` registry derived from the
-LA015/LA016 owner tables, and pragma verification — is exercised
-against synthesized module trees.
+STATE_LOCK re-entrancy, the ``GUARDED_BY`` state table (its rows bound
+by their owners, their names banned everywhere else), and pragma
+verification — is exercised against synthesized module trees.
 
 The fixtures live flat under ``fixtures/concurrency/``: each declares
 its own lock and a ``_LAFLOW_GUARDED`` table, the declarative opt-in
 for guarded state outside the shipped registry.
 """
 
+import ast
 import os
 import textwrap
+
+import pytest
 
 from repro.analysis import Project, run_rules
 from repro.analysis.flow import (GUARDED_BY, check_la023, check_la024,
                                  check_la025, check_la026)
-from repro.analysis.flow.rules import (GLOBAL_STATE, RESILIENCE_STATE,
-                                       _UNLOCKED_OK)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 CONC = os.path.join(HERE, "fixtures", "concurrency")
@@ -127,8 +128,8 @@ def _write_tree(tmp_path, files):
 
 
 def test_owner_suffix_derivation_guards_policy(tmp_path):
-    # A module whose path matches the LA015 owner suffix inherits the
-    # registry entry without declaring _LAFLOW_GUARDED.
+    # A module whose path matches a GUARDED_BY owner suffix inherits
+    # the row without declaring _LAFLOW_GUARDED.
     project = _write_tree(tmp_path, {
         "repro/policy.py": """\
             _POLICY = object()
@@ -213,16 +214,55 @@ def test_pragma_requires_a_justification(tmp_path):
 
 # -- the registry and the shipped tree ---------------------------------
 
-def test_guarded_by_covers_the_la015_la016_tables():
-    # Every name the syntactic owner rules police is in the lock model
-    # (with the same owner), except the thread-local deadline stack.
-    for name, (owner, _api) in {**GLOBAL_STATE,
-                                **RESILIENCE_STATE}.items():
-        if name in _UNLOCKED_OK:
-            assert name not in GUARDED_BY
-        else:
-            assert GUARDED_BY[name][0] == owner, name
-            assert GUARDED_BY[name][1] == "STATE_LOCK", name
+def _top_level_names(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    names = set()
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) \
+            else [node.target] if isinstance(node, ast.AnnAssign) else []
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_BY))
+def test_guarded_by_row_is_bound_by_its_owner(name):
+    # A deleted global must take its row with it: every row names a
+    # module-level binding in its owner in the shipped tree.
+    owner, _lock = GUARDED_BY[name]
+    path = os.path.join(REPO, "src", *owner.split("/"))
+    assert name in _top_level_names(path), f"{owner} binds no {name}"
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED_BY))
+def test_la023_flags_a_foreign_module_naming_the_row(tmp_path, name):
+    owner, _lock = GUARDED_BY[name]
+    dotted = owner[:-len(".py")].replace("/", ".")
+    dotted = dotted.removesuffix(".__init__")
+    package, _, leaf = dotted.rpartition(".")
+    project = _write_tree(tmp_path, {"repro/elsewhere.py": f"""\
+        from {dotted} import {name}
+        from {package} import {leaf}
+
+        def by_name():
+            return {name}
+
+        def by_attribute():
+            return {leaf}.{name}
+        """})
+    found = check_la023(project)
+    assert sorted(f.line for f in found) == [1, 5, 8]
+    assert all(owner in f.message for f in found)
+
+
+def test_foreign_naming_is_not_pragma_suppressible(tmp_path):
+    project = _write_tree(tmp_path, {"repro/elsewhere.py": """\
+        from repro import faults
+
+        def armed():
+            return faults.CHAOS_ACTIVE  # laflow: benign-race — one flag
+        """})
+    assert [f.line for f in check_la023(project)] == [4]
 
 
 def test_shipped_tree_is_concurrency_clean():

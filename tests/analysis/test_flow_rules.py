@@ -1,14 +1,15 @@
-"""laflow self-tests: LA011–LA018 and LA020 fire on their seeded fixtures (exact
-marker lines), stay quiet on the conforming twins, the owner-module
-lock discipline of LA015/LA016 is checked against synthesized owners,
-and the interprocedural machinery (summary memoization, helper-call
+"""laflow self-tests: LA011–LA014, LA017, LA018 and LA020 fire on their
+seeded fixtures (exact marker lines), stay quiet on the conforming
+twins, LA023's guarded-state encapsulation fires on foreign modules
+and its owner-module lock discipline is checked against synthesized
+owners, and the interprocedural machinery (summary memoization, helper-call
 value threading, allocation-site remapping, checkpoint replay) is
 exercised against a driver that routes its work through helpers.
 
 The dataflow fixtures live under ``fixtures/flow/repro/core/`` so the
 spec-bound rules (which only police the core driver package) pick them
-up; the LA015/LA016 fixtures sit at the fixtures top level because
-those rules scan every module.  ``fixtures/flow/repro/lapack77/stub.py``
+up; the LA023 encapsulation fixtures sit at the fixtures top level
+because the foreign-name ban scans every module.  ``fixtures/flow/repro/lapack77/stub.py``
 is the substrate stub whose ``def`` signatures give the LA018
 effect signatures their kernel parameter order — the fixtures that need
 effects are loaded together with it.
@@ -18,9 +19,9 @@ import os
 import textwrap
 
 from repro.analysis import Project, run_rules
-from repro.analysis.flow import (DriverFlow, SummaryEngine, check_la015,
-                                 check_la016, front_door_sites,
-                                 kernel_effects, spec_dim_formulas)
+from repro.analysis.flow import (DriverFlow, SummaryEngine, check_la023,
+                                 front_door_sites, kernel_effects,
+                                 spec_dim_formulas)
 from repro.analysis.flow import values as V
 from repro.analysis.flow.rules import _classify_check, _shadowed_checks
 from repro.specs.model import ArgSpec, Check, DriverSpec
@@ -119,24 +120,24 @@ def test_la014_fires_on_seeded_violations():
     assert "mutate a" in found[0].message
 
 
-def test_la015_fires_on_seeded_violations():
-    path = os.path.join(FIXTURES, "bad_la015.py")
-    found = _assert_matches_markers(path, "LA015")
+def test_la023_fires_on_foreign_config_state():
+    path = os.path.join(FIXTURES, "bad_la023_foreign_config.py")
+    found = _assert_matches_markers(path, "LA023")
     messages = " | ".join(f.message for f in found)
     assert "_POLICY" in messages
     assert "_SELECTED" in messages
     assert "_BLOCK_SIZES" in messages
-    assert "set_policy()" in messages
+    assert "repro/policy.py" in messages
 
 
-def test_la016_fires_on_seeded_violations():
-    path = os.path.join(FIXTURES, "bad_la016.py")
-    found = _assert_matches_markers(path, "LA016")
+def test_la023_fires_on_foreign_resilience_state():
+    path = os.path.join(FIXTURES, "bad_la023_foreign_resilience.py")
+    found = _assert_matches_markers(path, "LA023")
     messages = " | ".join(f.message for f in found)
     assert "_ARMED" in messages
     assert "_CHAOS" in messages
     assert "_DEADLINES" in messages
-    assert "chaos_install()" in messages
+    assert "repro/faults.py" in messages
 
 
 def test_la017_fires_on_seeded_violations():
@@ -228,10 +229,10 @@ def test_bad_flow_fixtures_only_fire_their_own_rule():
         assert {f.code for f in found} == {code}, name
     found = _findings([_flow_fixture("bad_la018.py"), STUB])
     assert {f.code for f in found} == {"LA018"}
-    found = _findings([os.path.join(FIXTURES, "bad_la015.py")])
-    assert {f.code for f in found} == {"LA015"}
-    found = _findings([os.path.join(FIXTURES, "bad_la016.py")])
-    assert {f.code for f in found} == {"LA016"}
+    for name in ("bad_la023_foreign_config.py",
+                 "bad_la023_foreign_resilience.py"):
+        found = _findings([os.path.join(FIXTURES, name)])
+        assert {f.code for f in found} == {"LA023"}, name
 
 
 def test_good_flow_fixtures_are_clean():
@@ -242,11 +243,12 @@ def test_good_flow_fixtures_are_clean():
     # so the effect signatures (and LA006's import audit) see its defs.
     for name in ("good_la017.py", "good_la018.py", "good_la020.py"):
         assert _findings([_flow_fixture(name), STUB]) == [], name
-    assert _findings([os.path.join(FIXTURES, "good_la015.py")]) == []
-    assert _findings([os.path.join(FIXTURES, "good_la016.py")]) == []
+    for name in ("good_la023_foreign_config.py",
+                 "good_la023_foreign_resilience.py"):
+        assert _findings([os.path.join(FIXTURES, name)]) == [], name
 
 
-# -- LA015 owner-module lock discipline -------------------------------
+# -- LA023 owner-module lock discipline -------------------------------
 
 def _owner_tree(tmp_path, source):
     pkg = tmp_path / "repro"
@@ -256,7 +258,7 @@ def _owner_tree(tmp_path, source):
     return str(path)
 
 
-def test_la015_owner_mutation_requires_the_lock(tmp_path):
+def test_la023_policy_owner_mutation_requires_the_lock(tmp_path):
     path = _owner_tree(tmp_path, """\
         from ._sync import STATE_LOCK
 
@@ -269,24 +271,30 @@ def test_la015_owner_mutation_requires_the_lock(tmp_path):
             with STATE_LOCK:
                 _POLICY.mode = value
         """)
-    found = check_la015(Project.load([path]))
+    found = check_la023(Project.load([path]))
     assert len(found) == 1
-    assert "outside `with STATE_LOCK:`" in found[0].message
+    assert "without holding STATE_LOCK" in found[0].message
     # The finding points at the unlocked store, not the locked one.
     assert found[0].line == 6
 
 
-def test_la015_owner_reads_are_allowed(tmp_path):
+def test_la023_policy_owner_reads_hold_the_lock_or_a_pragma(tmp_path):
     path = _owner_tree(tmp_path, """\
+        from ._sync import STATE_LOCK
+
         _POLICY = object()
 
         def get_policy():
-            return _POLICY
+            return _POLICY  # laflow: benign-race — stable object identity
+
+        def get_policy_locked():
+            with STATE_LOCK:
+                return _POLICY
         """)
-    assert check_la015(Project.load([path])) == []
+    assert check_la023(Project.load([path])) == []
 
 
-def test_la015_nested_def_loses_the_lexical_lock(tmp_path):
+def test_la023_nested_def_loses_the_lexical_lock(tmp_path):
     path = _owner_tree(tmp_path, """\
         from ._sync import STATE_LOCK
 
@@ -298,11 +306,11 @@ def test_la015_nested_def_loses_the_lexical_lock(tmp_path):
                     _POLICY.mode = value    # runs after the lock is gone
                 return setter
         """)
-    found = check_la015(Project.load([path]))
+    found = check_la023(Project.load([path]))
     assert len(found) == 1
+    assert found[0].line == 8
+    assert found[0].context == "make_setter.setter"
 
-
-# -- LA016 owner-module lock discipline -------------------------------
 
 def _chaos_owner(tmp_path, source):
     pkg = tmp_path / "repro"
@@ -312,7 +320,7 @@ def _chaos_owner(tmp_path, source):
     return str(path)
 
 
-def test_la016_owner_mutation_requires_the_lock(tmp_path):
+def test_la023_chaos_owner_mutation_requires_the_lock(tmp_path):
     path = _chaos_owner(tmp_path, """\
         from ._sync import STATE_LOCK
 
@@ -325,13 +333,13 @@ def test_la016_owner_mutation_requires_the_lock(tmp_path):
             with STATE_LOCK:
                 _CHAOS[key] = 1
         """)
-    found = check_la016(Project.load([path]))
+    found = check_la023(Project.load([path]))
     assert len(found) == 1
-    assert "outside `with STATE_LOCK:`" in found[0].message
+    assert "without holding STATE_LOCK" in found[0].message
     assert found[0].line == 6
 
 
-def test_la016_thread_local_deadline_stack_is_lock_exempt(tmp_path):
+def test_la023_thread_local_deadline_stack_is_lock_exempt(tmp_path):
     pkg = tmp_path / "repro" / "resilience"
     pkg.mkdir(parents=True)
     path = pkg / "deadlines.py"
@@ -344,27 +352,7 @@ def test_la016_thread_local_deadline_stack_is_lock_exempt(tmp_path):
             _DEADLINES.stack = []       # thread-local: no lock needed
             return _DEADLINES.stack
         """), encoding="utf-8")
-    assert check_la016(Project.load([str(path)])) == []
-
-
-def test_la016_is_silent_for_la015_state_and_vice_versa(tmp_path):
-    # The two rules police disjoint tables: the policy owner's unlocked
-    # mutation is LA015's business only, and the chaos owner's is
-    # LA016's only.
-    policy = _owner_tree(tmp_path, """\
-        _POLICY = object()
-
-        def set_policy(value):
-            _POLICY.mode = value
-        """)
-    assert check_la016(Project.load([policy])) == []
-    chaos = _chaos_owner(tmp_path / "chaos", """\
-        _CHAOS = {}
-
-        def arm(key):
-            _CHAOS[key] = 1
-        """)
-    assert check_la015(Project.load([chaos])) == []
+    assert check_la023(Project.load([str(path)])) == []
 
 
 # -- interprocedural machinery: summaries, effects, classifier --------

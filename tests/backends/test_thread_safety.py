@@ -1,6 +1,6 @@
 """Concurrency stress for the process-global configuration state.
 
-LA015's companion runtime guarantee: backend selection, the exception
+LA023's companion runtime guarantee: backend selection, the exception
 policy and the block-size table are all guarded by one shared
 re-entrant lock (:data:`repro._sync.STATE_LOCK`), so N threads flipping
 the knobs while other threads solve never observe a torn update or

@@ -51,6 +51,19 @@ class TestConfig:
         assert config.ilaenv(1, "SGETRF") == config.ilaenv(1, "getrf")
         assert config.ilaenv(1, "unknown_routine") == 1
 
+    def test_ilaenv_minimum_block_and_crossover(self):
+        for name in ("getrf", "DPOTRF", "geqrf", "zhetrd"):
+            assert config.ilaenv(2, name) == 2
+        for name in ("getrf", "SGETRF", "potrf", "cpotrf"):
+            assert config.ilaenv(3, name) == 96
+        for name in ("getri", "dgeqrf", "sytrd", "gbtrf"):
+            assert config.ilaenv(3, name) == 128
+        assert config.ilaenv(2, "unknown_routine") == 2
+        assert config.ilaenv(3, "unknown_routine") == 0
+        # Block-size overrides leave the crossover alone.
+        with config.block_size_override("getrf", 7):
+            assert config.ilaenv(3, "getrf") == 96
+
     def test_override_restores(self):
         old = config.get_block_size("getrf")
         with config.block_size_override("getrf", 7):
