@@ -195,14 +195,14 @@ def trsm(alpha, a: np.ndarray, b: np.ndarray, side: str = "L",
                     b[j] = b[j] / mat[j, j]
                 if ta == "N":
                     if up and j > j0:
-                        b[j0:j] -= np.outer(mat[j0:j, j], b[j])
+                        b[j0:j] -= mat[j0:j, j, None] * b[j]
                     elif not up and j < j1 - 1:
-                        b[j + 1:j1] -= np.outer(mat[j + 1:j1, j], b[j])
+                        b[j + 1:j1] -= mat[j + 1:j1, j, None] * b[j]
                 else:
                     if up and j < j1 - 1:
-                        b[j + 1:j1] -= np.outer(mat[j, j + 1:j1], b[j])
+                        b[j + 1:j1] -= mat[j, j + 1:j1, None] * b[j]
                     elif not up and j > j0:
-                        b[j0:j] -= np.outer(mat[j, j0:j], b[j])
+                        b[j0:j] -= mat[j, j0:j, None] * b[j]
             # Rank-update the remaining rows with one GEMM.
             if ta == "N":
                 if up and j0 > 0:

@@ -4,10 +4,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..errors import xerbla
 from .householder import larf_left, larf_right, larfg
+from .machine import lamch
 
 __all__ = ["gebal", "gebak", "gehd2", "gehrd", "orghr", "unghr"]
 
@@ -56,28 +59,44 @@ def gebal(a: np.ndarray, job: str = "B"):
                     changed = True
                     break
     if j in ("S", "B") and ihi > ilo:
-        # Iterative scaling to balance 1-norms of rows and columns.
+        # Iterative scaling to balance 1-norms of rows and columns, with
+        # the guards of LAPACK >= 3.5: a non-finite norm ends the scaling
+        # (xGEBAL's DISNAN exit, widened to Inf), and both power-of-two
+        # searches stop before a factor or a scaled norm leaves
+        # [sfmin2, sfmax2].
         sclfac, factor = 2.0, 0.95
+        sfmin2 = lamch("S", a.dtype) / lamch("P", a.dtype) * sclfac
+        sfmax2 = 1.0 / sfmin2
         converged = False
         while not converged:
             converged = True
             for i in range(ilo, ihi + 1):
                 c = float(np.sum(np.abs(a[ilo:ihi + 1, i]))) - abs(a[i, i])
                 r = float(np.sum(np.abs(a[i, ilo:ihi + 1]))) - abs(a[i, i])
+                ca = float(np.max(np.abs(a[:ihi + 1, i])))
+                ra = float(np.max(np.abs(a[i, ilo:])))
                 if c == 0 or r == 0:
                     continue
+                if not math.isfinite(c + ca + r + ra):
+                    return ilo, ihi, scale
                 g = r / sclfac
                 f = 1.0
                 s = c + r
-                while c < g:
+                while (c < g and max(f, c, ca) < sfmax2
+                       and min(r, g, ra) > sfmin2):
                     f *= sclfac
                     c *= sclfac
+                    ca *= sclfac
                     g /= sclfac
+                    ra /= sclfac
                 g = c / sclfac
-                while g >= r:
+                while (g >= r and max(r, ra) < sfmax2
+                       and min(f, c, g, ca) > sfmin2):
                     f /= sclfac
                     c /= sclfac
                     g /= sclfac
+                    ca /= sclfac
+                    ra *= sclfac
                 if (c + r) < factor * s and f != 1.0:
                     scale[i] *= f
                     a[i, :] /= f

@@ -132,15 +132,32 @@ def laswp(a: np.ndarray, ipiv: np.ndarray, k1: int = 0, k2: int | None = None,
 
     ``ipiv[k]`` (0-based) says row ``k`` was swapped with row ``ipiv[k]``.
     ``forward=False`` applies them in reverse order (the inverse permutation).
+    The sequence is composed first, so only the rows it moves are copied,
+    in one gather.
     """
     if k2 is None:
         k2 = len(ipiv)
-    ks = range(k1, k2) if forward else range(k2 - 1, k1 - 1, -1)
-    for k in ks:
-        p = ipiv[k]
-        if p != k:
-            a[[k, p], :] = a[[p, k], :]
+    dst, src = row_gather(ipiv, k1, k2, forward)
+    a[dst] = a[src]
     return a
+
+
+def row_gather(ipiv: np.ndarray, k1: int, k2: int, forward: bool = True):
+    """Compose the interchanges ``ipiv[k1:k2]`` into one gather.
+
+    Returns index arrays ``(dst, src)`` such that ``a[dst] = a[src]`` has
+    the effect of swapping row ``k`` with row ``ipiv[k]`` for each ``k`` in
+    turn (in reverse order when ``forward`` is false).  Only rows the
+    sequence moves appear.
+    """
+    steps = list(zip(range(k1, k2), np.asarray(ipiv)[k1:k2].tolist()))
+    holds: dict[int, int] = {}  # row -> the original row now stored there
+    for k, p in (steps if forward else reversed(steps)):
+        if p != k:
+            holds[k], holds[p] = holds.get(p, p), holds.get(k, k)
+    dst = [r for r, s in holds.items() if r != s]
+    return (np.array(dst, dtype=np.intp),
+            np.array([holds[r] for r in dst], dtype=np.intp))
 
 
 def lacpy(a: np.ndarray, b: np.ndarray, uplo: str = "A") -> np.ndarray:

@@ -17,7 +17,7 @@ from ..errors import xerbla
 from ..faults import pivot_fault
 from ..blas.level3 import trsm
 from .lacon import lacon
-from .lautil import laswp
+from .lautil import laswp, row_gather
 from .machine import lamch
 
 __all__ = ["getf2", "getrf", "getrs", "gesv", "getri", "gecon", "gerfs",
@@ -35,20 +35,23 @@ def getf2(a: np.ndarray, ipiv: np.ndarray | None = None):
     if ipiv is None:
         ipiv = np.zeros(k, dtype=np.int64)
     info = 0
+    cplx = np.iscomplexobj(a)
     for j in range(k):
         if pivot_fault("getf2", j):
             a[j:, j] = 0
         col = a[j:, j]
-        p = j + int(np.argmax(np.abs(col.real) + np.abs(col.imag)
-                              if np.iscomplexobj(col) else np.abs(col)))
+        mag = np.abs(col.real) + np.abs(col.imag) if cplx else np.abs(col)
+        p = j + int(mag.argmax())
         ipiv[j] = p
         if a[p, j] != 0:
             if p != j:
-                a[[j, p], :] = a[[p, j], :]
+                row = a[j].copy()
+                a[j] = a[p]
+                a[p] = row
             if j < m - 1:
                 a[j + 1:, j] /= a[j, j]
                 if j < n - 1:
-                    a[j + 1:, j + 1:] -= np.outer(a[j + 1:, j], a[j, j + 1:])
+                    a[j + 1:, j + 1:] -= a[j + 1:, j, None] * a[j, j + 1:]
         elif info == 0:
             info = j + 1
     return ipiv, info
@@ -76,13 +79,11 @@ def getrf(a: np.ndarray):
         if pinfo != 0 and info == 0:
             info = pinfo + j
         ipiv[j:j + jb] = piv + j
-        # Apply interchanges to the columns outside the panel.
-        for i in range(jb):
-            p = ipiv[j + i]
-            if p != j + i:
-                a[[j + i, p], :j] = a[[p, j + i], :j]
-                if j + jb < n:
-                    a[[j + i, p], j + jb:] = a[[p, j + i], j + jb:]
+        # Apply interchanges to the columns outside the panel, one
+        # gather of the moved rows per side.
+        dst, src = row_gather(ipiv, j, j + jb)
+        a[dst, :j] = a[src, :j]
+        a[dst, j + jb:] = a[src, j + jb:]
         if j + jb < n:
             # U12 := L11^{-1} A12  (unit lower triangular solve)
             trsm(1, a[j:j + jb, j:j + jb], a[j:j + jb, j + jb:],

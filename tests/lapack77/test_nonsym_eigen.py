@@ -1,5 +1,11 @@
 """Nonsymmetric eigensolvers: Hessenberg, Schur, eigenvectors, ordering."""
 
+import json
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -39,6 +45,45 @@ def test_gebal_similarity_preserves_eigs(rng):
     np.testing.assert_allclose(sorted_eigs(np.linalg.eigvals(a)),
                                sorted_eigs(np.linalg.eigvals(a0)),
                                rtol=1e-6, atol=1e-8)
+
+
+# One Inf in a 6x6 used to make gebal's power-of-two search spin forever
+# (c = inf keeps ``g >= r`` true).  Each case runs in a child process
+# with a time limit, so a regression fails instead of hanging the suite.
+_NONFINITE_CHILD = """
+import json, sys
+import numpy as np
+from repro import Info, eig, la_geev, use_backend
+from repro.lapack77.hessenberg import gebal
+backend, i, j = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+a = np.random.default_rng(0).standard_normal((6, 6))
+a[i, j] = np.inf
+gebal(a.copy(), job="B")
+out = {}
+with use_backend(backend):
+    for name, call in (("la_geev", la_geev), ("eig", eig)):
+        info = Info()
+        w = call(a.copy(), info=info)
+        out[name] = [int(info), bool(np.all(np.isfinite(w)))]
+print(json.dumps(out))
+"""
+
+
+@pytest.mark.parametrize("backend", ["reference", "accelerated"])
+@pytest.mark.parametrize("where", [(2, 2), (0, 5), (3, 1)],
+                         ids=["diagonal", "corner", "interior"])
+def test_geev_with_an_inf_terminates(backend, where):
+    repo = pathlib.Path(__file__).parents[2]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(repo / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "ignore", "-c", _NONFINITE_CHILD, backend,
+         *map(str, where)],
+        env=env, cwd=str(repo), capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    for name, (info, finite) in json.loads(proc.stdout).items():
+        assert info != 0 or not finite, name
 
 
 def test_gebal_isolates_triangular_part():
