@@ -603,10 +603,17 @@ def _pragma_findings(data, kind, code) -> list:
 # LA023 — guarded state: owner-only names, lockset consistency
 # ---------------------------------------------------------------------
 
+#: Builtins that reach a module attribute through a string: naming a
+#: guarded row as their literal second argument names the row.
+_REFLECTIVE = frozenset({"getattr", "setattr", "delattr", "hasattr"})
+
+
 def _foreign_names(project: Project) -> list:
     """Every place a module names :data:`GUARDED_BY` state it does not
-    own.  A substring prefilter skips the modules whose text never
-    spells a foreign name, so only a handful are walked."""
+    own — by import, bare name, attribute chain, or as the string
+    literal of a ``getattr``/``setattr``/``delattr``/``hasattr`` call.
+    A substring prefilter skips the modules whose text never spells a
+    foreign name, so only a handful are walked."""
     findings = []
     for mod in project.modules:
         p = _norm(mod.path)
@@ -624,6 +631,12 @@ def _foreign_names(project: Project) -> list:
                 hits = [("use", node.id)]
             elif isinstance(node, ast.Attribute) and node.attr in foreign:
                 hits = [("use", node.attr)]
+            elif isinstance(node, ast.Call) \
+                    and call_name(node) in _REFLECTIVE \
+                    and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant) \
+                    and node.args[1].value in foreign:
+                hits = [(f"{call_name(node)}()", node.args[1].value)]
             else:
                 continue
             for what, name in hits:

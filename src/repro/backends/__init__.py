@@ -111,7 +111,11 @@ class Backend:
         if dtype is None:
             return True
         chars = self._dtype_chars.get(routine)
-        return chars is None or np.dtype(dtype).char in chars
+        if chars is None:
+            return True
+        if not isinstance(dtype, np.dtype):
+            dtype = np.dtype(dtype)
+        return dtype.char in chars
 
     def get(self, routine, dtype=None):
         """The kernel for ``routine``, or None when unsupported."""

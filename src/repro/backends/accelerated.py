@@ -43,10 +43,16 @@ except Exception:  # pragma: no cover - exercised on the no-SciPy CI leg
 #: NumPy dtype char -> LAPACK precision prefix.
 _PREFIX = {"f": "s", "d": "d", "F": "c", "D": "z"}
 
+#: ``(routine, dtype char) -> typed SciPy wrapper`` (``("gesv", "d")``
+#: -> ``dgesv``), filled once by :func:`build_accelerated_backend` and
+#: only read afterwards.
+_WRAPPERS = {}
+
 
 def _flavor(name, dtype):
-    """The typed SciPy wrapper (e.g. ``dgesv``) for ``name``/``dtype``."""
-    return getattr(_scipy_lapack, _PREFIX[np.dtype(dtype).char] + name)
+    """The typed SciPy wrapper (e.g. ``dgesv``) for ``name`` and the
+    NumPy ``dtype`` of its operands."""
+    return _WRAPPERS[name, dtype.char]
 
 
 def _as2d(b):
@@ -421,6 +427,11 @@ def build_accelerated_backend():
         return None
     from . import Backend
     table = {fn.__name__: fn for fn in _ADAPTERS}
+    _WRAPPERS.update(
+        ((name, char), getattr(_scipy_lapack, prefix + name))
+        for name in table if not name.endswith("_stack")
+        for char, prefix in _PREFIX.items()
+        if hasattr(_scipy_lapack, prefix + name))
     chars = {name: _DTYPES.get(name, "fdFD") for name in table}
     return Backend("accelerated", table, dtype_chars=chars,
                    write_back=table)

@@ -2,11 +2,20 @@
 
 :func:`probe` classifies a square operand into one of the
 :data:`repro.specs.routing.STRUCTURES` labels.  Every test is *exact*
-(bitwise equality, exact zeros): the front door guarantees the routed
-driver returns bit-identical results to calling it directly, and an
-almost-symmetric matrix handed to ``la_sysv`` (which reads one triangle)
-would silently solve a different system.  Near-misses therefore probe as
-``general`` — the adversarial suite in ``tests/dispatch`` pins this.
+(element-wise equality, exact zeros, no tolerance): the front door
+guarantees the routed driver returns bit-identical results to calling it
+directly, and an almost-symmetric matrix handed to ``la_sysv`` (which
+reads one triangle) would silently solve a different system.
+Near-misses therefore probe as ``general`` — the adversarial suite in
+``tests/dispatch`` pins this.
+
+Equality is value equality, not bit equality: ``-0.0`` equals ``0.0``,
+so a matrix whose mirrored entries differ only in the sign of a zero
+probes as symmetric (the triangle a symmetric driver does not read holds
+equal values), and a NaN equals nothing, so a NaN anywhere — the
+diagonal included, where it meets itself — makes a matrix
+non-symmetric.  The tests are ``bool((x == y).all())`` on equal shapes:
+what ``np.array_equal`` computes, without its per-call Python overhead.
 
 The probe never factors.  A Hermitian operand with a strictly positive
 real diagonal is labelled ``spd``/``hpd`` — a necessary condition for
@@ -77,19 +86,19 @@ def bandwidths(a):
 
 
 def _equals_adjoint(a, conj):
-    """Bitwise ``a == a.T`` (``a == a.conj().T`` with ``conj``); row 0
-    against column 0 first, so most non-symmetric matrices exit in
-    O(n)."""
-    if a.size and not np.array_equal(
-            a[0], a[:, 0].conj() if conj else a[:, 0]):
+    """``a == a.T`` (``a == a.conj().T`` with ``conj``) element-wise, for
+    a square ``a``; row 0 against column 0 first, so most non-symmetric
+    matrices exit in O(n)."""
+    if a.size and not (a[0] == (a[:, 0].conj() if conj
+                                else a[:, 0])).all():
         return False
-    return np.array_equal(a, a.conj().T if conj else a.T)
+    return bool((a == (a.conj().T if conj else a.T)).all())
 
 
 def _positive_diagonal(a):
     """A strictly positive real diagonal: necessary for definiteness."""
     diag = np.diagonal(a)
-    if np.iscomplexobj(diag):
+    if diag.dtype.kind == "c":
         if (diag.imag != 0).any():
             return False
         diag = diag.real
@@ -124,7 +133,7 @@ def probe(a) -> Structure:
                          probe_cost=time.perf_counter() - start)
     n = a.shape[0]
     kl, ku = bandwidths(a)
-    iscomplex = np.iscomplexobj(a)
+    iscomplex = a.dtype.kind == "c"
     symmetric = _equals_adjoint(a, conj=False)
     hermitian = _equals_adjoint(a, conj=True) if iscomplex else symmetric
     label, uplo = "general", "U"
@@ -153,23 +162,30 @@ def probe(a) -> Structure:
 def probe_stack(a) -> Structure:
     """Classify a ``(batch, n, n)`` stack for the ``batch_*`` routes.
 
-    Stacked structure checks are vectorized over the whole stack;
-    definiteness is probed on a representative slice (the first), since
-    a stack route cannot reuse per-problem factors anyway — a later
-    slice that turns out indefinite reports through ``BatchInfo``
-    exactly as a direct ``batch_posv`` call would.  Only the structures
-    with batched drivers are distinguished (``spd``/``hpd``,
-    ``symmetric``, ``hermitian``, ``general``): there is no batched
-    band or tridiagonal solver to route to.
+    Stacked structure checks are vectorized over the whole stack, with
+    the same value equality as :func:`probe`.  Only the structures with
+    batched drivers are distinguished (``spd``/``hpd``, ``symmetric``,
+    ``hermitian``, ``general``): there is no batched band or tridiagonal
+    solver to route to.
+
+    Unlike :func:`probe`, definiteness is decided by a trial Cholesky
+    of a representative slice (the first).  A scalar route can afford
+    to guess from the diagonal because the front door re-solves a
+    failed ``la_posv`` through ``la_sysv``/``la_hesv``; a batch route
+    has no per-slice re-solve, so a stack that is not definite must
+    not be routed to ``batch_posv`` in the first place.  One slice is
+    enough to catch the common case of an indefinite symmetric stack;
+    a later slice that turns out indefinite reports through
+    ``BatchInfo`` exactly as a direct ``batch_posv`` call would.
     """
     start = time.perf_counter()
     if a.ndim != 3 or a.shape[1] != a.shape[2] or a.shape[0] == 0:
         return Structure("general",
                          probe_cost=time.perf_counter() - start)
-    iscomplex = np.iscomplexobj(a)
+    iscomplex = a.dtype.kind == "c"
     swapped = a.transpose(0, 2, 1)
-    symmetric = np.array_equal(a, swapped)
-    hermitian = np.array_equal(a, swapped.conj()) if iscomplex \
+    symmetric = bool((a == swapped).all())
+    hermitian = bool((a == swapped.conj()).all()) if iscomplex \
         else symmetric
     label = "general"
     if hermitian:

@@ -1,73 +1,44 @@
-"""Spec-driven argument validation.
+"""Spec-driven argument validation, compiled.
 
-:func:`validate` replays a :class:`~repro.specs.model.DriverSpec`'s
-ordered check ladder against the caller's bound arguments and returns
-the first violated check's negative ``LINFO`` code (0 when the
-arguments conform).  The semantics of every check kind reproduce the
-hand-written ladders the drivers used before the spec layer existed —
-in particular the ladders are *first-failure-wins* and never raise: a
-malformed argument (wrong type, empty option string) maps to its
-negative code rather than an exception, which is the wrapper contract's
-whole point.
+Each :class:`~repro.specs.model.DriverSpec` is compiled, on first use,
+into one straight-line Python function (:attr:`DriverSpec.validator`):
+keyword parameters for every argument the ladder names (defaulting to
+``None``, extras swallowed by ``**_extra``), each derived dimension as a
+local, and each check as an inline predicate in its own ``try`` block.
+The function returns the first violated check's negative ``LINFO`` code
+(0 when the arguments conform).  The semantics of every check kind
+reproduce the hand-written ladders the drivers used before the spec
+layer existed — in particular the ladders are *first-failure-wins* and
+never raise: a malformed argument (wrong type, empty option string)
+maps to its negative code rather than an exception, which is the
+wrapper contract's whole point.
 
-The engine deliberately re-implements the tiny ``lsame`` /
-``check_square`` / ``check_rhs`` predicates instead of importing
+The predicates below deliberately re-implement the tiny ``lsame`` /
+``check_square`` / ``check_rhs`` tests instead of importing
 :mod:`repro.core.auxmod`, keeping ``repro.specs`` import-light and free
-of cycles with the driver layer.
+of cycles with the driver layer.  The interpreter these validators
+replaced lives on in the test suite as their oracle: for every
+registered spec, the compiled function must return the interpreter's
+code on well-formed and malformed arguments alike.
 """
 
 from __future__ import annotations
 
+import keyword
+
 import numpy as np
 
-from .model import ArgSpec, Check, DriverSpec
+from .model import DriverSpec
+from .registry import SPECS
 
-__all__ = ["validate", "validate_args", "validate_batch"]
-
-
-# -- primitive predicates (auxmod-equivalent) -------------------------
-
-def _lsame(ca, cb) -> bool:
-    return bool(ca) and bool(cb) and ca[0].upper() == cb[0].upper()
+__all__ = ["validate", "validate_args", "validate_batch",
+           "compile_validator"]
 
 
-def _is2d(a) -> bool:
-    return isinstance(a, np.ndarray) and a.ndim == 2
+# -- helpers the generated code calls ----------------------------------
 
-
-def _square_ok(a) -> bool:
-    return _is2d(a) and a.shape[0] == a.shape[1]
-
-
-def _rhs_ok(rows, b) -> bool:
-    return isinstance(b, np.ndarray) and b.ndim in (1, 2) \
-        and b.shape[0] == rows
-
-
-def _veclen(v) -> int:
-    return v.shape[0] if isinstance(v, np.ndarray) and v.ndim >= 1 else -1
-
-
-# -- derived dimensions ----------------------------------------------
-
-def _dim_rows2d(ctx, ref):
-    a = ctx.get(ref)
-    return a.shape[0] if _is2d(a) else -1
-
-
-def _dim_cols2d(ctx, ref):
-    a = ctx.get(ref)
-    return a.shape[1] if _is2d(a) else -1
-
-
-def _dim_len(ctx, ref):
-    v = ctx.get(ref)
-    return v.shape[0] if isinstance(v, np.ndarray) else -1
-
-
-def _dim_tri(ctx, ref):
+def _tri(ap):
     """Triangle order recovered from a packed length (``_packed_ev``)."""
-    ap = ctx.get(ref)
     if not isinstance(ap, np.ndarray) or ap.ndim != 1:
         return -1
     ln = ap.shape[0]
@@ -75,265 +46,280 @@ def _dim_tri(ctx, ref):
     return n if n * (n + 1) // 2 == ln else -1
 
 
-def _dim_min(ctx, *refs):
-    vals = [ctx[r] for r in refs]
-    return min(vals) if vals else -1
-
-
-_DIM_SOURCES = {
-    "rows2d": _dim_rows2d,
-    "cols2d": _dim_cols2d,
-    "len": _dim_len,
-    "tri": _dim_tri,
-    "min": _dim_min,
-}
-
-
-# -- check kinds ------------------------------------------------------
-# Each evaluator returns True when the check is VIOLATED.
-
-def _ck_square(c, ctx):
-    return not _square_ok(ctx.get(c.args[0]))
-
-
-def _ck_square_conform(c, ctx):
-    x = ctx.get(c.args[0])
-    return not _square_ok(x) or x.shape[0] != ctx[c.dim]
-
-
-def _ck_matrix2d(c, ctx):
-    return not _is2d(ctx.get(c.args[0]))
-
-
-def _ck_rhs(c, ctx):
-    return not _rhs_ok(ctx[c.dim], ctx.get(c.args[0]))
-
-
-def _ck_rhs_same(c, ctx):
-    x = ctx.get(c.args[0])
-    ref = ctx.get(c.params["ref"])
-    return not _rhs_ok(ctx[c.dim], x) or np.shape(x) != np.shape(ref)
-
-
-def _ck_nonneg(c, ctx):
-    return ctx[c.dim] < 0
-
-
-def _ck_offdiag(c, ctx):
-    n = ctx[c.dim]
-    v = ctx.get(c.args[0])
-    want = max(0, n - 1)
-    if not isinstance(v, np.ndarray):
-        return True
-    if c.params.get("mode") == "min":
-        return v.shape[0] < want
-    return v.shape[0] != want
-
-
-def _ck_offdiag_pair(c, ctx):
-    want = max(0, ctx[c.dim] - 1)
-    for name in c.args:
-        v = ctx.get(name)
-        if not isinstance(v, np.ndarray) or v.shape[0] != want:
-            return True
-    return False
-
-
-def _ck_optlen(c, ctx):
-    v = ctx.get(c.args[0])
-    return v is not None and _veclen(v) != ctx[c.dim]
-
-
-def _ck_reqlen(c, ctx):
-    return _veclen(ctx.get(c.args[0])) != ctx[c.dim]
-
-
-def _ck_minlen(c, ctx):
-    v = ctx.get(c.args[0])
-    if v is None and c.params.get("optional"):
-        return False
-    want = max(0, ctx[c.dim] + c.params.get("offset", 0))
-    ln = v.shape[0] if isinstance(v, np.ndarray) else len(v)
-    return ln < want
-
-
-def _ck_packed(c, ctx):
-    ap = ctx.get(c.args[0])
-    if not isinstance(ap, np.ndarray) or ap.ndim != 1:
-        return True
-    if c.dim is None:       # self-sized (order recovered from length)
-        return _dim_tri(ctx, c.args[0]) < 0
-    n = ctx[c.dim]
-    return n >= 0 and ap.shape[0] != n * (n + 1) // 2
-
-
-def _ck_flag(c, ctx):
-    value = ctx.get(c.args[0])
-    options = c.params["options"]
-    mode = c.params.get("mode", "lsame")
-    if mode == "exact":
-        return str(value).upper() not in options
-    if mode == "first":
-        return str(value).upper()[0] not in options
-    return not any(_lsame(value, o) for o in options)
-
-
-def _ck_intenum(c, ctx):
-    return ctx.get(c.args[0]) not in c.params["values"]
-
-
-def _ck_band(c, ctx):
-    """Band-width consistency for ``2*kl + ku + 1``-row (gb) or
-    ``kl + ku + 1``-row (gbx) general band storage; ``kl`` defaults the
-    LAPACK90 way when omitted."""
-    rows = ctx[c.dim]
-    kl = ctx.get(c.args[0])
-    if c.params.get("style") == "gbx":
-        if kl is None:
-            kl = (rows - 1) // 2
-        ku = rows - kl - 1
-    else:
-        if kl is None:
-            kl = (rows - 1) // 3
-        ku = rows - 2 * kl - 1
-    return kl < 0 or ku < 0
-
-
-def _ck_fact_requires(c, ctx):
-    if not _lsame(ctx.get(c.args[0]), "F"):
-        return False
-    return any(ctx.get(name) is None for name in c.args[1:])
-
-
-def _ck_range_pair(c, ctx):
-    vl, vu = ctx.get(c.args[0]), ctx.get(c.args[1])
-    return vl is not None and vu is not None and vl >= vu
-
-
-def _ck_index_pair(c, ctx):
-    il, iu = ctx.get(c.args[0]), ctx.get(c.args[1])
-    return il is not None and iu is not None and not 0 <= il <= iu
-
-
-def _ck_same_shape(c, ctx):
-    x = ctx.get(c.args[0])
-    ref = ctx.get(c.params["ref"])
-    return not isinstance(x, np.ndarray) or x.shape != np.shape(ref)
-
-
-def _ck_cols_conform(c, ctx):
-    x = ctx.get(c.args[0])
-    ref = ctx.get(c.params["ref"])
-    return not _is2d(x) or not _is2d(ref) or x.shape[1] != ref.shape[1]
-
-
-def _ck_square_same(c, ctx):
-    x = ctx.get(c.args[0])
-    ref = ctx.get(c.params["ref"])
-    return not _square_ok(x) or x.shape != np.shape(ref)
-
-
-def _ck_custom(c, ctx):
-    return _CUSTOM[c.params["name"]](c, ctx)
-
-
-# -- named one-off predicates ----------------------------------------
-
-def _cu_gels_b(c, ctx):
+def _cu_gels_b(ctx):
     """``la_gels``: b rows must match op(A) — m for trans='N', n
     otherwise — or max(m, n) for the padded workspace form."""
     a, b, trans = ctx.get("a"), ctx.get("b"), ctx.get("trans")
-    rows = a.shape[0] if _lsame(trans, "N") else a.shape[1]
+    lsame_n = bool(trans) and trans[0].upper() == "N"
+    rows = a.shape[0] if lsame_n else a.shape[1]
     return not isinstance(b, np.ndarray) or b.ndim not in (1, 2) \
         or b.shape[0] not in (rows, max(a.shape))
 
 
-def _cu_ls_b(c, ctx):
+def _cu_ls_b(ctx):
     """``la_gelsx``/``la_gelss``: b rows in (m, max(m, n))."""
     a, b = ctx.get("a"), ctx.get("b")
     return not isinstance(b, np.ndarray) or b.ndim not in (1, 2) \
         or b.shape[0] not in (a.shape[0], max(a.shape))
 
 
-def _cu_gglse_b(c, ctx):
+def _cu_gglse_b(ctx):
     """``la_gglse``: B is p-by-n with p <= n <= m + p."""
     a, b = ctx.get("a"), ctx.get("b")
-    if not _is2d(b) or b.shape[1] != a.shape[1]:
+    if not isinstance(b, np.ndarray) or b.ndim != 2 \
+            or b.shape[1] != a.shape[1]:
         return True
     m, n, p = a.shape[0], a.shape[1], b.shape[0]
     return not p <= n <= m + p
 
 
-def _cu_glm_b(c, ctx):
+def _cu_glm_b(ctx):
     """``la_ggglm``: A n-by-m, B n-by-p with m <= n <= m + p."""
     a, b = ctx.get("a"), ctx.get("b")
-    if not _is2d(b) or b.shape[0] != a.shape[0]:
+    if not isinstance(b, np.ndarray) or b.ndim != 2 \
+            or b.shape[0] != a.shape[0]:
         return True
     n, m, p = a.shape[0], a.shape[1], b.shape[1]
     return not m <= n <= m + p
 
 
-def _cu_getrf_rcond(c, ctx):
+def _cu_getrf_rcond(ctx):
     """``la_getrf``: a condition estimate needs a square matrix."""
     a = ctx.get("a")
     return bool(ctx.get("rcond")) and a.shape[0] != a.shape[1]
 
 
-_CUSTOM = {
-    "gels_b": _cu_gels_b,
-    "ls_b": _cu_ls_b,
-    "gglse_b": _cu_gglse_b,
-    "glm_b": _cu_glm_b,
-    "getrf_rcond": _cu_getrf_rcond,
+#: The names every generated validator sees as globals.
+_NAMESPACE = {
+    "_nd": np.ndarray,
+    "_shape": np.shape,
+    "_tri": _tri,
+    "_cu_gels_b": _cu_gels_b,
+    "_cu_ls_b": _cu_ls_b,
+    "_cu_gglse_b": _cu_gglse_b,
+    "_cu_glm_b": _cu_glm_b,
+    "_cu_getrf_rcond": _cu_getrf_rcond,
 }
 
-_KINDS = {
-    "square": _ck_square,
-    "square_conform": _ck_square_conform,
-    "matrix2d": _ck_matrix2d,
-    "rhs": _ck_rhs,
-    "rhs_same": _ck_rhs_same,
-    "nonneg": _ck_nonneg,
-    "offdiag": _ck_offdiag,
-    "offdiag_pair": _ck_offdiag_pair,
-    "optlen": _ck_optlen,
-    "reqlen": _ck_reqlen,
-    "minlen": _ck_minlen,
-    "packed": _ck_packed,
-    "flag": _ck_flag,
-    "intenum": _ck_intenum,
-    "band": _ck_band,
-    "fact_requires": _ck_fact_requires,
-    "range_pair": _ck_range_pair,
-    "index_pair": _ck_index_pair,
-    "same_shape": _ck_same_shape,
-    "cols_conform": _ck_cols_conform,
-    "square_same": _ck_square_same,
-    "custom": _ck_custom,
-}
+
+# -- the compiler --------------------------------------------------------
+
+def _square(x):
+    return (f"isinstance({x}, _nd) and {x}.ndim == 2 "
+            f"and {x}.shape[0] == {x}.shape[1]")
+
+
+def _rhs(x, dim):
+    return f"isinstance({x}, _nd) and {x}.ndim in (1, 2) " \
+           f"and {x}.shape[0] == {dim}"
+
+
+def _veclen(x):
+    return f"({x}.shape[0] if isinstance({x}, _nd) and {x}.ndim >= 1 " \
+           f"else -1)"
+
+
+def _lsame_any(x, options):
+    """``lsame(x, o)`` for some ``o`` in *options*, as one test."""
+    firsts = tuple(dict.fromkeys(o[0].upper() for o in options if o))
+    if not firsts:
+        return "False"
+    return f"({x} and {x}[0].upper() in {firsts!r})"
+
+
+def _predicate(c, consts, ctx):
+    """``(statements, violated-expression)`` for one check; *ctx* is
+    the source of the bound-arguments dict a custom predicate reads."""
+    p, dim = c.params, (c.dim or "None")
+    x = c.args[0] if c.args else None
+    k = c.kind
+    if k == "square":
+        return [], f"not ({_square(x)})"
+    if k == "square_conform":
+        return [], f"not ({_square(x)}) or {x}.shape[0] != {dim}"
+    if k == "matrix2d":
+        return [], f"not (isinstance({x}, _nd) and {x}.ndim == 2)"
+    if k == "rhs":
+        return [], f"not ({_rhs(x, dim)})"
+    if k == "rhs_same":
+        return [], (f"not ({_rhs(x, dim)}) "
+                    f"or {x}.shape != _shape({p['ref']})")
+    if k == "nonneg":
+        return [], f"{dim} < 0"
+    if k == "offdiag":
+        op = "<" if p.get("mode") == "min" else "!="
+        return [], (f"not isinstance({x}, _nd) "
+                    f"or {x}.shape[0] {op} max(0, {dim} - 1)")
+    if k == "offdiag_pair":
+        tests = " or ".join(f"not isinstance({v}, _nd) "
+                            f"or {v}.shape[0] != _want" for v in c.args)
+        return [f"_want = max(0, {dim} - 1)"], tests or "False"
+    if k == "optlen":
+        return [], f"{x} is not None and {_veclen(x)} != {dim}"
+    if k == "reqlen":
+        return [], f"{_veclen(x)} != {dim}"
+    if k == "minlen":
+        guard = f"{x} is not None and " if p.get("optional") else ""
+        want = f"max(0, {dim} + {p.get('offset', 0)})"
+        return [], (f"{guard}({x}.shape[0] if isinstance({x}, _nd) "
+                    f"else len({x})) < {want}")
+    if k == "packed":
+        head = f"not isinstance({x}, _nd) or {x}.ndim != 1"
+        if c.dim is None:           # self-sized: order from the length
+            return [], f"{head} or _tri({x}) < 0"
+        return [], (f"{head} or ({dim} >= 0 and "
+                    f"{x}.shape[0] != {dim} * ({dim} + 1) // 2)")
+    if k == "flag":
+        options = tuple(p["options"])
+        mode = p.get("mode", "lsame")
+        if mode == "lsame":
+            return [], f"not {_lsame_any(x, options)}"
+        opts = _const(consts, options)
+        first = "[0]" if mode == "first" else ""
+        return [], f"str({x}).upper(){first} not in {opts}"
+    if k == "intenum":
+        values = tuple(p["values"])
+        return [], f"{x} not in {_const(consts, values)}"
+    if k == "band":
+        if p.get("style") == "gbx":
+            default, ku = "(_rows - 1) // 2", "_rows - _kl - 1"
+        else:
+            default, ku = "(_rows - 1) // 3", "_rows - 2 * _kl - 1"
+        return [f"_rows = {dim}", f"_kl = {x}",
+                f"if _kl is None: _kl = {default}",
+                f"_ku = {ku}"], "_kl < 0 or _ku < 0"
+    if k == "fact_requires":
+        missing = " or ".join(f"{v} is None" for v in c.args[1:])
+        return [], (f"{_lsame_any(x, ('F',))} "
+                    f"and ({missing or 'False'})")
+    if k == "range_pair":
+        lo, hi = c.args[:2]
+        return [], f"{lo} is not None and {hi} is not None and {lo} >= {hi}"
+    if k == "index_pair":
+        lo, hi = c.args[:2]
+        return [], (f"{lo} is not None and {hi} is not None "
+                    f"and not 0 <= {lo} <= {hi}")
+    if k == "same_shape":
+        return [], (f"not isinstance({x}, _nd) "
+                    f"or {x}.shape != _shape({p['ref']})")
+    if k == "cols_conform":
+        ref = p["ref"]
+        return [], (f"not (isinstance({x}, _nd) and {x}.ndim == 2) "
+                    f"or not (isinstance({ref}, _nd) and {ref}.ndim == 2) "
+                    f"or {x}.shape[1] != {ref}.shape[1]")
+    if k == "square_same":
+        return [], (f"not ({_square(x)}) "
+                    f"or {x}.shape != _shape({p['ref']})")
+    if k == "custom":
+        fn = "_cu_" + p["name"]
+        if fn not in _NAMESPACE:
+            raise ValueError(f"unknown custom check {p['name']!r}")
+        return [], f"{fn}({ctx})"
+    raise ValueError(f"unknown check kind {k!r}")
+
+
+def _const(consts, value):
+    """Bind *value* as a global of the generated function; its name."""
+    name = f"_k{len(consts)}"
+    consts[name] = value
+    return name
+
+
+def _dim_expr(source, refs):
+    r = refs[0] if refs else None
+    if source == "rows2d":
+        return f"{r}.shape[0] if isinstance({r}, _nd) and {r}.ndim == 2 " \
+               f"else -1"
+    if source == "cols2d":
+        return f"{r}.shape[1] if isinstance({r}, _nd) and {r}.ndim == 2 " \
+               f"else -1"
+    if source == "len":
+        return f"{r}.shape[0] if isinstance({r}, _nd) else -1"
+    if source == "tri":
+        return f"_tri({r})"
+    if source == "min":
+        if len(refs) > 1:
+            return f"min({', '.join(refs)})"
+        return refs[0] if refs else "-1"
+    raise ValueError(f"unknown dimension source {source!r}")
+
+
+def _names(spec):
+    """Every name the ladder reads, in first-use order: the spec's
+    arguments, then dimensions, check operands and reference args."""
+    seen = dict.fromkeys(a.name for a in spec.args)
+    for var, _source, *refs in spec.dims:
+        seen.update(dict.fromkeys([var, *refs]))
+    for c in spec.checks:
+        seen.update(dict.fromkeys(c.args))
+        if c.dim is not None:
+            seen[c.dim] = None
+        if "ref" in c.params:
+            seen[c.params["ref"]] = None
+    for name in seen:
+        if not name.isidentifier() or keyword.iskeyword(name) \
+                or name.startswith("_"):
+            raise ValueError(f"{spec.name}: cannot compile a validator "
+                             f"over argument name {name!r}")
+    return tuple(seen)
+
+
+def _validator_source(spec: DriverSpec) -> tuple:
+    """``(source, constants)`` of *spec*'s validator function."""
+    names = _names(spec)
+    consts: dict = {}
+    params = ", ".join(f"{n}=None" for n in names)
+    ctx = "{**_extra, " + ", ".join(f"{n!r}: {n}" for n in names) + "}"
+    lines = [f"def _validator(*, {params}, **_extra):"]
+    for var, source, *refs in spec.dims:
+        lines.append(f"    {var} = {_dim_expr(source, refs)}")
+    for c in spec.checks:
+        stmts, expr = _predicate(c, consts, ctx)
+        code = int(c.code)
+        lines.append("    try:")
+        lines.extend(f"        {s}" for s in stmts)
+        if c.kind == "range_pair":
+            # The one kind whose predicate value can be an array
+            # (array-valued vl/vu): its truth is taken outside the
+            # guard, so such a call raises rather than reporting.
+            lines += [f"        _bad = {expr}",
+                      "    except Exception:",
+                      f"        return {code}",
+                      "    if _bad:",
+                      f"        return {code}"]
+            continue
+        lines += [f"        if {expr}:",
+                  f"            return {code}",
+                  "    except Exception:",
+                  f"        return {code}"]
+    lines.append("    return 0")
+    return "\n".join(lines) + "\n", consts
+
+
+def compile_validator(spec: DriverSpec):
+    """Compile *spec*'s ladder into ``validator(**bound) -> LINFO``.
+
+    Reached through the cached :attr:`DriverSpec.validator` attribute,
+    so each spec compiles once, on first use.
+    """
+    source, consts = _validator_source(spec)
+    namespace = dict(_NAMESPACE, **consts)
+    exec(compile(source, f"<validator {spec.name}>", "exec"), namespace)
+    fn = namespace["_validator"]
+    fn.__qualname__ = fn.__name__ = f"validator[{spec.name}]"
+    return fn
 
 
 # -- entry points -----------------------------------------------------
 
 def validate(spec: DriverSpec, bound: dict) -> int:
     """First violated check's ``LINFO`` code for *bound* args, else 0."""
-    ctx = dict(bound)
-    for var, source, *refs in spec.dims:
-        ctx[var] = _DIM_SOURCES[source](ctx, *refs)
-    for check in spec.checks:
-        try:
-            bad = _KINDS[check.kind](check, ctx)
-        except Exception:
-            bad = True      # malformed argument: report, never raise
-        if bad:
-            return check.code
-    return 0
+    return spec.validator(**bound)
 
 
 def validate_args(driver: str, **bound) -> int:
     """Validate *bound* arguments against *driver*'s registered spec."""
-    from .registry import SPECS
-    return validate(SPECS[driver], bound)
+    return SPECS[driver].validator(**bound)
 
 
 # -- amortized batch mode ---------------------------------------------
@@ -353,9 +339,9 @@ def validate_batch(spec: DriverSpec, bound: dict) -> tuple:
     identical trailing shapes and dtype, so the structural screen splits
     into (a) a stack-level pass over the array operands — present when
     required, an ndarray, carrying exactly one leading batch axis of a
-    size agreed by all operands — and (b) **one** run of the ordinary
-    :func:`validate` ladder over the problem-0 cross-section, whose
-    verdict then holds for the whole batch.  Per-problem *value* screens
+    size agreed by all operands — and (b) **one** run of the spec's
+    compiled validator over the problem-0 cross-section, whose verdict
+    then holds for the whole batch.  Per-problem *value* screens
     (NaN/Inf) stay vectorized in :func:`repro.policy.screen_stack`.
 
     Returns the first violated check's negative ``LINFO`` code and the
@@ -385,4 +371,4 @@ def validate_batch(spec: DriverSpec, bound: dict) -> tuple:
     cross = {name: (val[0] if name in stacked
                     and isinstance(val, np.ndarray) else val)
              for name, val in bound.items()}
-    return validate(spec, cross), batch
+    return spec.validator(**cross), batch

@@ -10,12 +10,14 @@ bound to, and the meaning of positive ``INFO`` values.
 Everything here is plain data — no numpy, no driver imports — so the
 registry can be loaded by tooling (``lalint``, the catalogue emitter)
 without touching the numerical stack.  The evaluation semantics of the
-check vocabulary live in :mod:`repro.specs.engine`.
+check vocabulary live in :mod:`repro.specs.engine`, which compiles each
+spec's ladder on first use (:attr:`DriverSpec.validator`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 __all__ = ["ArgSpec", "Check", "DriverSpec"]
 
@@ -47,7 +49,7 @@ CHECK_KINDS = frozenset({
     "custom",          # named predicate registered in the engine
 })
 
-#: Derived-dimension sources (see ``engine._DIM_SOURCES``).
+#: Derived-dimension sources (see ``engine._dim_expr``).
 DIM_SOURCES = frozenset({"rows2d", "cols2d", "len", "tri", "min"})
 
 
@@ -111,6 +113,17 @@ class DriverSpec:
     # The dispatch front end derives its probe->driver routing table
     # from exactly these two fields — there is no hand-written ladder
     # anywhere (lalint LA022 forbids one).
+
+    @cached_property
+    def validator(self):
+        """This spec's check ladder compiled into one function,
+        ``validator(**bound) -> LINFO`` (0 when the arguments conform).
+        Built on first use by :func:`repro.specs.engine.compile_validator`
+        and kept on the instance, so a spec built outside the registry
+        validates the same way.  Threads racing the first use may each
+        compile; the functions are equivalent and one is kept."""
+        from .engine import compile_validator
+        return compile_validator(self)
 
     @property
     def srname(self) -> str:

@@ -140,6 +140,16 @@ def test_la023_fires_on_foreign_resilience_state():
     assert "repro/faults.py" in messages
 
 
+def test_la023_fires_on_reflective_access_to_foreign_state():
+    path = os.path.join(FIXTURES, "bad_la023_reflective.py")
+    found = _assert_matches_markers(path, "LA023")
+    messages = " | ".join(f.message for f in found)
+    for name in ("_SELECTED", "CHAOS_ACTIVE", "_STATS"):
+        assert name in messages
+    for how in ("getattr()", "setattr()", "hasattr()", "delattr()"):
+        assert how in messages
+
+
 def test_la017_fires_on_seeded_violations():
     found = _assert_matches_markers(_flow_fixture("bad_la017.py"),
                                     "LA017")
@@ -230,7 +240,8 @@ def test_bad_flow_fixtures_only_fire_their_own_rule():
     found = _findings([_flow_fixture("bad_la018.py"), STUB])
     assert {f.code for f in found} == {"LA018"}
     for name in ("bad_la023_foreign_config.py",
-                 "bad_la023_foreign_resilience.py"):
+                 "bad_la023_foreign_resilience.py",
+                 "bad_la023_reflective.py"):
         found = _findings([os.path.join(FIXTURES, name)])
         assert {f.code for f in found} == {"LA023"}, name
 
@@ -244,7 +255,8 @@ def test_good_flow_fixtures_are_clean():
     for name in ("good_la017.py", "good_la018.py", "good_la020.py"):
         assert _findings([_flow_fixture(name), STUB]) == [], name
     for name in ("good_la023_foreign_config.py",
-                 "good_la023_foreign_resilience.py"):
+                 "good_la023_foreign_resilience.py",
+                 "good_la023_reflective.py"):
         assert _findings([os.path.join(FIXTURES, name)]) == [], name
 
 

@@ -1,11 +1,13 @@
-"""Structure probing: exact (bitwise) classification, adversarial
-near-misses, and the stacked variant.
+"""Structure probing: exact classification, adversarial near-misses,
+and the stacked variant.
 
-The probe is deliberately exact — ``np.array_equal(a, a.T)``, never a
+The probe is deliberately exact — element-wise ``a == a.T``, never a
 tolerance — because the front door promises bit-identity with the
 routed driver: a matrix that is within eps of symmetric but not equal
 to its transpose would give ``la_sysv`` a *different* answer than
-``la_gesv``, so it must route as general.
+``la_gesv``, so it must route as general.  Exact means value equality,
+not bit equality: a mirrored ``0.0``/``-0.0`` pair probes as symmetric,
+and a NaN equals nothing (``test_probe_parity.py`` pins both).
 """
 
 import numpy as np
