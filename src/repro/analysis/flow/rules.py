@@ -10,13 +10,15 @@ environment, and kernel calls carry spec-derived read/write effect
 signatures.  Flows are interpreted once per project and cached — the
 seven dataflow rules share one pass.
 
-Since the dispatch front door landed, LA017 also covers *borrowed*
-validation ladders: a :mod:`repro.dispatch_front` function that calls
-``validate_args("la_posv", ...)`` by name (the cached-Cholesky
-``potrs`` shortcut does exactly this) is held to the same error-exit
-reachability contract as the driver's own call site — the argument set
-it forwards decides which declared exits stay live through
-``repro.solve``.  :func:`front_door_sites` is the discovery summary.
+LA017 reads the argument set each validation ladder receives from the
+driver shell's binding: a function decorated ``@driver_shell("la_x")``
+hands every one of its parameters (defaults applied) to ``la_x``'s
+ladder.  It also covers *borrowed* ladders in the dispatch front door —
+a :mod:`repro.dispatch_front` function running inside another driver's
+shell (the cached-Cholesky ``potrs`` shortcut runs in ``la_posv``'s) or
+calling ``validate_args("la_posv", ...)`` by name is held to the same
+error-exit reachability contract as the driver itself.
+:func:`front_door_sites` is the discovery summary.
 
 Like every lalint rule these functions never import the analysed code;
 the spec registry they consult is plain data.
@@ -28,7 +30,7 @@ import ast
 import os
 
 from ..findings import Finding
-from ..model import Project, call_name
+from ..model import Project, call_name, param_positions, shell_key
 from . import values as V
 from .interp import DriverFlow, spec_dim_formulas
 from .summaries import SummaryEngine, kernel_effects
@@ -58,21 +60,41 @@ def _is_front_door(mod):
         or p.startswith("repro/dispatch_front/")
 
 
+def shell_sites(project: Project, specs):
+    """Yield ``(mod, func, driver, spec, node, passed)`` for every
+    function running inside the shell of a registered driver spec.
+
+    The shell binds every parameter of the function it wraps (defaults
+    applied) and hands the lot to the spec's ladder, so ``passed`` is
+    the function's parameter-name set; ``node`` is the decorator."""
+    for mod in project.modules:
+        for _, func in sorted(mod.functions.items()):
+            key = shell_key(func)
+            if key is not None and key[0] in specs:
+                yield (mod, func, key[0], specs[key[0]], key[1],
+                       set(param_positions(func)))
+
+
 def front_door_sites(project: Project, specs):
     """Yield ``(mod, func, driver, spec, calls)`` for dispatch-front
     functions that borrow a registered driver's validation ladder.
 
-    The front door re-runs the chosen driver's ``validate_args`` ladder
-    before executing a structure-specialised path (the cached-Cholesky
-    ``potrs`` shortcut replays ``la_posv``'s), so a borrowed call site
-    carries the same obligation as the driver's own: every declared
-    error exit must stay emittable from the argument set actually
-    forwarded.  ``calls`` is ``[(node, passed-name-set), ...]``, one
-    entry per ``validate_args("<driver>", ...)`` site in the function;
-    functions with a statically unmappable site (non-constant driver
-    name, extra positionals, keyword splat) are skipped entirely —
-    laflow never guesses.
+    The front door re-runs the chosen driver's ladder before executing
+    a structure-specialised path (the cached-Cholesky ``potrs`` shortcut
+    runs inside ``la_posv``'s shell), so a borrowed site carries the
+    same obligation as the driver's own: every declared error exit must
+    stay emittable from the argument set actually forwarded.  ``calls``
+    is ``[(node, passed-name-set), ...]``: the shell's binding for a
+    function running in a driver's shell, else one entry per
+    ``validate_args("<driver>", ...)`` site in the function; functions
+    with a statically unmappable site (non-constant driver name, extra
+    positionals, keyword splat) are skipped entirely — laflow never
+    guesses.
     """
+    for mod, func, driver, spec, node, passed in shell_sites(project,
+                                                              specs):
+        if _is_front_door(mod):
+            yield mod, func, driver, spec, [(node, passed)]
     for mod in project.modules:
         if not _is_front_door(mod):
             continue
@@ -449,88 +471,59 @@ def _shadowed_checks(spec) -> list:
     return out
 
 
-def _validate_calls(impl) -> list | None:
-    """The ``validate_args`` call sites in the implementation body as
-    ``(node, passed-name-set)``; ``None`` when a site is not statically
-    mappable (keyword splat / extra positionals)."""
-    calls = []
-    for node in ast.walk(impl.func):
-        if call_name(node) != "validate_args":
-            continue
-        if len(node.args) > 1 \
-                or any(kw.arg is None for kw in node.keywords):
-            return None
-        calls.append((node, {kw.arg for kw in node.keywords}))
-    return calls
-
-
 def check_la017(project: Project):
     """Error-exit reachability: every negative ``LINFO`` code the spec
-    declares must be emittable by the driver's ``validate_args`` call,
-    and no check may fire unconditionally (shadowing all later exits)
-    or duplicate an earlier check (first violation wins).
+    declares must be emittable through each shell keyed to it, and no
+    check may fire unconditionally (shadowing all later exits) or
+    duplicate an earlier check (first violation wins).
 
     The classification replays :mod:`repro.specs.engine` semantics for
-    the statically-known argument set: an argument the driver never
-    forwards enters every call as ``None``, so e.g. an ``optlen`` check
-    on it is disarmed forever — that error exit is dead code in the
-    documented contract.
+    the statically-known argument set — the parameters the shell binds:
+    an argument the wrapped function does not take enters every call as
+    ``None``, so e.g. an ``optlen`` check on it is disarmed forever —
+    that error exit is dead code in the documented contract.
 
     The same classification runs over the dispatch front door's
     *borrowed* ladders (:func:`front_door_sites`): a
-    ``repro.dispatch_front`` function replaying a driver's
-    ``validate_args`` by name must keep that spec's exits exactly as
-    reachable as the driver itself does, or ``repro.solve`` silently
-    changes the documented error contract on that route."""
+    ``repro.dispatch_front`` function running a driver's ladder must
+    keep that spec's exits exactly as reachable as the driver itself
+    does, or ``repro.solve`` silently changes the documented error
+    contract on that route."""
     specs = _load_specs()
     if specs is None:
         return []
     findings = []
-    for impl, spec, flow in _flows(project, specs):
-        if not spec.checks:
-            continue
-        calls = _validate_calls(impl)
-        if calls is None:
-            continue            # splat call: assume everything passed
-        if not calls:
-            codes = sorted({c.code for c in spec.checks}, reverse=True)
-            findings.append(_f(
-                "LA017",
-                f"{impl.driver} never calls validate_args, so none of "
-                f"its declared error exits {codes} can be emitted",
-                impl.impl_module, impl.func, context=impl.driver))
-            continue
+    for mod, func, driver, spec, node, passed in shell_sites(project,
+                                                              specs):
+        if _is_front_door(mod):
+            continue            # reported as a borrowed ladder below
         for check, first in _shadowed_checks(spec):
             findings.append(_f(
                 "LA017",
-                f"check for exit {check.code} of {impl.driver} "
+                f"check for exit {check.code} of {driver} "
                 f"duplicates the exit {first.code} check and can never "
                 "fire (the ladder is first-violation-wins)",
-                impl.impl_module, calls[0][0], context=impl.driver))
+                mod, node, context=driver))
         for check in spec.checks:
-            verdicts = {_classify_check(check, spec, passed)
-                        for _, passed in calls}
-            node = calls[0][0]
-            if verdicts == {"never"}:
-                missing = [n for n in _check_inputs(check, spec)
-                           if all(n not in p for _, p in calls)]
+            verdict = _classify_check(check, spec, passed)
+            missing = [n for n in _check_inputs(check, spec)
+                       if n not in passed]
+            if verdict == "never":
                 findings.append(_f(
                     "LA017",
-                    f"error exit {check.code} of {impl.driver} is "
-                    f"unreachable: validate_args never receives "
+                    f"error exit {check.code} of {driver} is "
+                    f"unreachable: {func.name} never receives "
                     f"{', '.join(missing)} so its {check.kind} check "
                     "cannot fire",
-                    impl.impl_module, node, context=impl.driver))
-            elif verdicts == {"always"}:
-                missing = [n for n in _check_inputs(check, spec)
-                           if all(n not in p for _, p in calls)]
+                    mod, node, context=driver))
+            elif verdict == "always":
                 findings.append(_f(
                     "LA017",
                     f"the {check.kind} check for exit {check.code} of "
-                    f"{impl.driver} always fires: validate_args omits "
+                    f"{driver} always fires: {func.name} takes no "
                     f"{', '.join(missing)}, so every call returns "
                     f"{check.code} and shadows all later exits",
-                    impl.impl_module, node, context=impl.driver))
+                    mod, node, context=driver))
                 break           # everything after is dead anyway
     for mod, func, driver, spec, calls in \
             _analysis(project, specs)["front_door"]:
@@ -643,9 +636,8 @@ def check_la020(project: Project):
     (factor / solve / refine) must call ``deadlines.check`` between
     consecutive stages, so an armed ``repro.deadline()`` budget is
     observed before committing to the next expensive phase rather than
-    only at entry.  Checkpoints contributed by helper summaries (e.g.
-    ``driver_guard``'s entry check) do not count — the transition needs
-    its own driver-body checkpoint."""
+    only at entry.  Checkpoints contributed by helper summaries do not
+    count — the transition needs its own driver-body checkpoint."""
     specs = _load_specs()
     if specs is None:
         return []

@@ -181,8 +181,9 @@ class SummaryEngine:
     """Compute-once, replay-everywhere summaries for helper calls.
 
     One engine is shared across all driver flows of a project so the
-    memo table amortizes: ``driver_guard`` is interpreted once and its
-    entry checkpoint replayed into all 76 drivers.
+    memo table amortizes: a helper shared by many driver bodies (the
+    packed and band eigen bodies, say) is interpreted once per distinct
+    argument shape and replayed into every caller.
     """
 
     NO_SUMMARY = NO_SUMMARY

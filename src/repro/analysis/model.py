@@ -11,9 +11,8 @@ The model never imports the code under analysis.  It parses every
   is analysed through the helper with positions remapped via the call
   site,
 * which names come from the ``lapack77`` substrate, and
-* a reporter classification fixpoint: functions that *always* report
-  through ``erinfo`` on every exit path versus those that *sometimes*
-  do (used by LA001's path analysis).
+* which functions run inside the driver shell (``@driver_shell(name)``,
+  :func:`shell_key`) and under which spec name.
 """
 
 from __future__ import annotations
@@ -28,8 +27,8 @@ __all__ = ["Project", "Module", "DriverImpl", "neg_literal",
 #: ``la_*`` helpers that are not drivers (workspace-size queries).
 NON_DRIVER_LA = {"la_ws_gels", "la_ws_gelss"}
 
-#: Seed of the always-reporting fixpoint.
-REPORTER_SEED = {"erinfo", "xerbla"}
+#: The decorator that runs a driver body inside the driver shell.
+SHELL = "driver_shell"
 
 
 def call_name(node: ast.AST) -> str | None:
@@ -68,17 +67,16 @@ def names_in(node: ast.AST) -> set[str]:
     return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
-def is_info_value_store(stmt: ast.AST) -> bool:
-    """``info.value = ...`` counts as reporting (fallback bookkeeping)."""
-    if not isinstance(stmt, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
-        return False
-    targets = stmt.targets if isinstance(stmt, ast.Assign) \
-        else [stmt.target]
-    for t in targets:
-        if isinstance(t, ast.Attribute) and t.attr == "value" \
-                and isinstance(t.value, ast.Name) and t.value.id == "info":
-            return True
-    return False
+def shell_key(func: ast.FunctionDef):
+    """``(spec name, decorator node)`` when *func* runs inside the
+    driver shell — decorated ``@driver_shell("la_xxx", ...)`` — else
+    ``None``."""
+    for dec in func.decorator_list:
+        if call_name(dec) == SHELL and dec.args \
+                and isinstance(dec.args[0], ast.Constant) \
+                and isinstance(dec.args[0].value, str):
+            return dec.args[0].value, dec
+    return None
 
 
 @dataclass
@@ -215,8 +213,6 @@ class Project:
     def __init__(self):
         self.modules: list[Module] = []
         self.functions: dict = {}        # name -> (Module, FunctionDef)
-        self.always_reporting: set = set(REPORTER_SEED)
-        self.sometimes_reporting: set = set()
 
     # -- loading ----------------------------------------------------
 
@@ -225,7 +221,6 @@ class Project:
         proj = cls()
         for path in _expand(paths):
             proj._load_file(path)
-        proj._classify_reporters()
         return proj
 
     def _load_file(self, path: str) -> None:
@@ -262,8 +257,8 @@ class Project:
                     parts = src.split(".")
                     # Direct substrate imports and registry-dispatched
                     # proxies (repro.backends.kernels) both count as
-                    # "the lapack77 call" for the call-ordering and
-                    # catalogue rules (LA004/LA006).
+                    # "the lapack77 call" for the catalogue rule
+                    # (LA006) and the dataflow rules.
                     if "lapack77" in parts or \
                             ("backends" in parts and
                              parts[-1] == "kernels"):
@@ -330,134 +325,6 @@ class Project:
                     and kw.value.id in substrate_names:
                 callmap[kw.arg] = kw.value.id
         return callmap
-
-    # -- reporter classification -----------------------------------
-
-    def _classify_reporters(self) -> None:
-        changed = True
-        while changed:
-            changed = False
-            for name, (mod, func) in self.functions.items():
-                if name in self.always_reporting:
-                    continue
-                if self._always_reports(func):
-                    self.always_reporting.add(name)
-                    changed = True
-        changed = True
-        while changed:
-            changed = False
-            for name, (mod, func) in self.functions.items():
-                if name in self.sometimes_reporting:
-                    continue
-                if self._sometimes_reports(func):
-                    self.sometimes_reporting.add(name)
-                    changed = True
-
-    def stmt_reports(self, stmt: ast.stmt) -> bool:
-        """Does this simple statement unconditionally report?"""
-        if is_info_value_store(stmt):
-            return True
-        if isinstance(stmt, (ast.Expr, ast.Assign, ast.Return,
-                             ast.AugAssign, ast.AnnAssign, ast.Raise)):
-            for node in ast.walk(stmt):
-                if call_name(node) in self.always_reporting:
-                    return True
-        return False
-
-    def expr_reports(self, expr: ast.AST | None, always_only=False) -> bool:
-        if expr is None:
-            return False
-        pool = self.always_reporting if always_only \
-            else self.always_reporting | self.sometimes_reporting
-        return any(call_name(node) in pool for node in ast.walk(expr))
-
-    def _always_reports(self, func: ast.FunctionDef) -> bool:
-        ok, fell_through, reported = self._walk(body_statements(func),
-                                                False)
-        if not ok:
-            return False
-        return reported if fell_through else True
-
-    def _walk(self, stmts, reported, on_uncovered=None):
-        """Walk a block; return ``(all_exits_reported, fell_through,
-        reported_at_end)``.
-
-        ``on_uncovered`` (LA001) receives each ``return`` statement that
-        exits without a report having been issued on its path.
-        """
-        ok = True
-        for stmt in stmts:
-            if isinstance(stmt, ast.Return):
-                covered = reported or self.expr_reports(stmt.value,
-                                                        always_only=True)
-                if not covered and on_uncovered is not None:
-                    on_uncovered(stmt)
-                return ok and covered, False, reported
-            if isinstance(stmt, ast.Raise):
-                return ok, False, reported
-            if isinstance(stmt, ast.If):
-                if _is_info_guard(stmt):
-                    # ``if info is not None: info.value = ...`` — the
-                    # store half of the ERINFO protocol; counts as an
-                    # unconditional report (erinfo itself raises only
-                    # for error-class codes when info is omitted).
-                    reported = True
-                    continue
-                branch_in = reported or self.expr_reports(stmt.test)
-                b_ok, b_fell, b_rep = self._walk(stmt.body, branch_in,
-                                                 on_uncovered)
-                e_ok, e_fell, e_rep = self._walk(stmt.orelse, reported,
-                                                 on_uncovered)
-                ok = ok and b_ok and e_ok
-                if not b_fell and not e_fell:
-                    return ok, False, reported
-                if b_fell and e_fell:
-                    reported = b_rep and e_rep
-                else:
-                    reported = b_rep if b_fell else e_rep
-                continue
-            if isinstance(stmt, (ast.For, ast.While, ast.With, ast.Try)):
-                for block in _sub_blocks(stmt):
-                    b_ok, _, _ = self._walk(block, reported, on_uncovered)
-                    ok = ok and b_ok
-                continue
-            if self.stmt_reports(stmt):
-                reported = True
-        return ok, True, reported
-
-    def _sometimes_reports(self, func: ast.FunctionDef) -> bool:
-        pool = self.always_reporting | self.sometimes_reporting
-        for node in ast.walk(func):
-            if call_name(node) in pool:
-                return True
-            if isinstance(node, ast.stmt) and is_info_value_store(node):
-                return True
-        return False
-
-
-def _is_info_guard(stmt: ast.If) -> bool:
-    """Match ``if info is not None: <only info.value stores>``."""
-    test = stmt.test
-    if not (isinstance(test, ast.Compare) and len(test.ops) == 1
-            and isinstance(test.ops[0], (ast.IsNot, ast.NotEq))
-            and isinstance(test.left, ast.Name)
-            and test.left.id == "info"
-            and isinstance(test.comparators[0], ast.Constant)
-            and test.comparators[0].value is None):
-        return False
-    if stmt.orelse:
-        return False
-    return all(isinstance(s, (ast.Assign, ast.AugAssign, ast.AnnAssign))
-               for s in stmt.body) \
-        and any(is_info_value_store(s) for s in stmt.body)
-
-
-def _sub_blocks(stmt):
-    blocks = [getattr(stmt, "body", []), getattr(stmt, "orelse", [])]
-    blocks.append(getattr(stmt, "finalbody", []))
-    for handler in getattr(stmt, "handlers", []):
-        blocks.append(handler.body)
-    return [b for b in blocks if b]
 
 
 def _literal_strs(node) -> list | None:

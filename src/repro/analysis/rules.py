@@ -1,5 +1,5 @@
-"""The lalint rule catalogue (LA001–LA026; LA015, LA016 and LA019 are
-retired).
+"""The lalint rule catalogue (LA001–LA026; LA004, LA015, LA016 and LA019
+are retired).
 
 Every rule is a function ``check(project) -> list[Finding]`` registered
 in :data:`RULES`.  Rules only inspect the AST model — the analysed code
@@ -15,9 +15,9 @@ import ast
 import os
 
 from .findings import Finding
-from .model import (NON_DRIVER_LA, Project, alias_map, body_statements,
-                    call_name, int_literal, names_in, neg_literal,
-                    param_defaults, param_positions)
+from .model import (NON_DRIVER_LA, Project, alias_map, call_name,
+                    int_literal, names_in, neg_literal, param_defaults,
+                    param_positions, shell_key)
 
 __all__ = ["RULES", "run_rules", "rule_titles"]
 
@@ -30,8 +30,7 @@ LAPACK_ERRORS = {
 }
 
 #: Reporter callables and the index of their LINFO argument.
-REPORTERS = {"erinfo": 0, "xerbla": 1, "_report": 1, "_finish": 1,
-             "_record_fallback": 3}
+REPORTERS = {"erinfo": 0, "xerbla": 1}
 
 #: Real <-> complex driver-family digraphs (``la_sysv`` pairs with
 #: ``la_hesv`` and so on).
@@ -51,7 +50,7 @@ def _f(code, message, mod, node, context=""):
 
 
 # ---------------------------------------------------------------------
-# Validation-branch collection (shared by LA002 and LA004)
+# Validation-branch collection (shared by LA002 and LA009)
 # ---------------------------------------------------------------------
 
 def _reporter_code_args(call):
@@ -130,22 +129,32 @@ def _implicated_positions(test, aliases, posmap):
 
 
 # ---------------------------------------------------------------------
-# LA001 — every exit path reports through ERINFO
+# LA001 — every public driver goes through the driver shell
 # ---------------------------------------------------------------------
 
 def check_la001(project: Project):
+    """Every public driver runs inside the driver shell keyed by its own
+    spec name (``@driver_shell("la_xxx")``), which validates, gates and
+    reports through ``erinfo`` on every exit — so no exit path can skip
+    ERINFO and nothing runs before validation.  The driver body (or the
+    helper it delegates to) must not swallow errors with a bare
+    ``except`` nor raise a LAPACK error class directly."""
     findings = []
+    for mod in project.modules:
+        for name, func in sorted(mod.drivers().items()):
+            key = shell_key(func)
+            if key is None:
+                findings.append(_f(
+                    "LA001", f"driver {name} does not go through the "
+                    f"driver shell (@driver_shell({name!r}))", mod, func,
+                    context=name))
+            elif key[0] != name:
+                findings.append(_f(
+                    "LA001", f"driver {name} runs in the shell of "
+                    f"{key[0]}, not its own spec", mod, key[1],
+                    context=name))
     for impl in project.driver_impls():
         mod, func = impl.impl_module, impl.func
-
-        def uncovered(stmt, impl=impl, mod=mod):
-            findings.append(_f(
-                "LA001",
-                f"exit path returns without reporting through "
-                f"erinfo/_report (driver {impl.driver})",
-                mod, stmt, context=impl.driver))
-
-        project._walk(body_statements(func), False, uncovered)
         for node in ast.walk(func):
             if isinstance(node, ast.ExceptHandler) and node.type is None:
                 findings.append(_f(
@@ -195,28 +204,6 @@ def check_la002(project: Project):
                     f"argument (test involves position(s) {pretty} "
                     f"of {impl.driver})",
                     impl.impl_module, node, context=impl.driver))
-        # driver_guard position tuples must agree with the signature.
-        for node in ast.walk(impl.func):
-            if call_name(node) != "driver_guard":
-                continue
-            for arg in node.args:
-                if not (isinstance(arg, ast.Tuple)
-                        and len(arg.elts) == 2):
-                    continue
-                p = int_literal(arg.elts[0])
-                name = arg.elts[1]
-                if p is None or not isinstance(name, ast.Name):
-                    continue
-                pos = {posmap[s]
-                       for s in aliases.get(name.id, {name.id})
-                       if s in posmap}
-                if pos and p not in pos:
-                    findings.append(_f(
-                        "LA002",
-                        f"driver_guard flags {name.id} as argument {p} "
-                        f"but it is argument {sorted(pos)[0]} of "
-                        f"{impl.driver}",
-                        impl.impl_module, node, context=impl.driver))
     findings.extend(_check_error_exit_table(project))
     return findings
 
@@ -269,7 +256,7 @@ def _check_error_exit_table(project: Project):
 
 
 # ---------------------------------------------------------------------
-# LA003 — drivers accept info=None and thread it to the reporter
+# LA003 — drivers accept info=None (the shell threads it to erinfo)
 # ---------------------------------------------------------------------
 
 def check_la003(project: Project):
@@ -288,66 +275,6 @@ def check_la003(project: Project):
                 findings.append(_f(
                     "LA003", f"driver {name} must default info to None",
                     mod, func, context=name))
-            if not _threads_info(func):
-                findings.append(_f(
-                    "LA003", f"driver {name} never threads info to a "
-                    "reporter or helper", mod, func, context=name))
-    return findings
-
-
-def _threads_info(func):
-    for node in ast.walk(func):
-        if isinstance(node, ast.Call):
-            for arg in list(node.args) + [kw.value for kw in
-                                          node.keywords]:
-                if isinstance(arg, ast.Name) and arg.id == "info":
-                    return True
-        if isinstance(node, ast.Attribute) \
-                and isinstance(node.value, ast.Name) \
-                and node.value.id == "info":
-            return True
-    return False
-
-
-# ---------------------------------------------------------------------
-# LA004 — validation precedes driver_guard and the substrate call
-# ---------------------------------------------------------------------
-
-def check_la004(project: Project):
-    findings = []
-    for impl in project.driver_impls():
-        func = impl.func
-        substrate = impl.impl_module.substrate_names
-        sub_lines = [n.lineno for n in ast.walk(func)
-                     if call_name(n) in substrate
-                     and isinstance(n, ast.Call)]
-        guard_lines = [n.lineno for n in ast.walk(func)
-                       if isinstance(n, ast.Call)
-                       and call_name(n) == "driver_guard"]
-        first_sub = min(sub_lines) if sub_lines else None
-        first_guard = min(guard_lines) if guard_lines else None
-        threshold = min(x for x in (first_sub, first_guard)
-                        if x is not None) if (first_sub or first_guard) \
-            else None
-        if threshold is None:
-            continue
-        gate = "driver_guard" if threshold == first_guard \
-            else "the lapack77 substrate call"
-        for code, test, node in _validation_branches(func):
-            if node.lineno > threshold:
-                findings.append(_f(
-                    "LA004",
-                    f"argument validation (code {code}) runs after "
-                    f"{gate} in {impl.driver}",
-                    impl.impl_module, node, context=impl.driver))
-        if first_sub is not None and first_guard is not None \
-                and first_guard > first_sub:
-            findings.append(Finding(
-                code="LA004",
-                message=(f"driver_guard runs after the first substrate "
-                         f"call in {impl.driver}"),
-                path=impl.impl_module.path, line=first_guard,
-                context=impl.driver))
     return findings
 
 
@@ -797,10 +724,10 @@ from .flow import (check_la011, check_la012, check_la013,  # noqa: E402
                    check_la024, check_la025, check_la026)
 
 RULES = [
-    ("LA001", "every exit path reports through erinfo", check_la001),
+    ("LA001", "every public driver goes through the driver shell",
+     check_la001),
     ("LA002", "LINFO codes match argument positions", check_la002),
-    ("LA003", "drivers accept and thread info=None", check_la003),
-    ("LA004", "validation precedes guard and substrate", check_la004),
+    ("LA003", "drivers accept info=None", check_la003),
     ("LA005", "__all__ agrees with public drivers", check_la005),
     ("LA006", "s/d/c/z dispatch completeness", check_la006),
     ("LA007", "code-class literal discipline", check_la007),

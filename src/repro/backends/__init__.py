@@ -23,7 +23,9 @@ Selection mirrors :mod:`repro.policy`: a process-global knob
 (:func:`set_backend`, also initialised from the ``REPRO_BACKEND``
 environment variable), a context-manager override
 (``with use_backend("accelerated"): ...``), and a per-call ``backend=``
-escape hatch on every ``la_*`` driver (via :func:`backend_aware`).
+escape hatch on every ``la_*`` driver (the driver shell,
+:mod:`repro.core.shell`) and ``batch_*`` wrapper (via
+:func:`backend_aware`).
 When the selected backend cannot serve a routine the call falls back to
 ``reference`` and a :class:`~repro.errors.BackendFallbackWarning` is
 announced — rate-limited to once per (backend, routine) pair per

@@ -13,7 +13,7 @@ entry is declared write-back, and propagates otherwise.  The registry's
 resilience package never has to import this one (avoiding an import
 cycle).
 
-lalint treats these imports as substrate imports: LA004/LA006 see a
+lalint treats these imports as substrate imports: LA006 and laflow see a
 dispatched call as "the lapack77 call", and LA008 requires driver
 modules to import kernels from here rather than from ``repro.lapack77``.
 """

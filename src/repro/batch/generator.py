@@ -88,17 +88,24 @@ def _run_ev(kern, c):
     return linfo, {"w": wout}
 
 
+def _recorded(srname, fallback, pinfo):
+    from ..core.shell import _record_fallback
+    if fallback is not None:
+        _record_fallback(srname, fallback, pinfo)
+    return fallback is not None
+
+
 def _fb_gesv(srname, c, k, snaps, pinfo):
     from ..core.linear_equations import _fallback_gesv
     n = c["a"].shape[2]
-    return _fallback_gesv(srname, snaps["a"][k].copy(), c["b"][k], n,
-                          pinfo)
+    return _recorded(srname, _fallback_gesv(snaps["a"][k].copy(),
+                                            c["b"][k], n), pinfo)
 
 
 def _fb_posv(srname, c, k, snaps, pinfo):
     from ..core.linear_equations import _fallback_posv
-    return _fallback_posv(srname, snaps["a"][k].copy(), c["b"][k],
-                          c["uplo"], pinfo)
+    return _recorded(srname, _fallback_posv(snaps["a"][k].copy(),
+                                            c["b"][k], c["uplo"]), pinfo)
 
 
 class _Family:

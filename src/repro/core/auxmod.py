@@ -6,57 +6,25 @@
   but the sizes are exactly what a FORTRAN caller would have needed),
 * validation helpers that turn argument mistakes into the negative
   ``LINFO`` codes the ERINFO protocol reports,
-* :func:`driver_guard` — the per-driver entry gate: NaN/Inf screening per
-  the active exception policy plus the simulated workspace-allocation
-  fault (``LINFO = -100``) used by the fault-injection harness,
-* :func:`_report` / :func:`_record_fallback` — the shared reporting
-  shims every driver module funnels its outcomes through.
+* :func:`driver_guard` — the entry gate the driver shell
+  (:mod:`repro.core.shell`) runs for screened drivers: NaN/Inf
+  screening per the active exception policy plus the simulated
+  workspace-allocation fault (``LINFO = -100``) used by the
+  fault-injection harness.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
 from ..config import ilaenv
-from ..errors import ALLOC_FAILED, DriverFallbackWarning, Info, erinfo
+from ..errors import ALLOC_FAILED
 from ..faults import alloc_fault
 from ..policy import screen
-from ..resilience import calllog, deadlines
+from ..resilience import deadlines
 
 __all__ = ["lsame", "la_ws_gels", "la_ws_gelss", "as_matrix",
            "check_square", "check_rhs", "checked_dtype", "driver_guard"]
-
-
-def _report(srname, linfo, info, exc=None):
-    """Funnel a driver outcome through :func:`repro.errors.erinfo`.
-
-    The open resilience call-log frame (if any) is drained onto the Info
-    handle first, so ``info.attempts`` is populated even when
-    ``erinfo`` goes on to raise.
-    """
-    calllog.drain_into(info)
-    erinfo(linfo, srname, info, exc=exc)
-
-
-def _record_fallback(srname, via, rcond, linfo, info):
-    """Announce a taken fallback and record it on the Info handle.
-
-    ``linfo`` is stored without going through ``erinfo``: a successful
-    fallback is a warning-class outcome (even the ``n+1``
-    singular-to-working-precision verdict) and must not terminate.
-    """
-    calllog.drain_into(info)
-    detail = f" (RCOND = {rcond:.3e})" if rcond is not None else ""
-    warnings.warn(
-        f"{srname}: primary factorization failed; solution computed via "
-        f"the {via} fallback{detail}",
-        DriverFallbackWarning, stacklevel=4)
-    if info is not None:
-        info.value = int(linfo)
-        info.fallback = via
-        info.rcond = rcond
 
 
 def lsame(ca: str, cb: str) -> bool:
@@ -113,13 +81,10 @@ def driver_guard(srname: str, *args):
     fault-injection harness simulates a failed workspace allocation for
     this driver.  ``(0, None)`` means proceed.
 
-    The guard also opens the driver's resilience call-log frame (drained
-    back onto the Info handle by ``_report``/``_record_fallback``) and
-    runs the ``"entry"`` deadline checkpoint, which raises
-    :class:`~repro.errors.DeadlineExceeded` when an enclosing
+    The guard first runs the ``"entry"`` deadline checkpoint, which
+    raises :class:`~repro.errors.DeadlineExceeded` when an enclosing
     ``repro.deadline()`` budget is already spent.
     """
-    calllog.push()
     deadlines.check(srname, "entry")
     linfo, exc = screen(srname, *args)
     if linfo == 0 and alloc_fault(srname):

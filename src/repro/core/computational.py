@@ -9,21 +9,24 @@ from __future__ import annotations
 import numpy as np
 
 from ..config import ilaenv
-from ..errors import (Info, NoConvergence, SingularMatrix,
-                      NotPositiveDefinite, WORK_REDUCED)
-from ..backends import backend_aware
+from ..errors import Info, SingularMatrix, NotPositiveDefinite
 from ..backends.kernels import (gecon, geequ, gerfs, getrf, getri, getrs,
                                 hegst, hetrd, lange, lanhe, lansy, orgtr,
                                 pocon, potrf, sygst, sytrd, trtrs, ungtr)
-from ..specs import validate_args
-from .auxmod import _report, as_matrix
+from .auxmod import as_matrix
+from .shell import _unchanged, driver_shell
 
 __all__ = ["la_getrf", "la_getrs", "la_trtrs", "la_getri", "la_gerfs",
            "la_geequ", "la_potrf", "la_sygst", "la_hegst", "la_sytrd",
            "la_hetrd", "la_orgtr", "la_ungtr"]
 
 
-@backend_aware
+def _getrf_refused(linfo, ipiv=None, **_):
+    return (ipiv if ipiv is not None else np.zeros(0, dtype=np.int64)), \
+        None
+
+
+@driver_shell("la_getrf", refused=_getrf_refused)
 def la_getrf(a: np.ndarray, ipiv: np.ndarray | None = None,
              rcond: bool = False, norm: str = "1",
              info: Info | None = None):
@@ -35,43 +38,31 @@ def la_getrf(a: np.ndarray, ipiv: np.ndarray | None = None,
     Returns ``(ipiv, rcond_value)`` — ``rcond_value`` is ``None`` unless
     requested with ``rcond=True``.
     """
-    srname = "LA_GETRF"
-    exc = None
     rc = None
-    lpiv = np.zeros(0, dtype=np.int64)
-    linfo = validate_args("la_getrf", a=a, ipiv=ipiv, rcond=rcond,
-                          norm=norm)
-    if linfo == 0:
-        anorm = lange(norm, a) if rcond else 0.0
-        lpiv, linfo = getrf(a)
-        if ipiv is not None:
-            ipiv[:] = lpiv
-        if linfo > 0:
-            exc = SingularMatrix(srname, linfo)
-            rc = 0.0 if rcond else None
-        elif rcond:
-            rc, _ = gecon(a, anorm, norm=norm)
-            rc = min(rc, 1.0)
-    _report(srname, linfo, info, exc)
-    return (ipiv if ipiv is not None else lpiv), rc
+    anorm = lange(norm, a) if rcond else 0.0
+    lpiv, linfo = getrf(a)
+    if ipiv is not None:
+        ipiv[:] = lpiv
+    if linfo > 0:
+        rc = 0.0 if rcond else None
+    elif rcond:
+        rc, _ = gecon(a, anorm, norm=norm)
+        rc = min(rc, 1.0)
+    return ((ipiv if ipiv is not None else lpiv), rc), linfo, \
+        SingularMatrix
 
 
-@backend_aware
+@driver_shell("la_getrs", refused=_unchanged("b"))
 def la_getrs(a: np.ndarray, ipiv: np.ndarray, b: np.ndarray,
              trans: str = "N", info: Info | None = None) -> np.ndarray:
     """Solves a general system using the LU factorization computed by
     :func:`la_getrf` (paper: ``CALL LA_GETRS( A, IPIV, B, TRANS=trans,
     INFO=info )``)."""
-    srname = "LA_GETRS"
-    linfo = validate_args("la_getrs", a=a, ipiv=ipiv, b=b, trans=trans)
-    if linfo == 0:
-        bmat, _ = as_matrix(b)
-        linfo = getrs(a, ipiv, bmat, trans=trans)
-    _report(srname, linfo, info)
-    return b
+    bmat, _ = as_matrix(b)
+    return b, getrs(a, ipiv, bmat, trans=trans), None
 
 
-@backend_aware
+@driver_shell("la_trtrs", refused=_unchanged("b"))
 def la_trtrs(a: np.ndarray, b: np.ndarray, uplo: str = "U",
              trans: str = "N", diag: str = "N",
              info: Info | None = None) -> np.ndarray:
@@ -83,20 +74,12 @@ def la_trtrs(a: np.ndarray, b: np.ndarray, uplo: str = "U",
     ``info = i`` reports an exactly zero ``A(i,i)`` (the solve is not
     performed then, matching LAPACK).
     """
-    srname = "LA_TRTRS"
-    exc = None
-    linfo = validate_args("la_trtrs", a=a, b=b, uplo=uplo, trans=trans,
-                          diag=diag)
-    if linfo == 0:
-        bmat, _ = as_matrix(b)
-        linfo = trtrs(a, bmat, uplo=uplo, trans=trans, diag=diag)
-        if linfo > 0:
-            exc = SingularMatrix(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return b
+    bmat, _ = as_matrix(b)
+    return b, trtrs(a, bmat, uplo=uplo, trans=trans, diag=diag), \
+        SingularMatrix
 
 
-@backend_aware
+@driver_shell("la_getri", refused=_unchanged("a"))
 def la_getri(a: np.ndarray, ipiv: np.ndarray,
              info: Info | None = None) -> np.ndarray:
     """Computes the inverse of a matrix from its LU factorization
@@ -106,23 +89,21 @@ def la_getri(a: np.ndarray, ipiv: np.ndarray,
     with the −200 warning path (reduced workspace → unblocked updates)
     reproduced through the substrate's ``lwork`` handling.
     """
-    srname = "LA_GETRI"
-    exc = None
-    linfo = validate_args("la_getri", a=a, ipiv=ipiv)
-    if linfo == 0 and a.shape[0] > 0:
-        n = a.shape[0]
-        nb = ilaenv(1, "getri", "", n)
-        if nb < 1 or nb >= n:
-            nb = 1
-        lwork = max(n * nb, 1)
-        linfo = getri(a, ipiv, lwork=lwork)
-        if linfo > 0:
-            exc = SingularMatrix(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return a
+    n = a.shape[0]
+    if n == 0:
+        return a, 0, None
+    nb = ilaenv(1, "getri", "", n)
+    if nb < 1 or nb >= n:
+        nb = 1
+    lwork = max(n * nb, 1)
+    return a, getri(a, ipiv, lwork=lwork), SingularMatrix
 
 
-@backend_aware
+def _no_bounds(linfo, **_):
+    return np.zeros(0), np.zeros(0)
+
+
+@driver_shell("la_gerfs", refused=_no_bounds)
 def la_gerfs(a: np.ndarray, af: np.ndarray, ipiv: np.ndarray,
              b: np.ndarray, x: np.ndarray, trans: str = "N",
              info: Info | None = None):
@@ -132,19 +113,13 @@ def la_gerfs(a: np.ndarray, af: np.ndarray, ipiv: np.ndarray,
 
     ``x`` is refined in place; returns ``(ferr, berr)``.
     """
-    srname = "LA_GERFS"
-    ferr = berr = np.zeros(0)
-    linfo = validate_args("la_gerfs", a=a, af=af, ipiv=ipiv, b=b, x=x,
-                          trans=trans)
-    if linfo == 0:
-        bmat, _ = as_matrix(b)
-        xmat, _ = as_matrix(x)
-        ferr, berr, linfo = gerfs(a, af, ipiv, bmat, xmat, trans=trans)
-    _report(srname, linfo, info)
-    return ferr, berr
+    bmat, _ = as_matrix(b)
+    xmat, _ = as_matrix(x)
+    ferr, berr, linfo = gerfs(a, af, ipiv, bmat, xmat, trans=trans)
+    return (ferr, berr), linfo, None
 
 
-@backend_aware
+@driver_shell("la_geequ")
 def la_geequ(a: np.ndarray, info: Info | None = None):
     """Computes row and column scalings intended to equilibrate a
     rectangular matrix and reduce its condition number (paper: ``CALL
@@ -153,17 +128,11 @@ def la_geequ(a: np.ndarray, info: Info | None = None):
 
     Returns ``(r, c, rowcnd, colcnd, amax)``.
     """
-    srname = "LA_GEEQU"
-    linfo = validate_args("la_geequ", a=a)
-    if linfo:
-        _report(srname, linfo, info)
-        return None
     r, c, rowcnd, colcnd, amax, linfo = geequ(a)
-    _report(srname, linfo, info)
-    return r, c, rowcnd, colcnd, amax
+    return (r, c, rowcnd, colcnd, amax), linfo, None
 
 
-@backend_aware
+@driver_shell("la_potrf")
 def la_potrf(a: np.ndarray, uplo: str = "U", rcond: bool = False,
              norm: str = "1", info: Info | None = None):
     """Computes the Cholesky factorization and optionally estimates the
@@ -173,54 +142,46 @@ def la_potrf(a: np.ndarray, uplo: str = "U", rcond: bool = False,
 
     Returns the condition estimate (``None`` unless requested).
     """
-    srname = "LA_POTRF"
-    exc = None
     rc = None
-    linfo = validate_args("la_potrf", a=a, uplo=uplo)
-    if linfo == 0:
-        hermitian = np.iscomplexobj(a)
-        anorm = (lanhe(norm, a, uplo) if hermitian
-                 else lansy(norm, a, uplo)) if rcond else 0.0
-        linfo = potrf(a, uplo)
-        if linfo > 0:
-            exc = NotPositiveDefinite(srname, linfo)
-            rc = 0.0 if rcond else None
-        elif rcond:
-            rc, _ = pocon(a, anorm, uplo)
-            rc = min(rc, 1.0)
-    _report(srname, linfo, info, exc)
-    return rc
+    hermitian = np.iscomplexobj(a)
+    anorm = (lanhe(norm, a, uplo) if hermitian
+             else lansy(norm, a, uplo)) if rcond else 0.0
+    linfo = potrf(a, uplo)
+    if linfo > 0:
+        rc = 0.0 if rcond else None
+    elif rcond:
+        rc, _ = pocon(a, anorm, uplo)
+        rc = min(rc, 1.0)
+    return rc, linfo, NotPositiveDefinite
 
 
-@backend_aware
+@driver_shell("la_sygst", refused=_unchanged("a"))
 def la_sygst(a: np.ndarray, b: np.ndarray, itype: int = 1,
              uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Reduces a real symmetric-definite generalized eigenproblem to
     standard form, with B already Cholesky-factored by :func:`la_potrf`
     (paper: ``CALL LA_SYGST( A, B, ITYPE=itype, UPLO=uplo,
     INFO=info )``)."""
-    srname = "LA_SYGST"
-    linfo = validate_args("la_sygst", a=a, b=b, itype=itype, uplo=uplo)
-    if linfo == 0:
-        linfo = sygst(a, b, itype=itype, uplo=uplo)
-    _report(srname, linfo, info)
-    return a
+    return a, sygst(a, b, itype=itype, uplo=uplo), None
 
 
-@backend_aware
+@driver_shell("la_hegst", refused=_unchanged("a"))
 def la_hegst(a: np.ndarray, b: np.ndarray, itype: int = 1,
              uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Hermitian-definite analogue of :func:`la_sygst`
     (paper ``LA_HEGST``)."""
-    srname = "LA_HEGST"
-    linfo = validate_args("la_hegst", a=a, b=b, itype=itype, uplo=uplo)
-    if linfo == 0:
-        linfo = hegst(a, b, itype=itype, uplo=uplo)
-    _report(srname, linfo, info)
-    return a
+    return a, hegst(a, b, itype=itype, uplo=uplo), None
 
 
-@backend_aware
+def _tridiagonal(reduce, a, tau, uplo):
+    d, e, tau_out = reduce(a, uplo)
+    if tau is not None:
+        tau[:] = tau_out
+        tau_out = tau
+    return (d, e, tau_out), 0, None
+
+
+@driver_shell("la_sytrd")
 def la_sytrd(a: np.ndarray, tau: np.ndarray | None = None,
              uplo: str = "U", info: Info | None = None):
     """Reduces a real symmetric matrix to tridiagonal form
@@ -230,58 +191,30 @@ def la_sytrd(a: np.ndarray, tau: np.ndarray | None = None,
     Returns ``(d, e, tau)`` — the tridiagonal and the reflector scalars
     (the reflector vectors overwrite ``a``'s triangle).
     """
-    srname = "LA_SYTRD"
-    linfo = validate_args("la_sytrd", a=a, uplo=uplo)
-    if linfo:
-        _report(srname, linfo, info)
-        return None
-    d, e, tau_out = sytrd(a, uplo)
-    if tau is not None:
-        tau[:] = tau_out
-        tau_out = tau
-    _report(srname, 0, info)
-    return d, e, tau_out
+    return _tridiagonal(sytrd, a, tau, uplo)
 
 
-@backend_aware
+@driver_shell("la_hetrd")
 def la_hetrd(a: np.ndarray, tau: np.ndarray | None = None,
              uplo: str = "U", info: Info | None = None):
     """Hermitian tridiagonal reduction (paper ``LA_HETRD``); ``d``/``e``
     are real."""
-    srname = "LA_HETRD"
-    linfo = validate_args("la_hetrd", a=a, uplo=uplo)
-    if linfo:
-        _report(srname, linfo, info)
-        return None
-    d, e, tau_out = hetrd(a, uplo)
-    if tau is not None:
-        tau[:] = tau_out
-        tau_out = tau
-    _report(srname, 0, info)
-    return d, e, tau_out
+    return _tridiagonal(hetrd, a, tau, uplo)
 
 
-@backend_aware
+@driver_shell("la_orgtr", refused=_unchanged("a"))
 def la_orgtr(a: np.ndarray, tau: np.ndarray, uplo: str = "U",
              info: Info | None = None) -> np.ndarray:
     """Generates the orthogonal matrix Q of the tridiagonal reduction
     from its reflectors (paper: ``CALL LA_ORGTR( A, TAU, UPLO=uplo,
     INFO=info )``)."""
-    srname = "LA_ORGTR"
-    linfo = validate_args("la_orgtr", a=a, tau=tau, uplo=uplo)
-    if linfo == 0:
-        orgtr(a, tau, uplo)
-    _report(srname, linfo, info)
-    return a
+    orgtr(a, tau, uplo)
+    return a, 0, None
 
 
-@backend_aware
+@driver_shell("la_ungtr", refused=_unchanged("a"))
 def la_ungtr(a: np.ndarray, tau: np.ndarray, uplo: str = "U",
              info: Info | None = None) -> np.ndarray:
     """Unitary analogue of :func:`la_orgtr` (paper ``LA_UNGTR``)."""
-    srname = "LA_UNGTR"
-    linfo = validate_args("la_ungtr", a=a, tau=tau, uplo=uplo)
-    if linfo == 0:
-        ungtr(a, tau, uplo)
-    _report(srname, linfo, info)
-    return a
+    ungtr(a, tau, uplo)
+    return a, 0, None

@@ -16,11 +16,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import Info, NoConvergence
-from ..backends import backend_aware
 from ..backends.kernels import (gees, geev, gesvd, hbev, heev, hpev, sbev,
                                 spev, stev, syev)
-from ..specs import validate_args
-from .auxmod import _report, driver_guard
+from .shell import driver_shell
 
 __all__ = ["la_syev", "la_heev", "la_spev", "la_hpev", "la_sbev",
            "la_hbev", "la_stev", "la_gees", "la_geev", "la_gesvd"]
@@ -37,7 +35,31 @@ def _store(target, value):
     return value
 
 
-@backend_aware
+def _jobz(flag) -> str:
+    return "V" if _want(flag) else "N"
+
+
+def _nothing(first, *flags):
+    """A refused call's outputs: ``first`` plus ``None`` for each
+    requested optional output (a lone value unwrapped)."""
+    out = (first,) + (None,) * sum(map(_want, flags))
+    return out[0] if len(out) == 1 else out
+
+
+def _no_values(linfo, **_):
+    return np.zeros(0)
+
+
+def _no_values_z(linfo, z=None, **_):
+    return _nothing(np.zeros(0), z)
+
+
+def _dense_ev(driver, a, w, jobz, uplo):
+    wout, linfo = driver(a, jobz=jobz, uplo=uplo)
+    return _store(w, wout), linfo, NoConvergence
+
+
+@driver_shell("la_syev", refused=_no_values)
 def la_syev(a: np.ndarray, w: np.ndarray | None = None, jobz: str = "N",
             uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Computes all eigenvalues and, optionally, eigenvectors of a real
@@ -47,69 +69,31 @@ def la_syev(a: np.ndarray, w: np.ndarray | None = None, jobz: str = "N",
     With ``jobz='V'`` the eigenvectors overwrite ``a`` (column *i* pairs
     with ``w[i]``).  Returns the ascending eigenvalues.
     """
-    srname = "LA_SYEV"
-    exc = None
-    wout = np.zeros(0)
-    linfo = validate_args("la_syev", a=a, w=w, jobz=jobz, uplo=uplo)
-    if linfo == 0:
-        linfo, exc = driver_guard(srname, (1, a))
-        if linfo == 0:
-            wout, linfo = syev(a, jobz=jobz, uplo=uplo)
-            if linfo > 0:
-                exc = NoConvergence(srname, linfo)
-            if w is not None:
-                w[:] = wout
-                wout = w
-    _report(srname, linfo, info, exc)
-    return wout
+    return _dense_ev(syev, a, w, jobz, uplo)
 
 
-@backend_aware
+@driver_shell("la_heev", refused=_no_values)
 def la_heev(a: np.ndarray, w: np.ndarray | None = None, jobz: str = "N",
             uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Hermitian analogue of :func:`la_syev` (paper ``LA_HEEV``);
     eigenvalues are real."""
-    srname = "LA_HEEV"
-    exc = None
-    wout = np.zeros(0)
-    linfo = validate_args("la_heev", a=a, w=w, jobz=jobz, uplo=uplo)
-    if linfo == 0:
-        linfo, exc = driver_guard(srname, (1, a))
-        if linfo == 0:
-            wout, linfo = heev(a, jobz=jobz, uplo=uplo)
-            if linfo > 0:
-                exc = NoConvergence(srname, linfo)
-            if w is not None:
-                w[:] = wout
-                wout = w
-    _report(srname, linfo, info, exc)
-    return wout
+    return _dense_ev(heev, a, w, jobz, uplo)
 
 
-def _packed_ev(srname, driver, ap, w, uplo, z, info):
-    exc = None
-    wout = np.zeros(0)
-    zout = None
-    linfo = validate_args(srname.lower(), ap=ap, w=w, uplo=uplo)
-    if linfo == 0:
-        ln = ap.shape[0]
-        n = int((np.sqrt(8.0 * ln + 1.0) - 1.0) / 2.0 + 0.5)
-        linfo, exc = driver_guard(srname, (1, ap))
-        if linfo == 0:
-            jobz = "V" if _want(z) else "N"
-            wout, zv, linfo = driver(ap, n, jobz=jobz, uplo=uplo)
-            if linfo > 0:
-                exc = NoConvergence(srname, linfo)
-            if _want(z):
-                zout = _store(z if isinstance(z, np.ndarray) else None, zv)
-            if w is not None:
-                w[:] = wout
-                wout = w
-    _report(srname, linfo, info, exc)
-    return (wout, zout) if _want(z) else wout
+def _values_z(w, z, wout, zv):
+    """``w`` (or ``(w, z)`` when eigenvectors were requested)."""
+    wout = _store(w, wout)
+    return (wout, _store(z, zv)) if _want(z) else wout
 
 
-@backend_aware
+def _packed_ev(driver, ap, w, uplo, z):
+    ln = ap.shape[0]
+    n = int((np.sqrt(8.0 * ln + 1.0) - 1.0) / 2.0 + 0.5)
+    wout, zv, linfo = driver(ap, n, jobz=_jobz(z), uplo=uplo)
+    return _values_z(w, z, wout, zv), linfo, NoConvergence
+
+
+@driver_shell("la_spev", refused=_no_values_z)
 def la_spev(ap: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
             z=None, info: Info | None = None):
     """Computes all eigenvalues and, optionally, eigenvectors of a real
@@ -118,55 +102,49 @@ def la_spev(ap: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
     Pass ``z=True`` (or an output array) to request eigenvectors; then
     ``(w, z)`` is returned.
     """
-    return _packed_ev("LA_SPEV", spev, ap, w, uplo, z, info)
+    return _packed_ev(spev, ap, w, uplo, z)
 
 
-@backend_aware
+@driver_shell("la_hpev", refused=_no_values_z)
 def la_hpev(ap: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
             z=None, info: Info | None = None):
     """Packed Hermitian eigen driver (paper ``LA_HPEV``)."""
-    return _packed_ev("LA_HPEV", hpev, ap, w, uplo, z, info)
+    return _packed_ev(hpev, ap, w, uplo, z)
 
 
-def _band_ev(srname, driver, ab, w, uplo, z, info):
-    exc = None
-    wout = np.zeros(0)
-    zout = None
-    linfo = validate_args(srname.lower(), ab=ab, w=w, uplo=uplo)
-    if linfo == 0:
-        n = ab.shape[1]
-        linfo, exc = driver_guard(srname, (1, ab))
-        if linfo == 0:
-            jobz = "V" if _want(z) else "N"
-            wout, zv, linfo = driver(ab, n, jobz=jobz, uplo=uplo)
-            if linfo > 0:
-                exc = NoConvergence(srname, linfo)
-            if _want(z):
-                zout = _store(z if isinstance(z, np.ndarray) else None,
-                              zv)
-            if w is not None:
-                w[:] = wout
-                wout = w
-    _report(srname, linfo, info, exc)
-    return (wout, zout) if _want(z) else wout
+def _band_ev(driver, ab, w, uplo, z):
+    wout, zv, linfo = driver(ab, ab.shape[1], jobz=_jobz(z), uplo=uplo)
+    return _values_z(w, z, wout, zv), linfo, NoConvergence
 
 
-@backend_aware
+@driver_shell("la_sbev", refused=_no_values_z)
 def la_sbev(ab: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
             z=None, info: Info | None = None):
     """Symmetric band eigen driver (paper ``LA_SBEV``); ``ab`` is the
     ``(kd+1, n)`` symmetric band storage."""
-    return _band_ev("LA_SBEV", sbev, ab, w, uplo, z, info)
+    return _band_ev(sbev, ab, w, uplo, z)
 
 
-@backend_aware
+@driver_shell("la_hbev", refused=_no_values_z)
 def la_hbev(ab: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
             z=None, info: Info | None = None):
     """Hermitian band eigen driver (paper ``LA_HBEV``)."""
-    return _band_ev("LA_HBEV", hbev, ab, w, uplo, z, info)
+    return _band_ev(hbev, ab, w, uplo, z)
 
 
-@backend_aware
+def _tridiag_refused(linfo, d, z=None, **_):
+    return _nothing(d, z)
+
+
+def _tridiag_ev(driver, d, e, z):
+    if not _want(z):
+        return d, driver(d, e, jobz="N"), NoConvergence
+    n = d.shape[0]
+    zbuf = z if isinstance(z, np.ndarray) else np.empty((n, n), d.dtype)
+    return (d, zbuf), driver(d, e, zbuf, jobz="V"), NoConvergence
+
+
+@driver_shell("la_stev", refused=_tridiag_refused)
 def la_stev(d: np.ndarray, e: np.ndarray, z=None,
             info: Info | None = None):
     """Computes all eigenvalues (and optionally eigenvectors) of a real
@@ -175,28 +153,15 @@ def la_stev(d: np.ndarray, e: np.ndarray, z=None,
 
     Eigenvalues overwrite ``d`` (ascending); ``e`` is destroyed.
     """
-    srname = "LA_STEV"
-    exc = None
-    zout = None
-    linfo = validate_args("la_stev", d=d, e=e)
-    if linfo == 0:
-        n = d.shape[0]
-        linfo, exc = driver_guard(srname, (1, d), (2, e))
-        if linfo == 0:
-            if _want(z):
-                zbuf = z if isinstance(z, np.ndarray) else \
-                    np.empty((n, n), dtype=d.dtype)
-                linfo = stev(d, e, zbuf, jobz="V")
-                zout = zbuf
-            else:
-                linfo = stev(d, e, jobz="N")
-            if linfo > 0:
-                exc = NoConvergence(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return (d, zout) if _want(z) else d
+    return _tridiag_ev(stev, d, e, z)
 
 
-@backend_aware
+def _gees_refused(linfo, vs=None, **_):
+    w = np.zeros(0, dtype=complex)
+    return (w, None, 0) if _want(vs) else (w, 0)
+
+
+@driver_shell("la_gees", refused=_gees_refused)
 def la_gees(a: np.ndarray, w: np.ndarray | None = None, vs=None,
             select=None, info: Info | None = None):
     """Computes the eigenvalues and Schur form of a nonsymmetric matrix,
@@ -209,32 +174,17 @@ def la_gees(a: np.ndarray, w: np.ndarray | None = None, vs=None,
     block.  Returns ``(w, sdim)`` — or ``(w, vs, sdim)`` when Schur
     vectors were requested.
     """
-    srname = "LA_GEES"
-    exc = None
-    wout = np.zeros(0, dtype=complex)
-    sdim = 0
-    vsout = None
-    linfo = validate_args("la_gees", a=a)
-    if linfo == 0:
-        linfo, exc = driver_guard(srname, (1, a))
-        if linfo == 0:
-            jobvs = "V" if _want(vs) else "N"
-            wout, vsv, sdim, linfo = gees(a, jobvs=jobvs, select=select)
-            if linfo > 0:
-                exc = NoConvergence(srname, linfo)
-            if _want(vs):
-                vsout = _store(vs if isinstance(vs, np.ndarray) else None,
-                               vsv)
-            if w is not None:
-                w[:] = wout
-                wout = w
-    _report(srname, linfo, info, exc)
-    if _want(vs):
-        return wout, vsout, sdim
-    return wout, sdim
+    wout, vsv, sdim, linfo = gees(a, jobvs=_jobz(vs), select=select)
+    wout = _store(w, wout)
+    out = (wout, _store(vs, vsv), sdim) if _want(vs) else (wout, sdim)
+    return out, linfo, NoConvergence
 
 
-@backend_aware
+def _geev_refused(linfo, vl=None, vr=None, **_):
+    return _nothing(np.zeros(0, dtype=complex), vl, vr)
+
+
+@driver_shell("la_geev", refused=_geev_refused)
 def la_geev(a: np.ndarray, w: np.ndarray | None = None, vl=None, vr=None,
             info: Info | None = None):
     """Computes the eigenvalues and, optionally, left/right eigenvectors
@@ -244,38 +194,20 @@ def la_geev(a: np.ndarray, w: np.ndarray | None = None, vl=None, vr=None,
     Returns ``w`` (complex), plus ``vl``/``vr`` (complex unit-norm
     columns) in the order requested: ``(w[, vl][, vr])``.
     """
-    srname = "LA_GEEV"
-    exc = None
-    wout = np.zeros(0, dtype=complex)
-    vlout = vrout = None
-    linfo = validate_args("la_geev", a=a)
-    if linfo == 0:
-        linfo, exc = driver_guard(srname, (1, a))
-        if linfo == 0:
-            wout, vlv, vrv, linfo = geev(a,
-                                         jobvl="V" if _want(vl) else "N",
-                                         jobvr="V" if _want(vr) else "N")
-            if linfo > 0:
-                exc = NoConvergence(srname, linfo)
-            if _want(vl):
-                vlout = _store(vl if isinstance(vl, np.ndarray) else None,
-                               vlv)
-            if _want(vr):
-                vrout = _store(vr if isinstance(vr, np.ndarray) else None,
-                               vrv)
-            if w is not None:
-                w[:] = wout
-                wout = w
-    _report(srname, linfo, info, exc)
-    out = [wout]
+    wout, vlv, vrv, linfo = geev(a, jobvl=_jobz(vl), jobvr=_jobz(vr))
+    out = [_store(w, wout)]
     if _want(vl):
-        out.append(vlout)
+        out.append(_store(vl, vlv))
     if _want(vr):
-        out.append(vrout)
-    return out[0] if len(out) == 1 else tuple(out)
+        out.append(_store(vr, vrv))
+    return (out[0] if len(out) == 1 else tuple(out)), linfo, NoConvergence
 
 
-@backend_aware
+def _gesvd_refused(linfo, u=None, vt=None, **_):
+    return _nothing(np.zeros(0), u, vt)
+
+
+@driver_shell("la_gesvd", refused=_gesvd_refused)
 def la_gesvd(a: np.ndarray, s: np.ndarray | None = None, u=None, vt=None,
              ww: np.ndarray | None = None, job: str = "N",
              info: Info | None = None):
@@ -288,47 +220,29 @@ def la_gesvd(a: np.ndarray, s: np.ndarray | None = None, u=None, vt=None,
     factors).  ``a`` is destroyed.  Returns ``s`` (descending), plus the
     requested factors: ``(s[, u][, vt])``.
     """
-    srname = "LA_GESVD"
-    exc = None
-    sout = np.zeros(0)
-    uout = vtout = None
-    linfo = validate_args("la_gesvd", a=a)
-    if linfo == 0:
-        linfo, exc = driver_guard(srname, (1, a))
-    if linfo == 0:
-        m, n = a.shape
-        jobu = "N"
-        if _want(u):
-            # A square preallocated array requests the full factor.
-            jobu = "A" if (isinstance(u, np.ndarray) and u.shape == (m, m)
-                           and m > min(m, n)) else "S"
-        jobvt = "N"
-        if _want(vt):
-            jobvt = "A" if (isinstance(vt, np.ndarray)
-                            and vt.shape == (n, n) and n > min(m, n)) \
-                else "S"
-        # WW receives the superdiagonal of the intermediate bidiagonal
-        # form: zeros on convergence, the unconverged elements when
-        # linfo > 0 (paper Appendix G, LA_GESVD).
-        ev = np.zeros(max(min(m, n) - 1, 0), dtype=a.real.dtype)
-        sout, uv, vtv, linfo = gesvd(a, jobu=jobu, jobvt=jobvt,
-                                     superdiag=ev)
-        if linfo > 0:
-            exc = NoConvergence(srname, linfo,
-                                "bidiagonal QR failed to converge")
-        if ww is not None:
-            ww[:] = ev
-        if _want(u):
-            uout = _store(u if isinstance(u, np.ndarray) else None, uv)
-        if _want(vt):
-            vtout = _store(vt if isinstance(vt, np.ndarray) else None, vtv)
-        if s is not None:
-            s[:] = sout
-            sout = s
-    _report(srname, linfo, info, exc)
-    out = [sout]
+    m, n = a.shape
+    jobu = "N"
     if _want(u):
-        out.append(uout)
+        # A square preallocated array requests the full factor.
+        jobu = "A" if (isinstance(u, np.ndarray) and u.shape == (m, m)
+                       and m > min(m, n)) else "S"
+    jobvt = "N"
     if _want(vt):
-        out.append(vtout)
-    return out[0] if len(out) == 1 else tuple(out)
+        jobvt = "A" if (isinstance(vt, np.ndarray)
+                        and vt.shape == (n, n) and n > min(m, n)) else "S"
+    # WW receives the superdiagonal of the intermediate bidiagonal
+    # form: zeros on convergence, the unconverged elements when
+    # linfo > 0 (paper Appendix G, LA_GESVD).
+    ev = np.zeros(max(min(m, n) - 1, 0), dtype=a.real.dtype)
+    sout, uv, vtv, linfo = gesvd(a, jobu=jobu, jobvt=jobvt, superdiag=ev)
+    if ww is not None:
+        ww[:] = ev
+    out = [_store(s, sout)]
+    if _want(u):
+        out.append(_store(u, uv))
+    if _want(vt):
+        out.append(_store(vt, vtv))
+    exc = NoConvergence("LA_GESVD", linfo,
+                        "bidiagonal QR failed to converge") \
+        if linfo > 0 else None
+    return (out[0] if len(out) == 1 else tuple(out)), linfo, exc

@@ -6,34 +6,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import Info, NoConvergence
-from ..backends import backend_aware
+from ..errors import Info
 from ..backends.kernels import (hbevd, heevd, hpevd, sbevd, spevd, stevd,
                                 syevd)
-from ..specs import validate_args
-from .auxmod import _report
-from .eigen import _band_ev, _packed_ev, _store, _want
+from .eigen import (_band_ev, _dense_ev, _no_values, _no_values_z,
+                    _packed_ev, _tridiag_ev, _tridiag_refused)
+from .shell import driver_shell
 
 __all__ = ["la_syevd", "la_heevd", "la_spevd", "la_hpevd", "la_sbevd",
            "la_hbevd", "la_stevd"]
 
 
-def _dense_evd(srname, driver, a, w, jobz, uplo, info):
-    exc = None
-    wout = np.zeros(0)
-    linfo = validate_args(srname.lower(), a=a, w=w, jobz=jobz, uplo=uplo)
-    if linfo == 0:
-        wout, linfo = driver(a, jobz=jobz, uplo=uplo)
-        if linfo > 0:
-            exc = NoConvergence(srname, linfo)
-        if w is not None:
-            w[:] = wout
-            wout = w
-    _report(srname, linfo, info, exc)
-    return wout
-
-
-@backend_aware
+@driver_shell("la_syevd", refused=_no_values)
 def la_syevd(a: np.ndarray, w: np.ndarray | None = None, jobz: str = "N",
              uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Divide-and-conquer eigensolver for a real symmetric matrix
@@ -41,63 +25,47 @@ def la_syevd(a: np.ndarray, w: np.ndarray | None = None, jobz: str = "N",
 
     With ``jobz='V'`` the eigenvectors overwrite ``a``.
     """
-    return _dense_evd("LA_SYEVD", syevd, a, w, jobz, uplo, info)
+    return _dense_ev(syevd, a, w, jobz, uplo)
 
 
-@backend_aware
+@driver_shell("la_heevd", refused=_no_values)
 def la_heevd(a: np.ndarray, w: np.ndarray | None = None, jobz: str = "N",
              uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Divide-and-conquer Hermitian eigensolver (paper ``LA_HEEVD``)."""
-    return _dense_evd("LA_HEEVD", heevd, a, w, jobz, uplo, info)
+    return _dense_ev(heevd, a, w, jobz, uplo)
 
 
-@backend_aware
+@driver_shell("la_spevd", refused=_no_values_z)
 def la_spevd(ap: np.ndarray, w: np.ndarray | None = None,
              uplo: str = "U", z=None, info: Info | None = None):
     """Packed symmetric divide-and-conquer driver (paper ``LA_SPEVD``)."""
-    return _packed_ev("LA_SPEVD", spevd, ap, w, uplo, z, info)
+    return _packed_ev(spevd, ap, w, uplo, z)
 
 
-@backend_aware
+@driver_shell("la_hpevd", refused=_no_values_z)
 def la_hpevd(ap: np.ndarray, w: np.ndarray | None = None,
              uplo: str = "U", z=None, info: Info | None = None):
     """Packed Hermitian divide-and-conquer driver (paper ``LA_HPEVD``)."""
-    return _packed_ev("LA_HPEVD", hpevd, ap, w, uplo, z, info)
+    return _packed_ev(hpevd, ap, w, uplo, z)
 
 
-@backend_aware
+@driver_shell("la_sbevd", refused=_no_values_z)
 def la_sbevd(ab: np.ndarray, w: np.ndarray | None = None,
              uplo: str = "U", z=None, info: Info | None = None):
     """Symmetric band divide-and-conquer driver (paper ``LA_SBEVD``)."""
-    return _band_ev("LA_SBEVD", sbevd, ab, w, uplo, z, info)
+    return _band_ev(sbevd, ab, w, uplo, z)
 
 
-@backend_aware
+@driver_shell("la_hbevd", refused=_no_values_z)
 def la_hbevd(ab: np.ndarray, w: np.ndarray | None = None,
              uplo: str = "U", z=None, info: Info | None = None):
     """Hermitian band divide-and-conquer driver (paper ``LA_HBEVD``)."""
-    return _band_ev("LA_HBEVD", hbevd, ab, w, uplo, z, info)
+    return _band_ev(hbevd, ab, w, uplo, z)
 
 
-@backend_aware
+@driver_shell("la_stevd", refused=_tridiag_refused)
 def la_stevd(d: np.ndarray, e: np.ndarray, z=None,
              info: Info | None = None):
     """Divide-and-conquer tridiagonal driver (paper: ``CALL LA_STEVD( D,
     E, Z=z, INFO=info )``): eigenvalues overwrite ``d``."""
-    srname = "LA_STEVD"
-    exc = None
-    zout = None
-    linfo = validate_args("la_stevd", d=d, e=e)
-    if linfo == 0:
-        n = d.shape[0]
-        if _want(z):
-            zbuf = z if isinstance(z, np.ndarray) else \
-                np.empty((n, n), dtype=d.dtype)
-            linfo = stevd(d, e, zbuf, jobz="V")
-            zout = zbuf
-        else:
-            linfo = stevd(d, e, jobz="N")
-        if linfo > 0:
-            exc = NoConvergence(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return (d, zout) if _want(z) else d
+    return _tridiag_ev(stevd, d, e, z)

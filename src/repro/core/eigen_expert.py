@@ -8,42 +8,38 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import Info, NoConvergence
-from ..backends import backend_aware
 from ..backends.kernels import (geesx, geevx, hbevx, heevx, hpevx, sbevx,
                                 spevx, stevx, syevx)
-from ..specs import validate_args
-from .auxmod import _report
-from .eigen import _store, _want
+from .eigen import _jobz, _store, _want
+from .shell import driver_shell
 
 __all__ = ["la_syevx", "la_heevx", "la_spevx", "la_hpevx", "la_sbevx",
            "la_hbevx", "la_stevx", "la_geesx", "la_geevx"]
 
 
-def _dense_evx(srname, driver, a, w, uplo, z, vl, vu, il, iu, abstol,
-               info):
-    exc = None
-    wout = np.zeros(0)
-    zout = None
-    m = 0
-    ifail = np.zeros(0, dtype=np.int64)
-    linfo = validate_args(srname.lower(), a=a, vl=vl, vu=vu, il=il, iu=iu)
-    if linfo == 0:
-        jobz = "V" if _want(z) else "N"
-        wout, zv, m, ifail, linfo = driver(a, jobz=jobz, uplo=uplo, vl=vl,
-                                           vu=vu, il=il, iu=iu,
-                                           abstol=abstol)
-        if linfo > 0:
-            exc = NoConvergence(srname, linfo,
-                                f"{linfo} eigenvector(s) failed")
-        if _want(z):
-            zout = _store(z if isinstance(z, np.ndarray) else None, zv)
-        if w is not None:
-            w[:m] = wout
-    _report(srname, linfo, info, exc)
-    return (wout, zout, m, ifail) if _want(z) else (wout, m, ifail)
+def _none_selected(linfo, z=None, **_):
+    head = (np.zeros(0), None) if _want(z) else (np.zeros(0),)
+    return head + (0, np.zeros(0, dtype=np.int64))
 
 
-@backend_aware
+def _selected(w, z, wout, zv, m, ifail):
+    """``(w[, z], m, ifail)``, the ``m`` found eigenvalues also copied
+    into the caller's ``w``."""
+    if w is not None:
+        w[:m] = wout
+    head = (wout, _store(z, zv)) if _want(z) else (wout,)
+    return head + (m, ifail)
+
+
+def _dense_evx(srname, driver, a, w, uplo, z, vl, vu, il, iu, abstol):
+    wout, zv, m, ifail, linfo = driver(a, jobz=_jobz(z), uplo=uplo, vl=vl,
+                                       vu=vu, il=il, iu=iu, abstol=abstol)
+    exc = NoConvergence(srname, linfo, f"{linfo} eigenvector(s) failed") \
+        if linfo > 0 else None
+    return _selected(w, z, wout, zv, m, ifail), linfo, exc
+
+
+@driver_shell("la_syevx", refused=_none_selected)
 def la_syevx(a, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Selected eigenvalues/vectors of a real symmetric matrix by
@@ -54,81 +50,62 @@ def la_syevx(a, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
     Returns ``(w, m, ifail)`` — or ``(w, z, m, ifail)`` with vectors.
     """
     return _dense_evx("LA_SYEVX", syevx, a, w, uplo, z, vl, vu, il, iu,
-                      abstol, info)
+                      abstol)
 
 
-@backend_aware
+@driver_shell("la_heevx", refused=_none_selected)
 def la_heevx(a, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Hermitian expert eigen driver (paper ``LA_HEEVX``)."""
     return _dense_evx("LA_HEEVX", heevx, a, w, uplo, z, vl, vu, il, iu,
-                      abstol, info)
+                      abstol)
 
 
-def _structured_evx(srname, driver, bound, w, uplo, z, vl, vu, il, iu,
-                    abstol, info):
-    exc = None
-    wout = np.zeros(0)
-    zout = None
-    m = 0
-    ifail = np.zeros(0, dtype=np.int64)
-    linfo = validate_args(srname.lower(), vl=vl, vu=vu, il=il, iu=iu,
-                          **bound)
-    if linfo == 0:
-        if "ap" in bound:
-            data = bound["ap"]
-            ln = data.shape[0]
-            n = int((np.sqrt(8.0 * ln + 1.0) - 1.0) / 2.0 + 0.5)
-        else:
-            data = bound["ab"]
-            n = data.shape[1]
-        jobz = "V" if _want(z) else "N"
-        wout, zv, m, ifail, linfo = driver(data, n, jobz=jobz, uplo=uplo,
-                                           vl=vl, vu=vu, il=il, iu=iu,
-                                           abstol=abstol)
-        if linfo > 0:
-            exc = NoConvergence(srname, linfo)
-        if _want(z):
-            zout = _store(z if isinstance(z, np.ndarray) else None, zv)
-        if w is not None:
-            w[:m] = wout
-    _report(srname, linfo, info, exc)
-    return (wout, zout, m, ifail) if _want(z) else (wout, m, ifail)
+def _structured_evx(driver, data, n, w, uplo, z, vl, vu, il, iu, abstol):
+    wout, zv, m, ifail, linfo = driver(data, n, jobz=_jobz(z), uplo=uplo,
+                                       vl=vl, vu=vu, il=il, iu=iu,
+                                       abstol=abstol)
+    return _selected(w, z, wout, zv, m, ifail), linfo, NoConvergence
 
 
-@backend_aware
+def _packed_order(ap):
+    ln = ap.shape[0]
+    return int((np.sqrt(8.0 * ln + 1.0) - 1.0) / 2.0 + 0.5)
+
+
+@driver_shell("la_spevx", refused=_none_selected)
 def la_spevx(ap, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Packed symmetric expert driver (paper ``LA_SPEVX``)."""
-    return _structured_evx("LA_SPEVX", spevx, {"ap": ap}, w, uplo, z,
-                           vl, vu, il, iu, abstol, info)
+    return _structured_evx(spevx, ap, _packed_order(ap), w, uplo, z, vl,
+                           vu, il, iu, abstol)
 
 
-@backend_aware
+@driver_shell("la_hpevx", refused=_none_selected)
 def la_hpevx(ap, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Packed Hermitian expert driver (paper ``LA_HPEVX``)."""
-    return _structured_evx("LA_HPEVX", hpevx, {"ap": ap}, w, uplo, z,
-                           vl, vu, il, iu, abstol, info)
+    return _structured_evx(hpevx, ap, _packed_order(ap), w, uplo, z, vl,
+                           vu, il, iu, abstol)
 
 
-@backend_aware
+@driver_shell("la_sbevx", refused=_none_selected)
 def la_sbevx(ab, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Symmetric band expert driver (paper ``LA_SBEVX``)."""
-    return _structured_evx("LA_SBEVX", sbevx, {"ab": ab}, w, uplo, z,
-                           vl, vu, il, iu, abstol, info)
+    return _structured_evx(sbevx, ab, ab.shape[1], w, uplo, z, vl, vu, il,
+                           iu, abstol)
 
 
-@backend_aware
+@driver_shell("la_hbevx", refused=_none_selected)
 def la_hbevx(ab, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Hermitian band expert driver (paper ``LA_HBEVX``)."""
-    return _structured_evx("LA_HBEVX", hbevx, {"ab": ab}, w, uplo, z,
-                           vl, vu, il, iu, abstol, info)
+    return _structured_evx(hbevx, ab, ab.shape[1], w, uplo, z, vl, vu, il,
+                           iu, abstol)
 
 
-@backend_aware
+@driver_shell("la_stevx", refused=_none_selected)
 def la_stevx(d, e, w=None, z=None, vl=None, vu=None, il=None, iu=None,
              abstol=0.0, info: Info | None = None):
     """Tridiagonal expert driver (paper: ``CALL LA_STEVX( D, E, W, Z=z,
@@ -137,29 +114,17 @@ def la_stevx(d, e, w=None, z=None, vl=None, vu=None, il=None, iu=None,
 
     Returns ``(w, m, ifail)`` or ``(w, z, m, ifail)``.
     """
-    srname = "LA_STEVX"
-    exc = None
-    wout = np.zeros(0)
-    zout = None
-    m = 0
-    ifail = np.zeros(0, dtype=np.int64)
-    linfo = validate_args("la_stevx", d=d, e=e, vl=vl, vu=vu, il=il,
-                          iu=iu)
-    if linfo == 0:
-        jobz = "V" if _want(z) else "N"
-        wout, zv, m, ifail, linfo = stevx(d, e, jobz=jobz, vl=vl, vu=vu,
-                                          il=il, iu=iu, abstol=abstol)
-        if linfo > 0:
-            exc = NoConvergence(srname, linfo)
-        if _want(z):
-            zout = _store(z if isinstance(z, np.ndarray) else None, zv)
-        if w is not None:
-            w[:m] = wout
-    _report(srname, linfo, info, exc)
-    return (wout, zout, m, ifail) if _want(z) else (wout, m, ifail)
+    wout, zv, m, ifail, linfo = stevx(d, e, jobz=_jobz(z), vl=vl, vu=vu,
+                                      il=il, iu=iu, abstol=abstol)
+    return _selected(w, z, wout, zv, m, ifail), linfo, NoConvergence
 
 
-@backend_aware
+def _geesx_refused(linfo, vs=None, **_):
+    w = np.zeros(0, dtype=complex)
+    return ((w, None) if _want(vs) else (w,)) + (0, 1.0, 0.0)
+
+
+@driver_shell("la_geesx", refused=_geesx_refused)
 def la_geesx(a, w=None, vs=None, select=None, sense: str = "B",
              info: Info | None = None):
     """Expert Schur driver: ordered Schur form plus reciprocal condition
@@ -170,31 +135,19 @@ def la_geesx(a, w=None, vs=None, select=None, sense: str = "B",
     Returns ``(w, sdim, rconde, rcondv)`` — with ``vs`` inserted after
     ``w`` when Schur vectors were requested.
     """
-    srname = "LA_GEESX"
-    exc = None
-    wout = np.zeros(0, dtype=complex)
-    vsout = None
-    sdim = 0
-    rconde, rcondv = 1.0, 0.0
-    linfo = validate_args("la_geesx", a=a)
-    if linfo == 0:
-        jobvs = "V" if _want(vs) else "N"
-        wout, vsv, sdim, rconde, rcondv, linfo = geesx(
-            a, jobvs=jobvs, select=select, sense=sense)
-        if linfo > 0:
-            exc = NoConvergence(srname, linfo)
-        if _want(vs):
-            vsout = _store(vs if isinstance(vs, np.ndarray) else None, vsv)
-        if w is not None:
-            w[:] = wout
-            wout = w
-    _report(srname, linfo, info, exc)
-    if _want(vs):
-        return wout, vsout, sdim, rconde, rcondv
-    return wout, sdim, rconde, rcondv
+    wout, vsv, sdim, rconde, rcondv, linfo = geesx(
+        a, jobvs=_jobz(vs), select=select, sense=sense)
+    wout = _store(w, wout)
+    head = (wout, _store(vs, vsv)) if _want(vs) else (wout,)
+    return head + (sdim, rconde, rcondv), linfo, NoConvergence
 
 
-@backend_aware
+def _geevx_refused(linfo, **_):
+    return (np.zeros(0, dtype=complex), None, None, 0, -1, np.zeros(0),
+            0.0, np.zeros(0), np.zeros(0))
+
+
+@driver_shell("la_geevx", refused=_geevx_refused)
 def la_geevx(a, w=None, vl=None, vr=None, balanc: str = "B",
              sense: str = "B", info: Info | None = None):
     """Expert eigen driver: eigenvalues/vectors plus balancing data and
@@ -205,26 +158,10 @@ def la_geevx(a, w=None, vl=None, vr=None, balanc: str = "B",
     Returns ``(w, vl, vr, ilo, ihi, scale, abnrm, rconde, rcondv)``
     (``vl``/``vr`` are ``None`` when not requested).
     """
-    srname = "LA_GEEVX"
-    exc = None
-    linfo = validate_args("la_geevx", a=a)
-    if linfo:
-        _report(srname, linfo, info)
-        return (np.zeros(0, dtype=complex), None, None, 0, -1,
-                np.zeros(0), 0.0, np.zeros(0), np.zeros(0))
     (wout, vlv, vrv, ilo, ihi, scale, abnrm, rconde, rcondv,
-     linfo) = geevx(a, jobvl="V" if _want(vl) else "N",
-                    jobvr="V" if _want(vr) else "N", balanc=balanc,
+     linfo) = geevx(a, jobvl=_jobz(vl), jobvr=_jobz(vr), balanc=balanc,
                     sense=sense)
-    if linfo > 0:
-        exc = NoConvergence(srname, linfo)
-    vlout = vrout = None
-    if _want(vl):
-        vlout = _store(vl if isinstance(vl, np.ndarray) else None, vlv)
-    if _want(vr):
-        vrout = _store(vr if isinstance(vr, np.ndarray) else None, vrv)
-    if w is not None:
-        w[:] = wout
-        wout = w
-    _report(srname, linfo, info, exc)
-    return wout, vlout, vrout, ilo, ihi, scale, abnrm, rconde, rcondv
+    vlout = _store(vl, vlv) if _want(vl) else None
+    vrout = _store(vr, vrv) if _want(vr) else None
+    return ((_store(w, wout), vlout, vrout, ilo, ihi, scale, abnrm, rconde,
+             rcondv), linfo, NoConvergence)

@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import Info, erinfo, SingularMatrix, NotPositiveDefinite
-from ..backends import backend_aware
+from ..errors import Info, SingularMatrix, NotPositiveDefinite
 from ..backends.kernels import (gbcon, gbequ, gbrfs, gbtrf, gbtrs, gecon,
                                 geequ, gerfs, getrf, getrs, gtcon, gtrfs,
                                 gttrf, gttrs, hecon, herfs, hetrf, hetrs,
@@ -33,9 +32,9 @@ from ..backends.kernels import (gbcon, gbequ, gbrfs, gbtrf, gbtrs, gecon,
                                 pttrs, spcon, sptrf, sptrs, sycon, syrfs,
                                 sytrf, sytrs)
 from ..policy import illcond_event
-from ..resilience import calllog, deadlines
-from ..specs import validate_args
-from .auxmod import as_matrix, driver_guard, lsame
+from ..resilience import deadlines
+from .auxmod import as_matrix, lsame
+from .shell import driver_shell
 
 __all__ = ["ExpertResult", "la_gesvx", "la_gbsvx", "la_gtsvx", "la_posvx",
            "la_ppsvx", "la_pbsvx", "la_ptsvx", "la_sysvx", "la_hesvx",
@@ -68,36 +67,37 @@ class ExpertResult:
     info_value: int = 0
 
 
-def _vector_like(b, x2d, was_vec):
-    return x2d[:, 0] if was_vec else x2d
+def _refused(linfo, **_):
+    return ExpertResult(info_value=linfo)
 
 
-def _rcond_verdict(srname, rcond, n, dtype) -> int:
-    """The catalogue-wide ill-conditioning verdict: ``info = n+1`` when
-    RCOND is below machine epsilon (the matrix is singular to working
-    precision), with the policy's RCOND guard deciding whether an
-    :class:`repro.errors.IllConditionedWarning` accompanies it."""
-    if n > 0 and rcond < lamch("E", dtype):
-        illcond_event(srname, rcond)
-        return n + 1
-    return 0
-
-
-def _finish(srname, linfo, info, res, exc=None):
+def _failed(res, linfo, exc):
+    """The factorization failed at minor/pivot ``linfo``."""
+    res.rcond = 0.0
     res.info_value = linfo
-    calllog.drain_into(info)
-    if linfo > 0 and exc is None:
-        # info = n+1 (rcond < eps): LAPACK's expert drivers compute the
-        # solution and bounds anyway — a warning-class condition, reported
-        # through info without terminating (like ERINFO's <= -200 codes).
-        if info is not None:
-            info.value = linfo
-        return res
-    erinfo(linfo, srname, info, exc=exc)
-    return res
+    return res, linfo, exc
 
 
-@backend_aware
+def _solved(srname, res, x, x2d, was_vec, n, dtype):
+    """Hand the refined solution out (``res.x`` shaped like ``b``, and
+    into ``x`` when supplied) with the catalogue-wide ill-conditioning
+    verdict: ``info = n+1`` when RCOND is below machine epsilon (the
+    matrix is singular to working precision), with the policy's RCOND
+    guard deciding whether an
+    :class:`repro.errors.IllConditionedWarning` accompanies it."""
+    res.x = x2d[:, 0] if was_vec else x2d
+    if x is not None:
+        xv, _ = as_matrix(x)
+        xv[:] = x2d
+    linfo = 0
+    if n > 0 and res.rcond < lamch("E", dtype):
+        illcond_event(srname, res.rcond)
+        linfo = n + 1
+    res.info_value = linfo
+    return res, linfo, None
+
+
+@driver_shell("la_gesvx", refused=_refused)
 def la_gesvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              af: np.ndarray | None = None, ipiv: np.ndarray | None = None,
              fact: str = "N", trans: str = "N", equed: str | None = None,
@@ -112,14 +112,7 @@ def la_gesvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     """
     srname = "LA_GESVX"
     res = ExpertResult()
-    linfo = validate_args("la_gesvx", a=a, b=b, af=af, ipiv=ipiv,
-                          fact=fact, trans=trans)
-    if linfo:
-        return _finish(srname, linfo, info, res)
     n = a.shape[0]
-    linfo, exc = driver_guard(srname, (1, a), (2, b))
-    if linfo:
-        return _finish(srname, linfo, info, res, exc)
     bmat, was_vec = as_matrix(b)
     nrhs = bmat.shape[1]
     equed_out = "N" if equed is None else equed
@@ -149,9 +142,7 @@ def la_gesvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
         res.af = a.copy()
         res.ipiv, linfo = getrf(res.af)
     if linfo > 0:
-        res.rcond = 0.0
-        return _finish(srname, linfo, info, res,
-                       SingularMatrix(srname, linfo))
+        return _failed(res, linfo, SingularMatrix)
     deadlines.check(srname, "factor", info)
     # Reciprocal pivot growth: max|A| / max|U| (LAPACK's convention).
     umax = float(np.abs(np.triu(res.af)).max()) if n else 0.0
@@ -175,15 +166,10 @@ def la_gesvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     if t != "N" and row_scaled and res.r is not None:
         x2d *= res.r[:, None]
     res.equed = equed_out
-    res.x = _vector_like(b, x2d, was_vec)
-    if x is not None:
-        xv, _ = as_matrix(x)
-        xv[:] = x2d
-    linfo = _rcond_verdict(srname, res.rcond, n, a.dtype)
-    return _finish(srname, linfo, info, res)
+    return _solved(srname, res, x, x2d, was_vec, n, a.dtype)
 
 
-@backend_aware
+@driver_shell("la_gbsvx", refused=_refused)
 def la_gbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              kl: int | None = None, abf: np.ndarray | None = None,
              ipiv: np.ndarray | None = None, fact: str = "N",
@@ -194,19 +180,12 @@ def la_gbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     separately, as LAPACK does)."""
     srname = "LA_GBSVX"
     res = ExpertResult()
-    linfo = validate_args("la_gbsvx", ab=ab, b=b, kl=kl, abf=abf,
-                          ipiv=ipiv, fact=fact, trans=trans)
-    if linfo:
-        return _finish(srname, linfo, info, res)
     n = ab.shape[1]
     rows = ab.shape[0]
     if kl is None:
         kl = (rows - 1) // 2
     ku = rows - kl - 1
     t = trans.upper()
-    linfo, exc = driver_guard(srname, (1, ab), (2, b))
-    if linfo:
-        return _finish(srname, linfo, info, res, exc)
     bmat, was_vec = as_matrix(b)
     if lsame(fact, "F"):
         res.af, res.ipiv = abf, ipiv
@@ -216,9 +195,7 @@ def la_gbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
         res.af[kl:, :] = ab
         res.ipiv, linfo = gbtrf(res.af, kl, ku)
     if linfo > 0:
-        res.rcond = 0.0
-        return _finish(srname, linfo, info, res,
-                       SingularMatrix(srname, linfo))
+        return _failed(res, linfo, SingularMatrix)
     deadlines.check(srname, "factor", info)
     norm = "1" if t == "N" else "I"
     anorm = langb(norm, ab, kl, ku)
@@ -230,37 +207,24 @@ def la_gbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     deadlines.check(srname, "refine", info)
     res.ferr, res.berr, _ = gbrfs(ab, res.af, kl, ku, res.ipiv, bmat, x2d,
                                   trans=t)
-    res.x = _vector_like(b, x2d, was_vec)
-    if x is not None:
-        xv, _ = as_matrix(x)
-        xv[:] = x2d
-    linfo = _rcond_verdict(srname, res.rcond, n, ab.dtype)
-    return _finish(srname, linfo, info, res)
+    return _solved(srname, res, x, x2d, was_vec, n, ab.dtype)
 
 
-@backend_aware
+@driver_shell("la_gtsvx", refused=_refused)
 def la_gtsvx(dl, d, du, b, x=None, trans: str = "N",
              info: Info | None = None) -> ExpertResult:
     """Expert tridiagonal solver (paper ``LA_GTSVX``)."""
     srname = "LA_GTSVX"
     res = ExpertResult()
-    linfo = validate_args("la_gtsvx", dl=dl, d=d, du=du, b=b, trans=trans)
-    if linfo:
-        return _finish(srname, linfo, info, res)
     n = d.shape[0]
     t = trans.upper()
-    linfo, exc = driver_guard(srname, (1, dl), (2, d), (3, du), (4, b))
-    if linfo:
-        return _finish(srname, linfo, info, res, exc)
     bmat, was_vec = as_matrix(b)
     dlf, df, duf = dl.copy(), d.copy(), du.copy()
     du2, ipiv, linfo = gttrf(dlf, df, duf)
     res.factors = (dlf, df, duf, du2)
     res.ipiv = ipiv
     if linfo > 0:
-        res.rcond = 0.0
-        return _finish(srname, linfo, info, res,
-                       SingularMatrix(srname, linfo))
+        return _failed(res, linfo, SingularMatrix)
     deadlines.check(srname, "factor", info)
     norm = "1" if t == "N" else "I"
     anorm = langt(norm, dl, d, du)
@@ -272,15 +236,10 @@ def la_gtsvx(dl, d, du, b, x=None, trans: str = "N",
     deadlines.check(srname, "refine", info)
     res.ferr, res.berr, _ = gtrfs(dl, d, du, dlf, df, duf, du2, ipiv,
                                   bmat, x2d, trans=t)
-    res.x = _vector_like(b, x2d, was_vec)
-    if x is not None:
-        xv, _ = as_matrix(x)
-        xv[:] = x2d
-    linfo = _rcond_verdict(srname, res.rcond, n, d.dtype)
-    return _finish(srname, linfo, info, res)
+    return _solved(srname, res, x, x2d, was_vec, n, d.dtype)
 
 
-@backend_aware
+@driver_shell("la_posvx", refused=_refused)
 def la_posvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              uplo: str = "U", af: np.ndarray | None = None,
              fact: str = "N", s: np.ndarray | None = None,
@@ -288,14 +247,7 @@ def la_posvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     """Expert SPD/HPD solver with equilibration (paper ``LA_POSVX``)."""
     srname = "LA_POSVX"
     res = ExpertResult()
-    linfo = validate_args("la_posvx", a=a, b=b, uplo=uplo, af=af,
-                          fact=fact)
-    if linfo:
-        return _finish(srname, linfo, info, res)
     n = a.shape[0]
-    linfo, exc = driver_guard(srname, (1, a), (2, b))
-    if linfo:
-        return _finish(srname, linfo, info, res, exc)
     bmat, was_vec = as_matrix(b)
     b_work = bmat.astype(a.dtype, copy=True)
     equed_out = "N"
@@ -313,9 +265,7 @@ def la_posvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
         res.af = a.copy()
         linfo = potrf(res.af, uplo)
     if linfo > 0:
-        res.rcond = 0.0
-        return _finish(srname, linfo, info, res,
-                       NotPositiveDefinite(srname, linfo))
+        return _failed(res, linfo, NotPositiveDefinite)
     deadlines.check(srname, "factor", info)
     hermitian = np.iscomplexobj(a)
     anorm = lanhe("1", a, uplo) if hermitian else lansy("1", a, uplo)
@@ -329,29 +279,17 @@ def la_posvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     if equed_out == "Y" and res.s is not None:
         x2d *= res.s[:, None]
     res.equed = equed_out
-    res.x = _vector_like(b, x2d, was_vec)
-    if x is not None:
-        xv, _ = as_matrix(x)
-        xv[:] = x2d
-    linfo = _rcond_verdict(srname, res.rcond, n, a.dtype)
-    return _finish(srname, linfo, info, res)
+    return _solved(srname, res, x, x2d, was_vec, n, a.dtype)
 
 
-@backend_aware
+@driver_shell("la_ppsvx", refused=_refused)
 def la_ppsvx(ap: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              uplo: str = "U", afp: np.ndarray | None = None,
              fact: str = "N", info: Info | None = None) -> ExpertResult:
     """Expert packed SPD/HPD solver (paper ``LA_PPSVX``)."""
     srname = "LA_PPSVX"
     res = ExpertResult()
-    linfo = validate_args("la_ppsvx", ap=ap, b=b, uplo=uplo, afp=afp,
-                          fact=fact)
-    if linfo:
-        return _finish(srname, linfo, info, res)
     n = b.shape[0]
-    linfo, exc = driver_guard(srname, (1, ap), (2, b))
-    if linfo:
-        return _finish(srname, linfo, info, res, exc)
     bmat, was_vec = as_matrix(b)
     if lsame(fact, "F"):
         res.af = afp
@@ -360,9 +298,7 @@ def la_ppsvx(ap: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
         res.af = ap.copy()
         linfo = pptrf(res.af, uplo)
     if linfo > 0:
-        res.rcond = 0.0
-        return _finish(srname, linfo, info, res,
-                       NotPositiveDefinite(srname, linfo))
+        return _failed(res, linfo, NotPositiveDefinite)
     deadlines.check(srname, "factor", info)
     hermitian = np.iscomplexobj(ap)
     anorm = lansp("1", ap, n, uplo, hermitian=hermitian)
@@ -373,29 +309,17 @@ def la_ppsvx(ap: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     pptrs(res.af, x2d, uplo)
     deadlines.check(srname, "refine", info)
     res.ferr, res.berr, _ = pprfs(ap, res.af, bmat, x2d, uplo)
-    res.x = _vector_like(b, x2d, was_vec)
-    if x is not None:
-        xv, _ = as_matrix(x)
-        xv[:] = x2d
-    linfo = _rcond_verdict(srname, res.rcond, n, ap.dtype)
-    return _finish(srname, linfo, info, res)
+    return _solved(srname, res, x, x2d, was_vec, n, ap.dtype)
 
 
-@backend_aware
+@driver_shell("la_pbsvx", refused=_refused)
 def la_pbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              uplo: str = "U", afb: np.ndarray | None = None,
              fact: str = "N", info: Info | None = None) -> ExpertResult:
     """Expert SPD/HPD band solver (paper ``LA_PBSVX``)."""
     srname = "LA_PBSVX"
     res = ExpertResult()
-    linfo = validate_args("la_pbsvx", ab=ab, b=b, uplo=uplo, afb=afb,
-                          fact=fact)
-    if linfo:
-        return _finish(srname, linfo, info, res)
     n = ab.shape[1]
-    linfo, exc = driver_guard(srname, (1, ab), (2, b))
-    if linfo:
-        return _finish(srname, linfo, info, res, exc)
     bmat, was_vec = as_matrix(b)
     if lsame(fact, "F"):
         res.af = afb
@@ -404,9 +328,7 @@ def la_pbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
         res.af = ab.copy()
         linfo = pbtrf(res.af, uplo)
     if linfo > 0:
-        res.rcond = 0.0
-        return _finish(srname, linfo, info, res,
-                       NotPositiveDefinite(srname, linfo))
+        return _failed(res, linfo, NotPositiveDefinite)
     deadlines.check(srname, "factor", info)
     hermitian = np.iscomplexobj(ab)
     anorm = lansb("1", ab, n, uplo, hermitian=hermitian)
@@ -417,36 +339,23 @@ def la_pbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     pbtrs(res.af, x2d, uplo)
     deadlines.check(srname, "refine", info)
     res.ferr, res.berr, _ = pbrfs(ab, res.af, bmat, x2d, uplo)
-    res.x = _vector_like(b, x2d, was_vec)
-    if x is not None:
-        xv, _ = as_matrix(x)
-        xv[:] = x2d
-    linfo = _rcond_verdict(srname, res.rcond, n, ab.dtype)
-    return _finish(srname, linfo, info, res)
+    return _solved(srname, res, x, x2d, was_vec, n, ab.dtype)
 
 
-@backend_aware
+@driver_shell("la_ptsvx", refused=_refused)
 def la_ptsvx(d: np.ndarray, e: np.ndarray, b: np.ndarray,
              x: np.ndarray | None = None, fact: str = "N",
              info: Info | None = None) -> ExpertResult:
     """Expert SPD tridiagonal solver (paper ``LA_PTSVX``)."""
     srname = "LA_PTSVX"
     res = ExpertResult()
-    linfo = validate_args("la_ptsvx", d=d, e=e, b=b)
-    if linfo:
-        return _finish(srname, linfo, info, res)
     n = d.shape[0]
-    linfo, exc = driver_guard(srname, (1, d), (2, e), (3, b))
-    if linfo:
-        return _finish(srname, linfo, info, res, exc)
     bmat, was_vec = as_matrix(b)
     df, ef = d.copy(), e.copy()
     linfo = pttrf(df, ef)
     res.factors = (df, ef)
     if linfo > 0:
-        res.rcond = 0.0
-        return _finish(srname, linfo, info, res,
-                       NotPositiveDefinite(srname, linfo))
+        return _failed(res, linfo, NotPositiveDefinite)
     deadlines.check(srname, "factor", info)
     anorm = lanst("1", d, np.abs(e))
     res.rcond, _ = ptcon(df, ef, anorm)
@@ -456,25 +365,13 @@ def la_ptsvx(d: np.ndarray, e: np.ndarray, b: np.ndarray,
     pttrs(df, ef, x2d)
     deadlines.check(srname, "refine", info)
     res.ferr, res.berr, _ = ptrfs(d, e, df, ef, bmat, x2d)
-    res.x = _vector_like(b, x2d, was_vec)
-    if x is not None:
-        xv, _ = as_matrix(x)
-        xv[:] = x2d
-    linfo = _rcond_verdict(srname, res.rcond, n, e.dtype)
-    return _finish(srname, linfo, info, res)
+    return _solved(srname, res, x, x2d, was_vec, n, e.dtype)
 
 
 def _indef_expert(srname, trf, trs, con, rfs, a, b, x, uplo, af, ipiv,
                   fact, info, hermitian):
     res = ExpertResult()
-    linfo = validate_args(srname.lower(), a=a, b=b, uplo=uplo, af=af,
-                          ipiv=ipiv, fact=fact)
-    if linfo:
-        return _finish(srname, linfo, info, res)
     n = a.shape[0]
-    linfo, exc = driver_guard(srname, (1, a), (2, b))
-    if linfo:
-        return _finish(srname, linfo, info, res, exc)
     bmat, was_vec = as_matrix(b)
     if lsame(fact, "F"):
         res.af, res.ipiv = af, ipiv
@@ -483,9 +380,7 @@ def _indef_expert(srname, trf, trs, con, rfs, a, b, x, uplo, af, ipiv,
         res.af = a.copy()
         res.ipiv, linfo = trf(res.af, uplo)
     if linfo > 0:
-        res.rcond = 0.0
-        return _finish(srname, linfo, info, res,
-                       SingularMatrix(srname, linfo))
+        return _failed(res, linfo, SingularMatrix)
     deadlines.check(srname, "factor", info)
     anorm = lanhe("1", a, uplo) if hermitian else lansy("1", a, uplo)
     res.rcond, _ = con(res.af, res.ipiv, anorm, uplo)
@@ -495,15 +390,10 @@ def _indef_expert(srname, trf, trs, con, rfs, a, b, x, uplo, af, ipiv,
     trs(res.af, res.ipiv, x2d, uplo)
     deadlines.check(srname, "refine", info)
     res.ferr, res.berr, _ = rfs(a, res.af, res.ipiv, bmat, x2d, uplo)
-    res.x = _vector_like(b, x2d, was_vec)
-    if x is not None:
-        xv, _ = as_matrix(x)
-        xv[:] = x2d
-    linfo = _rcond_verdict(srname, res.rcond, n, a.dtype)
-    return _finish(srname, linfo, info, res)
+    return _solved(srname, res, x, x2d, was_vec, n, a.dtype)
 
 
-@backend_aware
+@driver_shell("la_sysvx", refused=_refused)
 def la_sysvx(a, b, x=None, uplo="U", af=None, ipiv=None, fact="N",
              info: Info | None = None) -> ExpertResult:
     """Expert symmetric indefinite solver (paper ``LA_SYSVX``)."""
@@ -511,7 +401,7 @@ def la_sysvx(a, b, x=None, uplo="U", af=None, ipiv=None, fact="N",
                          uplo, af, ipiv, fact, info, hermitian=False)
 
 
-@backend_aware
+@driver_shell("la_hesvx", refused=_refused)
 def la_hesvx(a, b, x=None, uplo="U", af=None, ipiv=None, fact="N",
              info: Info | None = None) -> ExpertResult:
     """Expert Hermitian indefinite solver (paper ``LA_HESVX``)."""
@@ -522,14 +412,7 @@ def la_hesvx(a, b, x=None, uplo="U", af=None, ipiv=None, fact="N",
 def _packed_indef_expert(srname, hermitian, ap, b, x, uplo, afp, ipiv,
                          fact, info):
     res = ExpertResult()
-    linfo = validate_args(srname.lower(), ap=ap, b=b, uplo=uplo, afp=afp,
-                          ipiv=ipiv, fact=fact)
-    if linfo:
-        return _finish(srname, linfo, info, res)
     n = b.shape[0]
-    linfo, exc = driver_guard(srname, (1, ap), (2, b))
-    if linfo:
-        return _finish(srname, linfo, info, res, exc)
     bmat, was_vec = as_matrix(b)
     if lsame(fact, "F"):
         res.af, res.ipiv = afp, ipiv
@@ -541,9 +424,7 @@ def _packed_indef_expert(srname, hermitian, ap, b, x, uplo, afp, ipiv,
         else:
             res.ipiv, linfo = sptrf(res.af, uplo)
     if linfo > 0:
-        res.rcond = 0.0
-        return _finish(srname, linfo, info, res,
-                       SingularMatrix(srname, linfo))
+        return _failed(res, linfo, SingularMatrix)
     deadlines.check(srname, "factor", info)
     anorm = lansp("1", ap, n, uplo, hermitian=hermitian)
     if hermitian:
@@ -562,15 +443,10 @@ def _packed_indef_expert(srname, hermitian, ap, b, x, uplo, afp, ipiv,
     fullf = unpack(res.af, n, uplo=uplo)
     rfs = herfs if hermitian else syrfs
     res.ferr, res.berr, _ = rfs(full, fullf, res.ipiv, bmat, x2d, uplo)
-    res.x = _vector_like(b, x2d, was_vec)
-    if x is not None:
-        xv, _ = as_matrix(x)
-        xv[:] = x2d
-    linfo = _rcond_verdict(srname, res.rcond, n, ap.dtype)
-    return _finish(srname, linfo, info, res)
+    return _solved(srname, res, x, x2d, was_vec, n, ap.dtype)
 
 
-@backend_aware
+@driver_shell("la_spsvx", refused=_refused)
 def la_spsvx(ap, b, x=None, uplo="U", afp=None, ipiv=None, fact="N",
              info: Info | None = None) -> ExpertResult:
     """Expert packed symmetric indefinite solver (paper ``LA_SPSVX``)."""
@@ -578,7 +454,7 @@ def la_spsvx(ap, b, x=None, uplo="U", afp=None, ipiv=None, fact="N",
                                 ipiv, fact, info)
 
 
-@backend_aware
+@driver_shell("la_hpsvx", refused=_refused)
 def la_hpsvx(ap, b, x=None, uplo="U", afp=None, ipiv=None, fact="N",
              info: Info | None = None) -> ExpertResult:
     """Expert packed Hermitian indefinite solver (paper ``LA_HPSVX``)."""

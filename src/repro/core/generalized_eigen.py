@@ -6,37 +6,28 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import Info, NoConvergence, NotPositiveDefinite
-from ..backends import backend_aware
 from ..backends.kernels import (gegs, gegv, ggsvd, hbgv, hegv, hpgv, sbgv,
                                 spgv, sygv)
-from ..specs import validate_args
-from .auxmod import _report
-from .eigen import _store, _want
+from .eigen import _jobz, _store, _want, _no_values, _no_values_z
+from .shell import driver_shell
 
 __all__ = ["la_sygv", "la_hegv", "la_spgv", "la_hpgv", "la_sbgv",
            "la_hbgv", "la_gegs", "la_gegv", "la_ggsvd"]
 
 
-def _gv(srname, driver, a, b, w, itype, jobz, uplo, info):
-    exc = None
-    wout = np.zeros(0)
-    linfo = validate_args(srname.lower(), a=a, b=b, w=w, itype=itype,
-                          jobz=jobz, uplo=uplo)
-    if linfo == 0:
-        n = a.shape[0]
-        wout, linfo = driver(a, b, itype=itype, jobz=jobz, uplo=uplo)
-        if linfo > n:
-            exc = NotPositiveDefinite(srname, linfo - n)
-        elif linfo > 0:
-            exc = NoConvergence(srname, linfo)
-        if w is not None:
-            w[:] = wout
-            wout = w
-    _report(srname, linfo, info, exc)
-    return wout
+def _definite(srname, linfo, n):
+    """``info = n + i``: B is not positive definite at minor *i*."""
+    if linfo > n:
+        return NotPositiveDefinite(srname, linfo - n)
+    return NoConvergence(srname, linfo) if linfo > 0 else None
 
 
-@backend_aware
+def _gv(srname, driver, a, b, w, itype, jobz, uplo):
+    wout, linfo = driver(a, b, itype=itype, jobz=jobz, uplo=uplo)
+    return _store(w, wout), linfo, _definite(srname, linfo, a.shape[0])
+
+
+@driver_shell("la_sygv", refused=_no_values)
 def la_sygv(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None,
             itype: int = 1, jobz: str = "N", uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
@@ -49,93 +40,69 @@ def la_sygv(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None,
     the Cholesky factor of B.  ``info = n + i`` flags B not positive
     definite at minor *i*.
     """
-    return _gv("LA_SYGV", sygv, a, b, w, itype, jobz, uplo, info)
+    return _gv("LA_SYGV", sygv, a, b, w, itype, jobz, uplo)
 
 
-@backend_aware
+@driver_shell("la_hegv", refused=_no_values)
 def la_hegv(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None,
             itype: int = 1, jobz: str = "N", uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
     """Complex Hermitian-definite generalized eigen driver
     (paper ``LA_HEGV``)."""
-    return _gv("LA_HEGV", hegv, a, b, w, itype, jobz, uplo, info)
+    return _gv("LA_HEGV", hegv, a, b, w, itype, jobz, uplo)
 
 
-def _packed_gv(srname, ap, bp, w, itype, uplo, z, info, method="qr"):
-    exc = None
-    wout = np.zeros(0)
-    zout = None
-    linfo = validate_args(srname.lower(), ap=ap, bp=bp)
-    if linfo == 0:
-        ln = ap.shape[0]
-        n = int((np.sqrt(8.0 * ln + 1.0) - 1.0) / 2.0 + 0.5)
-        jobz = "V" if _want(z) else "N"
-        wout, zv, linfo = spgv(ap, bp, n, itype=itype, jobz=jobz,
-                               uplo=uplo, method=method)
-        if linfo > n:
-            exc = NotPositiveDefinite(srname, linfo - n)
-        elif linfo > 0:
-            exc = NoConvergence(srname, linfo)
-        if _want(z):
-            zout = _store(z if isinstance(z, np.ndarray) else None, zv)
-        if w is not None:
-            w[:] = wout
-            wout = w
-    _report(srname, linfo, info, exc)
-    return (wout, zout) if _want(z) else wout
+def _packed_gv(srname, driver, ap, bp, w, itype, uplo, z):
+    ln = ap.shape[0]
+    n = int((np.sqrt(8.0 * ln + 1.0) - 1.0) / 2.0 + 0.5)
+    wout, zv, linfo = driver(ap, bp, n, itype=itype, jobz=_jobz(z),
+                             uplo=uplo)
+    wout = _store(w, wout)
+    out = (wout, _store(z, zv)) if _want(z) else wout
+    return out, linfo, _definite(srname, linfo, n)
 
 
-@backend_aware
+@driver_shell("la_spgv", refused=_no_values_z)
 def la_spgv(ap, bp, w=None, itype: int = 1, uplo: str = "U", z=None,
             info: Info | None = None):
     """Packed generalized symmetric-definite driver (paper ``LA_SPGV``)."""
-    return _packed_gv("LA_SPGV", ap, bp, w, itype, uplo, z, info)
+    return _packed_gv("LA_SPGV", spgv, ap, bp, w, itype, uplo, z)
 
 
-@backend_aware
+@driver_shell("la_hpgv", refused=_no_values_z)
 def la_hpgv(ap, bp, w=None, itype: int = 1, uplo: str = "U", z=None,
             info: Info | None = None):
     """Packed generalized Hermitian-definite driver (paper ``LA_HPGV``)."""
-    return _packed_gv("LA_HPGV", ap, bp, w, itype, uplo, z, info)
+    return _packed_gv("LA_HPGV", spgv, ap, bp, w, itype, uplo, z)
 
 
-def _band_gv(srname, ab, bb, w, uplo, z, info):
-    exc = None
-    wout = np.zeros(0)
-    zout = None
-    linfo = validate_args(srname.lower(), ab=ab, bb=bb)
-    if linfo == 0:
-        n = ab.shape[1]
-        jobz = "V" if _want(z) else "N"
-        wout, zv, linfo = sbgv(ab, bb, n, jobz=jobz, uplo=uplo)
-        if linfo > n:
-            exc = NotPositiveDefinite(srname, linfo - n)
-        elif linfo > 0:
-            exc = NoConvergence(srname, linfo)
-        if _want(z):
-            zout = _store(z if isinstance(z, np.ndarray) else None, zv)
-        if w is not None:
-            w[:] = wout
-            wout = w
-    _report(srname, linfo, info, exc)
-    return (wout, zout) if _want(z) else wout
+def _band_gv(srname, driver, ab, bb, w, uplo, z):
+    n = ab.shape[1]
+    wout, zv, linfo = driver(ab, bb, n, jobz=_jobz(z), uplo=uplo)
+    wout = _store(w, wout)
+    out = (wout, _store(z, zv)) if _want(z) else wout
+    return out, linfo, _definite(srname, linfo, n)
 
 
-@backend_aware
+@driver_shell("la_sbgv", refused=_no_values_z)
 def la_sbgv(ab, bb, w=None, uplo: str = "U", z=None,
             info: Info | None = None):
     """Band generalized symmetric-definite driver (paper ``LA_SBGV``)."""
-    return _band_gv("LA_SBGV", ab, bb, w, uplo, z, info)
+    return _band_gv("LA_SBGV", sbgv, ab, bb, w, uplo, z)
 
 
-@backend_aware
+@driver_shell("la_hbgv", refused=_no_values_z)
 def la_hbgv(ab, bb, w=None, uplo: str = "U", z=None,
             info: Info | None = None):
     """Band generalized Hermitian-definite driver (paper ``LA_HBGV``)."""
-    return _band_gv("LA_HBGV", ab, bb, w, uplo, z, info)
+    return _band_gv("LA_HBGV", sbgv, ab, bb, w, uplo, z)
 
 
-@backend_aware
+def _no_pencil(linfo, **_):
+    return np.zeros(0, complex), np.zeros(0, complex)
+
+
+@driver_shell("la_gegs", refused=_no_pencil)
 def la_gegs(a: np.ndarray, b: np.ndarray, vsl=None, vsr=None,
             info: Info | None = None):
     """Generalized Schur factorization of a nonsymmetric pencil (A, B)
@@ -147,30 +114,21 @@ def la_gegs(a: np.ndarray, b: np.ndarray, vsl=None, vsr=None,
     paper's ``α ::= ALPHAR, ALPHAI | ALPHA`` collapses to complex
     ``alpha``).  Returns ``(alpha, beta[, vsl][, vsr])``.
     """
-    srname = "LA_GEGS"
-    exc = None
-    linfo = validate_args("la_gegs", a=a, b=b)
-    if linfo:
-        _report(srname, linfo, info)
-        return np.zeros(0, complex), np.zeros(0, complex)
     alpha, beta, s, t, q, z, linfo = gegs(a, b)
     if np.iscomplexobj(a):
         a[...] = s
         b[...] = t
-    if linfo > 0:
-        exc = NoConvergence(srname, linfo)
     out = [alpha, beta]
     if _want(vsl):
-        out.append(_store(vsl if isinstance(vsl, np.ndarray) else None, q))
+        out.append(_store(vsl, q))
     if _want(vsr):
-        out.append(_store(vsr if isinstance(vsr, np.ndarray) else None, z))
+        out.append(_store(vsr, z))
     if not _want(vsl) and not _want(vsr):
         out.extend([s, t])
-    _report(srname, linfo, info, exc)
-    return tuple(out)
+    return tuple(out), linfo, NoConvergence
 
 
-@backend_aware
+@driver_shell("la_gegv", refused=_no_pencil)
 def la_gegv(a: np.ndarray, b: np.ndarray, vl=None, vr=None,
             info: Info | None = None):
     """Generalized eigenvalues (and optionally eigenvectors) of a pair of
@@ -180,26 +138,17 @@ def la_gegv(a: np.ndarray, b: np.ndarray, vl=None, vr=None,
     Returns ``(alpha, beta[, vl][, vr])``; eigenvalue *i* is
     ``alpha[i]/beta[i]`` (``beta ≈ 0`` flags an infinite eigenvalue).
     """
-    srname = "LA_GEGV"
-    exc = None
-    linfo = validate_args("la_gegv", a=a, b=b)
-    if linfo:
-        _report(srname, linfo, info)
-        return np.zeros(0, complex), np.zeros(0, complex)
     alpha, beta, vlv, vrv, linfo = gegv(a, b, want_vl=_want(vl),
                                         want_vr=_want(vr))
-    if linfo > 0:
-        exc = NoConvergence(srname, linfo)
     out = [alpha, beta]
     if _want(vl):
-        out.append(_store(vl if isinstance(vl, np.ndarray) else None, vlv))
+        out.append(_store(vl, vlv))
     if _want(vr):
-        out.append(_store(vr if isinstance(vr, np.ndarray) else None, vrv))
-    _report(srname, linfo, info, exc)
-    return tuple(out)
+        out.append(_store(vr, vrv))
+    return tuple(out), linfo, NoConvergence
 
 
-@backend_aware
+@driver_shell("la_ggsvd")
 def la_ggsvd(a: np.ndarray, b: np.ndarray, info: Info | None = None):
     """Computes the generalized singular value decomposition
     (paper: ``CALL LA_GGSVD( A, B, ALPHA, BETA, K=k, L=l, U=u, V=v,
@@ -209,14 +158,5 @@ def la_ggsvd(a: np.ndarray, b: np.ndarray, info: Info | None = None):
     ``A = U·D1·R·Qᴴ``, ``B = V·D2·R·Qᴴ`` (see
     :func:`repro.lapack77.gsvd.ggsvd` for the D1/D2 layout).
     """
-    srname = "LA_GGSVD"
-    exc = None
-    linfo = validate_args("la_ggsvd", a=a, b=b)
-    if linfo:
-        _report(srname, linfo, info)
-        return None
     alpha, beta, k, l, u, v, q, r, linfo = ggsvd(a, b)
-    if linfo > 0:
-        exc = NoConvergence(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return alpha, beta, k, l, u, v, q, r
+    return (alpha, beta, k, l, u, v, q, r), linfo, NoConvergence

@@ -6,15 +6,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import Info
-from ..backends import backend_aware
 from ..backends.kernels import gglse, ggglm
-from ..specs import validate_args
-from .auxmod import _report
+from .shell import _unchanged, driver_shell
 
 __all__ = ["la_gglse", "la_ggglm"]
 
 
-@backend_aware
+@driver_shell("la_gglse", refused=_unchanged("x"))
 def la_gglse(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
              x: np.ndarray | None = None,
              info: Info | None = None) -> np.ndarray:
@@ -26,19 +24,13 @@ def la_gglse(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
     destroyed.  The solution is returned (and written into ``x`` when
     supplied).
     """
-    srname = "LA_GGLSE"
-    linfo = validate_args("la_gglse", a=a, b=b, c=c, d=d, x=x)
-    if linfo == 0:
-        sol, linfo = gglse(a, b, c, d)
-        if x is not None:
-            x[:] = sol
-        _report(srname, linfo, info)
-        return sol
-    _report(srname, linfo, info)
-    return x
+    sol, linfo = gglse(a, b, c, d)
+    if x is not None:
+        x[:] = sol
+    return sol, linfo, None
 
 
-@backend_aware
+@driver_shell("la_ggglm", refused=lambda linfo, x=None, y=None, **_: (x, y))
 def la_ggglm(a: np.ndarray, b: np.ndarray, d: np.ndarray,
              x: np.ndarray | None = None, y: np.ndarray | None = None,
              info: Info | None = None):
@@ -48,15 +40,9 @@ def la_ggglm(a: np.ndarray, b: np.ndarray, d: np.ndarray,
 
     ``a`` (n×m), ``b`` (n×p) with ``m ≤ n ≤ m+p``.  Returns ``(x, y)``.
     """
-    srname = "LA_GGGLM"
-    linfo = validate_args("la_ggglm", a=a, b=b, d=d, x=x, y=y)
-    if linfo == 0:
-        xs, ys, linfo = ggglm(a, b, d)
-        if x is not None:
-            x[:] = xs
-        if y is not None:
-            y[:] = ys
-        _report(srname, linfo, info)
-        return xs, ys
-    _report(srname, linfo, info)
-    return x, y
+    xs, ys, linfo = ggglm(a, b, d)
+    if x is not None:
+        x[:] = xs
+    if y is not None:
+        y[:] = ys
+    return (xs, ys), linfo, None

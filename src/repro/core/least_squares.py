@@ -5,10 +5,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import Info
-from ..backends import backend_aware
 from ..backends.kernels import gels, gelss, gelsx
-from ..specs import validate_args
-from .auxmod import _report, as_matrix, driver_guard
+from .auxmod import as_matrix
+from .shell import _unchanged, driver_shell
 
 __all__ = ["la_gels", "la_gelsx", "la_gelss"]
 
@@ -16,19 +15,19 @@ __all__ = ["la_gels", "la_gelsx", "la_gelss"]
 def _ls_rhs(a, b):
     """Pad the RHS to ``max(m, n)`` rows (LAPACK's B layout) when needed.
 
-    Returns ``(b_work, was_vec, padded)``.
+    Returns ``(b_work, was_vec)``.
     """
     m, n = a.shape
     bmat, was_vec = as_matrix(b)
     rows = max(m, n)
     if bmat.shape[0] == rows:
-        return bmat, was_vec, False
+        return bmat, was_vec
     bw = np.zeros((rows, bmat.shape[1]), dtype=np.result_type(a, bmat))
     bw[:bmat.shape[0]] = bmat
-    return bw, was_vec, True
+    return bw, was_vec
 
 
-@backend_aware
+@driver_shell("la_gels", refused=_unchanged("b"))
 def la_gels(a: np.ndarray, b: np.ndarray, trans: str = "N",
             info: Info | None = None) -> np.ndarray:
     """Solves over-determined or under-determined full-rank linear
@@ -43,24 +42,14 @@ def la_gels(a: np.ndarray, b: np.ndarray, trans: str = "N",
       solution of ``A x = b`` (m < n);
     * ``trans='T'/'C'``: the same problems for ``op(A)``.
     """
-    srname = "LA_GELS"
-    exc = None
-    linfo = validate_args("la_gels", a=a, b=b, trans=trans)
-    if linfo == 0:
-        linfo, exc = driver_guard(srname, (1, a), (2, b))
-    if linfo == 0:
-        m, n = a.shape
-        bw, was_vec, padded = _ls_rhs(a, b)
-        linfo = gels(a, bw, trans=trans)
-        out_rows = n if trans.upper() == "N" else m
-        x = bw[:out_rows, 0] if was_vec else bw[:out_rows]
-        _report(srname, linfo, info)
-        return x
-    _report(srname, linfo, info, exc)
-    return b
+    m, n = a.shape
+    bw, was_vec = _ls_rhs(a, b)
+    linfo = gels(a, bw, trans=trans)
+    out_rows = n if trans.upper() == "N" else m
+    return (bw[:out_rows, 0] if was_vec else bw[:out_rows]), linfo, None
 
 
-@backend_aware
+@driver_shell("la_gelsx", refused=lambda linfo, b, **_: (b, 0))
 def la_gelsx(a: np.ndarray, b: np.ndarray, rcond: float = -1.0,
              jpvt: np.ndarray | None = None,
              info: Info | None = None):
@@ -71,26 +60,16 @@ def la_gelsx(a: np.ndarray, b: np.ndarray, rcond: float = -1.0,
     Returns ``(x, rank)``; ``jpvt`` on entry marks fixed columns
     (LAPACK-style), on exit holds the permutation.
     """
-    srname = "LA_GELSX"
-    linfo = validate_args("la_gelsx", a=a, b=b)
-    if linfo:
-        _report(srname, linfo, info)
-        return b, 0
     n = a.shape[1]
-    linfo, exc = driver_guard(srname, (1, a), (2, b))
-    if linfo:
-        _report(srname, linfo, info, exc)
-        return b, 0
-    bw, was_vec, padded = _ls_rhs(a, b)
+    bw, was_vec = _ls_rhs(a, b)
     rank, perm, linfo = gelsx(a, bw, rcond=rcond, jpvt=jpvt)
     if jpvt is not None:
         jpvt[:] = perm
-    x = bw[:n, 0] if was_vec else bw[:n]
-    _report(srname, linfo, info)
-    return x, rank
+    return ((bw[:n, 0] if was_vec else bw[:n]), rank), linfo, None
 
 
-@backend_aware
+@driver_shell("la_gelss",
+              refused=lambda linfo, b, **_: (b, 0, np.zeros(0)))
 def la_gelss(a: np.ndarray, b: np.ndarray, rcond: float = -1.0,
              info: Info | None = None):
     """Computes the minimum norm solution to a least squares problem
@@ -100,18 +79,7 @@ def la_gelss(a: np.ndarray, b: np.ndarray, rcond: float = -1.0,
     Returns ``(x, rank, s)`` — solution, effective rank at threshold
     ``rcond·s₁``, and the singular values (descending).
     """
-    srname = "LA_GELSS"
-    linfo = validate_args("la_gelss", a=a, b=b)
-    if linfo:
-        _report(srname, linfo, info)
-        return b, 0, np.zeros(0)
     n = a.shape[1]
-    linfo, exc = driver_guard(srname, (1, a), (2, b))
-    if linfo:
-        _report(srname, linfo, info, exc)
-        return b, 0, np.zeros(0)
-    bw, was_vec, padded = _ls_rhs(a, b)
+    bw, was_vec = _ls_rhs(a, b)
     s, rank, linfo = gelss(a, bw, rcond=rcond)
-    x = bw[:n, 0] if was_vec else bw[:n]
-    _report(srname, linfo, info)
-    return x, rank, s
+    return ((bw[:n, 0] if was_vec else bw[:n]), rank, s), linfo, None

@@ -11,9 +11,10 @@ array for Pythonic chaining.  ``b`` may be shape ``(n,)`` or
 ``(n, nrhs)`` — the paper's ``xGESV1_F90`` vs ``xGESV_F90`` generic
 resolution.
 
-Every driver runs :func:`repro.core.auxmod.driver_guard` after argument
-validation (NaN/Inf screening per the active exception policy, plus the
-simulated allocation fault), and with ``fallbacks=True`` in
+Every driver runs in the driver shell (:mod:`repro.core.shell`), whose
+entry gate screens the operands for NaN/Inf per the active exception
+policy and simulates the allocation fault; at n = 0 every driver here
+but ``la_gbsv`` returns before the gate.  With ``fallbacks=True`` in
 :func:`repro.policy.exception_policy` the three drivers with a natural
 escape hatch degrade gracefully instead of failing:
 
@@ -40,19 +41,22 @@ import numpy as np
 
 from ..errors import (Info, LinAlgError, NotPositiveDefinite,
                       SingularMatrix)
-from ..backends import backend_aware
 from ..backends.kernels import (gbsv, gtsv, gesv, hesv, hpsv, pbsv, posv,
                                 ppsv, ptsv, spsv, sysv)
 from ..policy import get_policy, has_nonfinite
-from ..specs import validate_args
-from .auxmod import _record_fallback, _report, as_matrix, driver_guard
+from .auxmod import as_matrix
+from .expert_linear import la_gbsvx, la_gesvx
+from .shell import Fallback, _unchanged, driver_shell
 
 __all__ = ["la_gesv", "la_gbsv", "la_gtsv", "la_posv", "la_ppsv",
            "la_pbsv", "la_ptsv", "la_sysv", "la_hesv", "la_spsv",
            "la_hpsv"]
 
 
-def _fallback_posv(srname, a_orig, bmat, uplo, info):
+_rhs = _unchanged("b")
+
+
+def _fallback_posv(a_orig, bmat, uplo):
     """``la_posv``'s ladder: retry the (possibly indefinite) system
     through the Bunch–Kaufman symmetric/Hermitian-indefinite path."""
     solver, via = (hesv, "LA_HESV") if np.iscomplexobj(a_orig) \
@@ -61,55 +65,36 @@ def _fallback_posv(srname, a_orig, bmat, uplo, info):
     try:
         _, linfo2 = solver(a_orig, b_try, uplo)
     except LinAlgError:
-        return False
+        return None
     if linfo2 != 0 or has_nonfinite(b_try):
-        return False
+        return None
     bmat[:] = b_try
-    _record_fallback(srname, via, None, 0, info)
-    return True
+    return Fallback(via, None, 0)
 
 
-def _fallback_gesv(srname, a_orig, bmat, n, info):
-    """``la_gesv``'s ladder: escalate to the expert driver's
-    equilibrate-and-refine path."""
-    from .expert_linear import la_gesvx
+def _expert_fallback(expert, via, a_orig, bmat, n, **options):
+    """``la_gesv``/``la_gbsv``'s ladder: escalate to the expert
+    driver's condition-estimate-and-refine path."""
     sub = Info()
     try:
-        res = la_gesvx(a_orig, bmat.copy(), fact="E", info=sub)
+        res = expert(a_orig, bmat.copy(), **options, info=sub)
     except LinAlgError:
-        return False
+        return None
     if sub.value not in (0, n + 1) or res.x is None:
-        return False
+        return None
     x2d, _ = as_matrix(res.x)
     if has_nonfinite(x2d):
-        return False
+        return None
     bmat[:] = x2d
-    _record_fallback(srname, "LA_GESVX(FACT='E')", res.rcond,
-                     0 if sub.value == 0 else n + 1, info)
-    return True
+    return Fallback(via, res.rcond, sub.value)
 
 
-def _fallback_gbsv(srname, ab_plain, kl, bmat, n, info):
-    """``la_gbsv``'s ladder: escalate to the expert band driver's
-    condition-estimate-and-refine path."""
-    from .expert_linear import la_gbsvx
-    sub = Info()
-    try:
-        res = la_gbsvx(ab_plain, bmat.copy(), kl=kl, info=sub)
-    except LinAlgError:
-        return False
-    if sub.value not in (0, n + 1) or res.x is None:
-        return False
-    x2d, _ = as_matrix(res.x)
-    if has_nonfinite(x2d):
-        return False
-    bmat[:] = x2d
-    _record_fallback(srname, "LA_GBSVX", res.rcond,
-                     0 if sub.value == 0 else n + 1, info)
-    return True
+def _fallback_gesv(a_orig, bmat, n):
+    return _expert_fallback(la_gesvx, "LA_GESVX(FACT='E')", a_orig, bmat,
+                            n, fact="E")
 
 
-@backend_aware
+@driver_shell("la_gesv", refused=_rhs)
 def la_gesv(a: np.ndarray, b: np.ndarray, ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
     """Solves a general system of linear equations ``A X = B``
@@ -136,29 +121,23 @@ def la_gesv(a: np.ndarray, b: np.ndarray, ipiv: np.ndarray | None = None,
     -------
     The solution array ``b``.
     """
-    srname = "LA_GESV"
-    exc = None
-    linfo = validate_args("la_gesv", a=a, b=b, ipiv=ipiv)
-    if linfo == 0 and a.shape[0] > 0:
-        n = a.shape[0]
-        linfo, exc = driver_guard(srname, (1, a), (2, b))
-        if linfo == 0:
-            bmat, _ = as_matrix(b)
-            pol = get_policy()
-            a_orig = a.copy() if pol.fallbacks else None
-            lpiv, linfo = gesv(a, bmat)
-            if ipiv is not None:
-                ipiv[:] = lpiv
-            if linfo > 0:
-                exc = SingularMatrix(srname, linfo)
-                if pol.fallbacks and _fallback_gesv(srname, a_orig, bmat,
-                                                    n, info):
-                    return b
-    _report(srname, linfo, info, exc)
-    return b
+    n = a.shape[0]
+    if n == 0:
+        return b, 0, None
+    bmat, _ = as_matrix(b)
+    pol = get_policy()
+    a_orig = a.copy() if pol.fallbacks else None
+    lpiv, linfo = gesv(a, bmat)
+    if ipiv is not None:
+        ipiv[:] = lpiv
+    if linfo > 0 and pol.fallbacks:
+        fallback = _fallback_gesv(a_orig, bmat, n)
+        if fallback:
+            return b, fallback.linfo, fallback
+    return b, linfo, SingularMatrix
 
 
-@backend_aware
+@driver_shell("la_gbsv", refused=_rhs)
 def la_gbsv(ab: np.ndarray, b: np.ndarray, kl: int | None = None,
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
@@ -170,33 +149,26 @@ def la_gbsv(ab: np.ndarray, b: np.ndarray, kl: int | None = None,
     ``kl`` is omitted it defaults to ``(rows − 1) // 3`` — the LAPACK90
     convention covering the common ``kl = ku`` case.
     """
-    srname = "LA_GBSV"
-    exc = None
-    linfo = validate_args("la_gbsv", ab=ab, b=b, kl=kl, ipiv=ipiv)
-    if linfo == 0:
-        n = ab.shape[1]
-        rows = ab.shape[0]
-        if kl is None:
-            kl = (rows - 1) // 3
-        ku = rows - 2 * kl - 1
-        linfo, exc = driver_guard(srname, (1, ab), (2, b))
-        if linfo == 0:
-            bmat, _ = as_matrix(b)
-            pol = get_policy()
-            ab_orig = ab[kl:, :].copy() if pol.fallbacks else None
-            lpiv, linfo = gbsv(ab, kl, ku, bmat)
-            if ipiv is not None:
-                ipiv[:] = lpiv
-            if linfo > 0:
-                exc = SingularMatrix(srname, linfo)
-                if pol.fallbacks and _fallback_gbsv(srname, ab_orig, kl,
-                                                    bmat, n, info):
-                    return b
-    _report(srname, linfo, info, exc)
-    return b
+    n = ab.shape[1]
+    rows = ab.shape[0]
+    if kl is None:
+        kl = (rows - 1) // 3
+    ku = rows - 2 * kl - 1
+    bmat, _ = as_matrix(b)
+    pol = get_policy()
+    ab_orig = ab[kl:, :].copy() if pol.fallbacks else None
+    lpiv, linfo = gbsv(ab, kl, ku, bmat)
+    if ipiv is not None:
+        ipiv[:] = lpiv
+    if linfo > 0 and pol.fallbacks:
+        fallback = _expert_fallback(la_gbsvx, "LA_GBSVX", ab_orig, bmat, n,
+                                    kl=kl)
+        if fallback:
+            return b, fallback.linfo, fallback
+    return b, linfo, SingularMatrix
 
 
-@backend_aware
+@driver_shell("la_gtsv", refused=_rhs)
 def la_gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray,
             info: Info | None = None) -> np.ndarray:
     """Solves a general tridiagonal system of linear equations ``A X = B``
@@ -205,21 +177,13 @@ def la_gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray,
     ``dl``/``d``/``du`` are the sub-, main and superdiagonal; all three
     (and ``b``) are overwritten.
     """
-    srname = "LA_GTSV"
-    exc = None
-    linfo = validate_args("la_gtsv", dl=dl, d=d, du=du, b=b)
-    if linfo == 0 and d.shape[0] > 0:
-        linfo, exc = driver_guard(srname, (1, dl), (2, d), (3, du), (4, b))
-        if linfo == 0:
-            bmat, _ = as_matrix(b)
-            linfo = gtsv(dl, d, du, bmat)
-            if linfo > 0:
-                exc = SingularMatrix(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return b
+    if d.shape[0] == 0:
+        return b, 0, None
+    bmat, _ = as_matrix(b)
+    return b, gtsv(dl, d, du, bmat), SingularMatrix
 
 
-@backend_aware
+@driver_shell("la_posv", refused=_rhs)
 def la_posv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric/Hermitian positive definite system ``A X = B``
@@ -228,46 +192,32 @@ def la_posv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
     Only the ``uplo`` triangle of ``a`` is referenced; on exit it holds
     the Cholesky factor.
     """
-    srname = "LA_POSV"
-    exc = None
-    linfo = validate_args("la_posv", a=a, b=b, uplo=uplo)
-    if linfo == 0 and a.shape[0] > 0:
-        linfo, exc = driver_guard(srname, (1, a), (2, b))
-        if linfo == 0:
-            bmat, _ = as_matrix(b)
-            pol = get_policy()
-            a_orig = a.copy() if pol.fallbacks else None
-            linfo = posv(a, bmat, uplo)
-            if linfo > 0:
-                exc = NotPositiveDefinite(srname, linfo)
-                if pol.fallbacks and _fallback_posv(srname, a_orig, bmat,
-                                                    uplo, info):
-                    return b
-    _report(srname, linfo, info, exc)
-    return b
+    if a.shape[0] == 0:
+        return b, 0, None
+    bmat, _ = as_matrix(b)
+    pol = get_policy()
+    a_orig = a.copy() if pol.fallbacks else None
+    linfo = posv(a, bmat, uplo)
+    if linfo > 0 and pol.fallbacks:
+        fallback = _fallback_posv(a_orig, bmat, uplo)
+        if fallback:
+            return b, fallback.linfo, fallback
+    return b, linfo, NotPositiveDefinite
 
 
-@backend_aware
+@driver_shell("la_ppsv", refused=_rhs)
 def la_ppsv(ap: np.ndarray, b: np.ndarray, uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric/Hermitian positive definite system with A in
     packed storage (paper: ``CALL LA_PPSV( AP, B, UPLO=uplo,
     INFO=info )``)."""
-    srname = "LA_PPSV"
-    exc = None
-    linfo = validate_args("la_ppsv", ap=ap, b=b, uplo=uplo)
-    if linfo == 0 and b.shape[0] > 0:
-        linfo, exc = driver_guard(srname, (1, ap), (2, b))
-        if linfo == 0:
-            bmat, _ = as_matrix(b)
-            linfo = ppsv(ap, bmat, uplo)
-            if linfo > 0:
-                exc = NotPositiveDefinite(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return b
+    if b.shape[0] == 0:
+        return b, 0, None
+    bmat, _ = as_matrix(b)
+    return b, ppsv(ap, bmat, uplo), NotPositiveDefinite
 
 
-@backend_aware
+@driver_shell("la_pbsv", refused=_rhs)
 def la_pbsv(ab: np.ndarray, b: np.ndarray, uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric/Hermitian positive definite band system
@@ -275,21 +225,13 @@ def la_pbsv(ab: np.ndarray, b: np.ndarray, uplo: str = "U",
 
     ``ab`` has ``kd + 1`` rows in LAPACK symmetric band storage.
     """
-    srname = "LA_PBSV"
-    exc = None
-    linfo = validate_args("la_pbsv", ab=ab, b=b, uplo=uplo)
-    if linfo == 0 and ab.shape[1] > 0:
-        linfo, exc = driver_guard(srname, (1, ab), (2, b))
-        if linfo == 0:
-            bmat, _ = as_matrix(b)
-            linfo = pbsv(ab, bmat, uplo)
-            if linfo > 0:
-                exc = NotPositiveDefinite(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return b
+    if ab.shape[1] == 0:
+        return b, 0, None
+    bmat, _ = as_matrix(b)
+    return b, pbsv(ab, bmat, uplo), NotPositiveDefinite
 
 
-@backend_aware
+@driver_shell("la_ptsv", refused=_rhs)
 def la_ptsv(d: np.ndarray, e: np.ndarray, b: np.ndarray,
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric/Hermitian positive definite tridiagonal system
@@ -298,83 +240,53 @@ def la_ptsv(d: np.ndarray, e: np.ndarray, b: np.ndarray,
     ``d`` is the (real) diagonal, ``e`` the subdiagonal; both receive the
     ``L D Lᴴ`` factors.
     """
-    srname = "LA_PTSV"
-    exc = None
-    linfo = validate_args("la_ptsv", d=d, e=e, b=b)
-    if linfo == 0 and d.shape[0] > 0:
-        linfo, exc = driver_guard(srname, (1, d), (2, e), (3, b))
-        if linfo == 0:
-            bmat, _ = as_matrix(b)
-            linfo = ptsv(d, e, bmat)
-            if linfo > 0:
-                exc = NotPositiveDefinite(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return b
+    if d.shape[0] == 0:
+        return b, 0, None
+    bmat, _ = as_matrix(b)
+    return b, ptsv(d, e, bmat), NotPositiveDefinite
 
 
-def _indef_driver(srname, solver, a, b, uplo, ipiv, info):
-    exc = None
-    linfo = validate_args(srname.lower(), a=a, b=b, uplo=uplo, ipiv=ipiv)
-    if linfo == 0 and a.shape[0] > 0:
-        linfo, exc = driver_guard(srname, (1, a), (2, b))
-        if linfo == 0:
-            bmat, _ = as_matrix(b)
-            lpiv, linfo = solver(a, bmat, uplo)
-            if ipiv is not None:
-                ipiv[:] = lpiv
-            if linfo > 0:
-                exc = SingularMatrix(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return b
+def _indef_driver(solver, a, b, uplo, ipiv):
+    if b.shape[0] == 0:
+        return b, 0, None
+    bmat, _ = as_matrix(b)
+    lpiv, linfo = solver(a, bmat, uplo)
+    if ipiv is not None:
+        ipiv[:] = lpiv
+    return b, linfo, SingularMatrix
 
 
-@backend_aware
+@driver_shell("la_sysv", refused=_rhs)
 def la_sysv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric (possibly complex symmetric) indefinite system
     by Bunch–Kaufman diagonal pivoting (paper: ``CALL LA_SYSV( A, B,
     UPLO=uplo, IPIV=ipiv, INFO=info )``)."""
-    return _indef_driver("LA_SYSV", sysv, a, b, uplo, ipiv, info)
+    return _indef_driver(sysv, a, b, uplo, ipiv)
 
 
-@backend_aware
+@driver_shell("la_hesv", refused=_rhs)
 def la_hesv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
     """Solves a complex Hermitian indefinite system (``LA_HESV``)."""
-    return _indef_driver("LA_HESV", hesv, a, b, uplo, ipiv, info)
+    return _indef_driver(hesv, a, b, uplo, ipiv)
 
 
-def _packed_indef_driver(srname, solver, ap, b, uplo, ipiv, info):
-    exc = None
-    linfo = validate_args(srname.lower(), ap=ap, b=b, uplo=uplo, ipiv=ipiv)
-    if linfo == 0 and b.shape[0] > 0:
-        linfo, exc = driver_guard(srname, (1, ap), (2, b))
-        if linfo == 0:
-            bmat, _ = as_matrix(b)
-            lpiv, linfo = solver(ap, bmat, uplo)
-            if ipiv is not None:
-                ipiv[:] = lpiv
-            if linfo > 0:
-                exc = SingularMatrix(srname, linfo)
-    _report(srname, linfo, info, exc)
-    return b
-
-
-@backend_aware
+@driver_shell("la_spsv", refused=_rhs)
 def la_spsv(ap: np.ndarray, b: np.ndarray, uplo: str = "U",
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric indefinite system in packed storage
     (``LA_SPSV``)."""
-    return _packed_indef_driver("LA_SPSV", spsv, ap, b, uplo, ipiv, info)
+    return _indef_driver(spsv, ap, b, uplo, ipiv)
 
 
-@backend_aware
+@driver_shell("la_hpsv", refused=_rhs)
 def la_hpsv(ap: np.ndarray, b: np.ndarray, uplo: str = "U",
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
     """Solves a complex Hermitian indefinite system in packed storage
     (``LA_HPSV``)."""
-    return _packed_indef_driver("LA_HPSV", hpsv, ap, b, uplo, ipiv, info)
+    return _indef_driver(hpsv, ap, b, uplo, ipiv)

@@ -6,15 +6,13 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import Info
-from ..backends import backend_aware
 from ..backends.kernels import lagge, lange
-from ..specs import validate_args
-from .auxmod import _report
+from .shell import _unchanged, driver_shell
 
 __all__ = ["la_lange", "la_lagge"]
 
 
-@backend_aware
+@driver_shell("la_lange", refused=lambda linfo, **_: 0.0)
 def la_lange(a: np.ndarray, norm: str = "1",
              info: Info | None = None) -> float:
     """Returns the value of the one norm, the Frobenius norm, the
@@ -23,16 +21,10 @@ def la_lange(a: np.ndarray, norm: str = "1",
 
     ``norm`` ∈ {'M', '1'/'O', 'I', 'F'/'E'}.
     """
-    srname = "LA_LANGE"
-    value = 0.0
-    linfo = validate_args("la_lange", a=a, norm=norm)
-    if linfo == 0:
-        value = float(lange(norm, a))
-    _report(srname, linfo, info)
-    return value
+    return float(lange(norm, a)), 0, None
 
 
-@backend_aware
+@driver_shell("la_lagge", refused=_unchanged("a"))
 def la_lagge(a: np.ndarray, kl: int | None = None, ku: int | None = None,
              d: np.ndarray | None = None, iseed: int | None = None,
              info: Info | None = None) -> np.ndarray:
@@ -44,16 +36,10 @@ def la_lagge(a: np.ndarray, kl: int | None = None, ku: int | None = None,
     Fills ``a`` in place; ``d`` defaults to uniform(0, 1] singular values.
     ``kl``/``ku`` bound the generated bandwidth.
     """
-    srname = "LA_LAGGE"
-    linfo = validate_args("la_lagge", a=a, d=d)
-    if linfo:
-        _report(srname, linfo, info)
-        return a
     m, n = a.shape
     rng = np.random.default_rng(iseed)
     if d is None:
         d = rng.uniform(1e-3, 1.0, min(m, n))
     a[...] = lagge(m, n, np.asarray(d), kl=kl, ku=ku, dtype=a.dtype,
                    rng=rng)
-    _report(srname, 0, info)
-    return a
+    return a, 0, None

@@ -52,9 +52,9 @@ import numpy as np
 from ..backends.kernels import potrs
 from ..core import (la_gbsv, la_gels, la_geev, la_gesv, la_gtsv, la_heev,
                     la_hesv, la_posv, la_syev, la_sysv, la_trtrs)
-from ..core.auxmod import _report, as_matrix, driver_guard
+from ..core.auxmod import as_matrix
+from ..core.shell import _unchanged, driver_shell
 from ..errors import Info, erinfo, is_error_code
-from ..specs import validate_args
 from ..specs.routing import REFINEMENTS, STRUCTURES, candidates, route
 from . import cache
 from .probe import Structure, probe, probe_stack
@@ -144,21 +144,16 @@ def _band_storage(a, kl, ku):
     return ab
 
 
-def _posv_from_factor(st, a, bc, info):
+@driver_shell("la_posv", refused=_unchanged("b"))
+def _posv_from_factor(a, b, uplo="U", info=None, cholesky=None):
     """Repeat SPD solve: the cached ``la_posv`` factor goes straight
-    to ``potrs``, inside the full ``LA_POSV`` contract (spec validation,
-    driver guard, ERINFO report) — the refactorization is what the cache
+    to ``potrs``, inside the full ``LA_POSV`` shell (spec validation,
+    entry gate, ERINFO report) — the refactorization is what the cache
     exists to skip."""
-    srname = "LA_POSV"
-    linfo = validate_args("la_posv", a=a, b=bc, uplo=st.uplo)
-    exc = None
-    if linfo == 0 and a.shape[0] > 0:
-        linfo, exc = driver_guard(srname, (1, a), (2, bc))
-        if linfo == 0:
-            bmat, _ = as_matrix(bc)
-            linfo = potrs(st.cholesky, bmat, st.uplo)
-    _report(srname, linfo, info, exc)
-    return bc
+    if a.shape[0] == 0:
+        return b, 0, None
+    bmat, _ = as_matrix(b)
+    return b, potrs(cholesky, bmat, uplo), None
 
 
 def _exec_gesv(st, a, bc, info, cached):
@@ -167,7 +162,8 @@ def _exec_gesv(st, a, bc, info, cached):
 
 def _exec_posv(st, a, bc, info, cached):
     if cached:
-        return _posv_from_factor(st, a, bc, info)
+        return _posv_from_factor(a, bc, uplo=st.uplo, info=info,
+                                 cholesky=st.cholesky)
     return la_posv(a.copy(), bc, uplo=st.uplo, info=info)
 
 

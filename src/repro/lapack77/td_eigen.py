@@ -247,7 +247,11 @@ def _ql(d: list, e: list, eps: float, nmax_iter: int, z) -> int:
             # Look for a negligible off-diagonal element.
             m = l
             while m < n - 1:
-                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                # An exact zero splits even when a NaN diagonal makes
+                # the relative test false; the shift below divides by
+                # e[l].
+                if e[m] == 0.0 or abs(e[m]) <= eps * (abs(d[m])
+                                                      + abs(d[m + 1])):
                     break
                 m += 1
             if m == l:

@@ -4,10 +4,11 @@ The dispatch seam (:mod:`repro.resilience.dispatch`) runs per *kernel*
 call, but the ``attempts`` field lives on the *driver's*
 :class:`repro.errors.Info` handle.  This module bridges the two layers
 without plumbing the handle through every kernel signature: the driver
-entry gate (:func:`repro.core.auxmod.driver_guard`) pushes a frame, the
-seam records events into the innermost frame, and the driver's reporting
-shim (``_report``/``_record_fallback``/``_finish``) drains the frame
-into the caller's ``Info`` on the way out.
+shell (:func:`repro.core.shell.driver_shell`) opens a frame for every
+driver call, the seam records events into the innermost frame, the
+shell's report drains the frame into the caller's ``Info`` on the way
+out, and the shell's ``finally`` closes the frame however the call
+exits — so a frame never outlives its call.
 
 Frames are purely thread-local telemetry — there is no cross-thread
 state here, so (unlike the deadline arming LA023 polices) no lock is
@@ -31,17 +32,14 @@ def _stack() -> list:
     return stack
 
 
-def push() -> None:
-    """Open a telemetry frame for the driver call being entered.
-
-    Bounded as a leak backstop: a kernel exception that escapes a driver
-    without reaching its reporting shim strands a frame, so the stack is
-    capped rather than allowed to grow without limit.
-    """
+def push():
+    """Open a telemetry frame for the call being entered.  Returns
+    ``(frames, depth)``: ``del frames[depth:]`` closes the frame (and
+    any opened after it) however the call exits — a no-op once it was
+    drained."""
     stack = _stack()
-    if len(stack) > 64:
-        del stack[0]
     stack.append({"attempts": []})
+    return stack, len(stack) - 1
 
 
 def record(attempt: str) -> None:
@@ -53,8 +51,7 @@ def record(attempt: str) -> None:
 
 def drain() -> dict | None:
     """Pop and return the innermost frame (``None`` when no frame is
-    open — reporting shims reached without a guard, e.g. on a
-    validation-failure exit)."""
+    open)."""
     stack = _stack()
     return stack.pop() if stack else None
 

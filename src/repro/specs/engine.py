@@ -234,7 +234,8 @@ def _dim_expr(source, refs):
         return f"{r}.shape[1] if isinstance({r}, _nd) and {r}.ndim == 2 " \
                f"else -1"
     if source == "len":
-        return f"{r}.shape[0] if isinstance({r}, _nd) else -1"
+        return f"{r}.shape[0] if isinstance({r}, _nd) and {r}.ndim >= 1 " \
+               f"else -1"
     if source == "tri":
         return f"_tri({r})"
     if source == "min":
@@ -278,16 +279,6 @@ def _validator_source(spec: DriverSpec) -> tuple:
         code = int(c.code)
         lines.append("    try:")
         lines.extend(f"        {s}" for s in stmts)
-        if c.kind == "range_pair":
-            # The one kind whose predicate value can be an array
-            # (array-valued vl/vu): its truth is taken outside the
-            # guard, so such a call raises rather than reporting.
-            lines += [f"        _bad = {expr}",
-                      "    except Exception:",
-                      f"        return {code}",
-                      "    if _bad:",
-                      f"        return {code}"]
-            continue
         lines += [f"        if {expr}:",
                   f"            return {code}",
                   "    except Exception:",
@@ -349,7 +340,7 @@ def validate_batch(spec: DriverSpec, bound: dict) -> tuple:
     is empty; the code is authoritative, the batch only meaningful when
     the code is 0).
     """
-    batch = 0
+    batch = None
     stacked = set(spec.batch_stacked)
     for a in spec.args:
         if a.name not in stacked:
@@ -362,11 +353,11 @@ def validate_batch(spec: DriverSpec, bound: dict) -> tuple:
         if not isinstance(val, np.ndarray) \
                 or val.ndim not in _STACK_NDIM[a.kind]:
             return -a.position, 0
-        if batch == 0:
+        if batch is None:
             batch = val.shape[0]
         elif val.shape[0] != batch:
             return -a.position, 0
-    if batch == 0:
+    if not batch:
         return 0, 0
     cross = {name: (val[0] if name in stacked
                     and isinstance(val, np.ndarray) else val)

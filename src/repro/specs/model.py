@@ -106,6 +106,10 @@ class DriverSpec:
     pair: str | None = None         # generic real<->complex partner
     positive_info: str = ""         # meaning of INFO > 0
     warn: str | None = None         # warning-band semantics, if any
+    screen: str | None = None       # entry gate (repro.core.shell):
+    # None runs none; "always" screens the required array operands on
+    # every call; "nonempty" does so unless the rhs has no rows (the
+    # n = 0 quick return comes first).
     batchable: bool = False         # repro.batch derives a batch_* wrapper
     problem_kind: str | None = None  # front-door verb: solve | lstsq | eig
     structure: tuple = ()           # matrix structures this driver is the

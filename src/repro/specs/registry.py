@@ -81,6 +81,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_gesv", _S1, "General system A X = B via LU with partial "
         "pivoting",
+        screen="nonempty",
         args=_args("a:inout:tbl", "b:rhs:inout:tbl",
                    "ipiv:vector:opt:out:ws:tbl", "info:info"),
         dims=(("n", "rows2d", "a"),),
@@ -94,6 +95,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_gbsv", _S1, "General band system via band LU with partial "
         "pivoting",
+        screen="always",
         args=_args("ab:inout:tbl", "b:rhs:inout:tbl",
                    "kl:scalar:opt:tbl", "ipiv:vector:opt:out:ws:tbl",
                    "info:info"),
@@ -108,6 +110,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_gtsv", _S1, "General tridiagonal system via Gaussian "
         "elimination with partial pivoting",
+        screen="nonempty",
         args=_args("dl:vector:inout:tbl", "d:vector:inout:tbl",
                    "du:vector:inout:tbl", "b:rhs:inout:tbl",
                    "info:info"),
@@ -122,6 +125,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_posv", _S1, "Symmetric/Hermitian positive definite system "
         "via Cholesky",
+        screen="nonempty",
         args=_args("a:inout:tbl", "b:rhs:inout:tbl", "uplo:flag:opt:tbl",
                    "info:info"),
         dims=(("n", "rows2d", "a"),),
@@ -134,6 +138,7 @@ _SPEC_LIST = [
         "definite"),
     DriverSpec(
         "la_ppsv", _S1, "Positive definite system, packed storage",
+        screen="nonempty",
         args=_args("ap:vector:inout:tbl", "b:rhs:inout:tbl",
                    "uplo:flag:opt:tbl", "info:info"),
         dims=(("n", "len", "b"),),
@@ -146,6 +151,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_pbsv", _S1, "Positive definite band system via band "
         "Cholesky",
+        screen="nonempty",
         args=_args("ab:inout:tbl", "b:rhs:inout:tbl", "uplo:flag:opt:tbl",
                    "info:info"),
         dims=(("n", "cols2d", "ab"),),
@@ -158,6 +164,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_ptsv", _S1, "Positive definite tridiagonal system via "
         "L D L^H",
+        screen="nonempty",
         args=_args("d:vector:inout:tbl", "e:vector:inout:tbl",
                    "b:rhs:inout:tbl", "info:info"),
         dims=(("n", "len", "d"),),
@@ -170,6 +177,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_sysv", _S1, "Symmetric indefinite system via diagonal "
         "pivoting",
+        screen="nonempty",
         args=_args("a:inout:tbl", "b:rhs:inout:tbl", "uplo:flag:opt:tbl",
                    "ipiv:vector:opt:out:ws:tbl", "info:info"),
         dims=(("n", "rows2d", "a"),),
@@ -184,6 +192,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_hesv", _S1, "Hermitian indefinite system via diagonal "
         "pivoting",
+        screen="nonempty",
         args=_args("a:inout:tbl", "b:rhs:inout:tbl", "uplo:flag:opt:tbl",
                    "ipiv:vector:opt:out:ws:tbl", "info:info"),
         dims=(("n", "rows2d", "a"),),
@@ -198,6 +207,7 @@ _SPEC_LIST = [
         "factor is singular"),
     DriverSpec(
         "la_spsv", _S1, "Symmetric indefinite system, packed storage",
+        screen="nonempty",
         args=_args("ap:vector:inout:tbl", "b:rhs:inout:tbl",
                    "uplo:flag:opt:tbl", "ipiv:vector:opt:out:ws:tbl",
                    "info:info"),
@@ -211,6 +221,7 @@ _SPEC_LIST = [
         "factor is singular"),
     DriverSpec(
         "la_hpsv", _S1, "Hermitian indefinite system, packed storage",
+        screen="nonempty",
         args=_args("ap:vector:inout:tbl", "b:rhs:inout:tbl",
                    "uplo:flag:opt:tbl", "ipiv:vector:opt:out:ws:tbl",
                    "info:info"),
@@ -227,6 +238,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_gesvx", _S2, "Expert LU solve: equilibrate, factor, refine, "
         "estimate RCOND",
+        screen="always",
         args=_args("a:inout:tbl", "b:rhs:inout:tbl", "x:rhs:opt:out:ws",
                    "af:opt:inout:tbl", "ipiv:vector:opt:inout:ws",
                    "fact:flag:opt:tbl", "trans:flag:opt:tbl",
@@ -244,6 +256,7 @@ _SPEC_LIST = [
         "be inaccurate"),
     DriverSpec(
         "la_gbsvx", _S2, "Expert band solve with refinement and RCOND",
+        screen="always",
         args=_args("ab:inout:tbl", "b:rhs:inout:tbl", "x:rhs:opt:out:ws",
                    "kl:scalar:opt:tbl", "abf:opt:inout:tbl",
                    "ipiv:vector:opt:inout:ws", "fact:flag:opt",
@@ -261,6 +274,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_gtsvx", _S2, "Expert tridiagonal solve with refinement and "
         "RCOND",
+        screen="always",
         args=_args("dl:vector:tbl", "d:vector:tbl", "du:vector",
                    "b:rhs:tbl", "x:rhs:opt:out:ws", "trans:flag:opt:tbl",
                    "info:info"),
@@ -276,6 +290,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_posvx", _S2, "Expert Cholesky solve with refinement and "
         "RCOND",
+        screen="always",
         args=_args("a:inout:tbl", "b:rhs:inout:tbl", "x:rhs:opt:out:ws",
                    "uplo:flag:opt:tbl", "af:opt:inout:tbl",
                    "fact:flag:opt", "s:vector:opt:inout", "info:info"),
@@ -292,6 +307,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_ppsvx", _S2, "Expert packed Cholesky solve with refinement "
         "and RCOND",
+        screen="always",
         args=_args("ap:vector:inout:tbl", "b:rhs:inout:tbl",
                    "x:rhs:opt:out:ws", "uplo:flag:opt:tbl",
                    "afp:vector:opt:inout:tbl", "fact:flag:opt",
@@ -309,6 +325,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_pbsvx", _S2, "Expert band Cholesky solve with refinement "
         "and RCOND",
+        screen="always",
         args=_args("ab:inout:tbl", "b:rhs:inout:tbl", "x:rhs:opt:out:ws",
                    "uplo:flag:opt:tbl", "afb:opt:inout:tbl",
                    "fact:flag:opt", "info:info"),
@@ -325,6 +342,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_ptsvx", _S2, "Expert positive definite tridiagonal solve "
         "with refinement and RCOND",
+        screen="always",
         args=_args("d:vector:tbl", "e:vector:tbl", "b:rhs:tbl",
                    "x:rhs:opt:out:ws", "fact:flag:opt", "info:info"),
         dims=(("n", "len", "d"),),
@@ -339,6 +357,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_sysvx", _S2, "Expert symmetric indefinite solve with "
         "refinement and RCOND",
+        screen="always",
         args=_args("a:tbl", "b:rhs:tbl", "x:rhs:opt:out:ws",
                    "uplo:flag:opt:tbl", "af:opt:inout:tbl",
                    "ipiv:vector:opt:inout:ws:tbl", "fact:flag:opt",
@@ -355,6 +374,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_hesvx", _S2, "Expert Hermitian indefinite solve with "
         "refinement and RCOND",
+        screen="always",
         args=_args("a:tbl", "b:rhs:tbl", "x:rhs:opt:out:ws",
                    "uplo:flag:opt:tbl", "af:opt:inout:tbl",
                    "ipiv:vector:opt:inout:ws:tbl", "fact:flag:opt",
@@ -371,6 +391,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_spsvx", _S2, "Expert packed symmetric indefinite solve "
         "with refinement and RCOND",
+        screen="always",
         args=_args("ap:vector:tbl", "b:rhs:tbl", "x:rhs:opt:out:ws",
                    "uplo:flag:opt:tbl", "afp:vector:opt:inout:tbl",
                    "ipiv:vector:opt:inout:ws:tbl", "fact:flag:opt",
@@ -387,6 +408,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_hpsvx", _S2, "Expert packed Hermitian indefinite solve "
         "with refinement and RCOND",
+        screen="always",
         args=_args("ap:vector:tbl", "b:rhs:tbl", "x:rhs:opt:out:ws",
                    "uplo:flag:opt:tbl", "afp:vector:opt:inout:tbl",
                    "ipiv:vector:opt:inout:ws:tbl", "fact:flag:opt",
@@ -405,6 +427,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_gels", _S3, "Full-rank least squares via QR or LQ "
         "factorization",
+        screen="always",
         args=_args("a:inout:tbl", "b:rhs:inout:tbl", "trans:flag:opt:tbl",
                    "info:info"),
         checks=(C(-1, "matrix2d", ("a",)),
@@ -415,6 +438,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_gelsx", _S3, "Rank-deficient least squares via complete "
         "orthogonal factorization",
+        screen="always",
         args=_args("a:inout", "b:rhs:inout", "rcond:scalar:opt",
                    "jpvt:vector:opt:inout", "info:info"),
         checks=(C(-1, "matrix2d", ("a",)),
@@ -423,6 +447,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_gelss", _S3, "Minimum-norm least squares via the singular "
         "value decomposition",
+        screen="always",
         args=_args("a:inout", "b:rhs:inout", "rcond:scalar:opt",
                    "info:info"),
         checks=(C(-1, "matrix2d", ("a",)),
@@ -464,6 +489,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_syev", _S5, "All eigenvalues and optionally eigenvectors of "
         "a real symmetric matrix",
+        screen="always",
         args=_args("a:inout:tbl", "w:vector:opt:out:ws:tbl",
                    "jobz:flag:opt:tbl", "uplo:flag:opt:tbl",
                    "info:info"),
@@ -480,6 +506,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_heev", _S5, "All eigenvalues and optionally eigenvectors of "
         "a complex Hermitian matrix",
+        screen="always",
         args=_args("a:inout:tbl", "w:vector:opt:out:ws:tbl",
                    "jobz:flag:opt:tbl", "uplo:flag:opt:tbl",
                    "info:info"),
@@ -496,6 +523,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_spev", _S5, "Eigenvalues of a symmetric matrix in packed "
         "storage",
+        screen="always",
         args=_args("ap:vector:inout", "w:vector:opt:out:ws",
                    "uplo:flag:opt", "z:opt:out", "info:info"),
         dims=(("n", "tri", "ap"),),
@@ -507,6 +535,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_hpev", _S5, "Eigenvalues of a Hermitian matrix in packed "
         "storage",
+        screen="always",
         args=_args("ap:vector:inout", "w:vector:opt:out:ws",
                    "uplo:flag:opt", "z:opt:out", "info:info"),
         dims=(("n", "tri", "ap"),),
@@ -517,6 +546,7 @@ _SPEC_LIST = [
         positive_info="i: i off-diagonal elements failed to converge"),
     DriverSpec(
         "la_sbev", _S5, "Eigenvalues of a symmetric band matrix",
+        screen="always",
         args=_args("ab:inout", "w:vector:opt:out:ws", "uplo:flag:opt",
                    "z:opt:out", "info:info"),
         dims=(("n", "cols2d", "ab"),),
@@ -527,6 +557,7 @@ _SPEC_LIST = [
         positive_info="i: i off-diagonal elements failed to converge"),
     DriverSpec(
         "la_hbev", _S5, "Eigenvalues of a Hermitian band matrix",
+        screen="always",
         args=_args("ab:inout", "w:vector:opt:out:ws", "uplo:flag:opt",
                    "z:opt:out", "info:info"),
         dims=(("n", "cols2d", "ab"),),
@@ -538,6 +569,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_stev", _S5, "Eigenvalues of a real symmetric tridiagonal "
         "matrix",
+        screen="always",
         args=_args("d:vector:inout", "e:vector:inout", "z:opt:out",
                    "info:info"),
         dims=(("n", "len", "d"),),
@@ -547,6 +579,7 @@ _SPEC_LIST = [
         positive_info="i: i off-diagonal elements failed to converge"),
     DriverSpec(
         "la_gees", _S5, "Schur factorization of a general matrix",
+        screen="always",
         args=_args("a:inout", "w:vector:opt:out:ws", "vs:opt:out",
                    "select:scalar:opt", "info:info"),
         checks=(C(-1, "square", ("a",)),),
@@ -556,6 +589,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_geev", _S5, "Eigenvalues and optionally eigenvectors of a "
         "general matrix",
+        screen="always",
         args=_args("a:inout", "w:vector:opt:out:ws", "vl:opt:out",
                    "vr:opt:out", "info:info"),
         checks=(C(-1, "square", ("a",)),),
@@ -566,6 +600,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_gesvd", _S5, "Singular value decomposition of a general "
         "matrix",
+        screen="always",
         args=_args("a:inout", "s:vector:opt:out:ws", "u:opt:out",
                    "vt:opt:out", "ww:vector:opt:out", "job:flag:opt",
                    "info:info"),
@@ -600,6 +635,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_spevd", _S6, "Packed symmetric eigenproblem (divide and "
         "conquer)",
+        screen="always",
         args=_args("ap:vector:inout", "w:vector:opt:out:ws",
                    "uplo:flag:opt", "z:opt:out", "info:info"),
         dims=(("n", "tri", "ap"),),
@@ -611,6 +647,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_hpevd", _S6, "Packed Hermitian eigenproblem (divide and "
         "conquer)",
+        screen="always",
         args=_args("ap:vector:inout", "w:vector:opt:out:ws",
                    "uplo:flag:opt", "z:opt:out", "info:info"),
         dims=(("n", "tri", "ap"),),
@@ -622,6 +659,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_sbevd", _S6, "Symmetric band eigenproblem (divide and "
         "conquer)",
+        screen="always",
         args=_args("ab:inout", "w:vector:opt:out:ws", "uplo:flag:opt",
                    "z:opt:out", "info:info"),
         dims=(("n", "cols2d", "ab"),),
@@ -633,6 +671,7 @@ _SPEC_LIST = [
     DriverSpec(
         "la_hbevd", _S6, "Hermitian band eigenproblem (divide and "
         "conquer)",
+        screen="always",
         args=_args("ab:inout", "w:vector:opt:out:ws", "uplo:flag:opt",
                    "z:opt:out", "info:info"),
         dims=(("n", "cols2d", "ab"),),

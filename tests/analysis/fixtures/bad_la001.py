@@ -1,13 +1,14 @@
-"""Seeded LA001 violations: unreported exit, bare except, direct raise."""
+"""Seeded LA001 violations: a driver that bypasses the driver shell,
+plus a bare except and a direct raise in its body."""
 
 from repro.errors import SingularMatrix, erinfo
 
 
-def la_gesv(a, b, info=None):
+def la_gesv(a, b, info=None):                   # lint: LA001
     srname = "LA_GESV"
     linfo = 0
     if a.ndim != 2:
-        return b                                # lint: LA001
+        return b
     try:
         linfo = int(b.shape[0])
     except:                                     # lint: LA001

@@ -1,8 +1,8 @@
 """Seeded LA002 violations: position drift in codes, check helpers,
-driver_guard tuples, and the shared error-exit table."""
+and the shared error-exit table."""
 
 from repro.errors import erinfo
-from repro.core.auxmod import check_rhs, check_square, driver_guard, lsame
+from repro.core.auxmod import check_rhs, check_square, lsame
 
 ERROR_EXIT_CODES = {
     "la_posv": {
@@ -15,14 +15,11 @@ ERROR_EXIT_CODES = {
 def la_posv(a, b, uplo="U", info=None):
     srname = "LA_POSV"
     linfo = 0
-    exc = None
     if check_square(a, 2):                      # lint: LA002
         linfo = -1
     elif check_rhs(a.shape[0], b, 2):
         linfo = -2
     elif not lsame(uplo, "U"):
         linfo = -5                              # lint: LA002
-    if linfo == 0:
-        linfo, exc = driver_guard(srname, (1, a), (3, b))   # lint: LA002
-    erinfo(linfo, srname, info, exc=exc)
+    erinfo(linfo, srname, info)
     return b

@@ -1,19 +1,13 @@
-"""Seeded LA003 violations: missing info, bad default, info not
-threaded."""
+"""Seeded LA003 violations: missing info, bad default."""
 
-from repro.errors import erinfo
-
-
-def la_gesv(a, b):                              # lint: LA003
-    erinfo(0, "LA_GESV", None)
-    return b
+from repro.core.shell import driver_shell
 
 
-def la_posv(a, b, info=0):                      # lint: LA003
-    erinfo(0, "LA_POSV", info)
-    return b
+@driver_shell("la_gesv")
+def la_gesv(a, b, ipiv=None):                    # lint: LA003
+    return b, 0, None
 
 
-def la_ptsv(d, e, b, info=None):                # lint: LA003
-    erinfo(0, "LA_PTSV", None)
-    return b
+@driver_shell("la_posv")
+def la_posv(a, b, uplo="U", info=0):            # lint: LA003
+    return b, 0, None

@@ -1,15 +1,15 @@
 """Seeded LA005 violations: stale export and missing driver."""
 
-from repro.errors import erinfo
+from repro.core.shell import driver_shell
 
 __all__ = ["la_gesv", "la_nothere"]             # lint: LA005
 
 
-def la_gesv(a, b, info=None):
-    erinfo(0, "LA_GESV", info)
-    return b
+@driver_shell("la_gesv")
+def la_gesv(a, b, ipiv=None, info=None):
+    return b, 0, None
 
 
-def la_posv(a, b, info=None):                   # lint: LA005
-    erinfo(0, "LA_POSV", info)
-    return b
+@driver_shell("la_posv")
+def la_posv(a, b, uplo="U", info=None):         # lint: LA005
+    return b, 0, None

@@ -1,18 +1,17 @@
 """Seeded LA007 violations: raw code-class literals in a driver
 module."""
 
-from repro.errors import erinfo
+from repro.core.shell import driver_shell
 
 _OOM = False
 _NONFIN_CODE = -1000                            # lint: LA007
 
 
-def la_gesv(a, b, info=None):
-    srname = "LA_GESV"
+@driver_shell("la_gesv")
+def la_gesv(a, b, ipiv=None, info=None):
     linfo = 0
     if _OOM:
         linfo = -100                            # lint: LA007
     if _OOM is None:
         linfo = -250                            # lint: LA007
-    erinfo(linfo, srname, info)
-    return b
+    return b, linfo, None

@@ -2,32 +2,21 @@
 registry straight into the lapack77 substrate (every other rule must
 stay quiet — the driver itself obeys the wrapper contract)."""
 
-import numpy as np
-
-from repro.errors import Info, erinfo
+from repro.errors import SingularMatrix
 from repro.lapack77 import gesv                     # lint: LA008
 from repro.lapack77.chol import posv                # lint: LA008
-from repro.core.auxmod import check_rhs, check_square, driver_guard
+from repro.core.shell import driver_shell
 
 import repro.lapack77 as l77                        # lint: LA008
 
 __all__ = ["la_gesv"]
 
 
+@driver_shell("la_gesv")
 def la_gesv(a, b, ipiv=None, info=None):
-    srname = "LA_GESV"
-    linfo = 0
-    exc = None
-    n = a.shape[0] if isinstance(a, np.ndarray) and a.ndim == 2 else -1
-    if check_square(a, 1):
-        linfo = -1
-    elif check_rhs(n, b, 2):
-        linfo = -2
-    elif ipiv is not None and ipiv.shape[0] != n:
-        linfo = -3
-    elif n > 0:
-        linfo, exc = driver_guard(srname, (1, a), (2, b))
-        if linfo == 0:
-            _, linfo = gesv(a, b)
-    erinfo(linfo, srname, info, exc=exc)
-    return b
+    if a.shape[0] == 0:
+        return b, 0, None
+    lpiv, linfo = gesv(a, b)
+    if ipiv is not None:
+        ipiv[:] = lpiv
+    return b, linfo, SingularMatrix

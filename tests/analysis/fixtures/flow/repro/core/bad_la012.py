@@ -4,18 +4,14 @@ The spec marks ``ipiv`` intent(out): a caller passing a pivot buffer
 gets it back untouched — the kernel's pivots are silently dropped.
 """
 
-from repro.errors import Info, erinfo
+from repro.errors import Info
 from repro.backends.kernels import gesv
-from repro.specs import validate_args
+from repro.core.shell import driver_shell
 
 __all__ = ["la_gesv"]
 
 
+@driver_shell("la_gesv")
 def la_gesv(a, b, ipiv=None, info=None):        # lint: LA012
-    srname = "LA_GESV"
-    exc = None
-    linfo = validate_args("la_gesv", a=a, b=b, ipiv=ipiv)
-    if linfo == 0:
-        _, linfo = gesv(a, b)
-    erinfo(linfo, srname, info, exc=exc)
-    return b
+    _, linfo = gesv(a, b)
+    return b, linfo, None

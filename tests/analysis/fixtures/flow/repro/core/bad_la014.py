@@ -1,19 +1,15 @@
 """LA014 fixture: an in-place store mutates the factored matrix ``a``,
 which the ``la_getrs`` spec declares intent(in)."""
 
-from repro.errors import Info, erinfo
+from repro.errors import Info
 from repro.backends.kernels import getrs
-from repro.specs import validate_args
+from repro.core.shell import driver_shell
 
 __all__ = ["la_getrs"]
 
 
+@driver_shell("la_getrs")
 def la_getrs(a, ipiv, b, trans="N", info=None):
-    srname = "LA_GETRS"
-    exc = None
-    linfo = validate_args("la_getrs", a=a, ipiv=ipiv, b=b, trans=trans)
-    if linfo == 0:
-        a[0, 0] = a[0, 0] + 0.0                 # lint: LA014
-        linfo = getrs(a, ipiv, b, trans=trans)
-    erinfo(linfo, srname, info, exc=exc)
-    return b
+    a[0, 0] = a[0, 0] + 0.0                 # lint: LA014
+    linfo = getrs(a, ipiv, b, trans=trans)
+    return b, linfo, None

@@ -1,25 +1,13 @@
-"""LA017 seeded violation: the driver never forwards ``ipiv`` to
-``validate_args``, so the spec's ``optlen`` check for error exit -3
-sees ``None`` forever and that documented exit is dead code."""
+"""LA017 seeded violation: a solve path running inside ``la_gesv``'s
+shell takes no ``ipiv``, so the shell never hands ``ipiv`` to the spec's
+ladder, its ``optlen`` check for error exit -3 sees ``None`` forever,
+and that documented exit is dead code on this path."""
 
-import numpy as np
-
-from repro.errors import Info, erinfo
 from repro.backends.kernels import gesv
-from repro.specs import validate_args
-
-__all__ = ["la_gesv"]
+from repro.core.shell import driver_shell
 
 
-def la_gesv(a, b, ipiv=None, info=None):
-    srname = "LA_GESV"
-    exc = None
-    linfo = validate_args("la_gesv", a=a, b=b)      # lint: LA017
-    if linfo == 0:
-        n = a.shape[0]
-        buf = np.zeros(n, dtype=np.intp)
-        _, linfo = gesv(a, b)
-        if ipiv is not None:
-            ipiv[:] = buf
-    erinfo(linfo, srname, info, exc=exc)
-    return b
+@driver_shell("la_gesv")                             # lint: LA017
+def _solve(a, b, info=None):
+    _, linfo = gesv(a, b)
+    return b, linfo, None

@@ -4,23 +4,19 @@ scribbles over the operand the kernel is simultaneously solving for."""
 
 import numpy as np
 
-from repro.errors import Info, erinfo
+from repro.errors import Info
 from repro.backends.kernels import gesv
-from repro.specs import validate_args
+from repro.core.shell import driver_shell
 
 __all__ = ["la_gesv"]
 
 
+@driver_shell("la_gesv")
 def la_gesv(a, b, ipiv=None, info=None):
-    srname = "LA_GESV"
-    exc = None
-    linfo = validate_args("la_gesv", a=a, b=b, ipiv=ipiv)
-    if linfo == 0:
-        n = a.shape[0]
-        buf = np.zeros(n, dtype=np.intp)
-        rhs = a[:, :1]
-        _, linfo = gesv(a, rhs)                     # lint: LA018
-        if ipiv is not None:
-            ipiv[:] = buf
-    erinfo(linfo, srname, info, exc=exc)
-    return b
+    n = a.shape[0]
+    buf = np.zeros(n, dtype=np.intp)
+    rhs = a[:, :1]
+    _, linfo = gesv(a, rhs)                     # lint: LA018
+    if ipiv is not None:
+        ipiv[:] = buf
+    return b, linfo, None

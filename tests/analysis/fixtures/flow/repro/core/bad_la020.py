@@ -4,24 +4,20 @@ is only observed at entry, never before the second expensive phase."""
 
 import numpy as np
 
-from repro.errors import Info, erinfo
+from repro.errors import Info
 from repro.backends.kernels import getrf, getrs
-from repro.specs import validate_args
+from repro.core.shell import driver_shell
 
 __all__ = ["la_gesv"]
 
 
+@driver_shell("la_gesv")
 def la_gesv(a, b, ipiv=None, info=None):
-    srname = "LA_GESV"
-    exc = None
-    linfo = validate_args("la_gesv", a=a, b=b, ipiv=ipiv)
+    n = a.shape[0]
+    buf = np.zeros(n, dtype=np.intp)
+    lu, piv, linfo = getrf(a)
     if linfo == 0:
-        n = a.shape[0]
-        buf = np.zeros(n, dtype=np.intp)
-        lu, piv, linfo = getrf(a)
-        if linfo == 0:
-            linfo = getrs(lu, piv, b)               # lint: LA020
-        if ipiv is not None:
-            ipiv[:] = buf
-    erinfo(linfo, srname, info, exc=exc)
-    return b
+        linfo = getrs(lu, piv, b)               # lint: LA020
+    if ipiv is not None:
+        ipiv[:] = buf
+    return b, linfo, None

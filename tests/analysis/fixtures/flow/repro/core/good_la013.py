@@ -2,26 +2,22 @@
 
 import numpy as np
 
-from repro.errors import Info, erinfo
+from repro.errors import Info
 from repro.backends.kernels import stev
-from repro.specs import validate_args
+from repro.core.shell import driver_shell
 
 __all__ = ["la_stev"]
 
 
+@driver_shell("la_stev")
 def la_stev(d, e, z=None, info=None):
-    srname = "LA_STEV"
-    exc = None
     zout = None
-    linfo = validate_args("la_stev", d=d, e=e)
-    if linfo == 0:
-        n = d.shape[0]
-        if z is not None:
-            zbuf = z if isinstance(z, np.ndarray) else \
-                np.empty((n, n), dtype=d.dtype)
-            linfo = stev(d, e, zbuf, jobz="V")
-            zout = zbuf
-        else:
-            linfo = stev(d, e, jobz="N")
-    erinfo(linfo, srname, info, exc=exc)
-    return (d, zout) if z is not None else d
+    n = d.shape[0]
+    if z is not None:
+        zbuf = z if isinstance(z, np.ndarray) else \
+            np.empty((n, n), dtype=d.dtype)
+        linfo = stev(d, e, zbuf, jobz="V")
+        zout = zbuf
+    else:
+        linfo = stev(d, e, jobz="N")
+    return ((d, zout) if z is not None else d), linfo, None

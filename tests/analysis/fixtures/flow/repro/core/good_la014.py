@@ -1,19 +1,15 @@
 """LA014 clean fixture: only the intent(inout) right-hand side is
 updated in place; the factored matrix stays untouched."""
 
-from repro.errors import Info, erinfo
+from repro.errors import Info
 from repro.backends.kernels import getrs
-from repro.specs import validate_args
+from repro.core.shell import driver_shell
 
 __all__ = ["la_getrs"]
 
 
+@driver_shell("la_getrs")
 def la_getrs(a, ipiv, b, trans="N", info=None):
-    srname = "LA_GETRS"
-    exc = None
-    linfo = validate_args("la_getrs", a=a, ipiv=ipiv, b=b, trans=trans)
-    if linfo == 0:
-        xout, linfo = getrs(a, ipiv, b, trans=trans)
-        b[:] = xout
-    erinfo(linfo, srname, info, exc=exc)
-    return b
+    xout, linfo = getrs(a, ipiv, b, trans=trans)
+    b[:] = xout
+    return b, linfo, None

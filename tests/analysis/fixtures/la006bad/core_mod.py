@@ -1,11 +1,11 @@
 """Seeded LA006 violations: unresolved substrate import and a real
 driver with no complex partner."""
 
-from repro.errors import erinfo
 from ..lapack77 import sysv, nosuchroutine      # lint: LA006
+from ..core.shell import driver_shell
 
 
-def la_sysv(a, b, info=None):                   # lint: LA006
+@driver_shell("la_sysv")
+def la_sysv(a, b, uplo="U", ipiv=None, info=None):  # lint: LA006
     _, linfo = sysv(a, b)
-    erinfo(linfo, "LA_SYSV", info)
-    return b
+    return b, linfo, None

@@ -1,17 +1,17 @@
 """Conforming LA006 fixture: both halves of the real/complex pair exist
 and every substrate import resolves."""
 
-from repro.errors import erinfo
 from ..backends.kernels import hesv, sysv
+from ..core.shell import driver_shell
 
 
-def la_sysv(a, b, info=None):
+@driver_shell("la_sysv")
+def la_sysv(a, b, uplo="U", ipiv=None, info=None):
     _, linfo = sysv(a, b)
-    erinfo(linfo, "LA_SYSV", info)
-    return b
+    return b, linfo, None
 
 
-def la_hesv(a, b, info=None):
+@driver_shell("la_hesv")
+def la_hesv(a, b, uplo="U", ipiv=None, info=None):
     _, linfo = hesv(a, b)
-    erinfo(linfo, "LA_HESV", info)
-    return b
+    return b, linfo, None

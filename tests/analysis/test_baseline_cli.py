@@ -78,12 +78,12 @@ def test_cli_select_restricts_rules(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("LA001", "LA002", "LA003", "LA004", "LA005", "LA006",
+    for code in ("LA001", "LA002", "LA003", "LA005", "LA006",
                  "LA007", "LA008", "LA009", "LA010", "LA011", "LA012",
                  "LA013", "LA014", "LA017", "LA018", "LA020", "LA021",
                  "LA022", "LA023", "LA024", "LA025", "LA026"):
         assert code in out
-    for retired in ("LA015", "LA016", "LA019"):
+    for retired in ("LA004", "LA015", "LA016", "LA019"):
         assert retired not in out
 
 

@@ -1,4 +1,4 @@
-"""lalint self-tests: every rule LA001-LA007 fires on its seeded
+"""lalint self-tests: every rule LA001-LA008 fires on its seeded
 fixture (exact codes and line numbers) and stays quiet on a conforming
 driver; the shipped tree is clean modulo the committed baseline.
 
@@ -56,7 +56,7 @@ def _assert_matches_markers(paths, code):
 def test_la001_fires_on_seeded_violations():
     found = _assert_matches_markers(_fixture("bad_la001.py"), "LA001")
     messages = " | ".join(f.message for f in found)
-    assert "exit path" in messages
+    assert "does not go through the driver shell" in messages
     assert "bare except" in messages
     assert "direct raise" in messages
 
@@ -66,7 +66,6 @@ def test_la002_fires_on_seeded_violations():
     messages = " | ".join(f.message for f in found)
     assert "check helper declares" in messages
     assert "does not match the flagged argument" in messages
-    assert "driver_guard flags" in messages
     assert "error-exit table" in messages
 
 
@@ -75,14 +74,15 @@ def test_la003_fires_on_seeded_violations():
     messages = " | ".join(f.message for f in found)
     assert "does not accept an info argument" in messages
     assert "must default info to None" in messages
-    assert "never threads info" in messages
 
 
-def test_la004_fires_on_seeded_violations():
-    found = _assert_matches_markers(_fixture("bad_la004.py"), "LA004")
+def test_la001_catches_the_retired_la004_frame_order_fixture():
+    # Validation before the guard before the kernel is the shell's
+    # order by construction; a frame rolled by hand bypasses the shell.
+    found = _assert_matches_markers(_fixture("bad_la004.py"), "LA001")
     messages = " | ".join(f.message for f in found)
-    assert "runs after" in messages
-    assert "driver_guard runs after the first substrate call" in messages
+    assert "la_gesv does not go through the driver shell" in messages
+    assert "la_posv runs in the shell of la_gesv" in messages
 
 
 def test_la005_fires_on_seeded_violations():
@@ -124,7 +124,7 @@ def test_conforming_la006_tree_is_clean():
 
 def test_bad_fixtures_only_fire_their_own_rule():
     for name, code in [("bad_la001.py", "LA001"), ("bad_la003.py",
-                       "LA003"), ("bad_la004.py", "LA004"),
+                       "LA003"), ("bad_la004.py", "LA001"),
                       ("bad_la005.py", "LA005"), ("bad_la007.py",
                        "LA007"), ("bad_la008.py", "LA008"),
                       ("bad_la021.py", "LA021")]:

@@ -1,5 +1,6 @@
 """Shared fixtures: seeded RNG, dtype parametrization, tolerance helpers,
-and the chaos profile re-armed before every test under ``REPRO_CHAOS``."""
+the chaos profile re-armed before every test under ``REPRO_CHAOS``, and
+a check that no test leaves a resilience call-log frame behind."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import faults
+from repro.resilience import calllog
 
 CHAOS = os.environ.get("REPRO_CHAOS", "").strip() not in ("", "0")
 
@@ -93,3 +95,18 @@ def _chaos_profile():
         faults.chaos_clear()
         faults.default_chaos_profile()
     yield
+
+
+@pytest.fixture(autouse=True)
+def _no_stranded_calllog_frame():
+    """Every driver call closes the call-log frame it opened, however
+    it exits; a frame left open would leak its attempt trail into the
+    next call's ``Info``."""
+    before = calllog.depth()
+    yield
+    after = calllog.depth()
+    while calllog.depth() > before:    # keep the next test's start clean
+        calllog.drain()
+    if after != before:
+        pytest.fail(f"call-log depth {before} -> {after}: a frame was "
+                    "left open", pytrace=False)

@@ -1,9 +1,11 @@
 """Core-layer eigen/SVD/least-squares drivers."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro import Info
+from repro import Info, available_backends
 from repro.core import (la_geev, la_gees, la_gelss, la_gels, la_gelsx,
                         la_gesvd, la_ggglm, la_gglse, la_heev, la_hegv,
                         la_sbev, la_spev, la_stev, la_syev, la_syevd,
@@ -248,3 +250,35 @@ def test_la_ggsvd(rng):
     d1 = np.zeros((m, n))
     d1[np.arange(n), np.arange(n)] = alpha
     np.testing.assert_allclose(u @ d1 @ r @ q.T, a, atol=1e-9)
+
+
+
+_NAN_DIAGONAL = {
+    "syev": lambda i, be: la_syev(np.diag([np.nan, 1, 1, 1.]), info=i,
+                                  backend=be),
+    "heev": lambda i, be: la_heev(
+        np.diag([np.nan, 1, 1, 1.]).astype(complex), info=i, backend=be),
+    "syevd": lambda i, be: la_syevd(np.diag([np.nan, 1, 1, 1.]), info=i,
+                                    backend=be),
+    "stev": lambda i, be: la_stev(np.array([np.nan, 1, 1, 1.]),
+                                  np.zeros(3), info=i, backend=be),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NAN_DIAGONAL))
+@pytest.mark.parametrize("backend", ["reference", "accelerated"])
+def test_nan_diagonal_returns_under_propagate(case, backend):
+    # A NaN on the diagonal makes the QL sweep's relative split test
+    # false for every e[m]; an exactly zero e[l] must still split
+    # rather than reach the Wilkinson shift's division.
+    if backend not in available_backends():
+        pytest.skip("backend not available")
+    info = Info()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        w = _NAN_DIAGONAL[case](info, backend)
+    # The accelerated backend serves syev/heev from SciPy, which
+    # answers differently (DESIGN §7); syevd and stev fall back to the
+    # reference kernels there too.
+    if backend == "reference" or case in ("syevd", "stev"):
+        assert info.value == 0 and np.isnan(w).sum() == 1, (w, info)

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 
 from repro import (Info, IllegalArgument, la_gbsv, la_gels, la_gesv,
-                   la_gtsv, la_heev, la_hesv, la_pbsv, la_posv, la_ppsv,
-                   la_ptsv, la_spsv, la_syev, la_sysv, la_sygv)
+                   la_gtsv, la_hbevx, la_heev, la_heevx, la_hesv,
+                   la_hpevx, la_pbsv, la_posv, la_ppsv, la_ptsv, la_sbevx,
+                   la_spevx, la_spsv, la_stevx, la_syev, la_syevx, la_sysv,
+                   la_sygv)
 from repro.testing import ERROR_EXIT_CODES
 
 
@@ -81,7 +83,39 @@ CASES = [
     ("gels: bad trans",
      lambda: la_gels(np.ones((4, 2)), np.ones(4), trans="Q"),
      "la_gels", "trans"),
+    # A 0-d d derives no order: the order check reports it.
+    ("gtsv: 0-d d",
+     lambda: la_gtsv(np.ones(0), np.array(1.0), np.ones(0), np.ones(1)),
+     "la_gtsv", "d"),
+    ("ptsv: 0-d d",
+     lambda: la_ptsv(np.array(1.0), np.ones(0), np.ones(1)),
+     "la_ptsv", "d"),
 ]
+
+
+#: The selected-eigenvalue drivers: ``vl`` is argument 5 of each.
+EVX = (
+    lambda vl, vu: la_syevx(np.eye(3), vl=vl, vu=vu),
+    lambda vl, vu: la_heevx(np.eye(3, dtype=complex), vl=vl, vu=vu),
+    lambda vl, vu: la_spevx(np.ones(6), vl=vl, vu=vu),
+    lambda vl, vu: la_hpevx(np.ones(6, complex), vl=vl, vu=vu),
+    lambda vl, vu: la_sbevx(np.ones((2, 3)), vl=vl, vu=vu),
+    lambda vl, vu: la_hbevx(np.ones((2, 3), complex), vl=vl, vu=vu),
+    lambda vl, vu: la_stevx(np.ones(3), np.ones(2), vl=vl, vu=vu),
+)
+
+
+@pytest.mark.parametrize("call", EVX,
+                         ids=["syevx", "heevx", "spevx", "hpevx", "sbevx",
+                              "hbevx", "stevx"])
+@pytest.mark.parametrize("vl,vu", [(np.array([0.0, 1.0]), 2.0),
+                                   (0.0, np.array([1.0, 2.0])),
+                                   (2.0, 1.0)])
+def test_evx_value_range_error_exit(call, vl, vu):
+    """An array-valued bound is reported like an inverted range."""
+    with pytest.raises(IllegalArgument) as e:
+        call(vl, vu)
+    assert e.value.info == -5
 
 
 @pytest.mark.parametrize("desc,call,driver,arg",

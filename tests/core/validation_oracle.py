@@ -3,10 +3,12 @@
 Until the check ladders were compiled (``repro.specs.engine``), this
 interpreter ran every ``la_*`` driver's argument ladder: it walks a
 :class:`~repro.specs.model.DriverSpec`'s derived dimensions and ordered
-checks and returns the first violated check's code.  It is kept here
-unchanged so the parity suite (``test_validator_parity.py``) can hold
-every compiled validator to the exact codes — and the exact exceptions —
-the interpreter produced.
+checks and returns the first violated check's code.  It is kept here so
+the parity suite (``test_validator_parity.py``) can hold every compiled
+validator to the exact codes the interpreter produces.  Like the
+compiled validators it never raises: a 0-d array under a ``len``
+dimension derives -1, and a predicate whose truth cannot be taken
+(array-valued ``vl``/``vu``) counts as violated.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _dim_cols2d(ctx, ref):
 
 def _dim_len(ctx, ref):
     v = ctx.get(ref)
-    return v.shape[0] if isinstance(v, np.ndarray) else -1
+    return v.shape[0] if isinstance(v, np.ndarray) and v.ndim >= 1 else -1
 
 
 def _dim_tri(ctx, ref):
@@ -314,7 +316,7 @@ def validate(spec: DriverSpec, bound: dict) -> int:
         ctx[var] = _DIM_SOURCES[source](ctx, *refs)
     for check in spec.checks:
         try:
-            bad = _KINDS[check.kind](check, ctx)
+            bad = bool(_KINDS[check.kind](check, ctx))
         except Exception:
             bad = True      # malformed argument: report, never raise
         if bad:

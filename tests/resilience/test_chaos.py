@@ -147,3 +147,26 @@ def test_undeclared_backend_failure_propagates():
         assert attempts == ["vandal:gesv#1:error=RuntimeError"]
     finally:
         unregister_backend("vandal")
+
+
+def test_escaped_failure_leaves_no_attempt_trail_behind():
+    # The failed call's frame closes with it, so the next driver call
+    # reports only its own attempts: none, for a clean call (the trail
+    # stays None, as on every clean call).
+    from repro import la_getrf
+    from repro.backends import (Backend, register_backend,
+                                unregister_backend)
+
+    def dying_gesv(a, b):
+        raise RuntimeError("kernel died")
+
+    register_backend(Backend("vandal", {"gesv": dying_gesv}))
+    try:
+        with pytest.raises(RuntimeError):
+            la_gesv(*_system(), backend="vandal")
+    finally:
+        unregister_backend("vandal")
+    assert calllog.depth() == 0
+    info = Info()
+    la_getrf(_system()[0], info=info)
+    assert info.value == 0 and info.attempts is None
