@@ -24,8 +24,8 @@ Selection mirrors :mod:`repro.policy`: a process-global knob
 environment variable), a context-manager override
 (``with use_backend("accelerated"): ...``), and a per-call ``backend=``
 escape hatch on every ``la_*`` driver (the driver shell,
-:mod:`repro.core.shell`) and ``batch_*`` wrapper (via
-:func:`backend_aware`).
+:mod:`repro.core.shell`) and ``batch_*`` wrapper
+(:mod:`repro.batch.generator`).
 When the selected backend cannot serve a routine the call falls back to
 ``reference`` and a :class:`~repro.errors.BackendFallbackWarning` is
 announced — rate-limited to once per (backend, routine) pair per
@@ -40,7 +40,6 @@ while any fault is armed, :func:`resolve` routes every dispatch to
 
 from __future__ import annotations
 
-import functools
 import os
 import warnings
 from contextlib import contextmanager
@@ -65,7 +64,6 @@ __all__ = [
     "resolve",
     "bound_kernel",
     "driver_kernel",
-    "backend_aware",
     "reset_fallback_announcements",
     "on_backend_switch",
     "BackendFallbackWarning",
@@ -354,22 +352,6 @@ def driver_kernel(driver, dtype=None, backend=None):
     kernel ``la_gesv`` would dispatch to right now.
     """
     return resolve(bound_kernel(driver), dtype=dtype, backend=backend)
-
-
-def backend_aware(func):
-    """Decorator giving a driver the per-call ``backend=`` escape hatch.
-
-    The wrapped driver accepts a keyword-only ``backend=None``; when
-    given, the whole call (including any dispatched substrate calls made
-    by fallback ladders) runs under ``use_backend(backend)``.
-    """
-    @functools.wraps(func)
-    def wrapper(*args, backend=None, **kwargs):
-        if backend is None:
-            return func(*args, **kwargs)
-        with use_backend(backend):
-            return func(*args, **kwargs)
-    return wrapper
 
 
 # ---------------------------------------------------------------------

@@ -17,8 +17,8 @@ primitive could register a true stack-forwarding kernel instead; the
 capability report (:func:`batch_capability`) tells the two modes apart
 so ``repro.healthcheck()`` can say which one a backend is using.
 
-Eigen drivers (``syev``/``heev``) are deliberately *not* given stack
-entries: their wrappers loop per problem inside the driver so that
+Eigen drivers (``syev``/``heev``/``geev``) are deliberately *not* given
+stack entries: their wrappers run the parent body per problem so that
 deadlines interleave with individual solves (a mid-batch
 ``DeadlineExceeded`` then returns the completed prefix).
 """

@@ -1,11 +1,12 @@
 """Spec-generated batched drivers.
 
 ``batch_gesv``, ``batch_posv``, ``batch_sysv``, ``batch_hesv``,
-``batch_gels``, ``batch_syev`` and ``batch_heev`` — one wrapper per
-registry spec carrying ``batchable=True`` — accept ``(batch, n, n)``
-matrix stacks and ``(batch, n)`` / ``(batch, n, nrhs)`` right-hand-side
-stacks and solve every problem under one amortized validation pass, one
-ERINFO verdict, and per-problem :class:`BatchInfo` telemetry::
+``batch_gels``, ``batch_syev``, ``batch_heev`` and ``batch_geev`` — one
+wrapper per registry spec carrying ``batchable=True`` — accept
+``(batch, n, n)`` matrix stacks and ``(batch, n)`` /
+``(batch, n, nrhs)`` right-hand-side stacks and solve every problem
+under one amortized validation pass, one ERINFO verdict, and
+per-problem :class:`BatchInfo` telemetry::
 
     from repro import batch_gesv, BatchInfo
     info = BatchInfo()

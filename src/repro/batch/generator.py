@@ -6,45 +6,45 @@ hand-written batched validation ladder anywhere (lalint rule LA021
 forbids one outside this package).  The derivation mirrors the paper's
 own derivation arrow: just as the F90 generic interfaces were mechanical
 wrappers over the F77 kernels, a ``batch_gesv`` is a mechanical lift of
-``la_gesv``'s spec over a leading batch axis:
+``la_gesv`` over a leading batch axis:
 
-* argument binding, flag defaults and the validation ladder come from
-  the spec (one amortized :func:`~repro.specs.validate_batch` run per
-  call — structural checks once on the stack cross-section, NaN/Inf
-  screens vectorized over the stack by
-  :func:`repro.policy.screen_stack`);
-* the kernel binding comes from ``spec.kernel``; when the selected
-  backend serves a ``<kernel>_stack`` entry (see
-  :mod:`repro.backends.batched`) the whole stack crosses the dispatch
-  seam once, otherwise the wrapper loops per problem *inside* the seam
-  so escalation and deadlines observe individual kernel calls
-  and a mid-batch :class:`~repro.errors.DeadlineExceeded` leaves the
-  completed prefix intact;
-* the error contract is the parent's, lifted: per-problem codes land
-  on a :class:`~repro.batch.BatchInfo`, the aggregate verdict goes
-  through ``erinfo`` with the failing problem's index, and the parent's
-  fallback ladder (``la_gesv`` → expert refine, ``la_posv`` →
-  indefinite retry) replays per failing problem on pristine snapshots.
+* argument binding, flag defaults, the validation ladder and the n = 0
+  quick return come from the spec (one amortized
+  :func:`~repro.specs.validate_batch` run per call; NaN/Inf screens
+  vectorized over the stack by :func:`repro.policy.screen_stack`);
+* each problem runs the parent driver's own body (the function
+  :func:`~repro.core.shell.driver_shell` wraps) on its slices, inside
+  the dispatch seam, so escalation and deadlines observe individual
+  kernel calls and a mid-batch :class:`~repro.errors.DeadlineExceeded`
+  leaves the completed prefix intact.  The body supplies the calling
+  convention, the outputs, the exception class of a positive code and
+  the fallback ladder;
+* when the selected backend serves a ``<kernel>_stack`` entry (see
+  :mod:`repro.backends.batched`) and nothing needs per-problem
+  visibility, the whole stack crosses the seam once instead; with
+  fallbacks on, each failing problem is then re-solved through the
+  body from a pre-call snapshot;
+* per-problem codes land on a :class:`~repro.batch.BatchInfo`, a taken
+  fallback is announced batch-indexed, and the aggregate verdict goes
+  through ``erinfo`` with the failing problem's index.
 
-Only the tiny per-family *kernel calling convention* — how many values
-the substrate routine returns and which flags it takes — is written by
-hand (``_FAMILIES``); everything else derives from the spec, so a new
-driver opts in by setting ``batchable=True`` in the registry.
+Like the driver shell, each wrapper takes the ``backend=`` escape hatch
+and closes its call-log frame in ``finally``.  Only the calling
+conventions of the ``<kernel>_stack`` entries are written by hand
+(``_FAMILIES``); a driver opts in with ``batchable=True``.
 """
 
 from __future__ import annotations
 
-import warnings
-
 import numpy as np
 
-from .. import faults
-from ..backends import backend_aware, get_backend, get_backend_name
+from .. import core, faults
+from ..backends import get_backend, get_backend_name, use_backend
 from ..backends import kernels as _kernels
+from ..core.shell import Fallback, _fallback_message
 from ..errors import (ALLOC_FAILED, DEADLINE, DeadlineExceeded,
-                      DriverFallbackWarning, NoConvergence,
-                      NonFiniteWarning, NotPositiveDefinite,
-                      SingularMatrix, erinfo)
+                      DriverFallbackWarning, NonFiniteWarning,
+                      NotPositiveDefinite, SingularMatrix, erinfo)
 from ..policy import get_policy, screen_stack
 from ..resilience import calllog, deadlines
 from ..specs import SPECS, validate_batch
@@ -59,78 +59,35 @@ def batchable_specs():
     return [s for s in SPECS.values() if s.batchable]
 
 
-# -- per-family kernel calling conventions ----------------------------
-# ``run(kern, c)`` invokes one substrate kernel (or its ``*_stack``
-# counterpart — the argument shapes are the only difference) on the
-# bound values in ``c`` and returns ``(linfo, extras)``; ``extras`` maps
-# output names (``ipiv``, ``w``) to the kernel-returned arrays.
+# -- calling conventions of the ``<kernel>_stack`` seam entries -------
+# ``run(kern, c)`` invokes one stack kernel on the bound compute views
+# in ``c`` and returns ``(linfos, ipiv)``; it is paired with the
+# exception class a positive code raises.
 
 def _run_gesv(kern, c):
-    lpiv, linfo = kern(c["a"], c["b"])
-    return linfo, {"ipiv": lpiv}
+    lpiv, linfos = kern(c["a"], c["b"])
+    return linfos, lpiv
 
 
 def _run_posv(kern, c):
-    return kern(c["a"], c["b"], c["uplo"]), {}
+    return kern(c["a"], c["b"], c["uplo"]), None
 
 
 def _run_indef(kern, c):
-    lpiv, linfo = kern(c["a"], c["b"], c["uplo"])
-    return linfo, {"ipiv": lpiv}
+    lpiv, linfos = kern(c["a"], c["b"], c["uplo"])
+    return linfos, lpiv
 
 
 def _run_gels(kern, c):
-    return kern(c["a"], c["b"], trans=c["trans"]), {}
-
-
-def _run_ev(kern, c):
-    wout, linfo = kern(c["a"], jobz=c["jobz"], uplo=c["uplo"])
-    return linfo, {"w": wout}
-
-
-def _recorded(srname, fallback, pinfo):
-    from ..core.shell import _record_fallback
-    if fallback is not None:
-        _record_fallback(srname, fallback, pinfo)
-    return fallback is not None
-
-
-def _fb_gesv(srname, c, k, snaps, pinfo):
-    from ..core.linear_equations import _fallback_gesv
-    n = c["a"].shape[2]
-    return _recorded(srname, _fallback_gesv(snaps["a"][k].copy(),
-                                            c["b"][k], n), pinfo)
-
-
-def _fb_posv(srname, c, k, snaps, pinfo):
-    from ..core.linear_equations import _fallback_posv
-    return _recorded(srname, _fallback_posv(snaps["a"][k].copy(),
-                                            c["b"][k], c["uplo"]), pinfo)
-
-
-class _Family:
-    """One kernel family's hand-written residue: calling convention,
-    positive-info exception class, optional fallback replay, whether a
-    ``*_stack`` seam entry exists, and the n=0 early-out gate."""
-
-    def __init__(self, run, exc=None, fallback=None, stack=True,
-                 size_gate=False):
-        self.run = run
-        self.exc = exc
-        self.fallback = fallback
-        self.stack = stack
-        self.size_gate = size_gate
+    return kern(c["a"], c["b"], trans=c["trans"]), None
 
 
 _FAMILIES = {
-    "gesv": _Family(_run_gesv, SingularMatrix, _fb_gesv, size_gate=True),
-    "posv": _Family(_run_posv, NotPositiveDefinite, _fb_posv,
-                    size_gate=True),
-    "sysv": _Family(_run_indef, SingularMatrix, size_gate=True),
-    "hesv": _Family(_run_indef, SingularMatrix, size_gate=True),
-    "gels": _Family(_run_gels),
-    "syev": _Family(_run_ev, NoConvergence, stack=False),
-    "heev": _Family(_run_ev, NoConvergence, stack=False),
+    "gesv": (_run_gesv, SingularMatrix),
+    "posv": (_run_posv, NotPositiveDefinite),
+    "sysv": (_run_indef, SingularMatrix),
+    "hesv": (_run_indef, SingularMatrix),
+    "gels": (_run_gels, None),
 }
 
 _STACK_PROXIES: dict = {}
@@ -154,50 +111,45 @@ def _stack_capable(kernel, dtype):
     return backend.supports(kernel + "_stack", dtype)
 
 
-def _replay_fallback(family, srname, c, k, snaps, pinfo):
-    """Replay the parent driver's fallback ladder for failing problem
-    *k* on its pristine snapshot, re-emitting the fallback announcement
-    batch-indexed and window-rate-limited."""
-    done = False
-    calllog.push()
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            done = family.fallback(srname, c, k, snaps, pinfo)
-    finally:
-        if not done:
-            calllog.drain()
-    for msg in caught:
-        if issubclass(msg.category, DriverFallbackWarning):
-            text = str(msg.message)
-            text = text.removeprefix(f"{srname}: ")
-            warn_batch(srname, ("fallback", pinfo.fallback), k,
-                       text, DriverFallbackWarning, stacklevel=4)
-        else:
-            warnings.warn(msg.message, msg.category, stacklevel=3)
-    return done
-
-
 def make_batched(spec):
     """Derive the ``batch_*`` wrapper for one batchable *spec*."""
-    family = _FAMILIES[spec.kernel]
-    stem = spec.name[3:]                     # "la_gesv" -> "gesv"
-    fname = "batch_" + stem
+    body = getattr(core, spec.name).__wrapped__
+    stack_run, stack_exc = _FAMILIES.get(spec.kernel, (None, None))
+    fname = "batch_" + spec.name[3:]         # "la_gesv" -> "batch_gesv"
     srname = fname.upper()
     arg_names = [a.name for a in spec.args if a.kind != "info"]
-    array_specs = [a for a in spec.args if a.name in spec.batch_stacked]
-    screen_specs = [a for a in array_specs if a.intent == "inout"]
+    stacked = set(spec.batch_stacked)
+    screen_specs = [a for a in spec.args
+                    if a.name in stacked and a.intent == "inout"]
     flags = spec.flags
     defaults = {}
     for a in spec.args:
         if a.kind == "info" or a.required:
             continue
         defaults[a.name] = flags[a.name][0] if a.name in flags else None
-    base_kernel = getattr(_kernels, spec.kernel)
-    is_ev = spec.kernel in ("syev", "heev")
+    rhs = next((a.name for a in spec.args if a.kind == "rhs"), None)
+    quick = spec.screen == "nonempty"
     is_ls = spec.kernel == "gels"
+    # A driver without a right-hand side returns its outputs: the
+    # workspace one (``w``, first) always, the others when requested.
+    outputs = [a for a in spec.args if rhs is None and a.intent == "out"
+               and a.kind != "info"]
 
-    def wrapper(*args, info=None, **kwargs):
+    def returned(bound, w):
+        outs = [w] + [bound[a.name] for a in outputs[1:]
+                      if bound[a.name] is not None]
+        return outs[0] if len(outs) == 1 else tuple(outs)
+
+    def refused(bound, batch):
+        if rhs is not None:
+            return bound[rhs]
+        w = bound["w"]
+        return returned(bound, w if w is not None else np.zeros((batch, 0)))
+
+    def wrapper(*args, info=None, backend=None, **kwargs):
+        if backend is not None:
+            with use_backend(backend):
+                return wrapper(*args, info=info, **kwargs)
         if len(args) > len(arg_names):
             raise TypeError(f"{fname}() takes at most {len(arg_names)} "
                             f"positional arguments ({len(args)} given)")
@@ -208,25 +160,23 @@ def make_batched(spec):
                 raise TypeError(f"{fname}() got an unexpected keyword "
                                 f"argument {key!r}")
             bound[key] = val
-        binfo = info if isinstance(info, BatchInfo) else BatchInfo()
 
         linfo, batch = validate_batch(spec, bound)
-        a = bound.get("a")
-        b = bound.get("b")
-        if linfo == 0 and batch > 0 and family.size_gate \
-                and a.shape[1] == 0:
+        if linfo == 0 and quick and batch and bound[rhs].shape[1] == 0:
             batch = 0               # n = 0: nothing to compute
         if linfo != 0 or batch == 0:
             erinfo(linfo, srname, info)
-            if is_ev:
-                return bound.get("w") if bound.get("w") is not None \
-                    else np.zeros((batch, 0))
-            return b
+            return refused(bound, batch)
+        frames, depth = calllog.push()
+        try:
+            return run(bound, batch, info, frames, depth)
+        finally:
+            del frames[depth:]
 
-        # -- per-problem value screens, vectorized over the stack -----
-        calllog.push()
-        base_depth = calllog.depth()
+    def run(bound, batch, info, frames, depth):
+        binfo = info if isinstance(info, BatchInfo) else BatchInfo()
         deadlines.check(srname, "entry")
+        # -- per-problem value screens, vectorized over the stack -----
         codes, warned = screen_stack(
             srname, batch,
             *((s.position, bound[s.name]) for s in screen_specs
@@ -240,103 +190,114 @@ def make_batched(spec):
         if not codes.any() and faults.alloc_fault(srname):
             calllog.drain_into(binfo)
             erinfo(ALLOC_FAILED, srname, info)
-            return b if not is_ev else np.zeros((batch, 0))
+            return refused(bound, batch)
 
         binfo._arm(batch)
+        problems = binfo.problems
         pol = get_policy()
 
         # -- bind the compute view of every operand -------------------
-        c = {name: bound.get(name) for name in arg_names}
-        was_vec = False
-        if b is not None and b.ndim == 2:    # stack of RHS vectors
-            was_vec = True
-            c["b"] = b[:, :, None]
+        c = {name: bound[name] for name in arg_names}
+        a = c["a"]
+        b = bound.get(rhs)
+        was_vec = b is not None and b.ndim == 2
+        if was_vec:                          # stack of RHS vectors
+            c[rhs] = b[:, :, None]
         if is_ls:
-            m, n = a.shape[1], a.shape[2]
-            rows = max(m, n)
+            rows = max(a.shape[1], a.shape[2])
             if c["b"].shape[1] != rows:      # pad the whole stack once
                 bw = np.zeros((batch, rows, c["b"].shape[2]),
                               dtype=np.result_type(a, c["b"]))
                 bw[:, :c["b"].shape[1]] = c["b"]
                 c["b"] = bw
-        ipiv = bound.get("ipiv")
-        snaps = None
-        if pol.fallbacks and family.fallback is not None:
-            snaps = {"a": a.copy()}
+        cols = [(c[name], name in stacked and c[name] is not None)
+                for name in arg_names]
+        w = bound.get("w")
+        wouts = [None] * batch if outputs and w is None else None
 
-        use_stack = (family.stack
+        use_stack = (stack_run is not None
                      and not faults.chaos_active() and not faults.active()
                      and deadlines.remaining() is None
                      and not codes.any()
                      and _stack_capable(spec.kernel, a.dtype))
-
-        wouts = [None] * batch
         if use_stack:
             # One seam crossing for the whole stack: the resilience
-            # layer sees a single kernel call.
-            linfos, extras = family.run(_stack_proxy(spec.kernel), c)
+            # layer sees a single kernel call.  Failing problems are
+            # re-solved through the body when a fallback may serve them.
+            snap = {s.name: c[s.name].copy() for s in screen_specs} \
+                if pol.fallbacks else None
+            linfos, lpiv = stack_run(_stack_proxy(spec.kernel), c)
+            if lpiv is not None and c.get("ipiv") is not None:
+                c["ipiv"][:] = lpiv
             for k in range(batch):
-                binfo.problems[k].value = int(linfos[k])
-            if ipiv is not None and "ipiv" in extras:
-                ipiv[:] = extras["ipiv"]
-            if pol.fallbacks and family.fallback is not None:
-                for k in np.nonzero(np.asarray(linfos) > 0)[0]:
-                    _replay_fallback(family, srname, c, int(k), snaps,
-                                     binfo.problems[int(k)])
+                problems[k].value = int(linfos[k])
+            outcomes = [stack_exc] * batch
+            todo = np.flatnonzero(np.asarray(linfos) > 0) \
+                if snap is not None else ()
+            for k in todo:
+                for name, pristine in snap.items():
+                    c[name][k] = pristine[k]
         else:
-            k = 0
-            try:
-                for k in range(batch):
-                    pinfo = binfo.problems[k]
-                    if codes[k]:
-                        pinfo.value = int(codes[k])
-                        continue
-                    deadlines.check(srname, "batch", info=binfo)
-                    ck = {n: (v[k] if isinstance(v, np.ndarray) else v)
-                          for n, v in c.items()}
-                    calllog.push()
-                    try:
-                        linfo_k, extras = family.run(base_kernel, ck)
-                    finally:
-                        calllog.drain_into(pinfo)
-                    pinfo.value = int(linfo_k)
-                    if ipiv is not None and "ipiv" in extras:
-                        ipiv[k] = extras["ipiv"]
-                    if "w" in extras:
-                        wouts[k] = extras["w"]
-                    if linfo_k > 0 and pol.fallbacks \
-                            and family.fallback is not None:
-                        _replay_fallback(family, srname, c, k, snaps,
-                                         pinfo)
-            except DeadlineExceeded as derr:
-                # Completed prefix stays; problems from k on are marked
-                # interrupted and travel on the exception's partial.
-                for j in range(k, batch):
-                    binfo.problems[j].value = DEADLINE
-                binfo.value = DEADLINE
-                if calllog.depth() >= base_depth:
-                    calllog.drain_into(binfo)
-                derr.partial = binfo
-                raise
+            outcomes = [None] * batch
+            todo = range(batch)
+
+        k = 0
+        try:
+            for k in todo:
+                pinfo = problems[k]
+                if codes[k]:
+                    pinfo.value = int(codes[k])
+                    continue
+                deadlines.check(srname, "batch", info=binfo)
+                calllog.push()
+                try:
+                    result, linfo, outcome = body(
+                        *[v[k] if s else v for v, s in cols], pinfo)
+                    calllog.drain_into(pinfo)
+                finally:
+                    del frames[depth + 1:]
+                if wouts is not None:
+                    wouts[k] = result[0] if type(result) is tuple \
+                        else result
+                if outcome.__class__ is Fallback:
+                    pinfo.value = outcome.linfo
+                    pinfo.fallback = outcome.via
+                    pinfo.rcond = outcome.rcond
+                    warn_batch(srname, ("fallback", outcome.via), int(k),
+                               _fallback_message(outcome),
+                               DriverFallbackWarning, stacklevel=4)
+                else:
+                    pinfo.value = linfo
+                    outcomes[k] = outcome
+        except DeadlineExceeded as derr:
+            # Completed prefix stays; problems from k on are marked
+            # interrupted and travel on the exception's partial.
+            for j in range(k, batch):
+                problems[j].value = DEADLINE
+            binfo.value = DEADLINE
+            if len(frames) > depth:
+                calllog.drain_into(binfo)
+            derr.partial = binfo
+            raise
 
         # -- aggregate verdict through the ERINFO funnel --------------
         kf = binfo.first_failure
-        final = binfo.problems[kf].value if kf >= 0 else 0
-        exc = family.exc(srname, final) \
-            if kf >= 0 and final > 0 and family.exc is not None else None
+        final = problems[kf].value if kf >= 0 else 0
+        exc = outcomes[kf] if final > 0 else None
+        if exc.__class__ is type:
+            exc = exc(srname, final)
         calllog.drain_into(binfo)
         erinfo(final, srname, info, exc=exc,
                batch_index=kf if kf >= 0 else None)
-        if is_ev:
-            w = bound.get("w")
-            wstack = np.zeros((batch, a.shape[1]), dtype=a.real.dtype)
-            for k, wout in enumerate(wouts):
-                if wout is not None:
-                    wstack[k] = wout
-            if w is not None:
-                w[:] = wstack
-                return w
-            return wstack
+        if rhs is None:
+            if wouts is not None:
+                w = np.zeros((batch, a.shape[1]), dtype=next(
+                    (x.dtype for x in wouts if x is not None),
+                    a.real.dtype))
+                for k, wk in enumerate(wouts):
+                    if wk is not None:
+                        w[k] = wk
+            return returned(bound, w)
         if is_ls:
             out_rows = a.shape[2] if str(c["trans"]).upper() == "N" \
                 else a.shape[1]
@@ -355,7 +316,7 @@ def make_batched(spec):
         "codes and telemetry; without a handle the first failing "
         "problem raises with its batch index in the message.")
     wrapper.spec = spec
-    return backend_aware(wrapper)
+    return wrapper
 
 
 def generate(namespace: dict) -> list:

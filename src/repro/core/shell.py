@@ -157,13 +157,17 @@ def _record_fallback(srname, fallback, info):
     singular-to-working-precision verdict) and must not terminate.
     """
     calllog.drain_into(info)
-    rcond = fallback.rcond
-    detail = f" (RCOND = {rcond:.3e})" if rcond is not None else ""
-    warnings.warn(
-        f"{srname}: primary factorization failed; solution computed via "
-        f"the {fallback.via} fallback{detail}",
-        DriverFallbackWarning, stacklevel=4)
+    warnings.warn(f"{srname}: {_fallback_message(fallback)}",
+                  DriverFallbackWarning, stacklevel=4)
     if info is not None:
         info.value = int(fallback.linfo)
         info.fallback = fallback.via
-        info.rcond = rcond
+        info.rcond = fallback.rcond
+
+
+def _fallback_message(fallback):
+    """The announcement of a taken fallback, after the routine name."""
+    rcond = fallback.rcond
+    detail = f" (RCOND = {rcond:.3e})" if rcond is not None else ""
+    return ("primary factorization failed; solution computed via the "
+            f"{fallback.via} fallback{detail}")

@@ -12,8 +12,8 @@ Callers who know their matrix call ``la_posv``; callers who don't call
    ``problem_kind``/``structure`` metadata.  There is no structure→
    driver ladder in this module (lalint rule LA022): what is written by
    hand here is only the per-kernel *calling convention* — how the
-   routed driver wants its operands shaped — keyed by ``spec.kernel``,
-   exactly like the batched generator's ``_FAMILIES`` residue.
+   routed driver wants its operands shaped — keyed by ``spec.kernel``.
+   Each convention takes the driver it runs as an argument.
 3. **execute** — the routed ``la_*`` driver runs with the caller's
    ``info`` handle, through the ordinary backend/resilience/deadline
    seams, *on copies*: unlike the drivers, the front door never
@@ -28,9 +28,13 @@ Callers who know their matrix call ``la_posv``; callers who don't call
    (``la_sysv``/``la_hesv``) on fresh copies, bit-identical to what a
    symmetric/hermitian verdict would have routed.
 
-Stacked operands (``a.ndim == 3``) route through the spec-derived
-``batch_*`` wrappers instead, chosen from the same metadata filtered by
-``spec.batchable``; they are never cached.
+Stacked operands (``a.ndim == 3``) run through the same conventions,
+handed the spec-derived ``batch_*`` wrapper of the first candidate on
+the ladder with ``spec.batchable`` instead of the ``la_*`` driver (so
+``info=BatchInfo()`` collects per-problem codes, and a plain ``Info``
+or no handle gets the wrapper's aggregate verdict); they are never
+cached, and :func:`~repro.dispatch_front.probe.probe_stack` has already
+tried the Cholesky factorization a definite stack route depends on.
 
 ``explain=True`` returns the :class:`Explanation` — classification,
 candidate ladder and chosen driver — *without executing* (so it caches
@@ -49,12 +53,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .. import batch, core
 from ..backends.kernels import potrs
-from ..core import (la_gbsv, la_gels, la_geev, la_gesv, la_gtsv, la_heev,
-                    la_hesv, la_posv, la_syev, la_sysv, la_trtrs)
 from ..core.auxmod import as_matrix
 from ..core.shell import _unchanged, driver_shell
-from ..errors import Info, erinfo, is_error_code
+from ..errors import Info, erinfo
 from ..specs.routing import REFINEMENTS, STRUCTURES, candidates, route
 from . import cache
 from .probe import Structure, probe, probe_stack
@@ -113,19 +116,25 @@ def _rhs_copy(a, b):
     return b.astype(np.result_type(a, b), copy=True)
 
 
-def _batch_wrapper(spec):
-    """The spec-derived ``batch_*`` wrapper for ``spec``."""
-    from .. import batch as _batch
-    return getattr(_batch, spec.name.replace("la_", "batch_", 1))
+def _routed(verb, label, iscomplex, stacked):
+    """``(spec, driver)`` for one verb: the head of the refinement
+    ladder and its ``la_*`` driver, or for a stack the first candidate
+    with a batched wrapper and that ``batch_*`` wrapper."""
+    if not stacked:
+        spec = route(verb, label, iscomplex)
+        return spec, getattr(core, spec.name)
+    spec = next(s for s in candidates(verb, label, iscomplex)
+                if s.batchable)
+    return spec, getattr(batch, "batch_" + spec.name[3:])
 
 
-def _batch_route(kind, st, iscomplex):
-    """First candidate on the refinement ladder with a batched wrapper,
-    or ``None`` (the caller then loops the scalar driver per slice)."""
-    for spec in candidates(kind, st.label, iscomplex):
-        if spec.batchable:
-            return spec
-    return None
+def _explain(verb, st, label, iscomplex, spec, stacked, cached):
+    """The plan ``explain=True`` returns instead of executing."""
+    return Explanation(
+        verb, st.label, spec.name,
+        tuple(s.name for s in candidates(verb, label, iscomplex)),
+        batch=stacked, cached=cached,
+        probe_cost=0.0 if cached else st.probe_cost)
 
 
 # -- per-kernel calling conventions (the hand-written residue) --------
@@ -156,18 +165,18 @@ def _posv_from_factor(a, b, uplo="U", info=None, cholesky=None):
     return b, potrs(cholesky, bmat, uplo), None
 
 
-def _exec_gesv(st, a, bc, info, cached):
-    return la_gesv(a.copy(), bc, info=info)
+def _exec_dense(st, a, bc, info, cached, driver):
+    return driver(a.copy(), bc, info=info)
 
 
-def _exec_posv(st, a, bc, info, cached):
+def _exec_posv(st, a, bc, info, cached, driver):
     if cached:
         return _posv_from_factor(a, bc, uplo=st.uplo, info=info,
                                  cholesky=st.cholesky)
-    return la_posv(a.copy(), bc, uplo=st.uplo, info=info)
+    return driver(a.copy(), bc, uplo=st.uplo, info=info)
 
 
-def _solve_probed_definite(st, a, b, iscomplex, info):
+def _solve_probed_definite(st, a, b, iscomplex, info, driver):
     """``(x, structure, spec)`` for a cold probed ``spd``/``hpd`` solve.
 
     ``la_posv`` runs on a private ``Info`` so a positive INFO (or its
@@ -179,12 +188,12 @@ def _solve_probed_definite(st, a, b, iscomplex, info):
     """
     ac, bc, trial = a.copy(), _rhs_copy(a, b), Info()
     bits = cache.snapshot(ac)
-    la_posv(ac, bc, uplo=st.uplo, info=trial)
+    driver(ac, bc, uplo=st.uplo, info=trial)
     if trial.value > 0 or trial.fallback is not None:
         st = replace(st, label=REFINEMENTS[st.label][0])
-        spec = route("solve", st.label, iscomplex)
-        return (_SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, False),
-                st, spec)
+        spec, driver = _routed("solve", st.label, iscomplex, False)
+        return (_SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, False,
+                                      driver), st, spec)
     if trial.value == 0:
         cache.store(a, replace(st, cholesky=ac), bits)  # laflow: atomic-split — the factor is computed unlocked by design; a racing store for the same operand carries its own snapshot
     if info is None:
@@ -195,33 +204,24 @@ def _solve_probed_definite(st, a, b, iscomplex, info):
     return bc, st, route("solve", st.label, iscomplex)
 
 
-def _exec_sysv(st, a, bc, info, cached):
-    return la_sysv(a.copy(), bc, info=info)
+def _exec_gtsv(st, a, bc, info, cached, driver):
+    return driver(a.diagonal(-1).copy(), a.diagonal().copy(),
+                  a.diagonal(1).copy(), bc, info=info)
 
 
-def _exec_hesv(st, a, bc, info, cached):
-    return la_hesv(a.copy(), bc, info=info)
+def _exec_gbsv(st, a, bc, info, cached, driver):
+    return driver(_band_storage(a, st.kl, st.ku), bc, kl=st.kl, info=info)
 
 
-def _exec_gtsv(st, a, bc, info, cached):
-    return la_gtsv(a.diagonal(-1).copy(), a.diagonal().copy(),
-                   a.diagonal(1).copy(), bc, info=info)
-
-
-def _exec_gbsv(st, a, bc, info, cached):
-    return la_gbsv(_band_storage(a, st.kl, st.ku), bc, kl=st.kl,
-                   info=info)
-
-
-def _exec_trtrs(st, a, bc, info, cached):
-    return la_trtrs(a, bc, uplo=st.uplo, info=info)
+def _exec_trtrs(st, a, bc, info, cached, driver):
+    return driver(a, bc, uplo=st.uplo, info=info)
 
 
 _SOLVERS = {
-    "gesv": _exec_gesv,
+    "gesv": _exec_dense,
     "posv": _exec_posv,
-    "sysv": _exec_sysv,
-    "hesv": _exec_hesv,
+    "sysv": _exec_dense,
+    "hesv": _exec_dense,
     "gtsv": _exec_gtsv,
     "gbsv": _exec_gbsv,
     "trtrs": _exec_trtrs,
@@ -235,13 +235,12 @@ def _exec_syev(st, a, info, vectors, driver):
 
 
 def _exec_geev(st, a, info, vectors, driver):
-    ac = a.copy()
     if vectors:
-        return driver(ac, vr=True, info=info)
-    return driver(ac, info=info)
+        return driver(a.copy(), vr=np.empty(a.shape, dtype=complex),
+                      info=info)
+    return driver(a.copy(), info=info)
 
 
-_EIG_DRIVERS = {"syev": la_syev, "heev": la_heev, "geev": la_geev}
 _EIG_CONVENTIONS = {"syev": _exec_syev, "heev": _exec_syev,
                     "geev": _exec_geev}
 
@@ -271,29 +270,17 @@ def solve(a, b, *, info=None, explain=False, assume=None):
     b = np.asarray(b)
     st, cached = _classify(a, assume)
     iscomplex = np.iscomplexobj(a)
-    if a.ndim == 3:
-        spec = _batch_route("solve", st, iscomplex)
-        if explain:
-            return Explanation(
-                "solve", st.label, spec.name,
-                tuple(s.name for s in candidates("solve", st.label,
-                                                 iscomplex)),
-                batch=True, cached=cached,
-                probe_cost=0.0 if cached else st.probe_cost)
-        x = _batch_wrapper(spec)(a.copy(), _rhs_copy(a, b), info=info)
-        _note(info, st, spec.name, cached)
-        return x
-    spec = route("solve", st.label, iscomplex)
+    stacked = a.ndim == 3
+    spec, driver = _routed("solve", st.label, iscomplex, stacked)
     if explain:
-        return Explanation(
-            "solve", st.label, spec.name,
-            tuple(s.name for s in candidates("solve", st.label,
-                                             iscomplex)),
-            cached=cached, probe_cost=0.0 if cached else st.probe_cost)
-    if spec.kernel == "posv" and not cached and assume is None:
-        x, st, spec = _solve_probed_definite(st, a, b, iscomplex, info)
+        return _explain("solve", st, st.label, iscomplex, spec, stacked,
+                        cached)
+    if spec.kernel == "posv" and not (cached or stacked) and assume is None:
+        x, st, spec = _solve_probed_definite(st, a, b, iscomplex, info,
+                                             driver)
     else:
-        x = _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, cached)
+        x = _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, cached,
+                                  driver)
     _note(info, st, spec.name, cached)
     return x
 
@@ -311,29 +298,12 @@ def lstsq(a, b, *, trans="N", info=None, explain=False):
     b = np.asarray(b)
     st, cached = _classify(a, None)
     iscomplex = np.iscomplexobj(a)
-    if a.ndim == 3:
-        spec = _batch_route("lstsq", st, iscomplex)
-        if explain:
-            return Explanation(
-                "lstsq", st.label, spec.name,
-                tuple(s.name for s in candidates("lstsq", st.label,
-                                                 iscomplex)),
-                batch=True, cached=cached,
-                probe_cost=0.0 if cached else st.probe_cost)
-        x = _batch_wrapper(spec)(a.copy(), _rhs_copy(a, b), trans=trans,
-                                 info=info)
-        _note(info, st, spec.name, cached)
-        return x
-    spec = route("lstsq", st.label, iscomplex)
+    stacked = a.ndim == 3
+    spec, driver = _routed("lstsq", st.label, iscomplex, stacked)
     if explain:
-        return Explanation(
-            "lstsq", st.label, spec.name,
-            tuple(s.name for s in candidates("lstsq", st.label,
-                                             iscomplex)),
-            cached=cached, probe_cost=0.0 if cached else st.probe_cost)
-    x = la_gels(a.copy(), _rhs_copy(a, b), trans=trans, info=info) \
-        if spec.kernel == "gels" else \
-        _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, cached)
+        return _explain("lstsq", st, st.label, iscomplex, spec, stacked,
+                        cached)
+    x = driver(a.copy(), _rhs_copy(a, b), trans=trans, info=info)
     _note(info, st, spec.name, cached)
     return x
 
@@ -345,77 +315,17 @@ def eig(a, *, vectors=False, info=None, explain=False, assume=None):
     return real eigenvalues ascending (plus the orthonormal eigenvector
     matrix when ``vectors=True``); everything else routes to ``la_geev``
     and returns complex eigenvalues (plus right eigenvectors).  ``a`` is
-    never overwritten.  A ``(batch, n, n)`` stack uses ``batch_syev``/
-    ``batch_heev`` when the structure allows, and loops the scalar
-    driver per slice otherwise.
+    never overwritten.  A ``(batch, n, n)`` stack runs the same route
+    through ``batch_syev``/``batch_heev``/``batch_geev``.
     """
     a = np.asarray(a)
     st, cached = _classify(a, assume)
     iscomplex = np.iscomplexobj(a)
     label = _eig_label(st, iscomplex)
-    if a.ndim == 3:
-        return _eig_stack(a, st, label, iscomplex, vectors, info,
-                          explain, cached)
-    spec = route("eig", label, iscomplex)
+    stacked = a.ndim == 3
+    spec, driver = _routed("eig", label, iscomplex, stacked)
     if explain:
-        return Explanation(
-            "eig", st.label, spec.name,
-            tuple(s.name for s in candidates("eig", label, iscomplex)),
-            cached=cached, probe_cost=0.0 if cached else st.probe_cost)
-    out = _EIG_CONVENTIONS[spec.kernel](st, a, info, vectors,
-                                        _EIG_DRIVERS[spec.kernel])
+        return _explain("eig", st, label, iscomplex, spec, stacked, cached)
+    out = _EIG_CONVENTIONS[spec.kernel](st, a, info, vectors, driver)
     _note(info, st, spec.name, cached)
     return out
-
-
-def _eig_stack(a, st, label, iscomplex, vectors, info, explain, cached):
-    batched = Structure(label, symmetric=st.symmetric,
-                        hermitian=st.hermitian)
-    spec = _batch_route("eig", batched, iscomplex)
-    if spec is not None:
-        if explain:
-            return Explanation(
-                "eig", st.label, spec.name,
-                tuple(s.name for s in candidates("eig", label,
-                                                 iscomplex)),
-                batch=True, cached=cached,
-                probe_cost=0.0 if cached else st.probe_cost)
-        ac = a.copy()
-        w = _batch_wrapper(spec)(ac, jobz="V" if vectors else "N",
-                                 info=info)
-        _note(info, st, spec.name, cached)
-        return (w, ac) if vectors else w
-    # No batched eigensolver on the ladder (general stacks): loop the
-    # routed scalar driver per slice, recording per-problem codes on a
-    # BatchInfo when one is supplied.
-    from ..batch import BatchInfo
-    spec = route("eig", label, iscomplex)
-    if explain:
-        return Explanation(
-            "eig", st.label, spec.name,
-            tuple(s.name for s in candidates("eig", label, iscomplex)),
-            batch=True, cached=cached,
-            probe_cost=0.0 if cached else st.probe_cost)
-    batch = a.shape[0]
-    binfo = info if isinstance(info, BatchInfo) else None
-    if binfo is not None:
-        binfo._arm(batch)
-    ws, vrs = [], []
-    first_failure = 0
-    for k in range(batch):
-        pinfo = binfo.problems[k] if binfo is not None else info
-        out = _EIG_CONVENTIONS[spec.kernel](st, a[k], pinfo, vectors,
-                                            _EIG_DRIVERS[spec.kernel])
-        if vectors:
-            ws.append(out[0])
-            vrs.append(out[1])
-        else:
-            ws.append(out)
-        if binfo is not None and first_failure == 0 \
-                and is_error_code(binfo.problems[k].value):
-            first_failure = binfo.problems[k].value
-    if binfo is not None:
-        binfo.value = first_failure
-    w = np.stack(ws)
-    _note(info, st, spec.name, cached)
-    return (w, np.stack(vrs)) if vectors else w

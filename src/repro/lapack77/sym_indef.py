@@ -48,7 +48,7 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
             colmax = float(_cabs1(col[imax]))
         else:
             imax, colmax = 0, 0.0
-        if max(absakk, colmax) == 0.0:
+        if max(absakk, colmax) == 0.0 or absakk != absakk:  # DISNAN
             if info == 0:
                 info = k + 1
             kp = k
@@ -169,7 +169,7 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
             colmax = float(_cabs1(a[imax, k]))
         else:
             imax, colmax = k, 0.0
-        if max(absakk, colmax) == 0.0:
+        if max(absakk, colmax) == 0.0 or absakk != absakk:  # DISNAN
             if info == 0:
                 info = k + 1
             kp = k

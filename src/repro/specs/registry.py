@@ -593,7 +593,7 @@ _SPEC_LIST = [
         args=_args("a:inout", "w:vector:opt:out:ws", "vl:opt:out",
                    "vr:opt:out", "info:info"),
         checks=(C(-1, "square", ("a",)),),
-        kernel="geev",
+        kernel="geev", batchable=True,
         problem_kind="eig", structure=("general",),
         positive_info="i: the QR algorithm failed; elements i+1:n of w "
         "contain converged eigenvalues"),

@@ -12,10 +12,10 @@ import repro
 from repro import faults
 from repro import (DeadlineExceeded, DriverFallbackWarning, Info,
                    NonFiniteWarning, SingularMatrix, deadline,
-                   exception_policy, la_gesv, la_posv)
-from repro.batch import (BatchInfo, batch_gels, batch_gesv, batch_posv,
-                         batch_syev, batchable_specs, make_batched,
-                         reset_batch_announcements)
+                   exception_policy, la_geev, la_gesv, la_posv)
+from repro.batch import (BatchInfo, batch_geev, batch_gels, batch_gesv,
+                         batch_posv, batch_syev, batchable_specs,
+                         make_batched, reset_batch_announcements)
 from repro.backends.batched import batch_capability
 from repro.specs import SPECS, validate_batch
 
@@ -34,7 +34,7 @@ def _stack(rng, batch, n, nrhs=2):
 def test_registry_opt_in_drives_generation():
     names = {s.name for s in batchable_specs()}
     assert names == {"la_gesv", "la_posv", "la_sysv", "la_hesv",
-                     "la_gels", "la_syev", "la_heev"}
+                     "la_gels", "la_syev", "la_heev", "la_geev"}
     for spec in batchable_specs():
         assert hasattr(repro, "batch_" + spec.name[3:])
 
@@ -97,6 +97,21 @@ def test_batch_syev_matches_numpy(rng):
     for k in range(3):
         np.testing.assert_allclose(w[k], np.linalg.eigvalsh(a[k]),
                                    atol=1e-9)
+
+
+def test_batch_geev_matches_looped_scalar(rng):
+    a = rng.standard_normal((3, 4, 4))
+    vl = np.zeros((3, 4, 4), dtype=complex)
+    vr = np.zeros((3, 4, 4), dtype=complex)
+    info = BatchInfo()
+    w, vl_out, vr_out = batch_geev(a.copy(), vl=vl, vr=vr, info=info)
+    assert vl_out is vl and vr_out is vr
+    assert info.codes() == (0, 0, 0)
+    for k in range(3):
+        wk, lk, rk = la_geev(a[k].copy(), vl=True, vr=True)
+        np.testing.assert_array_equal(w[k], wk)
+        np.testing.assert_array_equal(vl[k], lk)
+        np.testing.assert_array_equal(vr[k], rk)
 
 
 def test_batch_gels_least_squares(rng):
@@ -185,6 +200,22 @@ def test_posv_fallback_replays_batch_indexed(rng):
     reset_batch_announcements()
 
 
+@pytest.mark.parametrize("routine", ["gesv", "syev"])
+def test_escaped_kernel_failure_closes_the_frame(rng, routine):
+    """A kernel failure escaping a ``batch_*`` call (reference does not
+    retry) must not leave the wrapper's call-log frame open."""
+    from repro.resilience import calllog
+    a, b = _stack(rng, 3, 4)
+    call = (lambda: batch_gesv(a, b)) if routine == "gesv" \
+        else (lambda: batch_syev(a + np.swapaxes(a, 1, 2)))
+    before = calllog.depth()
+    with faults.chaos(routine, flaky_every=1, backend="reference"):
+        with repro.use_backend("reference"):
+            with pytest.raises(faults.InjectedFault):
+                call()
+    assert calllog.depth() == before
+
+
 def test_mid_batch_deadline_keeps_prefix(rng):
     a, b = _stack(rng, 32, 8)
     # latency injection makes each kernel call cost ~20ms, so the
@@ -248,7 +279,7 @@ def test_accelerated_ships_native_stack_entries():
     # reference has no native batched primitive: always the graft
     assert all(m == "stack" for k, m in
                batch_capability()["reference"].items()
-               if k not in ("syev", "heev"))
+               if k not in ("syev", "heev", "geev"))
 
 
 def test_healthcheck_reports_batch():

@@ -2,10 +2,13 @@
 assumptions, stacked routing through the ``batch_*`` wrappers, the
 non-mutation contract, and the Info/BatchInfo telemetry."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from repro import (Explanation, batch, eig, la_posv, lstsq, solve)
+from repro import (Explanation, NoConvergence, available_backends, batch,
+                   eig, la_geev, la_posv, lstsq, solve, use_backend)
 from repro.batch import BatchInfo
 from repro.dispatch_front import cache
 from repro.errors import Info
@@ -166,6 +169,25 @@ def test_stacked_eig_general_loops_with_batch_codes():
     assert binfo.codes() == (0, 0, 0, 0)
     assert binfo.first_failure == -1
     assert binfo.chosen_driver == "la_geev"
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_stacked_eig_general_reports_a_failed_slice(backend):
+    """A general stack runs ``batch_geev``: a plain ``Info`` reads the
+    failing slice's code, and without a handle it raises with the
+    slice's index, as ``la_geev`` on that slice would report."""
+    a = np.random.default_rng(13).standard_normal((3, 5, 5))
+    a[1, 2, 3] = np.inf
+    with use_backend(backend), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        want = Info()
+        la_geev(a[1].copy(), info=want)
+        info = Info()
+        eig(a, info=info)
+        assert info.value == want.value == 5
+        with pytest.raises(NoConvergence) as err:
+            eig(a)
+    assert err.value.batch_index == 1
 
 
 def test_lstsq_explain_names_the_qr_route():
