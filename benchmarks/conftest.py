@@ -84,6 +84,15 @@ def _write_backends_report(root):
         json.dumps(out, indent=2, sort_keys=True) + "\n")
 
 
+def checkout_block(root):
+    """``change`` when ``repro`` is imported from this checkout's
+    ``src``, else ``parent`` (the same benchmark run with
+    ``PYTHONPATH=<other checkout>/src``)."""
+    import repro
+    return "change" if root / "src" in pathlib.Path(repro.__file__).parents \
+        else "parent"
+
+
 def _write_batch_report(root):
     rows = [BATCH_RECORDS[k] for k in sorted(BATCH_RECORDS)]
     speedups = {}
@@ -93,19 +102,23 @@ def _write_batch_report(root):
         looped = BATCH_RECORDS.get((routine, backend, batch, "looped"))
         if looped:
             batched = BATCH_RECORDS[(routine, backend, batch, "batched")]
-            speedups.setdefault(backend, {})[str(batch)] = (
-                batched["solves_per_s"] / looped["solves_per_s"])
-    out = {
+            speedups.setdefault(routine, {}).setdefault(backend, {})[
+                str(batch)] = (batched["solves_per_s"]
+                               / looped["solves_per_s"])
+    path = root / "BENCH_batch.json"
+    out = json.loads(path.read_text()) if path.exists() else {}
+    out.update({
         "experiment": "XB4-batch",
         "description": "Throughput (solves/sec, min-time round) of the "
                        "derived batch_* wrappers over a problem stack "
                        "vs looping the scalar LA_* driver; speedup = "
-                       "batched/looped per (backend, batch)",
-        "results": rows,
-        "speedup_batched": speedups,
-    }
-    (root / "BENCH_batch.json").write_text(
-        json.dumps(out, indent=2, sort_keys=True) + "\n")
+                       "batched/looped per (routine, backend, batch); "
+                       "'parent' and 'change' are the same file run on "
+                       "two checkouts",
+    })
+    out[checkout_block(root)] = {"results": rows,
+                                 "speedup_batched": speedups}
+    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
 
 
 def record_dispatch(name, record):

@@ -42,12 +42,11 @@ import warnings
 import numpy as np
 import pytest
 
-import repro
 from repro import backends, eig, la_gesv, la_posv, la_syev, solve
 from repro.backends import kernels
 from repro.dispatch_front import cache
 
-from .conftest import best_of
+from .conftest import best_of, checkout_block
 
 scipy_lapack = pytest.importorskip("scipy.linalg.lapack")
 
@@ -118,13 +117,6 @@ def _measure():
     return rows
 
 
-def _block_name():
-    """``change`` when ``repro`` is this checkout's, else ``parent``."""
-    here = ROOT / "src"
-    return "change" if here in pathlib.Path(repro.__file__).parents \
-        else "parent"
-
-
 def test_layer_ladder():
     if "accelerated" not in backends.available_backends():
         pytest.skip("the accelerated backend needs SciPy")
@@ -146,7 +138,7 @@ def test_layer_ladder():
         "gate": {"ratio": "la_gesv / raw dgesv, n=8, accelerated",
                  "bound": GATE},
     })
-    report[_block_name()] = {
+    report[checkout_block(ROOT)] = {
         "us": rows,
         "gate_ratio": round(ratio, 3),
         "gate_pass": ratio <= GATE,

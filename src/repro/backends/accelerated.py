@@ -158,12 +158,15 @@ def posv(a, b, uplo="U"):
 def posv_stack(a, b, uplo="U"):
     """Natively batched ``posv``: one seam crossing per SPD stack.
 
-    Mirrors :func:`gesv_stack` — the typed wrapper is resolved once,
+    Mirrors :func:`gesv_stack` — the typed wrapper is resolved once and
     each ``(n, n)`` / ``(n, nrhs)`` slice runs the very same ``?posv``
-    call as the scalar :func:`posv` adapter (including the NaN-diagonal
-    pivot check and the unsolved-B-on-failure contract), so per-problem
-    factors and info codes stay bit-identical to the scalar path, and
-    nothing is written back before the last slice returns.
+    call as the scalar :func:`posv` adapter.  The NaN-diagonal pivot
+    check then runs once over the stacked factors: a slice SciPy passed
+    gets the 1-based index of its first NaN diagonal, as the scalar
+    adapter's :func:`_nan_diag_info` would give it.  Per-problem factors
+    and info codes stay bit-identical to the scalar path, a failed
+    slice's B is left unsolved, and nothing is written back before the
+    last slice returns.
     """
     n = a.shape[1]
     if a.shape[2] != n:
@@ -178,13 +181,15 @@ def posv_stack(a, b, uplo="U"):
     infos = np.empty(batch, dtype=np.int64)
     cs, xs = [], []
     for k in range(batch):
-        c, x, info = f(a[k], _as2d(b[k]), lower=lower)
-        if info == 0:
-            info = _nan_diag_info(np.diagonal(c).real)
+        c, x, infos[k] = f(a[k], _as2d(b[k]), lower=lower)
         cs.append(c)
         xs.append(x)
-        infos[k] = info
-    a[...] = np.reshape(cs, a.shape)
+    cs = np.reshape(cs, a.shape)
+    nan = np.isnan(np.diagonal(cs, axis1=1, axis2=2).real)
+    late = (infos == 0) & nan.any(axis=1)
+    if late.any():
+        infos[late] = nan[late].argmax(axis=1) + 1
+    a[...] = cs
     ok = infos == 0
     b[ok] = np.reshape(xs, b.shape)[ok]
     return infos
@@ -359,6 +364,41 @@ def heev(a, jobz="N", uplo="U"):
     return _dense_eig("HEEV", "heev", a, jobz, uplo)
 
 
+def _dense_eig_stack(srname, name, a, jobz, uplo):
+    """Natively batched :func:`_dense_eig` over a ``(batch, n, n)``
+    stack: one typed-wrapper resolution and one flag check, then each
+    slice runs the scalar adapter's exact ``?syev``/``?heev`` call.
+    Returns the ``(batch, n)`` real eigenvalue stack and the info
+    vector; with ``jobz='V'`` the eigenvectors overwrite the slices
+    whose info is 0, and only after the last slice returns."""
+    if jobz.upper() not in ("N", "V"):
+        xerbla(srname, 1, f"jobz={jobz!r}")
+    if uplo.upper() not in ("U", "L"):
+        xerbla(srname, 2, f"uplo={uplo!r}")
+    wantz = 1 if jobz.upper() == "V" else 0
+    lower = uplo.upper() == "L"
+    f = _flavor(name, a.dtype)
+    batch, n = a.shape[0], a.shape[1]
+    ws = np.empty((batch, n), dtype=a.real.dtype)
+    infos = np.empty(batch, dtype=np.int64)
+    vs = []
+    for k in range(batch):
+        ws[k], v, infos[k] = f(a[k], compute_v=wantz, lower=lower)
+        vs.append(v)
+    if wantz:
+        ok = infos == 0
+        a[ok] = np.reshape(vs, a.shape)[ok]
+    return ws, infos
+
+
+def syev_stack(a, jobz="N", uplo="U"):
+    return _dense_eig_stack("SYEV_STACK", "syev", a, jobz, uplo)
+
+
+def heev_stack(a, jobz="N", uplo="U"):
+    return _dense_eig_stack("HEEV_STACK", "heev", a, jobz, uplo)
+
+
 def gesvd(a, jobu="N", jobvt="N", superdiag=None):
     s, u, vt, info = _gesvd(a, jobu, jobvt)
     # SciPy's gesvd does not expose the bidiagonal work array; the
@@ -415,11 +455,13 @@ _DTYPES = {
     "syev": "fd",
     "heev": "FD",
     "hesv": "FD",
+    "syev_stack": "fd",
+    "heev_stack": "FD",
 }
 
 _ADAPTERS = (gesv, gesv_stack, getrf, getrs, posv, posv_stack, trtrs,
              potrf, potrs, sysv, hesv, gtsv, ptsv, gbsv, pbsv, syev,
-             heev, gesvd, gels, gels_stack)
+             syev_stack, heev, heev_stack, gesvd, gels, gels_stack)
 
 
 def build_accelerated_backend():

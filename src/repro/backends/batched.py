@@ -4,23 +4,27 @@ The batched wrappers (:mod:`repro.batch`) want to cross the dispatch
 seam **once** per stack, not once per problem: the resilience layer then
 sees a single kernel call, and the per-problem Python overhead of proxy
 resolution, chaos consultation and calllog recording is amortized away.
-This module builds one synthetic ``<kernel>_stack`` routine per
-batchable solver and grafts it onto every registered backend via
-:meth:`repro.backends.Backend.extend`.
+This module builds one synthetic ``<kernel>_stack`` routine per kernel
+in :data:`STACK_ROUTINES` and grafts it onto every registered backend
+via :meth:`repro.backends.Backend.extend`.
 
 Each stack kernel is a closure over the owning backend's *own* base
 kernel, so problem *k* of a stacked call runs byte-for-byte the same
 code path as a scalar call on that backend — the parity guarantee the
 hypothesis suite (tests/batch/test_parity.py) pins down (identical
-pivots, identical info codes).  Substrates with a natively batched
-primitive could register a true stack-forwarding kernel instead; the
-capability report (:func:`batch_capability`) tells the two modes apart
-so ``repro.healthcheck()`` can say which one a backend is using.
+pivots, identical info codes).  A substrate may register its own
+native entry instead (the accelerated one does for ``gesv``, ``posv``,
+``gels``, ``syev`` and ``heev``); the capability report
+(:func:`batch_capability`) tells the modes apart so
+``repro.healthcheck()`` can say which one a backend is using.
 
-Eigen drivers (``syev``/``heev``/``geev``) are deliberately *not* given
-stack entries: their wrappers run the parent body per problem so that
-deadlines interleave with individual solves (a mid-batch
-``DeadlineExceeded`` then returns the completed prefix).
+The symmetric/Hermitian eigensolvers (``syev``/``heev``) have stack
+entries too; the general one (``geev``) does not, so ``batch_geev``
+runs the parent body per problem.  A stack entry is one kernel call to
+the resilience layer, so the batch wrappers take it only when nothing
+needs per-problem visibility: an armed deadline (a mid-batch
+``DeadlineExceeded`` then keeps the completed prefix), chaos, an armed
+fault or a fired screen keeps them on the per-problem path.
 """
 
 from __future__ import annotations
@@ -32,7 +36,8 @@ from . import available_backends, get_backend
 __all__ = ["STACK_ROUTINES", "install", "batch_capability"]
 
 #: Solver kernels that gain a ``<name>_stack`` entry on every backend.
-STACK_ROUTINES = ("gesv", "posv", "sysv", "hesv", "gels")
+STACK_ROUTINES = ("gesv", "posv", "sysv", "hesv", "gels", "syev",
+                  "heev")
 
 
 def _restack(results):
@@ -111,8 +116,8 @@ def install():
 def batch_capability():
     """Per-backend batch-serving mode for every batchable driver kernel.
 
-    ``{"accelerated": {"posv": "native", "gesv": "stack",
-    "syev": "loop", ...}, ...}`` — ``"native"`` means the substrate
+    ``{"accelerated": {"posv": "native", "sysv": "stack",
+    "geev": "loop", ...}, ...}`` — ``"native"`` means the substrate
     ships its own stack-forwarding kernel (one substrate call for the
     whole stack), ``"stack"`` means the grafted loop-mode entry serves
     it (one *seam* crossing, per-problem base-kernel calls inside),

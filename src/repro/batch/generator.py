@@ -20,10 +20,13 @@ wrappers over the F77 kernels, a ``batch_gesv`` is a mechanical lift of
   convention, the outputs, the exception class of a positive code and
   the fallback ladder;
 * when the selected backend serves a ``<kernel>_stack`` entry (see
-  :mod:`repro.backends.batched`) and nothing needs per-problem
-  visibility, the whole stack crosses the seam once instead; with
-  fallbacks on, each failing problem is then re-solved through the
-  body from a pre-call snapshot;
+  :mod:`repro.backends.batched`; the solvers, ``gels`` and the
+  symmetric/Hermitian eigensolvers have one) and nothing needs
+  per-problem visibility (no deadline, chaos or fault armed, no screen
+  fired), the whole stack crosses the seam once instead; an output
+  stack the entry returns (``ipiv``, ``w``) fills the caller's or, for
+  an omitted ``w``, is returned.  With fallbacks on, each failing
+  problem is then re-solved through the body from a pre-call snapshot;
 * per-problem codes land on a :class:`~repro.batch.BatchInfo`, a taken
   fallback is announced batch-indexed, and the aggregate verdict goes
   through ``erinfo`` with the failing problem's index.
@@ -43,8 +46,9 @@ from ..backends import get_backend, get_backend_name, use_backend
 from ..backends import kernels as _kernels
 from ..core.shell import Fallback, _fallback_message
 from ..errors import (ALLOC_FAILED, DEADLINE, DeadlineExceeded,
-                      DriverFallbackWarning, NonFiniteWarning,
-                      NotPositiveDefinite, SingularMatrix, erinfo)
+                      DriverFallbackWarning, NoConvergence,
+                      NonFiniteWarning, NotPositiveDefinite,
+                      SingularMatrix, erinfo)
 from ..policy import get_policy, screen_stack
 from ..resilience import calllog, deadlines
 from ..specs import SPECS, validate_batch
@@ -61,25 +65,31 @@ def batchable_specs():
 
 # -- calling conventions of the ``<kernel>_stack`` seam entries -------
 # ``run(kern, c)`` invokes one stack kernel on the bound compute views
-# in ``c`` and returns ``(linfos, ipiv)``; it is paired with the
-# exception class a positive code raises.
+# in ``c`` and returns ``(linfos, outs)``, ``outs`` mapping an output
+# argument's name to the stack the kernel returned for it; it is paired
+# with the exception class a positive code raises.
 
 def _run_gesv(kern, c):
     lpiv, linfos = kern(c["a"], c["b"])
-    return linfos, lpiv
+    return linfos, {"ipiv": lpiv}
 
 
 def _run_posv(kern, c):
-    return kern(c["a"], c["b"], c["uplo"]), None
+    return kern(c["a"], c["b"], c["uplo"]), {}
 
 
 def _run_indef(kern, c):
     lpiv, linfos = kern(c["a"], c["b"], c["uplo"])
-    return linfos, lpiv
+    return linfos, {"ipiv": lpiv}
 
 
 def _run_gels(kern, c):
-    return kern(c["a"], c["b"], trans=c["trans"]), None
+    return kern(c["a"], c["b"], trans=c["trans"]), {}
+
+
+def _run_eig(kern, c):
+    w, linfos = kern(c["a"], c["jobz"], c["uplo"])
+    return linfos, {"w": w}
 
 
 _FAMILIES = {
@@ -88,6 +98,8 @@ _FAMILIES = {
     "sysv": (_run_indef, SingularMatrix),
     "hesv": (_run_indef, SingularMatrix),
     "gels": (_run_gels, None),
+    "syev": (_run_eig, NoConvergence),
+    "heev": (_run_eig, NoConvergence),
 }
 
 _STACK_PROXIES: dict = {}
@@ -213,7 +225,7 @@ def make_batched(spec):
         cols = [(c[name], name in stacked and c[name] is not None)
                 for name in arg_names]
         w = bound.get("w")
-        wouts = [None] * batch if outputs and w is None else None
+        keep_w = bool(outputs) and w is None    # an omitted w is returned
 
         use_stack = (stack_run is not None
                      and not faults.chaos_active() and not faults.active()
@@ -226,13 +238,16 @@ def make_batched(spec):
             # re-solved through the body when a fallback may serve them.
             snap = {s.name: c[s.name].copy() for s in screen_specs} \
                 if pol.fallbacks else None
-            linfos, lpiv = stack_run(_stack_proxy(spec.kernel), c)
-            if lpiv is not None and c.get("ipiv") is not None:
-                c["ipiv"][:] = lpiv
-            for k in range(batch):
-                problems[k].value = int(linfos[k])
+            linfos, outs = stack_run(_stack_proxy(spec.kernel), c)
+            for name, out in outs.items():
+                if c[name] is not None:
+                    c[name][...] = out
+            if keep_w:
+                w = outs["w"]
+            for pinfo, linfo in zip(problems, linfos.tolist()):
+                pinfo.value = linfo
             outcomes = [stack_exc] * batch
-            todo = np.flatnonzero(np.asarray(linfos) > 0) \
+            todo = np.flatnonzero(linfos > 0) \
                 if snap is not None else ()
             for k in todo:
                 for name, pristine in snap.items():
@@ -256,9 +271,11 @@ def make_batched(spec):
                     calllog.drain_into(pinfo)
                 finally:
                     del frames[depth + 1:]
-                if wouts is not None:
-                    wouts[k] = result[0] if type(result) is tuple \
-                        else result
+                if keep_w:
+                    wk = result[0] if type(result) is tuple else result
+                    if w is None:
+                        w = np.zeros((batch,) + wk.shape, wk.dtype)
+                    w[k] = wk
                 if outcome.__class__ is Fallback:
                     pinfo.value = outcome.linfo
                     pinfo.fallback = outcome.via
@@ -290,13 +307,8 @@ def make_batched(spec):
         erinfo(final, srname, info, exc=exc,
                batch_index=kf if kf >= 0 else None)
         if rhs is None:
-            if wouts is not None:
-                w = np.zeros((batch, a.shape[1]), dtype=next(
-                    (x.dtype for x in wouts if x is not None),
-                    a.real.dtype))
-                for k, wk in enumerate(wouts):
-                    if wk is not None:
-                        w[k] = wk
+            if w is None:                    # every problem was screened
+                w = np.zeros((batch, a.shape[1]), a.real.dtype)
             return returned(bound, w)
         if is_ls:
             out_rows = a.shape[2] if str(c["trans"]).upper() == "N" \

@@ -35,9 +35,12 @@ def healthcheck() -> dict:
     The probe solves a fixed well-conditioned
     3×3 system, so ``residual`` should be at round-off level for any
     correct substrate.  The ``batch`` entry reports the backend's batch
-    capability per batchable kernel — ``"stack"`` when a ``*_stack``
-    entry crosses the dispatch seam once per stack, ``"loop"`` when the
-    derived wrapper loops per problem inside the seam — and probes a
+    capability per batchable kernel — ``"native"`` when the substrate
+    ships its own ``*_stack`` entry (one substrate call per problem, one
+    seam crossing per stack; accelerated ``gesv``/``posv``/``gels``/
+    ``syev``/``heev``), ``"stack"`` when the grafted loop-mode entry
+    crosses the seam once per stack, ``"loop"`` when the derived wrapper
+    loops per problem inside the seam (``geev``) — and probes a
     2-problem ``batch_gesv`` over the same fixed system.  ``dispatch``
     surfaces the front door's per-array structure-cache counters
     (:func:`repro.dispatch_front.cache.stats`).

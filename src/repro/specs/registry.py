@@ -588,7 +588,8 @@ _SPEC_LIST = [
         "eigenvalues"),
     DriverSpec(
         "la_geev", _S5, "Eigenvalues and optionally eigenvectors of a "
-        "general matrix",
+        "general matrix; `batch_geev` takes `vl`/`vr` only as output "
+        "stacks (`True` is refused with -3/-4)",
         screen="always",
         args=_args("a:inout", "w:vector:opt:out:ws", "vl:opt:out",
                    "vr:opt:out", "info:info"),
