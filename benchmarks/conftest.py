@@ -49,17 +49,16 @@ def record_backend_timing(routine, backend, n, stats):
     }
 
 
-def record_batch_timing(routine, backend, batch, n, mode, stats):
+def record_batch_timing(routine, backend, batch, n, mode, min_s, rounds):
     BATCH_RECORDS[(routine, backend, batch, mode)] = {
         "routine": routine,
         "backend": backend,
         "batch": batch,
         "n": n,
         "mode": mode,
-        "min_s": stats.min,
-        "mean_s": stats.mean,
-        "solves_per_s": batch / stats.min,
-        "rounds": stats.rounds,
+        "min_s": min_s,
+        "solves_per_s": batch / min_s,
+        "rounds": rounds,
     }
 
 
@@ -109,7 +108,8 @@ def _write_batch_report(root):
     out = json.loads(path.read_text()) if path.exists() else {}
     out.update({
         "experiment": "XB4-batch",
-        "description": "Throughput (solves/sec, min-time round) of the "
+        "description": "Throughput (solves/sec, min-time round of "
+                       "interleaved batched/looped rounds) of the "
                        "derived batch_* wrappers over a problem stack "
                        "vs looping the scalar LA_* driver; speedup = "
                        "batched/looped per (routine, backend, batch); "

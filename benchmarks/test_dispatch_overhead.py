@@ -7,7 +7,8 @@ Three measurements on ``la_gesv``-sized traffic (N = 384), flushed to
   it has seen before vs calling the routed driver directly.  Only SPD
   factors are cached, so every such call pays one cache miss (a dict
   lookup), one probe (which exits early on a dense operand: nonzero
-  corners, first row vs first column) and one memoized route; the
+  corners, then one mirrored pair ``a[1, 0]``/``a[0, 1]``) and one
+  memoized route; the
   acceptance gate pins it under 5% of the direct call.
 * **cold probe cost** — the classification a general operand pays on
   every call.

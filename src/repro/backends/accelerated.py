@@ -71,8 +71,8 @@ def _nan_diag_info(diag):
     """LAPACK's ``DISNAN`` pivot check, which some SciPy builds omit:
     the 1-based index of the first NaN factor diagonal, or 0.  Infinite
     pivots pass (``AJJ <= 0 .OR. DISNAN(AJJ)``) and propagate."""
-    bad = np.flatnonzero(np.isnan(diag))
-    return int(bad[0]) + 1 if bad.size else 0
+    nan = np.isnan(diag)
+    return int(np.flatnonzero(nan)[0]) + 1 if nan.any() else 0
 
 
 def gesv(a, b):
@@ -149,7 +149,7 @@ def posv(a, b, uplo="U"):
     a[...] = c
     info = int(info)
     if info == 0:
-        info = _nan_diag_info(np.diagonal(c).real)
+        info = _nan_diag_info(c.diagonal().real)
     if info == 0:
         bm[...] = x
     return info
@@ -257,7 +257,7 @@ def potrf(a, uplo="U"):
     a[...] = c
     info = int(info)
     if info == 0:
-        info = _nan_diag_info(np.diagonal(c).real)
+        info = _nan_diag_info(c.diagonal().real)
     return info
 
 

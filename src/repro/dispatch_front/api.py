@@ -18,12 +18,12 @@ Callers who know their matrix call ``la_posv``; callers who don't call
    ``info`` handle, through the ordinary backend/resilience/deadline
    seams, *on copies*: unlike the drivers, the front door never
    overwrites its operands.  A probed ``spd``/``hpd`` operand (Hermitian,
-   strictly positive real diagonal) runs ``la_posv`` on a private
-   ``Info``: its ``potrf`` is the only definiteness test.  On success
-   the factor it left in the working copy is cached, so a cold SPD
-   solve factors once and a repeat one goes straight to ``potrs``
-   inside the same ``LA_POSV`` contract (spec validation, driver
-   guard, ERINFO report).  On a positive INFO the call re-solves
+   strictly positive real diagonal) runs ``la_posv`` as a trial: its
+   ``potrf`` is the only definiteness test.  On success the factor it
+   left in the working copy is cached, so a cold SPD solve factors
+   once and a repeat one goes straight to ``potrs`` inside the same
+   ``LA_POSV`` contract (spec validation, driver guard, ERINFO
+   report).  On a positive INFO the call re-solves
    through the next route on the refinement chain
    (``la_sysv``/``la_hesv``) on fresh copies, bit-identical to what a
    symmetric/hermitian verdict would have routed.
@@ -176,32 +176,38 @@ def _exec_posv(st, a, bc, info, cached, driver):
     return driver(a.copy(), bc, uplo=st.uplo, info=info)
 
 
-def _solve_probed_definite(st, a, b, iscomplex, info, driver):
+def _solve_probed_definite(st, a, b, iscomplex, info, spec, driver):
     """``(x, structure, spec)`` for a cold probed ``spd``/``hpd`` solve.
 
-    ``la_posv`` runs on a private ``Info`` so a positive INFO (or its
-    own fallback ladder firing) can be caught: the call then re-solves
-    through the next structure on the refinement chain on fresh
-    copies.  Otherwise the factor left in the working copy is cached
-    against the bits it was computed from, and the outcome goes to
-    the caller's handle (or raises) exactly as ``la_posv``'s would.
+    ``la_posv`` runs on the caller's ``Info`` (a private one when there
+    is none, so a positive INFO is caught instead of raised) after its
+    ``fallback``/``rcond``/``attempts`` are cleared, so the handle ends
+    up as a direct ``la_posv`` call on a fresh one would leave it.  A
+    positive INFO (or its own fallback ladder firing) re-solves through
+    the next structure on the refinement chain on fresh copies, with
+    those slots restored first.  Otherwise the factor left in the
+    working copy is attached to the probe's verdict — fresh from this
+    call, never shared — and cached against the bits it was computed
+    from.
     """
-    ac, bc, trial = a.copy(), _rhs_copy(a, b), Info()
+    trial = Info() if info is None else info
+    saved = trial.fallback, trial.rcond, trial.attempts
+    trial.fallback = trial.rcond = trial.attempts = None
+    ac, bc = a.copy(), _rhs_copy(a, b)
     bits = cache.snapshot(ac)
     driver(ac, bc, uplo=st.uplo, info=trial)
     if trial.value > 0 or trial.fallback is not None:
+        trial.fallback, trial.rcond, trial.attempts = saved
         st = replace(st, label=REFINEMENTS[st.label][0])
         spec, driver = _routed("solve", st.label, iscomplex, False)
         return (_SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, False,
                                       driver), st, spec)
     if trial.value == 0:
-        cache.store(a, replace(st, cholesky=ac), bits)  # laflow: atomic-split — the factor is computed unlocked by design; a racing store for the same operand carries its own snapshot
+        st.cholesky = ac
+        cache.store(a, st, bits)  # laflow: atomic-split — the factor is computed unlocked by design; a racing store for the same operand carries its own snapshot
     if info is None:
         erinfo(trial.value, "LA_POSV")
-    else:
-        for slot in Info.__slots__:
-            setattr(info, slot, getattr(trial, slot))
-    return bc, st, route("solve", st.label, iscomplex)
+    return bc, st, spec
 
 
 def _exec_gtsv(st, a, bc, info, cached, driver):
@@ -269,7 +275,7 @@ def solve(a, b, *, info=None, explain=False, assume=None):
     a = np.asarray(a)
     b = np.asarray(b)
     st, cached = _classify(a, assume)
-    iscomplex = np.iscomplexobj(a)
+    iscomplex = a.dtype.kind == "c"
     stacked = a.ndim == 3
     spec, driver = _routed("solve", st.label, iscomplex, stacked)
     if explain:
@@ -277,7 +283,7 @@ def solve(a, b, *, info=None, explain=False, assume=None):
                         cached)
     if spec.kernel == "posv" and not (cached or stacked) and assume is None:
         x, st, spec = _solve_probed_definite(st, a, b, iscomplex, info,
-                                             driver)
+                                             spec, driver)
     else:
         x = _SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, cached,
                                   driver)
@@ -297,7 +303,7 @@ def lstsq(a, b, *, trans="N", info=None, explain=False):
     a = np.asarray(a)
     b = np.asarray(b)
     st, cached = _classify(a, None)
-    iscomplex = np.iscomplexobj(a)
+    iscomplex = a.dtype.kind == "c"
     stacked = a.ndim == 3
     spec, driver = _routed("lstsq", st.label, iscomplex, stacked)
     if explain:
@@ -320,7 +326,7 @@ def eig(a, *, vectors=False, info=None, explain=False, assume=None):
     """
     a = np.asarray(a)
     st, cached = _classify(a, assume)
-    iscomplex = np.iscomplexobj(a)
+    iscomplex = a.dtype.kind == "c"
     label = _eig_label(st, iscomplex)
     stacked = a.ndim == 3
     spec, driver = _routed("eig", label, iscomplex, stacked)

@@ -14,7 +14,8 @@ so a matrix whose mirrored entries differ only in the sign of a zero
 probes as symmetric (the triangle a symmetric driver does not read holds
 equal values), and a NaN equals nothing, so a NaN anywhere — the
 diagonal included, where it meets itself — makes a matrix
-non-symmetric.  The tests are ``bool((x == y).all())`` on equal shapes:
+non-symmetric.  The tests are an element-wise ``x == y`` on equal
+shapes, reduced with ``np.count_nonzero`` (``.all()`` for a stack):
 what ``np.array_equal`` computes, without its per-call Python overhead.
 
 The probe never factors.  A Hermitian operand with a strictly positive
@@ -28,8 +29,9 @@ only probes as ``banded`` when band storage actually pays,
 ``2·kl + ku + 1 < n`` — so bandwidth ``n−1`` routes as ``general``.
 The common dense case exits early on both O(n²) tests without changing
 a verdict: two nonzero off-diagonal corners already fix the bandwidths
-at ``(n−1, n−1)``, and a first row that differs from the first column
-already rules out symmetry.
+at ``(n−1, n−1)``, and a mirrored pair ``a[1, 0]``/``a[0, 1]`` that
+differs (by value, conjugated for the Hermitian test) already rules
+out symmetry.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from ..specs.routing import STRUCTURES
 __all__ = ["Structure", "probe", "probe_stack", "bandwidths"]
 
 
-@dataclass
+@dataclass(slots=True)
 class Structure:
     """One probe verdict.
 
@@ -87,22 +89,22 @@ def bandwidths(a):
 
 def _equals_adjoint(a, conj):
     """``a == a.T`` (``a == a.conj().T`` with ``conj``) element-wise, for
-    a square ``a``; row 0 against column 0 first, so most non-symmetric
-    matrices exit in O(n)."""
-    if a.size and not (a[0] == (a[:, 0].conj() if conj
-                                else a[:, 0])).all():
+    a square ``a``; the mirrored pair ``a[1, 0]``/``a[0, 1]`` first, so
+    most non-symmetric matrices exit on two scalar reads."""
+    if a.shape[0] > 1 and a[1, 0] != (a[0, 1].conjugate() if conj
+                                      else a[0, 1]):
         return False
-    return bool((a == (a.conj().T if conj else a.T)).all())
+    return np.count_nonzero(a == (a.conj().T if conj else a.T)) == a.size
 
 
 def _positive_diagonal(a):
     """A strictly positive real diagonal: necessary for definiteness."""
-    diag = np.diagonal(a)
+    diag = a.diagonal()
     if diag.dtype.kind == "c":
-        if (diag.imag != 0).any():
+        if np.count_nonzero(diag.imag):
             return False
         diag = diag.real
-    return bool((diag > 0).all())
+    return np.count_nonzero(diag > 0) == diag.size
 
 
 def _trial_cholesky(a, uplo="U"):

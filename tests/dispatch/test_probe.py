@@ -73,8 +73,57 @@ def test_spd_is_labelled_without_factoring(monkeypatch):
     assert calls == []
 
 
+def _pair_edits(a):
+    """Edits of a square ``a`` (n >= 3) around the mirrored pair
+    ``a[1, 0]``/``a[0, 1]`` that the symmetry tests look at first."""
+    real = a.real.dtype.type
+    entries = [{(1, 0): np.nan, (0, 1): np.nan},
+               {(1, 0): 0.0, (0, 1): -0.0},
+               {(1, 0): np.nan, (0, 1): 1.0},
+               {(1, 0): 1.0, (0, 1): np.nextafter(real(1), real(2))},
+               {(2, 0): a[2, 0] + 1},       # the pair agrees, row 0 not
+               {(2, 2): np.nan},
+               {(0, 0): np.nan}]
+    if a.dtype.kind == "c":         # conjugate pair, non-real diagonal
+        entries.append({(0, 1): 1 + 2j, (1, 0): 1 - 2j,
+                        (1, 1): a[1, 1] + 1j})
+    edits = []
+    for edit in entries:
+        c = a.copy()
+        for ij, value in edit.items():
+            c[ij] = value
+        edits.append(c)
+    return edits
+
+
+def mirrored_pair_cases(seed=11):
+    """Operands around the probe's mirrored-pair exit: NaN/NaN,
+    ``0.0``/``-0.0``, NaN/1.0 and one-ulp pairs, a conjugate pair next
+    to a non-real diagonal, a pair that agrees while row 0 does not, a
+    NaN on the diagonal only, and n in {0, 1, 2} — on Hermitian,
+    complex-symmetric and general bases of every dtype."""
+    rng = _rng(seed)
+    cases = [np.zeros((0, 0)), np.array([[2.0]]), np.array([[np.nan]]),
+             np.array([[1.0, 2.0], [2.0, 3.0]]),
+             np.array([[1.0, 2.0], [-2.0, 3.0]]),
+             np.array([[1.0, 0.0], [-0.0, 3.0]]),
+             np.array([[1.0, np.nan], [np.nan, 1.0]]),
+             np.array([[np.nan, 1.0], [1.0, 2.0]]),
+             np.array([[2.0, 1 + 1j], [1 - 1j, 3.0]]),
+             np.array([[2.0 + 1j, 1 + 1j], [1 - 1j, 3.0]])]
+    for dtype in (np.float64, np.float32, np.complex128, np.complex64):
+        g = rng.standard_normal((5, 5))
+        if np.dtype(dtype).kind == "c":
+            g = g + 1j * rng.standard_normal((5, 5))
+        m = g @ g.conj().T
+        for base in ((m + m.conj().T) / 2 + 5 * np.eye(5), g + g.T, g):
+            base = base.astype(dtype)
+            cases += [base] + _pair_edits(base)
+    return cases
+
+
 def test_early_exits_match_the_full_tests():
-    """The corner and first-row shortcuts return what the full
+    """The corner and mirrored-pair shortcuts return what the full
     ``nonzero`` sweep and ``array_equal`` would, including on signed
     zeros and NaNs."""
     def full_bandwidths(a):
@@ -104,6 +153,7 @@ def test_early_exits_match_the_full_tests():
               np.full((4, 4), np.nan)]
     h = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
     cases += [h, h + h.conj().T, h + h.T]
+    cases += mirrored_pair_cases()
     for a in cases:
         assert bandwidths(a) == full_bandwidths(a), a
         if a.shape[0] != a.shape[1]:

@@ -2,19 +2,23 @@
 
 :func:`~repro.dispatch_front.probe.probe` and
 :func:`~repro.dispatch_front.probe.probe_stack` compare with
-``bool((x == y).all())`` and test ``dtype.kind == "c"``.  The oracle
-below is the probe as it was written with ``np.array_equal`` and
-``np.iscomplexobj``; on structured matrices and on near-misses (NaN
-and ±Inf entries, mirrored ``0.0``/``-0.0`` pairs, one-ulp edits, a
-complex diagonal, complex-symmetric and complex-Hermitian inputs,
-non-square and wrong-rank arrays, n in {0, 1, 2, 8, 65}) every field of
-the verdict must agree.
+``x == y`` reduced by ``np.count_nonzero`` or ``.all()`` (``probe``
+after a mirrored-pair early exit) and test ``dtype.kind == "c"``.  The
+oracle below is the probe as it was written with ``np.array_equal``
+and ``np.iscomplexobj``; on structured matrices and on near-misses
+(NaN and ±Inf entries, mirrored ``0.0``/``-0.0`` pairs, one-ulp edits,
+a complex diagonal, complex-symmetric and complex-Hermitian inputs,
+non-square and wrong-rank arrays, n in {0, 1, 2, 8, 65}, and the
+operands built around the mirrored pair) every field of the verdict
+must agree.
 """
 
 import numpy as np
 import pytest
 
 from repro.dispatch_front.probe import bandwidths, probe, probe_stack
+
+from .test_probe import mirrored_pair_cases
 
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
@@ -226,6 +230,17 @@ def test_signed_zero_mirror_probes_symmetric(dtype):
     assert st_.symmetric and st_.hermitian
     assert st_.label == ("hpd" if a.dtype.kind == "c" else "spd")
     assert probe_stack(np.stack([a, a])).symmetric
+
+
+@pytest.mark.parametrize("a", mirrored_pair_cases())
+def test_mirrored_pair_cases_match_the_oracle(a):
+    """The probe's first symmetry test is one mirrored pair; every
+    operand built around that pair (NaN/NaN, 0.0/-0.0, NaN/1.0, one
+    ulp, a conjugate pair next to a non-real diagonal, a pair that
+    agrees while row 0 does not, a NaN diagonal, n in {0, 1, 2}) gets
+    the oracle's verdict, alone and as a one-slice stack."""
+    assert verdict(probe(a)) == oracle_probe(a)
+    assert verdict(probe_stack(a[None])) == oracle_probe_stack(a[None])
 
 
 def test_nan_breaks_symmetry_even_on_the_diagonal():
