@@ -16,8 +16,9 @@ records the comparison rows.  Each row pair times the batched call and
 the looped driver in the same interleaved rounds (``conftest.best_of``),
 so a burst of host load moves both sides alike.  The floor tests pin
 the acceptance criteria at batch=256 on the accelerated backend:
-``batch_gesv`` at most 3× one raw ``dgesv`` call per problem, and
-``batch_syev`` ≥ 1.5× the looped ``la_syev``'s throughput.
+``batch_gesv`` and ``batch_posv`` at most 2× one raw ``dgesv``/``dposv``
+call per problem, and ``batch_syev`` ≥ 1.5× the looped ``la_syev``'s
+throughput.
 
 The problems are small (n=8) on purpose: that is the regime batched
 interfaces exist for — per-problem overhead rivals the numerical work.
@@ -99,34 +100,42 @@ def test_batched_vs_looped(rng, routine, backend, batch):
                             rounds)
 
 
-def _raw_dgesv(a, b):
-    """The per-slice floor: one f2py ``dgesv`` call per problem, the
-    call ``gesv_stack`` makes for every slice."""
-    from scipy.linalg.lapack import dgesv
+def _raw(routine):
+    """The per-slice floor: one f2py ``d<routine>`` call per problem on
+    the caller's C-ordered slice, the loop a caller would write by
+    hand over ``scipy.linalg.lapack``."""
+    from scipy.linalg import lapack
+    f = getattr(lapack, "d" + routine)
 
-    def loop():
-        for k in range(a.shape[0]):
-            dgesv(a[k], b[k])
-    return loop
+    def make(a, b):
+        def loop():
+            for k in range(a.shape[0]):
+                f(a[k], b[k])
+        return loop
+    return make
 
 
-def test_batched_gesv_overhead_over_raw_dgesv_at_256(rng):
+@pytest.mark.parametrize("routine", ["gesv", "posv"])
+def test_batched_overhead_over_raw_lapack_at_256(rng, routine):
     """Acceptance floor: at batch=256 on the accelerated backend,
-    ``batch_gesv`` costs at most 3× one raw ``dgesv`` call per problem.
+    ``batch_gesv``/``batch_posv`` cost at most 2× one raw
+    ``dgesv``/``dposv`` call per problem.
 
-    The bound is what the old "≥ 3× the looped ``la_gesv``" gate
-    allowed when it was set: 16.8 / 3 = 5.6 µs per problem, 3.1× the
-    low end of the 1.8–3.3 µs per-slice ``dgesv`` floor on a 2-vCPU
-    host.  Measured against that floor in the same interleaved rounds,
-    a cheaper scalar driver no longer reads as a slower batched one.
+    The stack adapters run LAPACK in place on one private
+    Fortran-ordered copy per stack, so a slice costs about what the raw
+    call costs (which makes its own hidden copy).  On a 2-vCPU host
+    both read 1.2–1.4× (the batched side also copies its operands
+    first); before the in-place adapters they read 2.0–2.4×.  Measured
+    against that floor in the same interleaved rounds, a cheaper scalar
+    driver never reads as a slower batched one.
     """
     t_batched, t_looped, t_raw = _interleaved(
-        "gesv", "accelerated", 256, rng, 15, _raw_dgesv)
+        routine, "accelerated", 256, rng, 15, _raw(routine))
     ratio = t_batched / t_raw
-    assert ratio <= 3.0, (
-        f"batched gesv costs {ratio:.2f}x raw dgesv per problem at "
-        f"batch=256 ({t_batched / 256 * 1e6:.2f} vs "
-        f"{t_raw / 256 * 1e6:.2f} us; looped la_gesv "
+    assert ratio <= 2.0, (
+        f"batched {routine} costs {ratio:.2f}x raw d{routine} per "
+        f"problem at batch=256 ({t_batched / 256 * 1e6:.2f} vs "
+        f"{t_raw / 256 * 1e6:.2f} us; looped la_{routine} "
         f"{t_looped / 256 * 1e6:.2f} us)")
 
 

@@ -7,9 +7,11 @@ the :mod:`repro.core` drivers cannot tell the substrates apart:
 * arrays the reference kernel overwrites (factors, solutions) are copied
   back from SciPy's returned copies, and only after every SciPy call
   the adapter makes has returned.  SciPy's wrappers do not overwrite
-  their inputs, so a failed adapter call leaves its operands untouched:
-  every adapter is declared :attr:`~repro.backends.Backend.write_back`
-  and a failure escalates once to the reference kernel;
+  the caller's arrays (the ``*_stack`` adapters let LAPACK overwrite
+  only their own private Fortran-ordered copy of each stack), so a
+  failed adapter call leaves its operands untouched: every adapter is
+  declared :attr:`~repro.backends.Backend.write_back` and a failure
+  escalates once to the reference kernel;
 * SciPy's LU pivots are already 0-based like ours; the Bunch–Kaufman
   ``ipiv`` from ``?sysv``/``?hesv`` is 1-based for interchanges and is
   shifted down (negative 2x2-block entries already match our encoding);
@@ -60,6 +62,45 @@ def _as2d(b):
     return b if b.ndim == 2 else b[:, None]
 
 
+def _as3d(b):
+    """View a ``(batch, n)`` right-hand-side stack as ``(batch, n, 1)``."""
+    return b if b.ndim == 3 else b[:, :, None]
+
+
+def _in_place(f, operands, **flags):
+    """Run the typed wrapper ``f`` on every slice of the ``(batch, ·, ·)``
+    stacks in ``operands``, in place on private copies.
+
+    Each copy is made once per stack, in the kernel's dtype (the first
+    operand's), with Fortran-contiguous slices; ``overwrite_a``/
+    ``overwrite_b`` then hand a slice straight to LAPACK, which is the
+    same call on the same layout as the scalar adapter makes after
+    f2py's hidden copy, so every slice's outputs are byte-identical to
+    it.  Returns the copies and each slice's output tuple, in stack
+    order.  Nothing the caller owns is written here: the stack adapter
+    writes the copies back after the last slice returns, which is what
+    lets it stay declared :attr:`~repro.backends.Backend.write_back`.
+    """
+    dtype = operands[0].dtype.char          # native byte order
+    copies = tuple(x.transpose(0, 2, 1).astype(dtype, order="C")
+                   .transpose(0, 2, 1) for x in operands)
+    flags.update(zip(("overwrite_a", "overwrite_b"), (1,) * len(copies)))
+    return copies, [f(*slices, **flags) for slices in zip(*copies)]
+
+
+def _infos(outs):
+    """The int64 info vector of :func:`_in_place`'s per-slice outputs."""
+    return np.array([out[-1] for out in outs], dtype=np.int64)
+
+
+def _rows(vectors, dtype, shape):
+    """Stack per-slice output vectors (pivots, eigenvalues) into a
+    ``shape`` array of ``dtype``."""
+    if not vectors:
+        return np.empty(shape, dtype=dtype)
+    return np.concatenate(vectors).astype(dtype, copy=False).reshape(shape)
+
+
 def _bk_ipiv(piv):
     """Map SciPy's 1-based Bunch-Kaufman interchange indices onto the
     reference kernels' 0-based encoding (negatives already agree)."""
@@ -96,30 +137,24 @@ def gesv_stack(a, b):
     The typed SciPy wrapper is resolved once and the scalar adapter's
     per-call overhead (flavor lookup, shape checks) is hoisted out of
     the loop; each slice then runs the very same ``?gesv`` call as a
-    scalar :func:`gesv`, so per-problem factors, pivots and info codes
+    scalar :func:`gesv`, in place on a private Fortran-ordered copy
+    (:func:`_in_place`), so per-problem factors, pivots and info codes
     stay bit-identical to the scalar path (the parity suite pins this).
-    Each slice's outputs are kept and written back only after the last
-    slice returns, so a failure mid-stack leaves the operands untouched.
+    The copies are written back only after the last slice returns, so
+    a failure mid-stack leaves the operands untouched.
     """
     n = a.shape[1]
     if a.shape[2] != n:
         xerbla("GESV_STACK", 1, "matrices must be square")
     if b.shape[1] != n:
         xerbla("GESV_STACK", 2, "dimension mismatch between A and B")
-    f = _flavor("gesv", a.dtype)
-    batch = a.shape[0]
-    pivs = np.empty((batch, n), dtype=np.int64)
-    infos = np.empty(batch, dtype=np.int64)
-    lus, xs = [], []
-    for k in range(batch):
-        lu, piv, x, info = f(a[k], _as2d(b[k]))
-        lus.append(lu)
-        xs.append(x)
-        pivs[k] = piv
-        infos[k] = info
-    a[...] = np.reshape(lus, a.shape)
+    b3 = _as3d(b)
+    (at, bt), outs = _in_place(_flavor("gesv", a.dtype), (a, b3))
+    infos = _infos(outs)
+    a[...] = at
     ok = infos == 0
-    b[ok] = np.reshape(xs, b.shape)[ok]
+    b3[ok] = bt[ok]
+    pivs = _rows([out[1] for out in outs], np.int64, (a.shape[0], n))
     return pivs, infos
 
 
@@ -160,13 +195,14 @@ def posv_stack(a, b, uplo="U"):
 
     Mirrors :func:`gesv_stack` — the typed wrapper is resolved once and
     each ``(n, n)`` / ``(n, nrhs)`` slice runs the very same ``?posv``
-    call as the scalar :func:`posv` adapter.  The NaN-diagonal pivot
-    check then runs once over the stacked factors: a slice SciPy passed
-    gets the 1-based index of its first NaN diagonal, as the scalar
-    adapter's :func:`_nan_diag_info` would give it.  Per-problem factors
-    and info codes stay bit-identical to the scalar path, a failed
-    slice's B is left unsolved, and nothing is written back before the
-    last slice returns.
+    call as the scalar :func:`posv` adapter, in place on a private
+    Fortran-ordered copy.  The NaN-diagonal pivot check then runs once
+    over the stacked factors: a slice SciPy passed gets the 1-based
+    index of its first NaN diagonal, as the scalar adapter's
+    :func:`_nan_diag_info` would give it.  Per-problem factors and info
+    codes stay bit-identical to the scalar path, a failed slice's B is
+    left unsolved, and nothing is written back before the last slice
+    returns.
     """
     n = a.shape[1]
     if a.shape[2] != n:
@@ -175,23 +211,17 @@ def posv_stack(a, b, uplo="U"):
         xerbla("POSV_STACK", 2, "dimension mismatch between A and B")
     if uplo.upper() not in ("U", "L"):
         xerbla("POSV_STACK", 3, f"uplo={uplo!r}")
-    f = _flavor("posv", a.dtype)
-    lower = uplo.upper() == "L"
-    batch = a.shape[0]
-    infos = np.empty(batch, dtype=np.int64)
-    cs, xs = [], []
-    for k in range(batch):
-        c, x, infos[k] = f(a[k], _as2d(b[k]), lower=lower)
-        cs.append(c)
-        xs.append(x)
-    cs = np.reshape(cs, a.shape)
-    nan = np.isnan(np.diagonal(cs, axis1=1, axis2=2).real)
+    b3 = _as3d(b)
+    (at, bt), outs = _in_place(_flavor("posv", a.dtype), (a, b3),
+                               lower=uplo.upper() == "L")
+    infos = _infos(outs)
+    nan = np.isnan(np.diagonal(at, axis1=1, axis2=2).real)
     late = (infos == 0) & nan.any(axis=1)
     if late.any():
         infos[late] = nan[late].argmax(axis=1) + 1
-    a[...] = cs
+    a[...] = at
     ok = infos == 0
-    b[ok] = np.reshape(xs, b.shape)[ok]
+    b3[ok] = bt[ok]
     return infos
 
 
@@ -201,8 +231,9 @@ def gels_stack(a, b, trans="N"):
     Same hoisting as :func:`gesv_stack`: one typed-wrapper resolution
     and one trans validation for the whole ``(batch, m, n)`` stack, with
     each slice running the scalar adapter's exact ``?gels`` call
-    (complex ``T`` promoted to ``C`` the same way) and every slice
-    written back only after the last one returns.
+    (complex ``T`` promoted to ``C`` the same way) in place on a
+    private copy, and every slice written back only after the last one
+    returns.
     """
     t = trans.upper()
     if t not in ("N", "T", "C"):
@@ -212,18 +243,12 @@ def gels_stack(a, b, trans="N"):
     m, n = a.shape[1], a.shape[2]
     if b.shape[1] < max(m, n):
         xerbla("GELS_STACK", 3, "b must have max(m, n) rows")
-    f = _flavor("gels", a.dtype)
-    batch = a.shape[0]
-    infos = np.empty(batch, dtype=np.int64)
-    lqrs, xs = [], []
-    for k in range(batch):
-        lqr, x, info = f(a[k], _as2d(b[k]), trans=t)
-        lqrs.append(lqr)
-        xs.append(x)
-        infos[k] = info
-    a[...] = np.reshape(lqrs, a.shape)
-    b[...] = np.reshape(xs, b.shape)
-    return infos
+    b3 = _as3d(b)
+    (at, bt), outs = _in_place(_flavor("gels", a.dtype), (a, b3),
+                               trans=t)
+    a[...] = at
+    b3[...] = bt
+    return _infos(outs)
 
 
 def trtrs(a, b, uplo="U", trans="N", diag="N"):
@@ -367,27 +392,23 @@ def heev(a, jobz="N", uplo="U"):
 def _dense_eig_stack(srname, name, a, jobz, uplo):
     """Natively batched :func:`_dense_eig` over a ``(batch, n, n)``
     stack: one typed-wrapper resolution and one flag check, then each
-    slice runs the scalar adapter's exact ``?syev``/``?heev`` call.
-    Returns the ``(batch, n)`` real eigenvalue stack and the info
-    vector; with ``jobz='V'`` the eigenvectors overwrite the slices
-    whose info is 0, and only after the last slice returns."""
+    slice runs the scalar adapter's exact ``?syev``/``?heev`` call in
+    place on a private copy.  Returns the ``(batch, n)`` real eigenvalue
+    stack and the info vector; with ``jobz='V'`` the eigenvectors
+    overwrite the slices whose info is 0, and only after the last slice
+    returns."""
     if jobz.upper() not in ("N", "V"):
         xerbla(srname, 1, f"jobz={jobz!r}")
     if uplo.upper() not in ("U", "L"):
         xerbla(srname, 2, f"uplo={uplo!r}")
     wantz = 1 if jobz.upper() == "V" else 0
-    lower = uplo.upper() == "L"
-    f = _flavor(name, a.dtype)
-    batch, n = a.shape[0], a.shape[1]
-    ws = np.empty((batch, n), dtype=a.real.dtype)
-    infos = np.empty(batch, dtype=np.int64)
-    vs = []
-    for k in range(batch):
-        ws[k], v, infos[k] = f(a[k], compute_v=wantz, lower=lower)
-        vs.append(v)
+    (at,), outs = _in_place(_flavor(name, a.dtype), (a,),
+                            compute_v=wantz, lower=uplo.upper() == "L")
+    infos = _infos(outs)
     if wantz:
         ok = infos == 0
-        a[ok] = np.reshape(vs, a.shape)[ok]
+        a[ok] = at[ok]
+    ws = _rows([out[0] for out in outs], a.real.dtype, a.shape[:2])
     return ws, infos
 
 

@@ -27,9 +27,12 @@ wrappers over the F77 kernels, a ``batch_gesv`` is a mechanical lift of
   stack the entry returns (``ipiv``, ``w``) fills the caller's or, for
   an omitted ``w``, is returned.  With fallbacks on, each failing
   problem is then re-solved through the body from a pre-call snapshot;
-* per-problem codes land on a :class:`~repro.batch.BatchInfo`, a taken
-  fallback is announced batch-indexed, and the aggregate verdict goes
-  through ``erinfo`` with the failing problem's index.
+* per-problem codes land on a :class:`~repro.batch.BatchInfo` (the
+  stack path assigns its info vector to the handle's code vector in
+  one step; per-problem ``Info`` handles are built only when the
+  per-problem path runs or a caller reads them), a taken fallback is
+  announced batch-indexed, and the aggregate verdict goes through
+  ``erinfo`` with the failing problem's index.
 
 Like the driver shell, each wrapper takes the ``backend=`` escape hatch
 and closes its call-log frame in ``finally``.  Only the calling
@@ -205,7 +208,6 @@ def make_batched(spec):
             return refused(bound, batch)
 
         binfo._arm(batch)
-        problems = binfo.problems
         pol = get_policy()
 
         # -- bind the compute view of every operand -------------------
@@ -244,8 +246,7 @@ def make_batched(spec):
                     c[name][...] = out
             if keep_w:
                 w = outs["w"]
-            for pinfo, linfo in zip(problems, linfos.tolist()):
-                pinfo.value = linfo
+            binfo._codes[...] = linfos
             outcomes = [stack_exc] * batch
             todo = np.flatnonzero(linfos > 0) \
                 if snap is not None else ()
@@ -256,6 +257,9 @@ def make_batched(spec):
             outcomes = [None] * batch
             todo = range(batch)
 
+        # Per-problem telemetry needs the Info handles; a stack that
+        # re-solves nothing never builds them.
+        problems = binfo.problems if len(todo) else ()
         k = 0
         try:
             for k in todo:
@@ -289,8 +293,8 @@ def make_batched(spec):
         except DeadlineExceeded as derr:
             # Completed prefix stays; problems from k on are marked
             # interrupted and travel on the exception's partial.
-            for j in range(k, batch):
-                problems[j].value = DEADLINE
+            for pinfo in binfo.problems[k:]:
+                pinfo.value = DEADLINE
             binfo.value = DEADLINE
             if len(frames) > depth:
                 calllog.drain_into(binfo)
@@ -299,7 +303,7 @@ def make_batched(spec):
 
         # -- aggregate verdict through the ERINFO funnel --------------
         kf = binfo.first_failure
-        final = problems[kf].value if kf >= 0 else 0
+        final = binfo.codes()[kf] if kf >= 0 else 0
         exc = outcomes[kf] if final > 0 else None
         if exc.__class__ is type:
             exc = exc(srname, final)

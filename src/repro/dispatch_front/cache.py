@@ -4,23 +4,26 @@ Iterative codes solve against the *same* SPD operand many times; what
 is worth remembering between those calls is not the probe verdict
 (re-probing costs a few µs thanks to the probe's early exits) but the
 O(n³) Cholesky factorization.  So an entry exists only for an SPD/HPD
-operand whose ``la_posv`` succeeded: it maps ``id(a)`` to a snapshot of
-the bits the factor was computed from and the
-:class:`~repro.dispatch_front.probe.Structure` carrying the factor.
+operand whose ``la_posv`` succeeded: it maps ``id(a)`` to a weak
+reference to ``a``, a snapshot of the bits the factor was computed from
+and the :class:`~repro.dispatch_front.probe.Structure` carrying the
+factor.
 Repeat solves go straight to ``potrs`` — the measured win in
 ``benchmarks/test_dispatch_overhead.py``.
 
 A lookup hits only when ``a``'s shape, dtype and *bit pattern* equal the
 snapshot.  Bits, not values: a value comparison would call ``-0.0`` and
 ``0.0`` equal and ``NaN`` unequal to itself.  The cache therefore is
-exact: any in-place edit, however small, reads as a miss, and a
-recycled ``id`` with identical bytes is a correct hit (the factor
-depends on nothing else).  Probe verdicts for other structures and for
-stacks are never cached; they are re-probed on every call.
+exact: any in-place edit, however small, reads as a miss.  Probe
+verdicts for other structures and for stacks are never cached; they
+are re-probed on every call.
 
 The cache never holds a strong reference to a user array (that would
-pin arbitrarily large operands alive; ``np.ndarray`` does not support
-weak references either) — only a copy of its bits.
+pin arbitrarily large operands alive) — only a weak reference and a
+copy of its bits.  The weak reference's callback drops the entry when
+the operand is freed, so a fresh operand that lands on a dead one's
+``id`` finds no entry (and pays no bit comparison), and a dead
+operand's factor does not outlive it.
 
 Backend switches invalidate everything: the retained Cholesky factor
 was computed by the departed substrate, and bit-reproducibility of the
@@ -35,6 +38,8 @@ the backend selection it is layered over.
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 
 from .._sync import STATE_LOCK
@@ -48,7 +53,7 @@ __all__ = ["lookup", "store", "snapshot", "invalidate", "clear",
 #: processes that touch many distinct operands once.
 MAX_ENTRIES = 256
 
-_ENTRIES: dict = {}  # id(a) -> (shape, dtype, snapshot, Structure)
+_ENTRIES: dict = {}  # id(a) -> (weakref(a), shape, dtype, snapshot, Structure)
 _STATS = {"hits": 0, "misses": 0, "invalidated": 0, "epoch": 0}
 
 
@@ -67,8 +72,9 @@ def snapshot(a):
 
 def lookup(a):
     """The cached :class:`~repro.dispatch_front.probe.Structure` (with
-    its Cholesky factor) for ``a``, or ``None`` unless ``a``'s shape,
-    dtype and bits equal the snapshot."""
+    its Cholesky factor) for ``a``, or ``None`` unless the entry was
+    stored for this very array and ``a``'s shape, dtype and bits equal
+    the snapshot."""
     key = id(a)
     with STATE_LOCK:
         entry = _ENTRIES.get(key)  # laflow: atomic-split — the comparison reads the array outside the lock; the delete region re-checks `is entry` first
@@ -77,8 +83,8 @@ def lookup(a):
             return None
     # The comparison reads the array outside the lock: the entry is an
     # immutable tuple and a stale one is resolved below.
-    shape, dtype, bits, structure = entry
-    if a.shape != shape or a.dtype != dtype \
+    ref, shape, dtype, bits, structure = entry
+    if ref() is not a or a.shape != shape or a.dtype != dtype \
             or not np.array_equal(bits, _bits(a)):
         with STATE_LOCK:
             if _ENTRIES.get(key) is entry:  # laflow: atomic-split — miss path; a racing store for the same operand replaces the entry anyway
@@ -96,13 +102,23 @@ def store(a, structure, bits):
     :func:`snapshot` of the array the structure's factor was computed
     from — of the working copy that was factored, not of ``a`` after
     the fact, so an edit racing the factorization cannot pair a new
-    snapshot with an old factor."""
-    entry = (a.shape, a.dtype, bits, structure)
+    snapshot with an old factor.  The entry goes when ``a`` does."""
+    key = id(a)
+
+    def forget(ref):
+        # Matches on the weak reference, not the entry, so the entry
+        # holds no cycle through its own callback.
+        with STATE_LOCK:
+            entry = _ENTRIES.get(key)
+            if entry is not None and entry[0] is ref:
+                del _ENTRIES[key]
+
+    entry = (weakref.ref(a, forget), a.shape, a.dtype, bits, structure)
     with STATE_LOCK:
-        _ENTRIES.pop(id(a), None)
+        _ENTRIES.pop(key, None)
         while len(_ENTRIES) >= MAX_ENTRIES:
             del _ENTRIES[next(iter(_ENTRIES))]
-        _ENTRIES[id(a)] = entry
+        _ENTRIES[key] = entry
     return structure
 
 

@@ -294,15 +294,19 @@ class Info:
         return f"Info({self.value}{tail})"
 
 
-def is_error_code(linfo: int) -> bool:
+def is_error_code(linfo):
     """True when *linfo* is error-class under the ``ERINFO`` contract.
 
     Error-class: positive computational failures, argument errors
     ``-1 … -99``, the allocation failure ``-100``, and the non-finite /
     deadline classes at or below ``NONFINITE``.  The warning band
     ``WORK_REDUCED >= linfo > NONFINITE`` and 0 are not errors.
+
+    Elementwise on an integer array (a batch's code vector), so the
+    scalar and vectorized verdicts come from the same predicate.
     """
-    return linfo > 0 or (0 > linfo > WORK_REDUCED) or linfo <= NONFINITE
+    return ((linfo > 0) | ((linfo < 0) & (linfo > WORK_REDUCED))
+            | (linfo <= NONFINITE))
 
 
 def _error_for(srname: str, linfo: int) -> LinAlgError:

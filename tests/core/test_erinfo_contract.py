@@ -6,12 +6,25 @@ import pytest
 
 from repro import (ComputationalError, IllegalArgument, Info, LinAlgError,
                    NonFiniteInput, SingularMatrix, la_gesv)
-from repro.errors import (ALLOC_FAILED, NONFINITE, WORK_REDUCED,
-                          WorkspaceError, erinfo)
+from repro.errors import (ALLOC_FAILED, DEADLINE, NONFINITE, WORK_REDUCED,
+                          WorkspaceError, erinfo, is_error_code)
 from repro.testing import (GesvTestProgram, residual_ratio,
                            run_gesv_error_exits)
 from repro.testing.ratios import (lu_reconstruction_ratio,
                                   orthogonality_ratio)
+
+
+CODES = [0, 1, -1, -99, -100, -200, -201, -999, NONFINITE, DEADLINE]
+
+
+def test_is_error_code_is_one_predicate_for_scalars_and_arrays():
+    scalar = [is_error_code(c) for c in CODES]
+    assert scalar == [False, True, True, True, True, False, False, False,
+                      True, True]
+    assert all(type(v) is bool for v in scalar)
+    vector = is_error_code(np.array(CODES, dtype=np.int64))
+    assert vector.dtype == bool and vector.tolist() == scalar
+    assert [is_error_code(c) for c in np.array(CODES)] == scalar
 
 
 class TestErinfo:

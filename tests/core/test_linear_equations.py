@@ -1,14 +1,17 @@
 """LAPACK90 linear-equation drivers: generic dispatch, optional args,
 INFO semantics."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from repro import (Info, IllegalArgument, NotPositiveDefinite,
-                   SingularMatrix)
+                   SingularMatrix, faults)
 from repro.core import (la_gbsv, la_gesv, la_gtsv, la_hesv, la_hpsv,
                         la_pbsv, la_posv, la_ppsv, la_ptsv, la_spsv,
                         la_sysv)
+from repro.backends import available_backends
 from repro.storage import full_to_band, full_to_sym_band, pack
 
 from ..conftest import (rand_matrix, rand_vector, spd_matrix, tol_for,
@@ -111,6 +114,32 @@ def test_la_posv_not_pd():
     assert info.value == 2
     with pytest.raises(NotPositiveDefinite):
         la_posv(np.diag([1.0, -1.0]), np.ones(2))
+
+
+@pytest.mark.parametrize("backend", ["reference", "accelerated"])
+def test_la_posv_infinite_leading_block(backend):
+    """DESIGN §7: an SPD matrix whose leading 2x2 block is infinite.
+    The reference Cholesky meets ``inf - inf`` in the second pivot and
+    reports ``Info`` 2 (a NaN pivot), leaving ``b`` unsolved.  SciPy's
+    ``dposv`` keeps both leading pivots infinite, reports ``Info`` 0
+    and returns a finite ``x`` whose first two entries are 0."""
+    if backend not in available_backends():
+        pytest.skip("backend not available")
+    faults.chaos_clear()          # an escalated posv answers on reference
+    g = np.random.default_rng(3).standard_normal((4, 4))
+    a = g @ g.T + 4 * np.eye(4)
+    a[:2, :2] = np.inf
+    b = np.ones(4)
+    info = Info()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        la_posv(a, b, info=info, backend=backend)
+    if backend == "reference":
+        assert info.value == 2 and np.isnan(a[1, 1])
+        assert np.array_equal(b, np.ones(4))
+    else:
+        assert info.value == 0 and np.isinf(a.diagonal()[:2]).all()
+        assert np.isfinite(b).all() and not b[:2].any()
 
 
 def test_la_gbsv_default_kl(rng, dtype):

@@ -4,6 +4,8 @@ stale answer), one factorization per cold SPD solve, FIFO bounding, and
 backend-switch invalidation (a factor computed by the departed
 substrate must never be reused)."""
 
+import gc
+
 import numpy as np
 import pytest
 
@@ -191,7 +193,8 @@ def test_only_successful_spd_solves_are_cached():
     solve(g + g.T - 30 * np.eye(6), np.ones(6))          # indefinite
     solve(2 * np.ones((4, 4)) - np.eye(4), np.ones(4))   # posv fails
     assert structure_cache_stats()["entries"] == 0
-    solve(_spd(6, seed=15), np.ones(6))
+    a = _spd(6, seed=15)          # an entry lives as long as its operand
+    solve(a, np.ones(6))
     assert structure_cache_stats()["entries"] == 1
 
 
@@ -213,3 +216,39 @@ def test_cold_spd_solve_factors_once_warm_solve_only_substitutes(
         del routines[:]
         solve(a, b)
         assert routines == ["potrs"]
+
+
+def test_fresh_operands_leave_no_dead_entries():
+    """An entry goes with its operand: fresh SPD operands that land on
+    a freed one's ``id`` find no entry to compare bits against, and no
+    dead factor stays alive."""
+    rng = np.random.default_rng(17)
+    names = backends.available_backends()
+    with use_backend("accelerated" if "accelerated" in names
+                     else "reference"):
+        for _ in range(2000):
+            g = rng.standard_normal((8, 8))
+            b = rng.standard_normal(8)
+            solve(g @ g.T + 8 * np.eye(8), b)
+            solve(g + 8 * np.eye(8), b)
+        # An escalated kernel failure (the chaos leg) leaves its
+        # operands in a reference cycle until the collector runs; read
+        # before leaving the block, whose backend switch drops entries.
+        gc.collect()
+        stats = structure_cache_stats()
+    assert stats["invalidated"] == 0
+    assert stats["hits"] == 0 and stats["misses"] == 4000
+    assert stats["entries"] <= 1
+
+
+def test_an_entry_answers_only_its_own_array():
+    """Identical bits in another array are not a hit: the entry's weak
+    reference names the array it was stored for."""
+    a = _spd(5, seed=18)
+    cache.store(a, probe(a), cache.snapshot(a))
+    twin = a.copy()
+    cache._ENTRIES[id(twin)] = cache._ENTRIES[id(a)]
+    assert cache.lookup(twin) is None
+    assert cache.lookup(a) is not None
+    del a
+    assert structure_cache_stats()["entries"] == 0
