@@ -2,7 +2,7 @@
 
 A self-contained, AST-based lint pass over the ``la_*`` driver catalogue
 (the code under analysis is parsed, never imported).  See
-``docs/USERS_GUIDE.md`` for the rule catalogue LA001–LA022 and the
+``docs/USERS_GUIDE.md`` for the rule catalogue LA001–LA026 and the
 baseline workflow.  Run it with::
 
     PYTHONPATH=src python -m repro.analysis src/repro

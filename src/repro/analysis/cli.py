@@ -42,7 +42,7 @@ def build_parser() -> argparse.ArgumentParser:
                              "baseline and exit 0")
     parser.add_argument("--select", default=None, metavar="CODES",
                         help="comma-separated rule codes to run "
-                             "(e.g. LA002,LA017)")
+                             "(e.g. LA009,LA018)")
     parser.add_argument("--ignore", default=None, metavar="CODES",
                         help="comma-separated rule codes to skip "
                              "(the complement of --select)")

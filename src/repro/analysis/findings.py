@@ -32,7 +32,7 @@ class Finding:
     part of the stable fingerprint; ``line``/``col`` are display-only.
     """
 
-    code: str          # "LA001" .. "LA010"
+    code: str          # "LA001" .. "LA026"
     message: str
     path: str          # as given on the command line (often relative)
     line: int

@@ -8,7 +8,7 @@ The package splits into four layers:
 * :mod:`.summaries` — the interprocedural layer: kernel effect
   signatures derived from the spec registry, and memoized helper
   summaries (dims in, events out) replayed into callers,
-* :mod:`.rules` — the LA011–LA014, LA017, LA018 and LA020 checks
+* :mod:`.rules` — the LA011–LA014, LA018 and LA020 checks
   registered in the main lalint catalogue (:mod:`repro.analysis.rules`),
 * :mod:`.locks` — the lock model: the ``GUARDED_BY`` state table,
   lockset tracking through summaries, and the LA023–LA026 concurrency
@@ -18,8 +18,7 @@ The package splits into four layers:
 from .interp import DriverFlow, FlowInterpreter, spec_dim_formulas
 from .summaries import KernelEffect, SummaryEngine, kernel_effects
 from .rules import (check_la011, check_la012, check_la013, check_la014,
-                    check_la017, check_la018, check_la020,
-                    front_door_sites)
+                    check_la018, check_la020)
 from .locks import (GUARDED_BY, GUARDED_ATTRS, ConcurrencySummaryEngine,
                     check_la023, check_la024, check_la025, check_la026)
 
@@ -27,5 +26,5 @@ __all__ = ["DriverFlow", "FlowInterpreter", "spec_dim_formulas",
            "KernelEffect", "SummaryEngine", "kernel_effects",
            "GUARDED_BY", "GUARDED_ATTRS", "ConcurrencySummaryEngine",
            "check_la011", "check_la012", "check_la013", "check_la014",
-           "check_la017", "check_la018", "check_la020", "check_la023", "check_la024",
-           "check_la025", "check_la026", "front_door_sites"]
+           "check_la018", "check_la020", "check_la023", "check_la024",
+           "check_la025", "check_la026"]

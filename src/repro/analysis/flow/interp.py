@@ -8,7 +8,7 @@ argument ``a`` enters as an abstract array of shape ``(rows(a),
 cols(a))`` whose dtype *follows* ``a`` — and the interpreter then walks
 the body tracking allocations, slicing, kernel calls and assignments.
 
-The result is a set of recorded events the LA011–LA014 and LA017–LA020
+The result is a set of recorded events the LA011–LA014, LA018 and LA020
 rules consume:
 
 * ``dim_defs`` — local bindings of spec-declared dimension variables

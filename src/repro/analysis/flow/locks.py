@@ -424,9 +424,10 @@ def _roots(mod):
 
 def _nested_defs(mod):
     """Yield ``(display name, class or None, enclosing function, def)``
-    for every function defined inside a module function or method.  A
-    nested body runs later, after any lock its creator held is gone, so
-    each one is an entry point of its own with an empty lockset."""
+    for every function or lambda defined inside a module function or
+    method.  A nested body runs later, after any lock its creator held
+    is gone, so each one is an entry point of its own with an empty
+    lockset.  A lambda is yielded as a def returning its body."""
     outers = [(fname, None, func)
               for fname, func in sorted(mod.functions.items())]
     for cname, cnode in sorted(mod.classes.items()):
@@ -438,6 +439,16 @@ def _nested_defs(mod):
             if node is not outer and isinstance(
                     node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 yield f"{oname}.{node.name}", cls, outer, node
+            elif isinstance(node, ast.Lambda):
+                yield f"{oname}.<lambda>", cls, outer, _lambda_def(node)
+
+
+def _lambda_def(node):
+    """``lambda args: body`` as ``def <lambda>(args): return body``."""
+    ret = ast.copy_location(ast.Return(value=node.body), node.body)
+    return ast.copy_location(ast.FunctionDef(
+        name="<lambda>", args=node.args, body=[ret], decorator_list=[],
+        returns=None, type_params=[]), node)
 
 
 def _is_generator(func) -> bool:

@@ -1,4 +1,4 @@
-"""The laflow rule catalogue (LA011–LA014, LA017, LA018, LA020).
+"""The laflow rule catalogue (LA011–LA014, LA018, LA020).
 
 These rules run the symbolic interpreter
 (:class:`.interp.DriverFlow`) over every core driver implementation
@@ -8,17 +8,7 @@ every flow runs with a shared :class:`~.summaries.SummaryEngine`, so
 helper calls contribute their effects instead of poisoning the
 environment, and kernel calls carry spec-derived read/write effect
 signatures.  Flows are interpreted once per project and cached — the
-seven dataflow rules share one pass.
-
-LA017 reads the argument set each validation ladder receives from the
-driver shell's binding: a function decorated ``@driver_shell("la_x")``
-hands every one of its parameters (defaults applied) to ``la_x``'s
-ladder.  It also covers *borrowed* ladders in the dispatch front door —
-a :mod:`repro.dispatch_front` function running inside another driver's
-shell (the cached-Cholesky ``potrs`` shortcut runs in ``la_posv``'s) or
-calling ``validate_args("la_posv", ...)`` by name is held to the same
-error-exit reachability contract as the driver itself.
-:func:`front_door_sites` is the discovery summary.
+six dataflow rules share one pass.
 
 Like every lalint rule these functions never import the analysed code;
 the spec registry they consult is plain data.
@@ -26,18 +16,16 @@ the spec registry they consult is plain data.
 
 from __future__ import annotations
 
-import ast
 import os
 
 from ..findings import Finding
-from ..model import Project, call_name, param_positions, shell_key
+from ..model import Project
 from . import values as V
-from .interp import DriverFlow, spec_dim_formulas
+from .interp import DriverFlow
 from .summaries import SummaryEngine, kernel_effects
 
 __all__ = ["check_la011", "check_la012", "check_la013", "check_la014",
-           "check_la017", "check_la018", "check_la020",
-           "front_door_sites"]
+           "check_la018", "check_la020"]
 
 _ARRAY_KINDS = {"matrix", "rhs", "vector"}
 _LEN_CHECKS = {"optlen", "reqlen"}
@@ -54,73 +42,6 @@ def _is_core(mod):
     return "/repro/core/" in p or p.startswith("repro/core/")
 
 
-def _is_front_door(mod):
-    p = mod.path.replace(os.sep, "/")
-    return "/repro/dispatch_front/" in p \
-        or p.startswith("repro/dispatch_front/")
-
-
-def shell_sites(project: Project, specs):
-    """Yield ``(mod, func, driver, spec, node, passed)`` for every
-    function running inside the shell of a registered driver spec.
-
-    The shell binds every parameter of the function it wraps (defaults
-    applied) and hands the lot to the spec's ladder, so ``passed`` is
-    the function's parameter-name set; ``node`` is the decorator."""
-    for mod in project.modules:
-        for _, func in sorted(mod.functions.items()):
-            key = shell_key(func)
-            if key is not None and key[0] in specs:
-                yield (mod, func, key[0], specs[key[0]], key[1],
-                       set(param_positions(func)))
-
-
-def front_door_sites(project: Project, specs):
-    """Yield ``(mod, func, driver, spec, calls)`` for dispatch-front
-    functions that borrow a registered driver's validation ladder.
-
-    The front door re-runs the chosen driver's ladder before executing
-    a structure-specialised path (the cached-Cholesky ``potrs`` shortcut
-    runs inside ``la_posv``'s shell), so a borrowed site carries the
-    same obligation as the driver's own: every declared error exit must
-    stay emittable from the argument set actually forwarded.  ``calls``
-    is ``[(node, passed-name-set), ...]``: the shell's binding for a
-    function running in a driver's shell, else one entry per
-    ``validate_args("<driver>", ...)`` site in the function; functions
-    with a statically unmappable site (non-constant driver name, extra
-    positionals, keyword splat) are skipped entirely — laflow never
-    guesses.
-    """
-    for mod, func, driver, spec, node, passed in shell_sites(project,
-                                                              specs):
-        if _is_front_door(mod):
-            yield mod, func, driver, spec, [(node, passed)]
-    for mod in project.modules:
-        if not _is_front_door(mod):
-            continue
-        for _, func in sorted(mod.functions.items()):
-            sites: dict = {}
-            mappable = True
-            for node in ast.walk(func):
-                if call_name(node) != "validate_args":
-                    continue
-                first = node.args[0] if node.args else None
-                if len(node.args) != 1 \
-                        or not isinstance(first, ast.Constant) \
-                        or not isinstance(first.value, str) \
-                        or any(kw.arg is None for kw in node.keywords):
-                    mappable = False
-                    break
-                sites.setdefault(first.value, []).append(
-                    (node, {kw.arg for kw in node.keywords}))
-            if not mappable:
-                continue
-            for driver in sorted(sites):
-                spec = specs.get(driver)
-                if spec is not None:
-                    yield mod, func, driver, spec, sites[driver]
-
-
 def _load_specs():
     try:
         from ...specs.registry import SPECS
@@ -133,10 +54,9 @@ def _analysis(project: Project, specs):
     """The project's shared dataflow pass, computed once and cached.
 
     Returns ``{"flows": [(impl, spec, flow), ...], "engine":
-    SummaryEngine, "effects": {kernel: KernelEffect}, "front_door":
-    [(mod, func, driver, spec, calls), ...]}``.  All dataflow rules
-    consume this cache, so one ``run_rules`` interprets every driver
-    exactly once no matter how many rules are selected.
+    SummaryEngine, "effects": {kernel: KernelEffect}}``.  All dataflow
+    rules consume this cache, so one ``run_rules`` interprets every
+    driver exactly once no matter how many rules are selected.
     """
     cache = getattr(project, "_laflow_cache", None)
     if cache is not None:
@@ -152,8 +72,7 @@ def _analysis(project: Project, specs):
         flows.append((impl, spec,
                       DriverFlow(impl, spec, summaries=engine).run()))
     cache = {"flows": flows, "engine": engine,
-             "effects": kernel_effects(project, specs),
-             "front_door": list(front_door_sites(project, specs))}
+             "effects": kernel_effects(project, specs)}
     project._laflow_cache = cache
     return cache
 
@@ -321,238 +240,6 @@ def check_la014(project: Project):
                     f"in-place write may mutate {name}, which the spec "
                     f"for {impl.driver} declares intent(in)",
                     impl.impl_module, write.node, context=impl.driver))
-    return findings
-
-
-# ---------------------------------------------------------------------
-# LA017 — error-exit reachability
-# ---------------------------------------------------------------------
-
-#: Custom engine predicates: argument names whose absence makes the
-#: predicate raise (and therefore fire) on every call.
-_CUSTOM_REQUIRED = {"gels_b": ("a", "b"), "ls_b": ("a", "b"),
-                    "gglse_b": ("a", "b"), "glm_b": ("a", "b")}
-
-#: Custom predicates short-circuited off by a missing argument.
-_CUSTOM_NEVER_WITHOUT = {"getrf_rcond": "rcond"}
-
-
-def _dim_avail(dim, spec, passed) -> bool:
-    """Can this derived dimension resolve (not the -1 sentinel) given
-    the argument names actually handed to ``validate_args``?"""
-    table = {entry[0]: entry for entry in spec.dims}
-
-    def avail(name):
-        entry = table.get(name)
-        if entry is None:
-            return False
-        _, source, *refs = entry
-        if source == "min":
-            return all(avail(r) for r in refs)
-        return refs[0] in passed
-    return avail(dim)
-
-
-def _classify_check(check, spec, passed) -> str:
-    """How one spec check behaves when ``validate_args`` receives only
-    *passed*: ``"ok"`` (outcome depends on runtime values), ``"never"``
-    (cannot fire — its error exit is unreachable), or ``"always"``
-    (fires unconditionally — it shadows every later exit).
-
-    This mirrors :mod:`repro.specs.engine` exactly: a missing argument
-    enters the ladder as ``None``, a derived dimension whose source is
-    missing resolves to ``-1``, and a predicate that raises counts as
-    violated.
-    """
-    k = check.kind
-    arg = check.args[0] if check.args else None
-    dim_ok = check.dim is None or _dim_avail(check.dim, spec, passed)
-    ref = check.params.get("ref")
-
-    if k in ("square", "matrix2d", "intenum", "offdiag"):
-        return "ok" if arg in passed else "always"
-    if k in ("square_conform", "rhs"):
-        return "ok" if arg in passed and dim_ok else "always"
-    if k == "rhs_same":
-        return "ok" if arg in passed and ref in passed and dim_ok \
-            else "always"
-    if k in ("nonneg", "band"):
-        return "ok" if dim_ok else "always"
-    if k == "offdiag_pair":
-        return "ok" if all(a in passed for a in check.args) \
-            else "always"
-    if k == "optlen":
-        # None short-circuits the optional check off entirely.
-        return "ok" if arg in passed else "never"
-    if k == "reqlen":
-        if arg in passed and dim_ok:
-            return "ok"
-        if arg not in passed and not dim_ok:
-            return "never"      # -1 == -1: the lengths "agree"
-        return "always"
-    if k == "minlen":
-        if arg in passed:
-            if dim_ok:
-                return "ok"
-            want = max(0, -1 + check.params.get("offset", 0))
-            return "ok" if want > 0 else "never"
-        return "never" if check.params.get("optional") else "always"
-    if k == "packed":
-        if arg not in passed:
-            return "always"
-        if check.dim is None or dim_ok:
-            return "ok"
-        return "never"          # n = -1 disarms the length test
-    if k == "flag":
-        if arg in passed:
-            return "ok"
-        if check.params.get("mode") == "first" \
-                and "N" in check.params.get("options", ()):
-            return "ok"         # str(None).upper()[0] == "N" passes
-        return "always"
-    if k == "fact_requires":
-        # lsame(None, 'F') is False: the guard never opens.
-        return "ok" if arg in passed else "never"
-    if k in ("range_pair", "index_pair"):
-        return "ok" if all(a in passed for a in check.args) else "never"
-    if k in ("same_shape", "cols_conform", "square_same"):
-        return "ok" if arg in passed and ref in passed else "always"
-    if k == "custom":
-        name = check.params.get("name")
-        gate = _CUSTOM_NEVER_WITHOUT.get(name)
-        if gate is not None:
-            return "ok" if gate in passed else "never"
-        required = _CUSTOM_REQUIRED.get(name, ())
-        return "ok" if all(r in passed for r in required) else "always"
-    return "ok"
-
-
-def _check_inputs(check, spec) -> list:
-    """Argument names this check consults (args, ref, dim sources)."""
-    names = list(check.args)
-    ref = check.params.get("ref")
-    if ref is not None:
-        names.append(ref)
-    table = {entry[0]: entry for entry in spec.dims}
-
-    def dim_sources(name):
-        entry = table.get(name)
-        if entry is None:
-            return
-        _, source, *refs = entry
-        for r in refs:
-            if source == "min":
-                yield from dim_sources(r)
-            else:
-                yield r
-    if check.dim is not None:
-        names.extend(dim_sources(check.dim))
-    seen, out = set(), []
-    for n in names:
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
-    return out
-
-
-def _shadowed_checks(spec) -> list:
-    """Later checks structurally identical to an earlier one: the
-    ladder is first-violation-wins, so the duplicate can never fire."""
-    seen: dict = {}
-    out = []
-    for check in spec.checks:
-        key = (check.kind, check.args, check.dim,
-               tuple(sorted((k, repr(v))
-                            for k, v in check.params.items())))
-        if key in seen:
-            out.append((check, seen[key]))
-        else:
-            seen[key] = check
-    return out
-
-
-def check_la017(project: Project):
-    """Error-exit reachability: every negative ``LINFO`` code the spec
-    declares must be emittable through each shell keyed to it, and no
-    check may fire unconditionally (shadowing all later exits) or
-    duplicate an earlier check (first violation wins).
-
-    The classification replays :mod:`repro.specs.engine` semantics for
-    the statically-known argument set — the parameters the shell binds:
-    an argument the wrapped function does not take enters every call as
-    ``None``, so e.g. an ``optlen`` check on it is disarmed forever —
-    that error exit is dead code in the documented contract.
-
-    The same classification runs over the dispatch front door's
-    *borrowed* ladders (:func:`front_door_sites`): a
-    ``repro.dispatch_front`` function running a driver's ladder must
-    keep that spec's exits exactly as reachable as the driver itself
-    does, or ``repro.solve`` silently changes the documented error
-    contract on that route."""
-    specs = _load_specs()
-    if specs is None:
-        return []
-    findings = []
-    for mod, func, driver, spec, node, passed in shell_sites(project,
-                                                              specs):
-        if _is_front_door(mod):
-            continue            # reported as a borrowed ladder below
-        for check, first in _shadowed_checks(spec):
-            findings.append(_f(
-                "LA017",
-                f"check for exit {check.code} of {driver} "
-                f"duplicates the exit {first.code} check and can never "
-                "fire (the ladder is first-violation-wins)",
-                mod, node, context=driver))
-        for check in spec.checks:
-            verdict = _classify_check(check, spec, passed)
-            missing = [n for n in _check_inputs(check, spec)
-                       if n not in passed]
-            if verdict == "never":
-                findings.append(_f(
-                    "LA017",
-                    f"error exit {check.code} of {driver} is "
-                    f"unreachable: {func.name} never receives "
-                    f"{', '.join(missing)} so its {check.kind} check "
-                    "cannot fire",
-                    mod, node, context=driver))
-            elif verdict == "always":
-                findings.append(_f(
-                    "LA017",
-                    f"the {check.kind} check for exit {check.code} of "
-                    f"{driver} always fires: {func.name} takes no "
-                    f"{', '.join(missing)}, so every call returns "
-                    f"{check.code} and shadows all later exits",
-                    mod, node, context=driver))
-                break           # everything after is dead anyway
-    for mod, func, driver, spec, calls in \
-            _analysis(project, specs)["front_door"]:
-        for check in spec.checks:
-            verdicts = {_classify_check(check, spec, passed)
-                        for _, passed in calls}
-            node = calls[0][0]
-            missing = [n for n in _check_inputs(check, spec)
-                       if all(n not in p for _, p in calls)]
-            if verdicts == {"never"}:
-                findings.append(_f(
-                    "LA017",
-                    f"front-door {func.name} borrows the {driver} "
-                    f"ladder but validate_args never receives "
-                    f"{', '.join(missing)}, so error exit {check.code} "
-                    f"({check.kind}) is unreachable on this dispatch "
-                    "route",
-                    mod, node, context=driver))
-            elif verdicts == {"always"}:
-                findings.append(_f(
-                    "LA017",
-                    f"the {check.kind} check for exit {check.code} of "
-                    f"the {driver} ladder always fires in front-door "
-                    f"{func.name}: validate_args omits "
-                    f"{', '.join(missing)}, so every call through this "
-                    f"route returns {check.code} and shadows all later "
-                    "exits",
-                    mod, node, context=driver))
-                break           # everything after is dead anyway
     return findings
 
 

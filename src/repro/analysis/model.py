@@ -5,7 +5,6 @@ The model never imports the code under analysis.  It parses every
 
 * the top-level functions and which of them are public ``la_*`` drivers,
 * per-function 1-based argument positions (the LINFO convention),
-* a simple alias map (``n = d.shape[0]`` makes ``n`` stand for ``d``),
 * helper delegation — ``la_sysv`` implemented as
   ``return _indef_driver("LA_SYSV", sysv, a, b, uplo, ipiv, info)``
   is analysed through the helper with positions remapped via the call
@@ -22,7 +21,7 @@ import os
 from dataclasses import dataclass, field
 
 __all__ = ["Project", "Module", "DriverImpl", "neg_literal",
-           "call_name", "names_in"]
+           "call_name"]
 
 #: ``la_*`` helpers that are not drivers (workspace-size queries).
 NON_DRIVER_LA = {"la_ws_gels", "la_ws_gelss"}
@@ -53,18 +52,6 @@ def neg_literal(node: ast.AST) -> int | None:
             and node.value < 0:
         return node.value
     return None
-
-
-def int_literal(node: ast.AST) -> int | None:
-    if isinstance(node, ast.Constant) and isinstance(node.value, int) \
-            and not isinstance(node.value, bool):
-        return node.value
-    neg = neg_literal(node)
-    return neg
-
-
-def names_in(node: ast.AST) -> set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
 
 
 def shell_key(func: ast.FunctionDef):
@@ -150,19 +137,6 @@ def param_positions(func: ast.FunctionDef) -> dict:
     return {a.arg: i + 1 for i, a in enumerate(args)}
 
 
-def param_defaults(func: ast.FunctionDef) -> dict:
-    """Map param name -> default AST node (positional params only)."""
-    args = list(func.args.posonlyargs) + list(func.args.args)
-    defaults = list(func.args.defaults)
-    out = {}
-    for a, d in zip(args[len(args) - len(defaults):], defaults):
-        out[a.arg] = d
-    for a, d in zip(func.args.kwonlyargs, func.args.kw_defaults):
-        if d is not None:
-            out[a.arg] = d
-    return out
-
-
 def body_statements(func: ast.FunctionDef):
     """Function body with a leading docstring stripped."""
     body = func.body
@@ -171,40 +145,6 @@ def body_statements(func: ast.FunctionDef):
             and isinstance(body[0].value.value, str):
         return body[1:]
     return body
-
-
-def alias_map(func: ast.FunctionDef, params: set) -> dict:
-    """Map local names to the set of parameters they derive from.
-
-    Handles the codebase's idioms: ``n = a.shape[0]``, ``t =
-    trans.upper()``, ``m, n = a.shape``, ``ku = rows - 2 * kl - 1``
-    (transitively through earlier aliases).  Conditional expressions
-    contribute the union of both arms.
-    """
-    aliases = {p: {p} for p in params}
-    assigns = sorted(
-        (n for n in ast.walk(func) if isinstance(n, ast.Assign)),
-        key=lambda n: n.lineno)
-
-    def sources(node):
-        out = set()
-        for name in names_in(node):
-            out |= aliases.get(name, set())
-        return out
-
-    for _ in range(2):   # two passes settle chains like rows -> ku
-        for stmt in assigns:
-            src = sources(stmt.value)
-            if not src:
-                continue
-            for target in stmt.targets:
-                elts = [target] if isinstance(target, ast.Name) \
-                    else list(getattr(target, "elts", []))
-                for elt in elts:
-                    if isinstance(elt, ast.Name):
-                        aliases.setdefault(elt.id, set())
-                        aliases[elt.id] |= src
-    return aliases
 
 
 class Project:
@@ -274,6 +214,15 @@ class Project:
         for mod in self.modules:
             for name, func in sorted(mod.drivers().items()):
                 yield self._resolve_impl(name, func, mod)
+
+    def shell_impls(self):
+        """Yield a :class:`DriverImpl` for every function running inside
+        the driver shell, named by the spec it is keyed to."""
+        for mod in self.modules:
+            for _, func in sorted(mod.functions.items()):
+                key = shell_key(func)
+                if key is not None:
+                    yield self._resolve_impl(key[0], func, mod)
 
     def _resolve_impl(self, name, func, mod) -> DriverImpl:
         own = param_positions(func)

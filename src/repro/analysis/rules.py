@@ -1,12 +1,13 @@
-"""The lalint rule catalogue (LA001–LA026; LA004, LA015, LA016 and LA019
-are retired).
+"""The lalint rule catalogue (LA001–LA026; LA002, LA003, LA004, LA010,
+LA015, LA016, LA017 and LA019 are retired).
 
 Every rule is a function ``check(project) -> list[Finding]`` registered
 in :data:`RULES`.  Rules only inspect the AST model — the analysed code
-is never imported.  The two spec rules (LA009/LA010) additionally load
-the declarative driver-spec registry (:mod:`repro.specs.registry`) —
-plain data, not the code under analysis — and degrade to no findings
-when it cannot be imported.
+is never imported, and the rules in this module read no driver spec.
+A body's agreement with its spec (argument positions, ``info=None``)
+is checked by the driver shell itself (:mod:`repro.core.shell`), which
+refuses a mismatched body when it decorates it; the dataflow rules
+(:mod:`.flow`) read the spec registry as plain data.
 """
 
 from __future__ import annotations
@@ -15,9 +16,7 @@ import ast
 import os
 
 from .findings import Finding
-from .model import (NON_DRIVER_LA, Project, alias_map, call_name,
-                    int_literal, names_in, neg_literal, param_defaults,
-                    param_positions, shell_key)
+from .model import Project, call_name, neg_literal, shell_key
 
 __all__ = ["RULES", "run_rules", "rule_titles"]
 
@@ -50,39 +49,30 @@ def _f(code, message, mod, node, context=""):
 
 
 # ---------------------------------------------------------------------
-# Validation-branch collection (shared by LA002 and LA009)
+# Validation-branch collection (LA009)
 # ---------------------------------------------------------------------
 
-def _reporter_code_args(call):
-    """Literal LINFO codes passed to a reporter call.
-
-    Returns a list of ``(code, test_or_None)`` — an ``IfExp`` code
-    argument (``erinfo(-1 if check_square(a, 1) else -2, ...)``)
-    contributes its then-branch keyed to the IfExp's own test; the
-    else-branch code carries no usable test.
-    """
-    name = call_name(call)
-    if name not in REPORTERS:
+def _reporter_codes(call):
+    """Literal negative LINFO codes passed to a reporter call (``None``
+    for a non-literal); an ``IfExp`` code argument contributes both
+    arms."""
+    if call_name(call) not in REPORTERS:
         return []
-    out = []
     for arg in call.args[:2]:
         if isinstance(arg, ast.IfExp):
-            for sub, test in ((arg.body, arg.test), (arg.orelse, None)):
-                code = neg_literal(sub)
-                if code is not None:
-                    out.append((code, test))
-            return out
+            return [neg_literal(arg.body), neg_literal(arg.orelse)]
         code = neg_literal(arg)
         if code is not None:
-            return [(code, None)]
-    return out
+            return [code]
+    return []
 
 
 def _validation_branches(func):
-    """Yield ``(code, test, node)`` for every validation exit.
+    """Yield ``(code, node)`` for every validation exit.
 
     A validation exit is a ``linfo = -k`` assignment or a reporter call
-    with a literal negative code, in the direct body of an ``if``.
+    with a literal argument-position code (``-99 <= -k <= -1``; the
+    code classes below are LA007's), in the direct body of an ``if``.
     """
     for node in ast.walk(func):
         if not isinstance(node, ast.If):
@@ -91,41 +81,15 @@ def _validation_branches(func):
             if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 \
                     and isinstance(stmt.targets[0], ast.Name) \
                     and stmt.targets[0].id == "linfo":
-                code = neg_literal(stmt.value)
-                if code is not None:
-                    yield code, node.test, stmt
+                codes = [neg_literal(stmt.value)]
+            elif isinstance(stmt, (ast.Expr, ast.Return)) \
+                    and isinstance(stmt.value, ast.Call):
+                codes = _reporter_codes(stmt.value)
+            else:
                 continue
-            value = stmt.value if isinstance(stmt, (ast.Expr, ast.Return)) \
-                else None
-            if isinstance(value, ast.Call):
-                for code, test in _reporter_code_args(value):
-                    yield code, test if test is not None else node.test, \
-                        stmt
-
-
-def _declared_checks(test):
-    """``check_square(a, 1)`` / ``check_rhs(n, b, 2)`` calls in a test:
-    yields ``(array_name, declared_position, node)``."""
-    for node in ast.walk(test):
-        name = call_name(node)
-        if name == "check_square" and len(node.args) >= 2:
-            arr, pos = node.args[0], node.args[1]
-        elif name == "check_rhs" and len(node.args) >= 3:
-            arr, pos = node.args[1], node.args[2]
-        else:
-            continue
-        p = int_literal(pos)
-        if isinstance(arr, ast.Name) and p is not None:
-            yield arr.id, p, node
-
-
-def _implicated_positions(test, aliases, posmap):
-    out = set()
-    for name in names_in(test):
-        for src in aliases.get(name, {name}):
-            if src in posmap:
-                out.add(posmap[src])
-    return out
+            for code in codes:
+                if code is not None and code > CODE_CLASS_FLOOR:
+                    yield code, stmt
 
 
 # ---------------------------------------------------------------------
@@ -168,113 +132,6 @@ def check_la001(project: Project):
                     f"direct raise of {call_name(node.exc)} bypasses "
                     f"erinfo (driver {impl.driver})", mod, node,
                     context=impl.driver))
-    return findings
-
-
-# ---------------------------------------------------------------------
-# LA002 — LINFO codes match 1-based argument positions
-# ---------------------------------------------------------------------
-
-def check_la002(project: Project):
-    findings = []
-    for impl in project.driver_impls():
-        posmap = impl.posmap
-        aliases = alias_map(impl.func, set(posmap))
-        for code, test, node in _validation_branches(impl.func):
-            if test is None:
-                continue
-            declared = list(_declared_checks(test))
-            for arr, p, cnode in declared:
-                arr_pos = {posmap[s] for s in aliases.get(arr, {arr})
-                           if s in posmap}
-                if arr_pos and p not in arr_pos:
-                    findings.append(_f(
-                        "LA002",
-                        f"check helper declares argument position {p} "
-                        f"but {arr} is argument "
-                        f"{sorted(arr_pos)[0]} of {impl.driver}",
-                        impl.impl_module, cnode, context=impl.driver))
-            implicated = _implicated_positions(test, aliases, posmap)
-            candidates = implicated | {p for _, p, _ in declared}
-            if candidates and -code not in candidates:
-                pretty = ", ".join(str(p) for p in sorted(candidates))
-                findings.append(_f(
-                    "LA002",
-                    f"LINFO code {code} does not match the flagged "
-                    f"argument (test involves position(s) {pretty} "
-                    f"of {impl.driver})",
-                    impl.impl_module, node, context=impl.driver))
-    findings.extend(_check_error_exit_table(project))
-    return findings
-
-
-def _check_error_exit_table(project: Project):
-    """Cross-check the shared (driver, argument, code) table from
-    ``repro.testing.error_exits`` against the live signatures."""
-    findings = []
-    drivers = {}
-    for mod in project.modules:
-        for name, func in mod.drivers().items():
-            drivers.setdefault(name, func)
-    for mod in project.modules:
-        for node in mod.tree.body:
-            if not (isinstance(node, ast.Assign) and node.targets
-                    and isinstance(node.targets[0], ast.Name)
-                    and node.targets[0].id == "ERROR_EXIT_CODES"
-                    and isinstance(node.value, ast.Dict)):
-                continue
-            for key, val in zip(node.value.keys, node.value.values):
-                if not (isinstance(key, ast.Constant)
-                        and isinstance(val, ast.Dict)):
-                    continue
-                func = drivers.get(key.value)
-                if func is None:
-                    continue
-                positions = param_positions(func)
-                for akey, aval in zip(val.keys, val.values):
-                    if not isinstance(akey, ast.Constant):
-                        continue
-                    code = int_literal(aval)
-                    argname = akey.value
-                    if code is None:
-                        continue
-                    want = positions.get(argname)
-                    if want is None:
-                        findings.append(_f(
-                            "LA002",
-                            f"error-exit table names unknown argument "
-                            f"{argname!r} of {key.value}", mod, aval,
-                            context=key.value))
-                    elif -code != want:
-                        findings.append(_f(
-                            "LA002",
-                            f"error-exit table expects code {code} for "
-                            f"{key.value}({argname}) but {argname} is "
-                            f"argument {want}", mod, aval,
-                            context=key.value))
-    return findings
-
-
-# ---------------------------------------------------------------------
-# LA003 — drivers accept info=None (the shell threads it to erinfo)
-# ---------------------------------------------------------------------
-
-def check_la003(project: Project):
-    findings = []
-    for mod in project.modules:
-        for name, func in sorted(mod.drivers().items()):
-            defaults = param_defaults(func)
-            if "info" not in param_positions(func):
-                findings.append(_f(
-                    "LA003", f"driver {name} does not accept an info "
-                    "argument", mod, func, context=name))
-                continue
-            dflt = defaults.get("info")
-            if not (isinstance(dflt, ast.Constant)
-                    and dflt.value is None):
-                findings.append(_f(
-                    "LA003", f"driver {name} must default info to None",
-                    mod, func, context=name))
     return findings
 
 
@@ -437,106 +294,26 @@ def check_la008(project: Project):
 
 
 # ---------------------------------------------------------------------
-# LA009 / LA010 — the declarative driver-spec registry agrees with the
-# live driver layer.  Both rules only look at modules under the core
-# driver package (``repro/core/``); fixture trees elsewhere are exempt.
+# LA009 — no literal validation ladder inside the driver shell
 # ---------------------------------------------------------------------
 
-def _is_core(mod):
-    p = mod.path.replace(os.sep, "/")
-    return "/repro/core/" in p or p.startswith("repro/core/")
-
-
-def _load_specs():
-    try:
-        from ..specs.registry import SPECS
-    except Exception:
-        return None
-    return SPECS
-
-
 def check_la009(project: Project):
-    """Spec/signature agreement: every argument a spec declares exists
-    in the live driver at the declared 1-based position, every check's
-    LINFO code points at a declared position, and no core driver keeps a
-    hand-rolled literal validation ladder next to the spec engine."""
-    specs = _load_specs()
-    if specs is None:
-        return []
+    """No body running inside the driver shell keeps a literal
+    validation ladder.  The shell runs the spec's ladder before the
+    body, so a ``linfo = -k`` branch (or a reporter call with a literal
+    negative code) in the body, or in the helper it delegates to, is a
+    hand-written second copy of it.  The signature half of the contract
+    needs no rule: the shell refuses, when it decorates, a body whose
+    parameters disagree with its spec."""
     findings = []
-    for mod in project.modules:
-        if not _is_core(mod):
-            continue
-        for name, func in sorted(mod.drivers().items()):
-            spec = specs.get(name)
-            if spec is None:      # LA010's finding, not ours
-                continue
-            positions = param_positions(func)
-            declared = set()
-            for a in spec.args:
-                declared.add(a.position)
-                live = positions.get(a.name)
-                if live is None:
-                    findings.append(_f(
-                        "LA009",
-                        f"spec for {name} declares argument {a.name!r} "
-                        "which the driver does not accept", mod, func,
-                        context=name))
-                elif live != a.position:
-                    findings.append(_f(
-                        "LA009",
-                        f"spec for {name} places {a.name} at position "
-                        f"{a.position} but it is argument {live}",
-                        mod, func, context=name))
-            for c in spec.checks:
-                if -c.code not in declared:
-                    findings.append(_f(
-                        "LA009",
-                        f"spec check for {name} emits code {c.code} but "
-                        f"no argument is declared at position {-c.code}",
-                        mod, func, context=name))
-    for impl in project.driver_impls():
-        if not _is_core(impl.impl_module) \
-                or specs.get(impl.driver) is None:
-            continue
-        for code, test, node in _validation_branches(impl.func):
+    for impl in project.shell_impls():
+        for code, node in _validation_branches(impl.func):
             findings.append(_f(
                 "LA009",
                 f"hand-rolled validation ladder (literal code {code}) in "
                 f"{impl.driver}; emit the code through the spec engine "
                 "(validate_args)", impl.impl_module, node,
                 context=impl.driver))
-    return findings
-
-
-def check_la010(project: Project):
-    """Spec coverage both ways: every core driver has a registered spec,
-    and (when the core package itself is in the scanned tree) every
-    registered spec names a driver the core package exports."""
-    specs = _load_specs()
-    if specs is None:
-        return []
-    findings = []
-    core_init = None
-    for mod in project.modules:
-        if not _is_core(mod):
-            continue
-        if mod.path.replace(os.sep, "/").endswith("/core/__init__.py"):
-            core_init = mod
-        for name, func in sorted(mod.drivers().items()):
-            if name not in specs:
-                findings.append(_f(
-                    "LA010",
-                    f"core driver {name} has no registered driver spec",
-                    mod, func, context=name))
-    if core_init is not None:
-        exported = {n for n in core_init.imports
-                    if n.startswith("la_")} - NON_DRIVER_LA
-        for name in sorted(set(specs) - exported):
-            findings.append(_f(
-                "LA010",
-                f"spec {name} names no driver exported by the core "
-                "package", core_init, core_init.tree, context=name))
     return findings
 
 
@@ -719,24 +496,19 @@ def check_la022(project: Project):
 
 
 from .flow import (check_la011, check_la012, check_la013,  # noqa: E402
-                   check_la014, check_la017, check_la018, check_la020,
-                   check_la023,
+                   check_la014, check_la018, check_la020, check_la023,
                    check_la024, check_la025, check_la026)
 
 RULES = [
     ("LA001", "every public driver goes through the driver shell",
      check_la001),
-    ("LA002", "LINFO codes match argument positions", check_la002),
-    ("LA003", "drivers accept info=None", check_la003),
     ("LA005", "__all__ agrees with public drivers", check_la005),
     ("LA006", "s/d/c/z dispatch completeness", check_la006),
     ("LA007", "code-class literal discipline", check_la007),
     ("LA008", "no direct substrate imports in driver modules",
      check_la008),
-    ("LA009", "driver specs agree with the live signatures",
+    ("LA009", "no literal validation ladder inside the driver shell",
      check_la009),
-    ("LA010", "spec coverage of the core driver catalogue",
-     check_la010),
     ("LA011", "derived dimensions conform to the spec formulas",
      check_la011),
     ("LA012", "declared outputs are written on the success path",
@@ -744,8 +516,6 @@ RULES = [
     ("LA013", "no hard-coded dtype flows into the kernel", check_la013),
     ("LA014", "in-place writes only to intent(inout/out) arguments",
      check_la014),
-    ("LA017", "every declared error exit is reachable, none shadowed",
-     check_la017),
     ("LA018", "no aliased operands into distinct written kernel slots",
      check_la018),
     ("LA020", "deadline checkpoints between expert driver stages",

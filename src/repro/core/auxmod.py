@@ -4,8 +4,7 @@
 * :func:`la_ws_gels` / :func:`la_ws_gelss` — workspace-size enquiries
   (kept for interface fidelity; the Python wrappers allocate internally
   but the sizes are exactly what a FORTRAN caller would have needed),
-* validation helpers that turn argument mistakes into the negative
-  ``LINFO`` codes the ERINFO protocol reports,
+* :func:`as_matrix` — the ``GESV1_F90`` vector/matrix RHS dispatch,
 * :func:`driver_guard` — the entry gate the driver shell
   (:mod:`repro.core.shell`) runs for screened drivers: NaN/Inf
   screening per the active exception policy plus the simulated
@@ -24,7 +23,7 @@ from ..policy import screen
 from ..resilience import deadlines
 
 __all__ = ["lsame", "la_ws_gels", "la_ws_gelss", "as_matrix",
-           "check_square", "check_rhs", "checked_dtype", "driver_guard"]
+           "driver_guard"]
 
 
 def lsame(ca: str, cb: str) -> bool:
@@ -56,22 +55,6 @@ def as_matrix(b: np.ndarray):
     return b, False
 
 
-def check_square(a, argpos: int) -> int:
-    """0 when ``a`` is a square 2-D array, else ``-argpos``."""
-    if not isinstance(a, np.ndarray) or a.ndim != 2 \
-            or a.shape[0] != a.shape[1]:
-        return -argpos
-    return 0
-
-
-def check_rhs(a_rows: int, b, argpos: int) -> int:
-    """0 when ``b`` is a 1-D/2-D array with ``a_rows`` rows."""
-    if not isinstance(b, np.ndarray) or b.ndim not in (1, 2) \
-            or b.shape[0] != a_rows:
-        return -argpos
-    return 0
-
-
 def driver_guard(srname: str, *args):
     """Entry gate run after argument validation, before any computation.
 
@@ -90,11 +73,3 @@ def driver_guard(srname: str, *args):
     if linfo == 0 and alloc_fault(srname):
         return ALLOC_FAILED, None
     return linfo, exc
-
-
-def checked_dtype(*arrays) -> int:
-    """0 when all arrays share a supported floating dtype family."""
-    kinds = {np.dtype(a.dtype).kind for a in arrays if a is not None}
-    if not kinds <= {"f", "c"}:
-        return 1
-    return 0

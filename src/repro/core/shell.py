@@ -28,7 +28,11 @@ gate refuses the call the body never runs; the driver returns
 
 The frame is one source template (:data:`_FRAME`) compiled for each
 driver with the body's own signature, so the public function binds its
-arguments as fast as a hand-written one would.
+arguments as fast as a hand-written one would.  Before compiling it,
+the shell checks the body against the spec: every spec argument must
+be the body's parameter at its declared 1-based position, and ``info``
+must default to ``None``.  A mismatch is a ``TypeError`` when the
+driver module is imported.
 """
 
 from __future__ import annotations
@@ -111,6 +115,8 @@ def driver_shell(name: str, refused=_refused_none):
         names = code.co_varnames[:code.co_argcount]
         defaults = body.__defaults__ or ()
         required = len(names) - len(defaults)
+        _check_signature(name, spec, names, dict(zip(names[required:],
+                                                     defaults)))
         source = _FRAME.format(
             fn=body.__name__, name=name, srname=spec.srname, gate=gate,
             params=", ".join(list(names[:required]) + [
@@ -128,6 +134,19 @@ def driver_shell(name: str, refused=_refused_none):
         exec(source, namespace)
         return functools.update_wrapper(namespace[body.__name__], body)
     return decorate
+
+
+def _check_signature(name, spec, names, defaults):
+    """Refuse a body whose signature disagrees with spec *name*: every
+    spec argument must be the parameter at its declared 1-based
+    position, and ``info`` must default to ``None``."""
+    for a in spec.args:
+        if names[a.position - 1:a.position] != (a.name,):
+            raise TypeError(f"{name}: spec argument {a.name!r} is not "
+                            f"parameter {a.position} of the body "
+                            f"{names}")
+    if "info" not in defaults or defaults["info"] is not None:
+        raise TypeError(f"{name}: the body must take info=None")
 
 
 def _report(srname, linfo, info, outcome, warns):

@@ -93,4 +93,9 @@ def _write_back(backend):
 def _chaos(routine, backend):
     fault = faults.chaos_fault(routine, backend)
     if fault is not None:
-        raise fault
+        try:
+            raise fault
+        finally:
+            # The traceback holds this frame: keeping ``fault`` here
+            # would tie the caller's operands into a reference cycle.
+            del fault

@@ -6,7 +6,8 @@
 * the shared error-exit table (:func:`error_exit_codes`, re-exported
   as :data:`repro.testing.error_exits.ERROR_EXIT_CODES`),
 * the backend kernel binding (``repro.backends.bound_kernel``),
-* the lalint cross-checks (rules LA009/LA010), and
+* the driver shell (:mod:`repro.core.shell`), which checks each
+  body's signature against its spec when it decorates it, and
 * the Appendix-G routine catalogue
   (``python -m repro.specs --catalogue``).
 

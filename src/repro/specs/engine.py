@@ -13,13 +13,13 @@ never raise: a malformed argument (wrong type, empty option string)
 maps to its negative code rather than an exception, which is the
 wrapper contract's whole point.
 
-The predicates below deliberately re-implement the tiny ``lsame`` /
-``check_square`` / ``check_rhs`` tests instead of importing
-:mod:`repro.core.auxmod`, keeping ``repro.specs`` import-light and free
-of cycles with the driver layer.  The interpreter these validators
-replaced lives on in the test suite as their oracle: for every
-registered spec, the compiled function must return the interpreter's
-code on well-formed and malformed arguments alike.
+The predicates below are written out here (the ``lsame`` test
+included) instead of importing :mod:`repro.core.auxmod`, keeping
+``repro.specs`` import-light and free of cycles with the driver layer.
+The interpreter these validators replaced lives on in the test suite
+as their oracle: for every registered spec, the compiled function must
+return the interpreter's code on well-formed and malformed arguments
+alike.
 """
 
 from __future__ import annotations

@@ -42,3 +42,10 @@ def unlocked_caller(key):
     # Summary-propagated lockset: the caller holds nothing, so the
     # helper's guarded read (reported at the helper's line) is bare.
     return _helper(key)
+
+
+def deferred_getter(key):
+    # The lambda body runs after the ``with`` block has released the
+    # lock, like a nested def's.
+    with STATE_LOCK:
+        return lambda: _TABLE.get(key)  # lint: LA023

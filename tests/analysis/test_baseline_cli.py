@@ -68,8 +68,8 @@ def test_cli_write_baseline_roundtrip(tmp_path, capsys):
 
 
 def test_cli_select_restricts_rules(capsys):
-    rc = main([os.path.join(FIXTURES, "bad_la002.py"), "--no-baseline",
-               "--select", "LA007", "--format=json"])
+    rc = main([BAD, "--no-baseline", "--select", "LA007",
+               "--format=json"])
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["findings"] == []
@@ -78,12 +78,12 @@ def test_cli_select_restricts_rules(capsys):
 def test_cli_list_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
-    for code in ("LA001", "LA002", "LA003", "LA005", "LA006",
-                 "LA007", "LA008", "LA009", "LA010", "LA011", "LA012",
-                 "LA013", "LA014", "LA017", "LA018", "LA020", "LA021",
-                 "LA022", "LA023", "LA024", "LA025", "LA026"):
+    for code in ("LA001", "LA005", "LA006", "LA007", "LA008", "LA009",
+                 "LA011", "LA012", "LA013", "LA014", "LA018", "LA020",
+                 "LA021", "LA022", "LA023", "LA024", "LA025", "LA026"):
         assert code in out
-    for retired in ("LA004", "LA015", "LA016", "LA019"):
+    for retired in ("LA002", "LA003", "LA004", "LA010", "LA015",
+                    "LA016", "LA017", "LA019"):
         assert retired not in out
 
 
@@ -95,7 +95,7 @@ def test_cli_sarif_output_round_trips(capsys):
     (run,) = log["runs"]
     assert run["tool"]["driver"]["name"] == "lalint"
     catalogue = {r["id"] for r in run["tool"]["driver"]["rules"]}
-    assert {"LA001", "LA017", "LA018", "LA020"} <= catalogue
+    assert {"LA001", "LA009", "LA018", "LA020"} <= catalogue
     assert run["results"], "expected results for the seeded fixture"
     findings = _run(BAD)
     by_fp = {f.fingerprint: f for f in findings}
@@ -134,18 +134,18 @@ def test_cli_select_minus_ignore_can_run_nothing(capsys):
 
 def test_cli_restricted_run_spares_unselected_baseline_codes(tmp_path,
                                                              capsys):
-    # A baseline entry for a flow rule that did not run (here LA017)
+    # A baseline entry for a flow rule that did not run (here LA018)
     # must never be reported stale by a run restricted to other codes.
     bpath = str(tmp_path / "baseline.json")
     baseline = Baseline()
     baseline.entries["deadbeefdeadbeef"] = {
-        "code": "LA017", "context": "la_gesv",
+        "code": "LA018", "context": "la_gesv",
         "fingerprint": "deadbeefdeadbeef",
         "message": "synthetic accepted finding", "path": "x.py"}
     baseline.save(bpath)
     clean = tmp_path / "clean.py"
     clean.write_text("x = 1\n", encoding="utf-8")
-    for code in ("LA001", "LA018", "LA020"):
+    for code in ("LA001", "LA009", "LA020"):
         assert main([str(clean), "--baseline", bpath,
                      "--select", code]) == 0, code
     # The unrestricted run does judge the entry — and finds it stale.
@@ -160,7 +160,7 @@ def test_cli_restricted_write_baseline_keeps_other_codes(tmp_path,
     bpath = str(tmp_path / "baseline.json")
     baseline = Baseline()
     baseline.entries["deadbeefdeadbeef"] = {
-        "code": "LA017", "context": "la_gesv",
+        "code": "LA018", "context": "la_gesv",
         "fingerprint": "deadbeefdeadbeef",
         "message": "synthetic accepted finding", "path": "x.py"}
     baseline.save(bpath)
@@ -168,7 +168,7 @@ def test_cli_restricted_write_baseline_keeps_other_codes(tmp_path,
                  "--write-baseline"]) == 0
     rewritten = Baseline.load(bpath)
     codes = {e.get("code") for e in rewritten.entries.values()}
-    assert "LA017" in codes and "LA005" in codes
+    assert "LA018" in codes and "LA005" in codes
     # An unrestricted regeneration starts from scratch.
     assert main([BAD, "--baseline", bpath, "--write-baseline"]) == 0
     assert {e.get("code")

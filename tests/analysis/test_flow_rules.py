@@ -1,4 +1,4 @@
-"""laflow self-tests: LA011–LA014, LA017, LA018 and LA020 fire on their
+"""laflow self-tests: LA011–LA014, LA018 and LA020 fire on their
 seeded fixtures (exact marker lines), stay quiet on the conforming
 twins, LA023's guarded-state encapsulation fires on foreign modules
 and its owner-module lock discipline is checked against synthesized
@@ -20,17 +20,13 @@ import textwrap
 
 from repro.analysis import Project, run_rules
 from repro.analysis.flow import (DriverFlow, SummaryEngine, check_la023,
-                                 front_door_sites, kernel_effects,
-                                 spec_dim_formulas)
+                                 kernel_effects, spec_dim_formulas)
 from repro.analysis.flow import values as V
-from repro.analysis.flow.rules import _classify_check, _shadowed_checks
-from repro.specs.model import ArgSpec, Check, DriverSpec
 from repro.specs.registry import SPECS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
 FLOW = os.path.join(FIXTURES, "flow", "repro", "core")
-FRONT = os.path.join(FIXTURES, "flow", "repro", "dispatch_front")
 STUB = os.path.join(FIXTURES, "flow", "repro", "lapack77", "stub.py")
 REPO = os.path.dirname(os.path.dirname(HERE))
 
@@ -150,68 +146,6 @@ def test_la023_fires_on_reflective_access_to_foreign_state():
         assert how in messages
 
 
-def test_la017_fires_on_seeded_violations():
-    found = _assert_matches_markers(_flow_fixture("bad_la017.py"),
-                                    "LA017")
-    assert "error exit -3" in found[0].message
-    assert "unreachable" in found[0].message
-    assert "ipiv" in found[0].message
-    assert "optlen" in found[0].message
-    assert found[0].context == "la_gesv"
-
-
-# -- LA017 over the dispatch front door's borrowed ladders ------------
-
-def test_la017_front_door_fires_on_borrowed_ladder_violations():
-    path = os.path.join(FRONT, "bad_front_door.py")
-    found = _assert_matches_markers(path, "LA017")
-    by_ctx = {f.context: f for f in found}
-    lu = by_ctx["la_gesv"]
-    assert "front-door _solve_lu" in lu.message
-    assert "unreachable" in lu.message
-    assert "ipiv" in lu.message
-    chol = by_ctx["la_posv"]
-    assert "front-door _solve_chol" in chol.message
-    assert "always fires" in chol.message
-    assert "omits b" in chol.message
-    assert "-2" in chol.message
-
-
-def test_la017_front_door_bad_fixture_only_fires_la017():
-    found = _findings([os.path.join(FRONT, "bad_front_door.py")])
-    assert {f.code for f in found} == {"LA017"}
-
-
-def test_la017_front_door_good_fixture_is_quiet():
-    assert _findings([os.path.join(FRONT, "good_front_door.py")]) == []
-
-
-def test_front_door_sites_skips_unmappable_replays():
-    project = Project.load([os.path.join(FRONT,
-                                         "good_front_door.py")])
-    sites = list(front_door_sites(project, SPECS))
-    # _replay's dynamic driver name is statically unmappable and the
-    # whole function is skipped; only the la_posv replay remains.
-    assert [(func.name, driver)
-            for _, func, driver, _, _ in sites] \
-        == [("_solve_chol", "la_posv")]
-    _, _, _, spec, calls = sites[0]
-    assert spec is SPECS["la_posv"]
-    assert calls[0][1] == {"a", "b", "uplo"}
-
-
-def test_shipped_front_door_keeps_every_borrowed_exit_live():
-    """The acceptance seam: the shipped dispatch front borrows at least
-    one validation ladder (the cached-Cholesky la_posv replay) and the
-    full LA017 pass stays empty over it."""
-    src = os.path.join(REPO, "src", "repro")
-    project = Project.load([src])
-    sites = list(front_door_sites(project, SPECS))
-    assert ("la_posv" in {driver for _, _, driver, _, _ in sites})
-    found = [f for f in run_rules(project, select={"LA017"})]
-    assert found == [], "\n".join(f.render() for f in found)
-
-
 def test_la018_fires_on_seeded_violations():
     found = _assert_matches_markers(_flow_fixture("bad_la018.py"),
                                     "LA018", extra=[STUB])
@@ -233,7 +167,6 @@ def test_bad_flow_fixtures_only_fire_their_own_rule():
                        ("bad_la012.py", "LA012"),
                        ("bad_la013.py", "LA013"),
                        ("bad_la014.py", "LA014"),
-                       ("bad_la017.py", "LA017"),
                        ("bad_la020.py", "LA020")]:
         found = _findings([_flow_fixture(name)])
         assert {f.code for f in found} == {code}, name
@@ -250,9 +183,9 @@ def test_good_flow_fixtures_are_clean():
     for name in ("good_la011.py", "good_la012.py", "good_la013.py",
                  "good_la014.py"):
         assert _findings([_flow_fixture(name)]) == [], name
-    # The LA017/LA018/LA020 twins load together with the substrate stub
-    # so the effect signatures (and LA006's import audit) see its defs.
-    for name in ("good_la017.py", "good_la018.py", "good_la020.py"):
+    # The LA018/LA020 twins load together with the substrate stub so
+    # the effect signatures (and LA006's import audit) see its defs.
+    for name in ("good_la018.py", "good_la020.py"):
         assert _findings([_flow_fixture(name), STUB]) == [], name
     for name in ("good_la023_foreign_config.py",
                  "good_la023_foreign_resilience.py",
@@ -367,7 +300,7 @@ def test_la023_thread_local_deadline_stack_is_lock_exempt(tmp_path):
     assert check_la023(Project.load([str(path)])) == []
 
 
-# -- interprocedural machinery: summaries, effects, classifier --------
+# -- interprocedural machinery: summaries, effects ------------------
 
 _HELPER_DRIVER = """\
     import numpy as np
@@ -461,59 +394,6 @@ def test_kernel_effects_derive_from_spec_intents():
     # Slot alignment covers positionals and keywords alike.
     slots = gesv.slots((1,), (("b", 2),))
     assert slots == {"a": 1, "b": 2}
-
-
-_LA017_SPEC = DriverSpec(
-    "la_x", "§T", "synthetic classifier subject",
-    args=(ArgSpec("a", 1),
-          ArgSpec("ipiv", 3, kind="vector", required=False,
-                  intent="out")),
-    dims=(("n", "rows2d", "a"),))
-
-
-def test_la017_classifier_mirrors_engine_semantics():
-    spec = _LA017_SPEC
-    every = {"a", "ipiv", "w", "trans"}
-    # A missing optional-length arg enters as None and disarms the
-    # check forever; a missing square arg violates unconditionally.
-    assert _classify_check(Check(-3, "optlen", ("ipiv",), "n"),
-                           spec, {"a"}) == "never"
-    assert _classify_check(Check(-3, "optlen", ("ipiv",), "n"),
-                           spec, every) == "ok"
-    assert _classify_check(Check(-1, "square", ("a",)),
-                           spec, set()) == "always"
-    assert _classify_check(Check(-1, "square", ("a",)),
-                           spec, every) == "ok"
-    # reqlen: one side missing always fires, both missing never does
-    # (the -1 sentinels agree).
-    assert _classify_check(Check(-4, "reqlen", ("w",), "n"),
-                           spec, {"a"}) == "always"
-    assert _classify_check(Check(-4, "reqlen", ("w",), "n"),
-                           spec, set()) == "never"
-    # flag in "first" mode is satisfied by str(None) when "N" is legal.
-    assert _classify_check(
-        Check(-2, "flag", ("trans",),
-              params={"options": ("N", "T"), "mode": "first"}),
-        spec, set()) == "ok"
-    assert _classify_check(
-        Check(-2, "flag", ("uplo",),
-              params={"options": ("U", "L")}),
-        spec, set()) == "always"
-    # lsame(None, 'F') is False: the fact guard never opens.
-    assert _classify_check(Check(-5, "fact_requires", ("fact",)),
-                           spec, set()) == "never"
-
-
-def test_la017_shadowed_checks_detects_duplicates():
-    dup = DriverSpec(
-        "la_x", "§T", "synthetic", args=_LA017_SPEC.args,
-        dims=_LA017_SPEC.dims,
-        checks=(Check(-1, "square", ("a",)),
-                Check(-2, "optlen", ("ipiv",), "n"),
-                Check(-3, "square", ("a",))))
-    ((shadowed, first),) = _shadowed_checks(dup)
-    assert shadowed.code == -3 and first.code == -1
-    assert _shadowed_checks(_LA017_SPEC) == []
 
 
 # -- the shipped tree passes the new rules ----------------------------

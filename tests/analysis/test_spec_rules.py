@@ -1,8 +1,11 @@
-"""lalint spec rules (LA009/LA010) and the stale-baseline guard.
+"""lalint LA009 (no literal validation ladder inside the driver
+shell) and the stale-baseline guard.
 
-The spec rules compare analysed trees against the *real* driver-spec
-registry, so the fixtures are synthesised under a ``repro/core/`` path
-inside ``tmp_path`` — only modules there are in scope for LA009/LA010.
+LA009 scans every body running inside the driver shell, wherever it
+lives, and the helper a body delegates to.  The spec half of the
+driver contract is not lint's: the shell checks each body's signature
+when it decorates it (``tests/core/test_shell.py``), and the registry
+data itself is pinned by ``tests/core/test_specs.py``.
 """
 
 import json
@@ -10,44 +13,51 @@ import os
 
 from repro.analysis import Project, run_rules
 from repro.analysis.cli import main
-from repro.specs import SPECS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 REPO = os.path.dirname(os.path.dirname(HERE))
 
-BAD_POSITIONS = '''\
-def la_gesv(x, b, ipiv=None, info=None):
-    linfo = validate_args("la_gesv", a=x, b=b, ipiv=ipiv)
-    _report("LA_GESV", linfo, info)
-    return b
-'''
-
 HAND_ROLLED = '''\
+from repro.core.shell import driver_shell
+
+
+@driver_shell("la_gtsv")
 def la_gtsv(dl, d, du, b, info=None):
     linfo = 0
     if dl is None:
         linfo = -1
-    _report("LA_GTSV", linfo, info)
-    return b
+    return b, linfo, None
 '''
 
-NO_SPEC = '''\
-def la_frobnicate(a, info=None):
-    linfo = validate_args("la_frobnicate", a=a)
-    _report("LA_FROBNICATE", linfo, info)
-    return a
+DELEGATED = '''\
+from repro.core.shell import driver_shell
+from repro.errors import erinfo
+
+
+def _solve(a, b, uplo):
+    if uplo not in "UL":
+        erinfo(-3, "LA_POSV", None)
+    return b, 0, None
+
+
+@driver_shell("la_posv")
+def la_posv(a, b, uplo="U", info=None):
+    return _solve(a, b, uplo)
+'''
+
+OUTSIDE = '''\
+def _gtsv_ladder(dl, d, du, b):
+    linfo = 0
+    if dl is None:
+        linfo = -1
+    return linfo
 '''
 
 
-def _core_tree(tmp_path, files):
-    root = tmp_path / "repro" / "core"
-    root.mkdir(parents=True)
-    paths = []
-    for name, source in files.items():
-        p = root / name
-        p.write_text(source, encoding="utf-8")
-        paths.append(str(p))
-    return paths
+def _tree(tmp_path, source):
+    p = tmp_path / "solvers.py"
+    p.write_text(source, encoding="utf-8")
+    return [str(p)]
 
 
 def _findings(paths, code):
@@ -55,60 +65,28 @@ def _findings(paths, code):
 
 
 class TestLA009:
-    def test_unknown_spec_argument(self, tmp_path):
-        paths = _core_tree(tmp_path, {"solvers.py": BAD_POSITIONS})
-        found = _findings(paths, "LA009")
-        assert len(found) == 1
-        assert "declares argument 'a'" in found[0].message
-        assert found[0].context == "la_gesv"
-
     def test_hand_rolled_ladder(self, tmp_path):
-        paths = _core_tree(tmp_path, {"tridiag.py": HAND_ROLLED})
-        found = _findings(paths, "LA009")
+        found = _findings(_tree(tmp_path, HAND_ROLLED), "LA009")
         assert len(found) == 1
+        assert found[0].line == 8
         assert "hand-rolled validation ladder" in found[0].message
+        assert "literal code -1" in found[0].message
         assert "validate_args" in found[0].message
+        assert found[0].context == "la_gtsv"
+
+    def test_ladder_in_the_delegated_helper(self, tmp_path):
+        found = _findings(_tree(tmp_path, DELEGATED), "LA009")
+        assert [(f.line, f.context) for f in found] == [(7, "la_posv")]
+        assert "literal code -3" in found[0].message
 
     def test_out_of_scope_tree_is_exempt(self, tmp_path):
-        other = tmp_path / "other"
-        other.mkdir()
-        p = other / "solvers.py"
-        p.write_text(BAD_POSITIONS, encoding="utf-8")
-        assert _findings([str(p)], "LA009") == []
-        assert _findings([str(p)], "LA010") == []
+        # A ladder outside any shell body is not LA009's: no shell
+        # runs a spec's ladder before it.
+        assert _findings(_tree(tmp_path, OUTSIDE), "LA009") == []
 
     def test_shipped_core_is_clean(self):
         src = os.path.join(REPO, "src", "repro", "core")
         assert _findings([src], "LA009") == []
-
-
-class TestLA010:
-    def test_core_driver_without_spec(self, tmp_path):
-        paths = _core_tree(tmp_path, {"extras.py": NO_SPEC})
-        found = _findings(paths, "LA010")
-        assert len(found) == 1
-        assert "la_frobnicate has no registered driver spec" \
-            in found[0].message
-
-    def test_reverse_check_requires_core_init(self, tmp_path):
-        # Without a core/__init__.py in the tree the export side of the
-        # check cannot run — a partial scan must not flag every spec.
-        paths = _core_tree(tmp_path, {"solvers.py": BAD_POSITIONS})
-        assert _findings(paths, "LA010") == []
-
-    def test_spec_not_exported_by_core_init(self, tmp_path):
-        paths = _core_tree(tmp_path, {
-            "solvers.py": BAD_POSITIONS,
-            "__init__.py": "from .solvers import la_gesv\n",
-        })
-        found = _findings(paths, "LA010")
-        assert len(found) == len(SPECS) - 1
-        assert all("names no driver exported" in f.message
-                   for f in found)
-
-    def test_shipped_tree_is_clean(self):
-        src = os.path.join(REPO, "src", "repro")
-        assert _findings([src], "LA010") == []
 
 
 class TestStaleBaseline:
@@ -145,11 +123,11 @@ class TestStaleBaseline:
 
     def test_select_ignores_staleness_of_unselected_codes(self, tmp_path,
                                                           capsys):
-        # ... but an LA002-only run cannot judge the LA001 entry.
+        # ... but an LA005-only run cannot judge the LA001 entry.
         mod = tmp_path / "clean.py"
         mod.write_text("x = 1\n", encoding="utf-8")
         rc = main([str(mod), "--baseline", self._baseline(tmp_path),
-                   "--select", "LA002"])
+                   "--select", "LA005"])
         capsys.readouterr()
         assert rc == 0
 

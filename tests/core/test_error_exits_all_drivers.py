@@ -3,8 +3,9 @@ Section 6 methodology generalized beyond LA_GESV: every driver reports
 a negative code through info= and raises IllegalArgument without it.
 
 Expected codes come from :data:`repro.testing.ERROR_EXIT_CODES`, the
-same (driver, argument, code) table the static LA002 rule cross-checks
-against the live signatures.
+(driver, argument, code) table derived from the driver specs; the
+driver shell checks each spec against its body's signature when it
+decorates it, so the codes name the arguments the drivers really take.
 """
 
 import numpy as np

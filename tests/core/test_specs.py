@@ -9,6 +9,7 @@ itself.
 import inspect
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ import pytest
 import repro.core as core
 from repro.backends import bound_kernel, driver_kernel, get_backend
 from repro.specs import SPECS, error_exit_codes, validate_args
+from repro.specs.model import Check
 from repro.testing.error_exits import ERROR_EXIT_CODES
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -65,6 +67,62 @@ class TestSignatures:
         for c in spec.checks:
             assert -c.code in declared, \
                 f"{name}: check code {c.code} names no argument"
+
+
+def _check_inputs(check, spec):
+    """Argument names one check reads: its args, its ``ref`` and the
+    arguments its derived dimension comes from (through ``min``)."""
+    dims = {entry[0]: entry[1:] for entry in spec.dims}
+
+    def sources(dim):
+        source, *refs = dims[dim]
+        for ref in refs:
+            yield from sources(ref) if source == "min" else (ref,)
+
+    names = set(check.args)
+    if "ref" in check.params:
+        names.add(check.params["ref"])
+    if check.dim is not None:
+        names.update(sources(check.dim))
+    return names
+
+
+def _duplicate_checks(spec):
+    """Codes of checks identical to an earlier one: never reachable."""
+    seen, out = set(), []
+    for c in spec.checks:
+        key = (c.kind, c.args, c.dim, repr(sorted(c.params.items())))
+        if key in seen:
+            out.append(c.code)
+        seen.add(key)
+    return out
+
+
+class TestCheckData:
+    """The ladder is first-violation-wins and reads only the arguments
+    the shell binds, which are exactly the spec's arguments."""
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_no_check_duplicates_an_earlier_one(self, name):
+        assert _duplicate_checks(SPECS[name]) == []
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_every_check_input_is_a_spec_argument(self, name):
+        spec = SPECS[name]
+        declared = {a.name for a in spec.args}
+        for c in spec.checks:
+            missing = _check_inputs(c, spec) - declared
+            assert not missing, \
+                f"{name}: the check for {c.code} reads {sorted(missing)}"
+
+    def test_a_duplicate_and_a_stray_input_are_seen(self):
+        spec = SPECS["la_gesv"]
+        first = spec.checks[0]
+        dup = replace(spec, checks=spec.checks + (
+            replace(first, code=-9),))
+        assert _duplicate_checks(dup) == [-9]
+        stray = Check(-3, "optlen", ("piv",), "n")
+        assert _check_inputs(stray, spec) == {"piv", "a"}
 
 
 class TestErrorExitTable:

@@ -1,12 +1,17 @@
 """The dispatch seam's contract: resolve once, call, and escalate a
 failure once to reference only from a declared write-back entry."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+import repro
 from repro import Info, available_backends, la_gesv
 from repro.backends import (Backend, get_backend, kernels,
-                            register_backend, unregister_backend)
+                            register_backend, unregister_backend,
+                            use_backend)
 from repro.errors import SingularMatrix
 from repro.testing import faultinject as fi
 
@@ -45,6 +50,28 @@ def test_accelerated_failure_escalates_once_bit_identical():
     assert int(info) == 0
     np.testing.assert_array_equal(b, br)
     np.testing.assert_array_equal(a, ar)
+
+
+@needs_accelerated
+@pytest.mark.parametrize("entry", [la_gesv, repro.solve],
+                         ids=["la_gesv", "solve"])
+def test_escalated_failure_frees_the_operands_without_the_gc(entry):
+    # The chaos fault's traceback must not tie the call's frames (and
+    # with them the operands) into a reference cycle: the operand is
+    # freed as soon as the caller drops it, with the cyclic GC off.
+    a, b = _system()
+    gc.disable()
+    try:
+        info = Info()
+        with use_backend("accelerated"), \
+                fi.chaos("gesv", flaky_every=1, backend="accelerated"):
+            entry(a, b, info=info)
+        assert "reference:gesv#2" in info.attempts
+        ref = weakref.ref(a)
+        del a
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("backend", available_backends())
