@@ -10,7 +10,7 @@ innermost first, and writes µs per call to ``BENCH_layers.json``:
     pure-NumPy ``repro.lapack77`` kernel);
 ``proxy_seam``
     the dispatching kernel proxy (``repro.backends.kernels``), which
-    resolves the backend and runs the resilience seam;
+    resolves the backend and escalates a failed kernel once;
 ``driver``
     the ``la_*`` driver: validation, guard, kernel, report;
 ``front_door``
@@ -130,7 +130,7 @@ def test_layer_ladder():
         "experiment": "XB6-layers",
         "description": "Best-of-rounds us per call at each rung of the "
                        "call stack (raw SciPy LAPACK, backend adapter, "
-                       "kernel proxy + resilience seam, la_* driver, "
+                       "kernel proxy (dispatch seam), la_* driver, "
                        "front door), every rung paying one copy of each "
                        "operand; 'parent' and 'change' are the same "
                        "file run on two checkouts",

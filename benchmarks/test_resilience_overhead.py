@@ -1,7 +1,7 @@
-"""Resilience-seam overhead on the la_gesv hot loop (reference backend).
+"""Dispatch-seam overhead on the la_gesv hot loop (reference backend).
 
-Times the dispatching kernel proxy, which runs the resilience seam,
-against the directly resolved kernel with no deadline armed and no
+Times the dispatching kernel proxy, whose ``__call__`` is the seam that
+escalates a failed kernel once, against the directly resolved kernel with no deadline armed and no
 chaos, best single call of each over interleaved rounds, and writes
 BENCH_resilience.json (seconds per call).  It lives
 here, not in the test suite, because it rewrites that tracked file.
@@ -24,9 +24,10 @@ ROUNDS = 600
 def test_resilience_overhead_on_undeadlined_hot_loop():
     """The acceptance bound: with no deadline armed and no chaos, the
     resilient seam must cost ~nothing on the la_gesv hot loop (target
-    <1%).  Isolated by timing the dispatching
-    kernel proxy (which now runs ``resilience.dispatch.call``) against
-    the directly-resolved kernel on a size where the kernel dominates.
+    <1%).  Isolated by timing the dispatching kernel proxy
+    (``KernelProxy.__call__``: resolve, the chaos gate, the escalation
+    ``try``) against the directly-resolved kernel on a size where the
+    kernel dominates.
     The measured numbers land in BENCH_resilience.json; the assertion is
     lenient (<15%) so CI stays immune to scheduler noise."""
     rng = np.random.default_rng(7)
@@ -37,8 +38,8 @@ def test_resilience_overhead_on_undeadlined_hot_loop():
     from repro.backends import kernels, resolve
 
     def pre_resilience_seam(*args, **kwargs):
-        # Exactly what KernelProxy.__call__ did before the resilience
-        # layer: dtype scan + per-call resolve + kernel invocation.
+        # KernelProxy.__call__ without its escalation seam: dtype scan
+        # + per-call resolve + kernel invocation.
         dtype = None
         for value in args:
             if isinstance(value, np.ndarray):

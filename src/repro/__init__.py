@@ -17,13 +17,13 @@ registry (:mod:`repro.backends`): ``reference`` is the lapack77 package
 itself, ``accelerated`` adapts ``scipy.linalg.lapack`` when SciPy is
 available.  Select with :func:`set_backend` / ``use_backend`` / the
 ``REPRO_BACKEND`` environment variable, or per call via the drivers'
-``backend=`` keyword.
+``backend=`` keyword (which pins that one call, not the process).
 
-The dispatch seam is wrapped by a resilience layer
-(:mod:`repro.resilience`): a failed accelerated kernel call is served
-once by the reference substrate (its adapters write operands back only
-after SciPy returns, so a failure leaves them untouched), and any other
-kernel failure is reported, never retried.  ``repro.deadline(seconds)``
+The dispatch seam (:class:`repro.backends.kernels.KernelProxy`) serves
+a failed accelerated kernel call once from the reference substrate (its
+adapters write operands back only after SciPy returns, so a failure
+leaves them untouched), and any other kernel failure is reported, never
+retried.  ``repro.deadline(seconds)``
 bounds driver wall-clock at stage checkpoints, and
 ``repro.healthcheck()`` probes every registered backend.  Setting
 ``REPRO_CHAOS=1`` arms the chaos profile

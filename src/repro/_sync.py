@@ -9,7 +9,9 @@ every mutation goes through one shared re-entrant lock.
 
 An :class:`~threading.RLock` (not a plain Lock) because the setters
 nest: ``exception_policy`` restores via ``set_policy`` while already
-holding the lock, and ``use_backend`` enters ``set_backend`` twice.
+holding the lock.  The per-call ``backend=`` pin is not process-global
+(a :class:`~contextvars.ContextVar` in :mod:`repro.backends`) and takes
+no lock.
 
 lalint enforces the discipline statically from one table,
 ``GUARDED_BY`` in :mod:`repro.analysis.flow.locks`.  Under LA023 a

@@ -235,8 +235,17 @@ class FlowInterpreter:
                 self._record_subscript_write(stmt.target, V.UNKNOWN,
                                              stmt, env, via="aug")
             elif isinstance(stmt.target, ast.Name):
-                self._record_access(stmt.target.id, "write", stmt, env)
-                env[stmt.target.id] = V.UNKNOWN
+                name = stmt.target.id
+                self._record_access(name, "write", stmt, env)
+                held = env.get(name, V.UNKNOWN)
+                if isinstance(held, V.ArrayVal):
+                    # ``bmat *= 1`` on an array writes it in place and
+                    # keeps the binding (and whatever it aliases).
+                    self.writes.append(Write(
+                        names=held.origins, value=V.UNKNOWN, node=stmt,
+                        via="aug", depth=self.depth))
+                else:
+                    env[name] = V.UNKNOWN
             elif isinstance(stmt.target, ast.Attribute) \
                     and isinstance(stmt.target.value, ast.Name):
                 key = f"{stmt.target.value.id}.{stmt.target.attr}"

@@ -78,13 +78,14 @@ STATE_LOCK = "STATE_LOCK"
 #: The one guarded-state table: name -> (owner-path suffix, lock).
 #: Outside its owner a listed name may not be named at all; inside it
 #: every read and write holds the lock.  A lock of ``None`` marks an
-#: owner-only ``threading.local`` (per-thread by construction).
+#: owner-only ``threading.local`` or ``ContextVar`` (per-thread, or
+#: per-context, by construction).
 GUARDED_BY = {
     # exception policy, backend selection/registry, block sizes
     "_POLICY": ("repro/policy.py", STATE_LOCK),
     "_SELECTED": ("repro/backends/__init__.py", STATE_LOCK),
     "_REGISTRY": ("repro/backends/__init__.py", STATE_LOCK),
-    "_SWITCH_HOOKS": ("repro/backends/__init__.py", STATE_LOCK),
+    "_PINNED": ("repro/backends/__init__.py", None),
     "_BLOCK_SIZES": ("repro/config.py", STATE_LOCK),
     # deadline arming and the per-thread deadline stack
     "_ARMED": ("repro/resilience/deadlines.py", STATE_LOCK),
@@ -393,8 +394,8 @@ def _roots(mod):
 
     Public module functions and public methods are roots; private ones
     are only roots when nothing in the module calls them by name (a
-    decorated hook like ``_on_backend_switch`` has no textual caller
-    but runs on arbitrary threads).  ``__init__`` and other dunders are
+    private callback registered elsewhere has no textual caller but
+    runs on arbitrary threads).  ``__init__`` and other dunders are
     exempt: construction happens-before sharing.
     """
     called = {call_name(n) for n in ast.walk(mod.tree)

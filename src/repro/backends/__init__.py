@@ -21,11 +21,15 @@ Two substrates are known:
 
 Selection mirrors :mod:`repro.policy`: a process-global knob
 (:func:`set_backend`, also initialised from the ``REPRO_BACKEND``
-environment variable), a context-manager override
-(``with use_backend("accelerated"): ...``), and a per-call ``backend=``
-escape hatch on every ``la_*`` driver (the driver shell,
-:mod:`repro.core.shell`) and ``batch_*`` wrapper
-(:mod:`repro.batch.generator`).
+environment variable) and a context-manager override
+(``with use_backend("accelerated"): ...``) that switches it for the
+whole process.  The per-call ``backend=`` escape hatch on every
+``la_*`` driver (the driver shell, :mod:`repro.core.shell`) and
+``batch_*`` wrapper (:mod:`repro.batch.generator`) does not switch
+anything: it pins the backend for the current context only
+(:func:`_pinned`, a :class:`~contextvars.ContextVar` that
+:func:`get_backend_name` and :func:`resolve` read before the process
+selection), so concurrent pinned calls on other threads never see it.
 When the selected backend cannot serve a routine the call falls back to
 ``reference`` and a :class:`~repro.errors.BackendFallbackWarning` is
 announced — rate-limited to once per (backend, routine) pair per
@@ -43,6 +47,7 @@ from __future__ import annotations
 import os
 import warnings
 from contextlib import contextmanager
+from contextvars import ContextVar
 
 import numpy as np
 
@@ -65,7 +70,6 @@ __all__ = [
     "bound_kernel",
     "driver_kernel",
     "reset_fallback_announcements",
-    "on_backend_switch",
     "BackendFallbackWarning",
 ]
 
@@ -77,6 +81,9 @@ KNOWN_BACKENDS = ("reference", "accelerated")
 _REGISTRY: dict[str, "Backend"] = {}
 _SELECTED = "reference"
 _ANNOUNCED = RateLimiter()
+#: The per-call ``backend=`` pin: read before ``_SELECTED``, set only
+#: by :func:`_pinned` for the current context.
+_PINNED: ContextVar = ContextVar("repro_backend_pin", default=None)
 
 
 class Backend:
@@ -88,10 +95,11 @@ class Backend:
 
     ``write_back`` names the entries that write their operands only
     after the underlying call returns, so a failed call leaves them
-    untouched.  The dispatch seam (:mod:`repro.resilience.dispatch`)
-    serves a failure of such an entry once from the reference kernel;
-    a failure of any other entry propagates.  Entries added later with
-    :meth:`extend` are not declared.
+    untouched.  The dispatch seam
+    (:class:`repro.backends.kernels.KernelProxy`) serves a failure of
+    such an entry once from the reference kernel; a failure of any
+    other entry propagates.  Entries added later with :meth:`extend`
+    are not declared.
     """
 
     def __init__(self, name, table, dtype_chars=None, write_back=()):
@@ -188,55 +196,27 @@ def _validate(name):
 
 
 def get_backend_name():
-    """Name of the process-global backend selection."""
-    return _SELECTED  # laflow: benign-race — atomic snapshot of one name binding
-
-
-#: Callbacks fired after every *effective* backend switch, as
-#: ``hook(previous, selected)``.  The dispatch front end registers its
-#: structure-cache invalidation here; keeping a hook list (instead of a
-#: direct import) avoids a backends -> dispatch_front import cycle.
-_SWITCH_HOOKS: list = []
-
-
-def on_backend_switch(hook):
-    """Register ``hook(previous, selected)`` to run after each effective
-    backend switch; returns ``hook`` (usable as a decorator)."""
-    with STATE_LOCK:
-        if hook not in _SWITCH_HOOKS:
-            _SWITCH_HOOKS.append(hook)
-    return hook
-
-
-def _switched(previous, selected, durable):
-    """Post-switch housekeeping, run on every *effective* change.
-
-    The registered switch hooks always fire — the dispatch front end's
-    structure cache must drop factors computed by the departed substrate
-    no matter how briefly the selection changed.  Reopening the departed
-    backend's rate-limited warning windows (so a reroute after the
-    switch re-announces once instead of staying suppressed by pre-switch
-    history) happens only on *durable* switches — a direct
-    :func:`set_backend` or a :func:`use_backend` entry, not the
-    context manager's restore: the per-call ``backend=`` escape hatch
-    round-trips the selection on every driver call, and resetting on
-    each restore would turn one suppressed warning into a flood."""
-    if durable:
-        _ANNOUNCED.reset(where=lambda key: key[0] == previous)
-    with STATE_LOCK:
-        hooks = list(_SWITCH_HOOKS)
-    for hook in hooks:       # outside the lock: hooks may take it
-        hook(previous, selected)
+    """Name of the backend serving this context: the per-call pin when
+    one is set, else the process-global selection."""
+    return _PINNED.get() or _SELECTED  # laflow: benign-race — atomic snapshot of one name binding
 
 
 def _select(name, durable):
+    """Swap the process-global selection; returns the previous name.
+
+    A *durable* effective switch (a direct :func:`set_backend` or a
+    :func:`use_backend` entry) also reopens the departed backend's
+    rate-limited warning windows, so a reroute after the switch
+    re-announces once instead of staying suppressed by pre-switch
+    history.  :func:`use_backend`'s restore is not durable: two
+    consecutive blocks on the same fallback backend announce once."""
     global _SELECTED
     validated = _validate(name)
     with STATE_LOCK:
         previous = _SELECTED
         _SELECTED = validated  # laflow: atomic-split — each swap is atomic; use_backend's set/restore are deliberately separate swaps
-    if previous != validated:
-        _switched(previous, validated, durable)
+    if durable and previous != validated:
+        _ANNOUNCED.reset(where=lambda key: key[0] == previous)
     return previous
 
 
@@ -249,26 +229,40 @@ def set_backend(name):
     ``reference`` and announces a :class:`BackendFallbackWarning`.
 
     An *effective* switch (``name`` differs from the current selection)
-    also invalidates per-array caches layered over the seam (the
-    dispatch front end's structure cache) and resets the departed
-    backend's rate-limited warning windows — see :func:`_switched`.
+    resets the departed backend's rate-limited warning windows — see
+    :func:`_select`.
     """
     return _select(name, durable=True)
 
 
 @contextmanager
 def use_backend(name):
-    """Context manager: select ``name`` for the duration of the block.
+    """Context manager: select ``name`` for the whole process for the
+    duration of the block.
 
     Entering counts as a durable switch (warning windows for the
-    departed backend reopen); the restore on exit runs only the cache-
-    invalidation hooks — see :func:`_switched`.
+    departed backend reopen); the restore on exit does not — see
+    :func:`_select`.  Two threads scoping the selection at once are
+    last-restore-wins; a per-call ``backend=`` pins one call instead.
     """
     previous = _select(name, durable=True)
     try:
         yield
     finally:
         _select(previous, durable=False)
+
+
+@contextmanager
+def _pinned(name):
+    """Pin ``name`` for the current context: the per-call ``backend=``
+    of the driver shell and the batched wrappers.  The process
+    selection, the warning windows and every other thread are left
+    alone."""
+    token = _PINNED.set(_validate(name))
+    try:
+        yield
+    finally:
+        _PINNED.reset(token)
 
 
 def reset_fallback_announcements():
@@ -293,13 +287,17 @@ def _announce(name, routine, reason):
 def resolve(routine, dtype=None, backend=None):
     """Resolve ``(routine, dtype)`` to a concrete kernel.
 
-    ``backend`` overrides the process-global selection for this lookup.
-    Resolution order: armed faults force ``reference`` (the fault hooks
-    live in the reference kernels); otherwise the selected backend is
-    consulted and, when it cannot serve the routine/dtype, the call
-    falls back to ``reference`` with a once-per-pair warning.
+    ``backend`` overrides the pin and the process-global selection for
+    this lookup.  Resolution order: armed faults force ``reference``
+    (the fault hooks live in the reference kernels); otherwise the
+    selected backend is consulted and, when it cannot serve the
+    routine/dtype, the call falls back to ``reference`` with a
+    once-per-pair warning.
     """
-    name = _validate(backend) if backend is not None else _SELECTED  # laflow: benign-race — snapshot read; a racing switch serves the prior backend for one call
+    if backend is not None:
+        name = _validate(backend)
+    else:
+        name = _PINNED.get() or _SELECTED  # laflow: benign-race — snapshot read; a racing switch serves the prior backend for one call
     reference = _REGISTRY["reference"]  # laflow: benign-race — reference entry is registered once at import and never replaced
     if faults.active():
         kernel = reference.get(routine)

@@ -45,7 +45,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import core, faults
-from ..backends import get_backend, get_backend_name, use_backend
+from ..backends import _pinned, get_backend, get_backend_name
 from ..backends import kernels as _kernels
 from ..core.shell import Fallback, _fallback_message
 from ..errors import (ALLOC_FAILED, DEADLINE, DeadlineExceeded,
@@ -163,7 +163,7 @@ def make_batched(spec):
 
     def wrapper(*args, info=None, backend=None, **kwargs):
         if backend is not None:
-            with use_backend(backend):
+            with _pinned(backend):
                 return wrapper(*args, info=info, **kwargs)
         if len(args) > len(arg_names):
             raise TypeError(f"{fname}() takes at most {len(arg_names)} "

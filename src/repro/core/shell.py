@@ -5,7 +5,8 @@ test the arguments, call the F77 routine, and funnel the outcome
 through ``ERINFO``.  :func:`driver_shell` writes that frame once,
 keyed by the driver's :class:`~repro.specs.model.DriverSpec`:
 
-1. the per-call ``backend=`` escape hatch;
+1. the per-call ``backend=`` escape hatch, which pins the backend for
+   this call only (:func:`repro.backends._pinned`);
 2. a resilience call-log frame, closed in a ``finally`` however the
    call exits, so an escaping exception never strands it;
 3. the spec's validation ladder over the caller's arguments, with the
@@ -42,7 +43,7 @@ import sys
 import warnings
 from typing import NamedTuple
 
-from ..backends import use_backend
+from ..backends import _pinned
 from ..errors import DriverFallbackWarning, erinfo
 from ..resilience import calllog
 from ..specs import SPECS, validate_args
@@ -78,7 +79,7 @@ def _unchanged(name):
 _FRAME = """\
 def {fn}({params}, *, backend=None):
     if backend is not None:
-        with _use_backend(backend):
+        with _pinned(backend):
             return {fn}({values})
     frames, depth = _calllog.push()
     try:
@@ -128,7 +129,7 @@ def driver_shell(name: str, refused=_refused_none):
                                for a in operands),
             warns=(spec.warn or "").startswith("n+1"))
         namespace = {"_shell": sys.modules[__name__], "_calllog": calllog,
-                     "_use_backend": use_backend, "_report": _report,
+                     "_pinned": _pinned, "_report": _report,
                      "_body": body, "_refused": refused,
                      "_defaults": defaults}
         exec(source, namespace)

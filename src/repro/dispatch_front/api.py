@@ -194,7 +194,7 @@ def _solve_probed_definite(st, a, b, iscomplex, info, spec, driver):
     saved = trial.fallback, trial.rcond, trial.attempts
     trial.fallback = trial.rcond = trial.attempts = None
     ac, bc = a.copy(), _rhs_copy(a, b)
-    bits = cache.snapshot(ac)
+    snap = cache.snapshot(ac)
     driver(ac, bc, uplo=st.uplo, info=trial)
     if trial.value > 0 or trial.fallback is not None:
         trial.fallback, trial.rcond, trial.attempts = saved
@@ -204,7 +204,7 @@ def _solve_probed_definite(st, a, b, iscomplex, info, spec, driver):
                                       driver), st, spec)
     if trial.value == 0:
         st.cholesky = ac
-        cache.store(a, st, bits)  # laflow: atomic-split — the factor is computed unlocked by design; a racing store for the same operand carries its own snapshot
+        cache.store(a, st, snap)  # laflow: atomic-split — the factor is computed unlocked by design; a racing store for the same operand carries its own snapshot
     if info is None:
         erinfo(trial.value, "LA_POSV")
     return bc, st, spec

@@ -25,12 +25,14 @@ the operand is freed, so a fresh operand that lands on a dead one's
 ``id`` finds no entry (and pays no bit comparison), and a dead
 operand's factor does not outlive it.
 
-Backend switches invalidate everything: the retained Cholesky factor
-was computed by the departed substrate, and bit-reproducibility of the
-cached-reuse path is only guaranteed within one backend.  The hook is
-registered on :func:`repro.backends.on_backend_switch` at import time;
-each switch bumps a monotonically increasing *epoch* surfaced (with
-hit/miss counters) through ``repro.resilience.health.healthcheck()``.
+An entry also records the backend that computed its factor, read next
+to the bit snapshot before the trial ``la_posv`` runs.  A lookup under
+another backend (a process switch or a per-call ``backend=`` pin) is a
+stale entry, dropped like a bit mismatch: the retained Cholesky factor
+belongs to the other substrate, and bit-reproducibility of the
+cached-reuse path is only guaranteed within one backend.  Hit, miss and
+invalidation counters are surfaced through
+``repro.resilience.health.healthcheck()``.
 
 All cache state is guarded by the process-wide ``STATE_LOCK``, same as
 the backend selection it is layered over.
@@ -43,7 +45,7 @@ import weakref
 import numpy as np
 
 from .._sync import STATE_LOCK
-from ..backends import on_backend_switch
+from ..backends import get_backend_name
 
 __all__ = ["lookup", "store", "snapshot", "invalidate", "clear",
            "stats", "MAX_ENTRIES"]
@@ -54,7 +56,7 @@ __all__ = ["lookup", "store", "snapshot", "invalidate", "clear",
 MAX_ENTRIES = 256
 
 _ENTRIES: dict = {}  # id(a) -> (weakref(a), shape, dtype, snapshot, Structure)
-_STATS = {"hits": 0, "misses": 0, "invalidated": 0, "epoch": 0}
+_STATS = {"hits": 0, "misses": 0, "invalidated": 0}
 
 
 def _bits(a):
@@ -66,15 +68,16 @@ def _bits(a):
 
 
 def snapshot(a):
-    """A copy of ``a``'s bit pattern, as :func:`store` keeps it."""
-    return _bits(a).copy()
+    """``(backend, bits)``: the backend serving this context and a copy
+    of ``a``'s bit pattern, as :func:`store` keeps them."""
+    return get_backend_name(), _bits(a).copy()
 
 
 def lookup(a):
     """The cached :class:`~repro.dispatch_front.probe.Structure` (with
     its Cholesky factor) for ``a``, or ``None`` unless the entry was
-    stored for this very array and ``a``'s shape, dtype and bits equal
-    the snapshot."""
+    stored for this very array under the backend serving this context,
+    and ``a``'s shape, dtype and bits equal the snapshot."""
     key = id(a)
     with STATE_LOCK:
         entry = _ENTRIES.get(key)  # laflow: atomic-split — the comparison reads the array outside the lock; the delete region re-checks `is entry` first
@@ -83,8 +86,9 @@ def lookup(a):
             return None
     # The comparison reads the array outside the lock: the entry is an
     # immutable tuple and a stale one is resolved below.
-    ref, shape, dtype, bits, structure = entry
+    ref, shape, dtype, (backend, bits), structure = entry
     if ref() is not a or a.shape != shape or a.dtype != dtype \
+            or backend != get_backend_name() \
             or not np.array_equal(bits, _bits(a)):
         with STATE_LOCK:
             if _ENTRIES.get(key) is entry:  # laflow: atomic-split — miss path; a racing store for the same operand replaces the entry anyway
@@ -97,12 +101,13 @@ def lookup(a):
     return structure
 
 
-def store(a, structure, bits):
-    """Remember ``structure`` for ``a``.  ``bits`` is the
+def store(a, structure, snap):
+    """Remember ``structure`` for ``a``.  ``snap`` is the
     :func:`snapshot` of the array the structure's factor was computed
-    from — of the working copy that was factored, not of ``a`` after
-    the fact, so an edit racing the factorization cannot pair a new
-    snapshot with an old factor.  The entry goes when ``a`` does."""
+    from, taken before the factorization — of the working copy that
+    was factored, not of ``a`` after the fact, so an edit (or a backend
+    switch) racing the factorization cannot pair a new snapshot with an
+    old factor.  The entry goes when ``a`` does."""
     key = id(a)
 
     def forget(ref):
@@ -113,7 +118,7 @@ def store(a, structure, bits):
             if entry is not None and entry[0] is ref:
                 del _ENTRIES[key]
 
-    entry = (weakref.ref(a, forget), a.shape, a.dtype, bits, structure)
+    entry = (weakref.ref(a, forget), a.shape, a.dtype, snap, structure)
     with STATE_LOCK:
         _ENTRIES.pop(key, None)
         while len(_ENTRIES) >= MAX_ENTRIES:
@@ -142,8 +147,8 @@ def clear() -> int:
 
 
 def stats() -> dict:
-    """Snapshot: ``{"entries", "hits", "misses", "invalidated",
-    "epoch"}`` — merged into ``healthcheck()``'s report."""
+    """Snapshot: ``{"entries", "hits", "misses", "invalidated"}`` —
+    merged into ``healthcheck()``'s report."""
     with STATE_LOCK:
         snapshot = dict(_STATS)
         snapshot["entries"] = len(_ENTRIES)
@@ -151,18 +156,6 @@ def stats() -> dict:
 
 
 def reset_stats():
-    """Zero the counters (the epoch is preserved) — test scaffolding."""
+    """Zero the counters — test scaffolding."""
     with STATE_LOCK:
-        epoch = _STATS["epoch"]
-        _STATS.update(hits=0, misses=0, invalidated=0, epoch=epoch)
-
-
-@on_backend_switch
-def _on_backend_switch(previous, selected):
-    """Every effective backend switch starts a new cache epoch: cached
-    Cholesky factors belong to the departed substrate."""
-    with STATE_LOCK:
-        dropped = len(_ENTRIES)
-        _ENTRIES.clear()
-        _STATS["invalidated"] += dropped
-        _STATS["epoch"] += 1
+        _STATS.update(hits=0, misses=0, invalidated=0)

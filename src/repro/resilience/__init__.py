@@ -9,8 +9,9 @@ substrate.
 Three mechanisms, all scoped to the ``(backend, routine)`` dispatch
 seam in :mod:`repro.backends.kernels`:
 
-* **Escalate once** (:mod:`.dispatch`) — a kernel failure that is not a
-  contract verdict (``LinAlgError``) is served once by the reference
+* **Escalate once** (:class:`repro.backends.kernels.KernelProxy`, with
+  its attempt trail in :mod:`.calllog`) — a kernel failure that is not
+  a contract verdict (``LinAlgError``) is served once by the reference
   kernel when the failed entry is declared write-back (its operands are
   untouched); otherwise it propagates.  Nothing is retried.
 * **Deadlines** (:mod:`.deadlines`) — ``repro.deadline(seconds)``

@@ -1,7 +1,7 @@
 """Per-driver-call attempt telemetry (thread-local frames).
 
-The dispatch seam (:mod:`repro.resilience.dispatch`) runs per *kernel*
-call, but the ``attempts`` field lives on the *driver's*
+The dispatch seam (:class:`repro.backends.kernels.KernelProxy`) runs
+per *kernel* call, but the ``attempts`` field lives on the *driver's*
 :class:`repro.errors.Info` handle.  This module bridges the two layers
 without plumbing the handle through every kernel signature: the driver
 shell (:func:`repro.core.shell.driver_shell`) opens a frame for every

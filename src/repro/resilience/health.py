@@ -2,7 +2,8 @@
 
 :func:`healthcheck` answers "which substrates can actually serve a
 solve right now?".  Each probe is a real ``la_gesv`` call pinned to one
-backend, so it travels the full dispatch seam.
+backend with the per-call ``backend=`` argument, so it travels the full
+dispatch seam without re-routing other threads' calls.
 
 Imports of the driver layer are deferred into the function body: the
 resilience package is imported by :mod:`repro.backends`, which the
@@ -29,8 +30,7 @@ def healthcheck() -> dict:
                                                  ...}}}},
          "dispatch": {"structure_cache": {"entries": ..., "hits": ...,
                                           "misses": ...,
-                                          "invalidated": ...,
-                                          "epoch": ...}}}
+                                          "invalidated": ...}}}
 
     The probe solves a fixed well-conditioned
     3×3 system, so ``residual`` should be at round-off level for any
@@ -45,7 +45,7 @@ def healthcheck() -> dict:
     surfaces the front door's per-array structure-cache counters
     (:func:`repro.dispatch_front.cache.stats`).
     """
-    from ..backends import available_backends, use_backend
+    from ..backends import available_backends
     from ..backends.batched import batch_capability
     from ..batch import BatchInfo, batch_gesv
     from ..core.linear_equations import la_gesv
@@ -63,8 +63,7 @@ def healthcheck() -> dict:
         try:
             info = Info()
             x = b0.copy()
-            with use_backend(name):
-                la_gesv(a0.copy(), x, info=info)
+            la_gesv(a0.copy(), x, info=info, backend=name)
             residual = float(np.max(np.abs(a0 @ x - b0)))
             entry["residual"] = residual
             entry["ok"] = int(info) == 0 and residual < 1e-10
@@ -79,8 +78,7 @@ def healthcheck() -> dict:
             binfo = BatchInfo()
             astack = np.stack([a0, a0])
             bstack = np.stack([b0, b0])
-            with use_backend(name):
-                xb = batch_gesv(astack, bstack, info=binfo)
+            xb = batch_gesv(astack, bstack, info=binfo, backend=name)
             bres = float(np.max(np.abs(
                 np.einsum("kij,kj->ki", np.stack([a0, a0]), xb)
                 - np.stack([b0, b0]))))

@@ -1,18 +1,18 @@
 """The exact factor cache: probe-once semantics for SPD operands,
 bitwise revalidation on mutation (no edit, however small, returns a
 stale answer), one factorization per cold SPD solve, FIFO bounding, and
-backend-switch invalidation (a factor computed by the departed
-substrate must never be reused)."""
+backend invalidation (a factor computed by another substrate must never
+be reused, and a call pinned to another backend must not drop it)."""
 
 import numpy as np
 import pytest
 
 from repro import (backends, invalidate_structure_cache, la_gesv, la_posv,
                    solve, structure_cache_stats, use_backend)
+from repro.backends import kernels
 from repro.dispatch_front import cache
 from repro.dispatch_front.probe import probe
 from repro.errors import Info
-from repro.resilience import dispatch
 
 
 @pytest.fixture(autouse=True)
@@ -89,36 +89,83 @@ def test_invalidate_one_array_and_all():
     assert structure_cache_stats()["entries"] == 0
 
 
-def test_backend_switch_clears_cache_and_bumps_epoch():
+def _other_backend():
     names = backends.available_backends()
     if len(names) < 2:
         pytest.skip("only one backend registered")
-    other = [n for n in names if n != backends.get_backend_name()][0]
+    return [n for n in names if n != backends.get_backend_name()][0]
+
+
+def test_backend_switch_makes_cached_entries_stale():
+    other = _other_backend()
     a = _spd(5, seed=5)
     cache.store(a, probe(a), cache.snapshot(a))
-    epoch = structure_cache_stats()["epoch"]
     previous = backends.set_backend(other)
     try:
+        # The entry names the backend it was stored under: a lookup
+        # under another one is stale and drops it, like an edit.
+        assert cache.lookup(a) is None
         stats = structure_cache_stats()
-        assert stats["entries"] == 0
-        assert stats["epoch"] == epoch + 1
+        assert stats["entries"] == 0 and stats["invalidated"] == 1
     finally:
         backends.set_backend(previous)
 
 
 def test_use_backend_round_trip_also_invalidates():
-    names = backends.available_backends()
-    if len(names) < 2:
-        pytest.skip("only one backend registered")
-    other = [n for n in names if n != backends.get_backend_name()][0]
+    other = _other_backend()
     a = _spd(5, seed=6)
     cache.store(a, probe(a), cache.snapshot(a))
-    epoch = structure_cache_stats()["epoch"]
     with backends.use_backend(other):
+        assert cache.lookup(a) is None
         assert structure_cache_stats()["entries"] == 0
-    # Entry and restore are both effective switches: two epoch bumps,
-    # and anything cached inside the block is dropped on the way out.
-    assert structure_cache_stats()["epoch"] == epoch + 2
+        solve(a, a @ np.ones(5))        # cached under ``other``
+        assert structure_cache_stats()["entries"] == 1
+    # Back on the original backend, the factor ``other`` computed is
+    # stale too: the next lookup refactors instead of reusing it.
+    assert cache.lookup(a) is None
+    assert structure_cache_stats()["entries"] == 0
+
+
+def _seam_routines(monkeypatch):
+    """The routines every kernel call through the dispatch seam names,
+    in call order."""
+    routines = []
+    real_call = kernels.KernelProxy.__call__
+
+    def counting(self, *args, **kwargs):
+        routines.append(self.routine)
+        return real_call(self, *args, **kwargs)
+
+    monkeypatch.setattr(kernels.KernelProxy, "__call__", counting)
+    return routines
+
+
+def test_pinned_call_keeps_the_factor_and_a_switch_drops_it(monkeypatch):
+    """A per-call ``backend=`` on an unrelated operand switches nothing:
+    the cached SPD factor stays, and the next solve only substitutes.
+    After a process switch the factor is stale: the next solve runs
+    ``posv`` on the new backend, and its bytes equal a direct
+    ``la_posv`` there."""
+    other = _other_backend()
+    a = _spd(12, seed=19)
+    b = a @ np.linspace(1.0, 2.0, 12)
+    solve(a, b)
+    routines = _seam_routines(monkeypatch)
+    la_gesv(np.eye(3) * 2, np.ones(3), backend=other)
+    assert structure_cache_stats()["entries"] == 1
+    del routines[:]
+    solve(a, b)
+    assert routines == ["potrs"]
+    assert structure_cache_stats()["hits"] == 1
+    del routines[:]
+    previous = backends.set_backend(other)
+    try:
+        x = solve(a, b)
+        assert routines == ["posv"]
+        want = la_posv(a.copy(), b.copy(), uplo="U")
+    finally:
+        backends.set_backend(previous)
+    assert x.tobytes() == want.tobytes()
 
 
 # -- in-place edits between solves: the second answer must be the one
@@ -202,10 +249,7 @@ def test_cold_spd_solve_factors_once_warm_solve_only_substitutes(
     """Kernel calls at the dispatch seam: a cold SPD solve is one
     ``posv`` (one ``potrf`` plus its ``potrs``), a warm one a single
     ``potrs``."""
-    routines = []
-    real_call = dispatch.call
-    monkeypatch.setattr(dispatch, "call", lambda routine, *rest: (
-        routines.append(routine), real_call(routine, *rest))[1])
+    routines = _seam_routines(monkeypatch)
     a = _spd(12, seed=16)
     b = a @ np.ones(12)
     with use_backend(name):

@@ -54,11 +54,13 @@ def test_tridiagonal_and_banded():
 def test_spd_is_labelled_without_factoring(monkeypatch):
     # The probe only checks a strictly positive real diagonal; la_posv's
     # own potrf is the definiteness test, so probing runs no kernel.
-    from repro.resilience import dispatch
+    from repro.backends import kernels
     calls = []
-    real_call = dispatch.call
-    monkeypatch.setattr(dispatch, "call", lambda routine, *rest: (
-        calls.append(routine), real_call(routine, *rest))[1])
+    real_call = kernels.KernelProxy.__call__
+    monkeypatch.setattr(kernels.KernelProxy, "__call__",
+                        lambda self, *args, **kwargs: (
+                            calls.append(self.routine),
+                            real_call(self, *args, **kwargs))[1])
     g = _rng(3).standard_normal((7, 7))
     a = g @ g.T + 7 * np.eye(7)
     a = (a + a.T) / 2
