@@ -93,20 +93,29 @@ class Backend:
     dtype characters (e.g. ``{"syev": "fd"}``); routines absent from the
     map accept any dtype the kernel itself accepts.
 
-    ``write_back`` names the entries that write their operands only
-    after the underlying call returns, so a failed call leaves them
-    untouched.  The dispatch seam
+    ``write_back`` names the entries whose failure leaves their operands
+    untouched: each writes an operand either after the underlying call
+    returns, or in place from inside a call that raises only before it
+    starts (f2py converts and checks every argument before LAPACK
+    runs).  The dispatch seam
     (:class:`repro.backends.kernels.KernelProxy`) serves a failure of
     such an entry once from the reference kernel; a failure of any
     other entry propagates.  Entries added later with :meth:`extend`
     are not declared.
+
+    ``order`` is the memory order the kernels compute in without a copy
+    of their own: ``"F"`` (LAPACK's) unless the backend says otherwise.
+    The front door makes its working copies in it
+    (:func:`working_order`).
     """
 
-    def __init__(self, name, table, dtype_chars=None, write_back=()):
+    def __init__(self, name, table, dtype_chars=None, write_back=(),
+                 order="F"):
         self.name = name
         self._table = dict(table)
         self._dtype_chars = dict(dtype_chars or {})
         self.write_back = frozenset(write_back)
+        self.order = order
 
     def routines(self):
         """The routine names this backend can serve (any dtype)."""
@@ -199,6 +208,15 @@ def get_backend_name():
     """Name of the backend serving this context: the per-call pin when
     one is set, else the process-global selection."""
     return _PINNED.get() or _SELECTED  # laflow: benign-race — atomic snapshot of one name binding
+
+
+def working_order():
+    """The :attr:`Backend.order` of the backend serving this context;
+    reference's when that backend is not registered, since every call
+    then falls back to reference."""
+    name = _PINNED.get() or _SELECTED  # laflow: benign-race — snapshot read; a racing switch lays out one call's copies for the prior backend
+    backend = _REGISTRY.get(name) or _REGISTRY["reference"]  # laflow: benign-race — snapshot read; Backend objects are immutable once registered
+    return backend.order
 
 
 def _select(name, durable):

@@ -4,19 +4,26 @@ Each adapter presents the exact Python signature, in-place semantics and
 ``info`` conventions of its reference twin in :mod:`repro.lapack77`, so
 the :mod:`repro.core` drivers cannot tell the substrates apart:
 
-* arrays the reference kernel overwrites (factors, solutions) are copied
-  back from SciPy's returned copies, and only after every SciPy call
-  the adapter makes has returned.  SciPy's wrappers do not overwrite
-  the caller's arrays (the ``*_stack`` adapters let LAPACK overwrite
-  only their own private Fortran-ordered copy of each stack), so a
-  failed adapter call leaves its operands untouched: every adapter is
-  declared :attr:`~repro.backends.Backend.write_back` and a failure
-  escalates once to the reference kernel;
+* the operands LAPACK overwrites (factors, solutions) are handed to
+  the typed wrapper with their ``overwrite_*`` flags set when every one
+  of them is writeable (f2py would write into a read-only array).  f2py
+  then passes a native-dtype Fortran-contiguous operand straight to
+  LAPACK, which works in place, and hands any other operand to LAPACK
+  as a private Fortran-ordered copy.  The adapter writes an output back only when f2py handed back a
+  new array, so a read-only operand raises on its write-back after
+  LAPACK worked on copies only.  The ``*_stack`` adapters follow the
+  same rule on one private copy per stack (:func:`_in_place`);
+* f2py raises only before LAPACK runs (argument conversion and shape
+  checks), so a failed adapter call leaves its operands untouched:
+  every adapter is declared :attr:`~repro.backends.Backend.write_back`
+  and a failure escalates once to the reference kernel;
 * SciPy's LU pivots are already 0-based like ours; the Bunch–Kaufman
   ``ipiv`` from ``?sysv``/``?hesv`` is 1-based for interchanges and is
   shifted down (negative 2x2-block entries already match our encoding);
 * on a positive ``info`` the right-hand side is left unsolved, matching
-  LAPACK (and the reference kernels);
+  LAPACK (and the reference kernels).  LAPACK itself skips the solve
+  there; the NaN-pivot check this SciPy build needs (:func:`posv`)
+  restores a right-hand side it solved in place;
 * argument errors raise through :func:`repro.errors.xerbla` with the
   reference kernels' positions.
 
@@ -123,9 +130,11 @@ def gesv(a, b):
     if b.shape[0] != n:
         xerbla("GESV", 2, "dimension mismatch between A and B")
     bm = _as2d(b)
-    lu, piv, x, info = _flavor("gesv", a.dtype)(a, bm)
-    a[...] = lu
-    if info == 0:
+    w = a.flags.writeable and bm.flags.writeable
+    lu, piv, x, info = _flavor("gesv", a.dtype)(a, bm, w, w)
+    if lu is not a:
+        a[...] = lu
+    if info == 0 and x is not bm:
         bm[...] = x
     return piv.astype(np.int64), int(info)
 
@@ -159,8 +168,9 @@ def gesv_stack(a, b):
 
 
 def getrf(a):
-    lu, piv, info = _flavor("getrf", a.dtype)(a)
-    a[...] = lu
+    lu, piv, info = _flavor("getrf", a.dtype)(a, a.flags.writeable)
+    if lu is not a:
+        a[...] = lu
     return piv.astype(np.int64), int(info)
 
 
@@ -170,8 +180,9 @@ def getrs(a, ipiv, b, trans="N"):
         xerbla("GETRS", 4, f"trans={trans!r}")
     bm = _as2d(b)
     x, info = _flavor("getrs", a.dtype)(
-        a, ipiv, bm, trans={"N": 0, "T": 1, "C": 2}[t])
-    bm[...] = x
+        a, ipiv, bm, {"N": 0, "T": 1, "C": 2}[t], bm.flags.writeable)
+    if x is not bm:
+        bm[...] = x
     return int(info)
 
 
@@ -179,14 +190,22 @@ def posv(a, b, uplo="U"):
     if uplo.upper() not in ("U", "L"):
         xerbla("POSV", 3, f"uplo={uplo!r}")
     bm = _as2d(b)
+    # ?posv solves before the NaN-pivot check below can refuse the
+    # factor: keep what an in-place solve would overwrite.
+    w = a.flags.writeable and bm.flags.writeable
+    saved = bm.copy() if w and bm.flags.f_contiguous else None
     c, x, info = _flavor("posv", a.dtype)(
-        a, bm, lower=uplo.upper() == "L")
-    a[...] = c
+        a, bm, uplo.upper() == "L", w, w)
+    if c is not a:
+        a[...] = c
     info = int(info)
     if info == 0:
         info = _nan_diag_info(c.diagonal().real)
     if info == 0:
-        bm[...] = x
+        if x is not bm:
+            bm[...] = x
+    elif x is bm:
+        bm[...] = saved
     return info
 
 
@@ -266,9 +285,9 @@ def trtrs(a, b, uplo="U", trans="N", diag="N"):
     x, info = _flavor("trtrs", a.dtype)(
         a, bm, lower=uplo.upper() == "L",
         trans={"N": 0, "T": 1, "C": 2}[t],
-        unitdiag=diag.upper() == "U")
+        unitdiag=diag.upper() == "U", overwrite_b=bm.flags.writeable)
     info = int(info)
-    if info == 0:
+    if info == 0 and x is not bm:
         bm[...] = x
     return info
 
@@ -278,8 +297,9 @@ def potrf(a, uplo="U"):
         xerbla("POTRF", 2, f"uplo={uplo!r}")
     # clean=0: leave the unreferenced triangle untouched, like LAPACK.
     c, info = _flavor("potrf", a.dtype)(
-        a, lower=uplo.upper() == "L", clean=0)
-    a[...] = c
+        a, uplo.upper() == "L", 0, a.flags.writeable)
+    if c is not a:
+        a[...] = c
     info = int(info)
     if info == 0:
         info = _nan_diag_info(c.diagonal().real)
@@ -291,8 +311,9 @@ def potrs(a, b, uplo="U"):
         xerbla("POTRS", 3, f"uplo={uplo!r}")
     bm = _as2d(b)
     x, info = _flavor("potrs", a.dtype)(
-        a, bm, lower=uplo.upper() == "L")
-    bm[...] = x
+        a, bm, uplo.upper() == "L", bm.flags.writeable)
+    if x is not bm:
+        bm[...] = x
     return int(info)
 
 
@@ -300,10 +321,12 @@ def sysv(a, b, uplo="U"):
     if uplo.upper() not in ("U", "L"):
         xerbla("SYSV", 3, f"uplo={uplo!r}")
     bm = _as2d(b)
+    w = a.flags.writeable and bm.flags.writeable
     udut, piv, x, info = _flavor("sysv", a.dtype)(
-        a, bm, lower=uplo.upper() == "L")
-    a[...] = udut
-    if info == 0:
+        a, bm, lower=uplo.upper() == "L", overwrite_a=w, overwrite_b=w)
+    if udut is not a:
+        a[...] = udut
+    if info == 0 and x is not bm:
         bm[...] = x
     return _bk_ipiv(piv), int(info)
 
@@ -312,10 +335,12 @@ def hesv(a, b, uplo="U"):
     if uplo.upper() not in ("U", "L"):
         xerbla("HESV", 3, f"uplo={uplo!r}")
     bm = _as2d(b)
+    w = a.flags.writeable and bm.flags.writeable
     udut, piv, x, info = _flavor("hesv", a.dtype)(
-        a, bm, lower=uplo.upper() == "L")
-    a[...] = udut
-    if info == 0:
+        a, bm, lower=uplo.upper() == "L", overwrite_a=w, overwrite_b=w)
+    if udut is not a:
+        a[...] = udut
+    if info == 0 and x is not bm:
         bm[...] = x
     return _bk_ipiv(piv), int(info)
 
@@ -465,9 +490,13 @@ def gels(a, b, trans="N"):
     bm = _as2d(b)
     if bm.shape[0] < max(m, n):
         xerbla("GELS", 3, "b must have max(m, n) rows")
-    lqr, x, info = _flavor("gels", a.dtype)(a, bm, trans=t)
-    a[...] = lqr
-    bm[...] = x
+    w = a.flags.writeable and bm.flags.writeable
+    lqr, x, info = _flavor("gels", a.dtype)(
+        a, bm, trans=t, overwrite_a=w, overwrite_b=w)
+    if lqr is not a:
+        a[...] = lqr
+    if x is not bm:
+        bm[...] = x
     return int(info)
 
 

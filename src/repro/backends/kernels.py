@@ -20,9 +20,8 @@ once from a path known to be correct.
   driver's call log as ``"<backend>:<routine>#1:error=<Type>"``.  When
   the failed kernel is not the reference kernel and its backend
   declares the entry write-back (:attr:`repro.backends.Backend.write_back`:
-  operands are written only after the underlying call returns, so a
-  failure leaves them untouched), the reference kernel serves the call
-  once, recorded as ``"reference:<routine>#2"``.  Otherwise the failure
+  a failure leaves its operands untouched), the reference kernel serves
+  the call once, recorded as ``"reference:<routine>#2"``.  Otherwise the failure
   propagates: operands a kernel may have half-written cannot be handed
   to another one.
 

@@ -54,6 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .. import batch, core
+from ..backends import working_order
 from ..backends.kernels import potrs
 from ..core.auxmod import as_matrix
 from ..core.shell import _unchanged, driver_shell
@@ -109,10 +110,20 @@ def _note(info, st, driver, cached):
         info.probe_cost = 0.0 if cached else st.probe_cost
 
 
+def _copy(a):
+    """The front door's working copy of ``a``, in the memory order the
+    serving backend computes in (:func:`repro.backends.working_order`),
+    so an accelerated adapter hands it to LAPACK with no copy of its
+    own.  A stack stays C-ordered: the stack adapters copy it once per
+    stack."""
+    return a.copy(order=working_order() if a.ndim == 2 else "C")
+
+
 def _rhs_copy(a, b):
-    """The working copy of the right-hand side.  The drivers' in-place
-    contract forbids them from promoting a real ``b`` against a complex
-    ``A``; the front door returns a fresh array, so it can."""
+    """The working copy of the right-hand side, in ``b``'s layout (a
+    1-D one reaches LAPACK in place on any backend).  The drivers'
+    in-place contract forbids them from promoting a real ``b`` against
+    a complex ``A``; the front door returns a fresh array, so it can."""
     return b.astype(np.result_type(a, b), copy=True)
 
 
@@ -166,14 +177,36 @@ def _posv_from_factor(a, b, uplo="U", info=None, cholesky=None):
 
 
 def _exec_dense(st, a, bc, info, cached, driver):
-    return driver(a.copy(), bc, info=info)
+    return driver(_copy(a), bc, info=info)
 
 
 def _exec_posv(st, a, bc, info, cached, driver):
-    if cached:
-        return _posv_from_factor(a, bc, uplo=st.uplo, info=info,
-                                 cholesky=st.cholesky)
-    return driver(a.copy(), bc, uplo=st.uplo, info=info)
+    return driver(_copy(a), bc, uplo=st.uplo, info=info)
+
+
+def _served_by(info):
+    """The backend a failed-over shell call's last kernel attempt names
+    (``"reference:posv#2"``), or ``None`` when nothing failed over."""
+    return info.attempts[-1].split(":", 1)[0] if info.attempts else None
+
+
+def _solve_from_factor(st, a, b, info):
+    """A warm SPD solve: the cached factor's ``potrs``, or ``None``
+    after dropping the entry when that ``potrs`` was served by another
+    backend than the one that made the factor (a fault came or went
+    since), so that a warm answer always equals a cold one.  Runs on
+    the caller's ``Info`` with ``attempts`` cleared, or a private one.
+    """
+    trial = Info() if info is None else info
+    trial.attempts = None
+    x = _posv_from_factor(a, _rhs_copy(a, b), uplo=st.uplo, info=trial,
+                          cholesky=st.cholesky)
+    if _served_by(trial) != st.maker:
+        cache.invalidate(a)
+        return None
+    if info is None:
+        erinfo(trial.value, "LA_POSV")
+    return x
 
 
 def _solve_probed_definite(st, a, b, iscomplex, info, spec, driver):
@@ -188,12 +221,12 @@ def _solve_probed_definite(st, a, b, iscomplex, info, spec, driver):
     those slots restored first.  Otherwise the factor left in the
     working copy is attached to the probe's verdict — fresh from this
     call, never shared — and cached against the bits it was computed
-    from.
+    from, naming the backend that made it when the trial failed over.
     """
     trial = Info() if info is None else info
     saved = trial.fallback, trial.rcond, trial.attempts
     trial.fallback = trial.rcond = trial.attempts = None
-    ac, bc = a.copy(), _rhs_copy(a, b)
+    ac, bc = _copy(a), _rhs_copy(a, b)
     snap = cache.snapshot(ac)
     driver(ac, bc, uplo=st.uplo, info=trial)
     if trial.value > 0 or trial.fallback is not None:
@@ -203,7 +236,7 @@ def _solve_probed_definite(st, a, b, iscomplex, info, spec, driver):
         return (_SOLVERS[spec.kernel](st, a, _rhs_copy(a, b), info, False,
                                       driver), st, spec)
     if trial.value == 0:
-        st.cholesky = ac
+        st.cholesky, st.maker = ac, _served_by(trial)
         cache.store(a, st, snap)  # laflow: atomic-split — the factor is computed unlocked by design; a racing store for the same operand carries its own snapshot
     if info is None:
         erinfo(trial.value, "LA_POSV")
@@ -281,7 +314,11 @@ def solve(a, b, *, info=None, explain=False, assume=None):
     if explain:
         return _explain("solve", st, st.label, iscomplex, spec, stacked,
                         cached)
-    if spec.kernel == "posv" and not (cached or stacked) and assume is None:
+    if spec.kernel == "posv" and cached:
+        x = _solve_from_factor(st, a, b, info)
+        if x is None:
+            return solve(a, b, info=info)
+    elif spec.kernel == "posv" and not stacked and assume is None:
         x, st, spec = _solve_probed_definite(st, a, b, iscomplex, info,
                                              spec, driver)
     else:
@@ -309,7 +346,7 @@ def lstsq(a, b, *, trans="N", info=None, explain=False):
     if explain:
         return _explain("lstsq", st, st.label, iscomplex, spec, stacked,
                         cached)
-    x = driver(a.copy(), _rhs_copy(a, b), trans=trans, info=info)
+    x = driver(_copy(a), _rhs_copy(a, b), trans=trans, info=info)
     _note(info, st, spec.name, cached)
     return x
 

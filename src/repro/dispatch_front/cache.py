@@ -69,8 +69,9 @@ def _bits(a):
 
 def snapshot(a):
     """``(backend, bits)``: the backend serving this context and a copy
-    of ``a``'s bit pattern, as :func:`store` keeps them."""
-    return get_backend_name(), _bits(a).copy()
+    of ``a``'s bit pattern, as :func:`store` keeps them (one C-ordered
+    copy, whatever ``a``'s layout)."""
+    return get_backend_name(), _bits(np.array(a, order="C"))
 
 
 def lookup(a):

@@ -55,7 +55,9 @@ class Structure:
     triangular/Cholesky route should reference; ``cholesky`` the
     Cholesky factor a successful ``la_posv`` left in the front door's
     working copy, set only on cached ``spd``/``hpd`` entries (the
-    caller's array is never touched); ``probe_cost`` the wall-clock
+    caller's array is never touched), and ``maker`` the backend that
+    computed it when that ``la_posv`` failed over (``None``: the
+    backend the entry is filed under); ``probe_cost`` the wall-clock
     seconds the probe took.
     """
 
@@ -66,6 +68,7 @@ class Structure:
     symmetric: bool = False
     hermitian: bool = False
     cholesky: np.ndarray | None = field(default=None, repr=False)
+    maker: str | None = field(default=None, repr=False)
     probe_cost: float = 0.0
 
     def __post_init__(self):

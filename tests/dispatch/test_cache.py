@@ -7,12 +7,13 @@ be reused, and a call pinned to another backend must not drop it)."""
 import numpy as np
 import pytest
 
-from repro import (backends, invalidate_structure_cache, la_gesv, la_posv,
-                   solve, structure_cache_stats, use_backend)
+from repro import (backends, faults, invalidate_structure_cache, la_gesv,
+                   la_posv, solve, structure_cache_stats, use_backend)
 from repro.backends import kernels
 from repro.dispatch_front import cache
 from repro.dispatch_front.probe import probe
 from repro.errors import Info
+from repro.testing import faultinject as fi
 
 
 @pytest.fixture(autouse=True)
@@ -290,3 +291,90 @@ def test_an_entry_answers_only_its_own_array():
     assert cache.lookup(a) is not None
     del a
     assert structure_cache_stats()["entries"] == 0
+
+
+def _accelerated_only():
+    if "accelerated" not in backends.available_backends():
+        pytest.skip("the accelerated backend needs SciPy")
+
+
+def test_a_failed_over_cold_solve_is_not_reused_under_accelerated():
+    """A cold solve whose trial ``la_posv`` failed over to reference
+    records that reference made its factor.  Once the fault is gone the
+    warm ``potrs`` is served by accelerated, so the solve drops the
+    entry and refactors instead of answering from it, and equals a
+    direct accelerated ``la_posv``."""
+    _accelerated_only()
+    faults.chaos_clear()
+    a = _spd(12, seed=5)
+    b = a @ np.ones(12)
+    with use_backend("accelerated"):
+        cold = Info()
+        with fi.chaos("posv", flaky_every=1, backend="accelerated"):
+            solve(a, b, info=cold)
+        assert cold.attempts == ("accelerated:posv#1:error=InjectedFault",
+                                 "reference:posv#2")
+        warm = Info()
+        x = solve(a, b, info=warm)
+        want = b.copy()
+        la_posv(a.copy(), want)
+    assert x.tobytes() == want.tobytes()
+    assert warm.attempts is None and warm.probe_cost > 0.0
+    assert structure_cache_stats()["invalidated"] == 1
+
+
+def test_a_failed_over_factor_is_reused_while_every_potrs_fails_over():
+    """While every accelerated ``potrs`` fails over as well, the warm
+    solve's substitution runs on reference, the backend that made the
+    factor, so the entry stays exact and hits."""
+    _accelerated_only()
+    faults.chaos_clear()
+    a = _spd(12, seed=5)
+    b = a @ np.ones(12)
+    with use_backend("accelerated"), \
+            fi.chaos("posv", flaky_every=1, backend="accelerated"), \
+            fi.chaos("potrs", flaky_every=1, backend="accelerated"):
+        x_cold = solve(a, b)
+        warm = Info()
+        x_warm = solve(a, b, info=warm)
+    assert warm.probe_cost == 0.0
+    assert warm.attempts == ("accelerated:potrs#1:error=InjectedFault",
+                             "reference:potrs#2")
+    assert x_warm.tobytes() == x_cold.tobytes()
+
+
+@pytest.mark.parametrize("backend, layout", [("accelerated", "f_contiguous"),
+                                             ("reference", "c_contiguous")])
+def test_the_cached_factor_is_laid_out_for_its_backend(backend, layout):
+    """Off reference the working copy, and so the cached factor, is
+    Fortran-ordered: a warm accelerated ``potrs`` reads it without a
+    copy.  On reference it stays C-ordered, as its kernels compute."""
+    if backend not in backends.available_backends():
+        pytest.skip(f"{backend} is not registered")
+    faults.chaos_clear()
+    a = _spd(6, seed=9)
+    with use_backend(backend):
+        solve(a, a @ np.ones(6))
+        assert getattr(cache.lookup(a).cholesky.flags, layout)
+
+
+def test_a_warm_potrs_served_elsewhere_refactors():
+    """An entry is answered only by a ``potrs`` from the backend that
+    made its factor.  A factor made by accelerated is dropped when a
+    fault armed after the cold solve sends the warm ``potrs`` to
+    reference: the solve refactors, and equals a cold solve under the
+    same fault (an accelerated ``la_posv``)."""
+    _accelerated_only()
+    faults.chaos_clear()
+    a = _spd(12, seed=5)
+    b = a @ np.ones(12)
+    with use_backend("accelerated"):
+        solve(a, b)
+        warm = Info()
+        with fi.chaos("potrs", flaky_every=1, backend="accelerated"):
+            x = solve(a, b, info=warm)
+        want = b.copy()
+        la_posv(a.copy(), want)
+    assert x.tobytes() == want.tobytes()
+    assert warm.attempts is None and warm.probe_cost > 0.0
+    assert structure_cache_stats()["invalidated"] == 1
