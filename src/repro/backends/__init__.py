@@ -78,6 +78,10 @@ __all__ = [
 #: routine, with a warning).  Unknown names raise ``ValueError``.
 KNOWN_BACKENDS = ("reference", "accelerated")
 
+#: The dtype chars an unrestricted routine's ``Backend.served`` keys
+#: cover: LAPACK's four types.  Any other dtype takes ``Backend.get``.
+_SERVED_CHARS = "fdFD"
+
 _REGISTRY: dict[str, "Backend"] = {}
 _SELECTED = "reference"
 _ANNOUNCED = RateLimiter()
@@ -107,6 +111,12 @@ class Backend:
     of their own: ``"F"`` (LAPACK's) unless the backend says otherwise.
     The front door makes its working copies in it
     (:func:`working_order`).
+
+    ``served`` maps ``(routine, dtype char)`` to the kernel :meth:`get`
+    returns for it, over the LAPACK dtype chars (``None`` for no
+    dtype), so :func:`resolve` serves a clean call with one lookup.
+    :meth:`__init__` and :meth:`extend` rebuild it; a key it lacks
+    goes through :meth:`get`.
     """
 
     def __init__(self, name, table, dtype_chars=None, write_back=(),
@@ -116,6 +126,16 @@ class Backend:
         self._dtype_chars = dict(dtype_chars or {})
         self.write_back = frozenset(write_back)
         self.order = order
+        self._build_served()
+
+    def _build_served(self):
+        served = {}
+        for routine, kernel in self._table.items():
+            chars = self._dtype_chars.get(routine)
+            served[routine, None] = kernel
+            for char in _SERVED_CHARS if chars is None else chars:
+                served[routine, char] = kernel
+        self.served = served
 
     def routines(self):
         """The routine names this backend can serve (any dtype)."""
@@ -147,6 +167,7 @@ class Backend:
         self._table.update(table)
         if dtype_chars:
             self._dtype_chars.update(dtype_chars)
+        self._build_served()
 
     def __repr__(self):
         return "Backend({!r}, {} routines)".format(self.name,
@@ -310,12 +331,23 @@ def resolve(routine, dtype=None, backend=None):
     (the fault hooks live in the reference kernels); otherwise the
     selected backend is consulted and, when it cannot serve the
     routine/dtype, the call falls back to ``reference`` with a
-    once-per-pair warning.
+    once-per-pair warning.  With no fault armed, a pair the selected
+    backend serves is one lookup in its :attr:`Backend.served`.
     """
     if backend is not None:
         name = _validate(backend)
     else:
         name = _PINNED.get() or _SELECTED  # laflow: benign-race — snapshot read; a racing switch serves the prior backend for one call
+    if not faults.active():
+        chosen = _REGISTRY.get(name)  # laflow: benign-race — snapshot read; Backend objects are immutable once registered
+        if chosen is not None:
+            try:
+                char = dtype.char
+            except AttributeError:      # None, or a dtype spelling
+                char = dtype
+            kernel = chosen.served.get((routine, char))
+            if kernel is not None:
+                return kernel
     reference = _REGISTRY["reference"]  # laflow: benign-race — reference entry is registered once at import and never replaced
     if faults.active():
         kernel = reference.get(routine)
@@ -339,6 +371,15 @@ def resolve(routine, dtype=None, backend=None):
     if kernel is None:
         raise LookupError("unknown routine {!r}".format(routine))
     return kernel
+
+
+def _serves(routine, dtype):
+    """True when the backend serving this context serves ``routine``
+    for ``dtype`` itself, with no fallback to reference (the batched
+    wrappers' test for a native ``*_stack`` entry)."""
+    name = _PINNED.get() or _SELECTED  # laflow: benign-race — snapshot read; a racing switch answers for the prior backend for one call
+    chosen = _REGISTRY.get(name)  # laflow: benign-race — snapshot read; Backend objects are immutable once registered
+    return chosen is not None and chosen.supports(routine, dtype)
 
 
 def bound_kernel(driver):

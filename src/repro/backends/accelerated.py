@@ -118,9 +118,14 @@ def _bk_ipiv(piv):
 def _nan_diag_info(diag):
     """LAPACK's ``DISNAN`` pivot check, which some SciPy builds omit:
     the 1-based index of the first NaN factor diagonal, or 0.  Infinite
-    pivots pass (``AJJ <= 0 .OR. DISNAN(AJJ)``) and propagate."""
-    nan = np.isnan(diag)
-    return int(np.flatnonzero(nan)[0]) + 1 if nan.any() else 0
+    pivots pass (``AJJ <= 0 .OR. DISNAN(AJJ)``) and propagate.  A sum
+    that is not NaN holds no NaN term, which settles the common case in
+    one pass over Python floats."""
+    values = diag.tolist()
+    total = sum(values)
+    if total == total:
+        return 0
+    return next((j for j, x in enumerate(values, 1) if x != x), 0)
 
 
 def gesv(a, b):

@@ -45,14 +45,14 @@ from __future__ import annotations
 import numpy as np
 
 from .. import core, faults
-from ..backends import _pinned, get_backend, get_backend_name
+from ..backends import _pinned, _serves
 from ..backends import kernels as _kernels
 from ..core.shell import Fallback, _fallback_message
 from ..errors import (ALLOC_FAILED, DEADLINE, DeadlineExceeded,
                       DriverFallbackWarning, NoConvergence,
                       NonFiniteWarning, NotPositiveDefinite,
                       SingularMatrix, erinfo)
-from ..policy import get_policy, screen_stack
+from ..policy import get_policy, screen_stack, screening
 from ..resilience import calllog, deadlines
 from ..specs import SPECS, validate_batch
 from .info import BatchInfo
@@ -115,21 +115,11 @@ def _stack_proxy(kernel):
     return proxy
 
 
-def _stack_capable(kernel, dtype):
-    """True when the *selected* backend natively serves the stacked
-    entry point for ``dtype`` (so one seam crossing loses nothing —
-    the per-problem kernels are byte-for-byte the scalar path's)."""
-    try:
-        backend = get_backend(get_backend_name())
-    except ValueError:
-        return False
-    return backend.supports(kernel + "_stack", dtype)
-
-
 def make_batched(spec):
     """Derive the ``batch_*`` wrapper for one batchable *spec*."""
     body = getattr(core, spec.name).__wrapped__
     stack_run, stack_exc = _FAMILIES.get(spec.kernel, (None, None))
+    stack_kernel = f"{spec.kernel}_stack"
     fname = "batch_" + spec.name[3:]         # "la_gesv" -> "batch_gesv"
     srname = fname.upper()
     arg_names = [a.name for a in spec.args if a.kind != "info"]
@@ -190,19 +180,24 @@ def make_batched(spec):
 
     def run(bound, batch, info, frames, depth):
         binfo = info if isinstance(info, BatchInfo) else BatchInfo()
-        deadlines.check(srname, "entry")
+        if deadlines.armed():
+            deadlines.check(srname, "entry")
         # -- per-problem value screens, vectorized over the stack -----
-        codes, warned = screen_stack(
-            srname, batch,
-            *((s.position, bound[s.name]) for s in screen_specs
-              if bound.get(s.name) is not None))
-        for position, idxs in warned:
-            for k in idxs:
-                warn_batch(srname, ("nonfinite", position), int(k),
-                           f"argument {position} contains non-finite "
-                           "entries; they will propagate",
-                           NonFiniteWarning, stacklevel=4)
-        if not codes.any() and faults.alloc_fault(srname):
+        # (only while the policy screens: no problem is flagged otherwise)
+        codes = flagged = None
+        if screening():
+            codes, warned = screen_stack(
+                srname, batch,
+                *((s.position, bound[s.name]) for s in screen_specs
+                  if bound.get(s.name) is not None))
+            for position, idxs in warned:
+                for k in idxs:
+                    warn_batch(srname, ("nonfinite", position), int(k),
+                               f"argument {position} contains non-finite "
+                               "entries; they will propagate",
+                               NonFiniteWarning, stacklevel=4)
+            flagged = codes.any()
+        if not flagged and faults.alloc_fault(srname):
             calllog.drain_into(binfo)
             erinfo(ALLOC_FAILED, srname, info)
             return refused(bound, batch)
@@ -232,8 +227,7 @@ def make_batched(spec):
         use_stack = (stack_run is not None
                      and not faults.chaos_active() and not faults.active()
                      and deadlines.remaining() is None
-                     and not codes.any()
-                     and _stack_capable(spec.kernel, a.dtype))
+                     and not flagged and _serves(stack_kernel, a.dtype))
         if use_stack:
             # One seam crossing for the whole stack: the resilience
             # layer sees a single kernel call.  Failing problems are
@@ -264,7 +258,7 @@ def make_batched(spec):
         try:
             for k in todo:
                 pinfo = problems[k]
-                if codes[k]:
+                if flagged and codes[k]:
                     pinfo.value = int(codes[k])
                     continue
                 deadlines.check(srname, "batch", info=binfo)

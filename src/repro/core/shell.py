@@ -13,9 +13,11 @@ keyed by the driver's :class:`~repro.specs.model.DriverSpec`:
    signature's defaults applied;
 4. the entry gate for the drivers the spec marks screened (the
    ``"entry"`` deadline checkpoint, the non-finite screen of the
-   required array operands, the simulated allocation fault);
+   required array operands, the simulated allocation fault), run only
+   while a deadline or a fault is armed or the policy screens;
 5. the driver body;
-6. the report through :func:`repro.errors.erinfo`.
+6. the report through :func:`repro.errors.erinfo`, or for a clean
+   outcome only ``info.value = 0``.
 
 A body holds only kernel calls, stage deadline checks and
 post-processing, and returns ``(result, linfo, outcome)``.  The
@@ -43,10 +45,12 @@ import sys
 import warnings
 from typing import NamedTuple
 
+from .. import faults
 from ..backends import _pinned
 from ..errors import DriverFallbackWarning, erinfo
-from ..resilience import calllog
-from ..specs import SPECS, validate_args
+from ..policy import screening
+from ..resilience import calllog, deadlines
+from ..specs import SPECS
 from .auxmod import driver_guard
 
 __all__ = ["driver_shell"]
@@ -73,28 +77,41 @@ def _unchanged(name):
 
 #: The frame every driver runs in, compiled once per driver with the
 #: body's own signature: Python's call binding applies the defaults and
-#: raises the usual ``TypeError``.  The spec engine and the entry gate
-#: are reached as attributes of this module, where a tracer may rebind
-#: them.
+#: raises the usual ``TypeError``.  The entry gate is reached as an
+#: attribute of this module, where a tracer may rebind it.  A seam that
+#: is inert in the default state costs a flag read on a clean call: the
+#: gate runs only while a deadline or a fault is armed or the policy
+#: screens non-finite input, and a clean outcome (``linfo == 0``, no
+#: fallback taken, nothing recorded on the call-log frame) stores
+#: ``info.value = 0`` without the report.
 _FRAME = """\
 def {fn}({params}, *, backend=None):
     if backend is not None:
         with _pinned(backend):
             return {fn}({values})
-    frames, depth = _calllog.push()
+    frames, depth = _push()
     try:
-        linfo = _shell.validate_args({name!r}, {arguments})
+        linfo = _spec.validator({arguments})
         outcome = None
-        if linfo == 0 and {gate}:
-            linfo, outcome = _shell.driver_guard({srname!r}, {operands})
-        if linfo:
+{gate}        if linfo:
             result = _refused(linfo, {arguments})
         else:
             result, linfo, outcome = _body({values})
-        _report({srname!r}, linfo, info, outcome, {warns})
+        if linfo == 0 and outcome.__class__ is not _Fallback \\
+                and frames[depth] is None:
+            if info is not None:
+                info.value = 0
+        else:
+            _report({srname!r}, linfo, info, outcome, {warns})
         return result
     finally:
         del frames[depth:]
+"""
+
+#: The entry gate of a screened driver, spliced into :data:`_FRAME`.
+_GATE = """\
+        if linfo == 0 and {rows}(_deadline() or _fault() or _screens()):
+            linfo, outcome = _shell.driver_guard({srname!r}, {operands})
 """
 
 
@@ -105,11 +122,14 @@ def driver_shell(name: str, refused=_refused_none):
     spec = SPECS[name]
     operands = [a for a in spec.args
                 if spec.screen and a.required and a.kind in _OPERANDS]
+    rows = ""
     if spec.screen == "nonempty":       # the n = 0 quick return
-        gate = next(a.name for a in spec.args if a.kind == "rhs") \
-            + ".shape[0]"
-    else:
-        gate = repr(bool(operands))
+        rows = next(a.name for a in spec.args if a.kind == "rhs") \
+            + ".shape[0] and "
+    gate = _GATE.format(
+        rows=rows, srname=spec.srname,
+        operands=", ".join(f"({a.position}, {a.name})" for a in operands)
+    ) if operands else ""
 
     def decorate(body):
         code = body.__code__
@@ -119,17 +139,19 @@ def driver_shell(name: str, refused=_refused_none):
         _check_signature(name, spec, names, dict(zip(names[required:],
                                                      defaults)))
         source = _FRAME.format(
-            fn=body.__name__, name=name, srname=spec.srname, gate=gate,
+            fn=body.__name__, srname=spec.srname, gate=gate,
             params=", ".join(list(names[:required]) + [
                 f"{n}=_defaults[{i}]"
                 for i, n in enumerate(names[required:])]),
             values=", ".join(names),
             arguments=", ".join(f"{n}={n}" for n in names if n != "info"),
-            operands=", ".join(f"({a.position}, {a.name})"
-                               for a in operands),
             warns=(spec.warn or "").startswith("n+1"))
-        namespace = {"_shell": sys.modules[__name__], "_calllog": calllog,
-                     "_pinned": _pinned, "_report": _report,
+        namespace = {"_shell": sys.modules[__name__], "_spec": spec,
+                     "_push": calllog.push, "_pinned": _pinned,
+                     "_deadline": deadlines.armed,
+                     "_fault": faults.active,
+                     "_screens": screening, "_report": _report,
+                     "_Fallback": Fallback,
                      "_body": body, "_refused": refused,
                      "_defaults": defaults}
         exec(source, namespace)

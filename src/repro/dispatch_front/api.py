@@ -49,6 +49,7 @@ back with ``info.structure``, ``info.chosen_driver`` and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -124,19 +125,30 @@ def _rhs_copy(a, b):
     1-D one reaches LAPACK in place on any backend).  The drivers'
     in-place contract forbids them from promoting a real ``b`` against
     a complex ``A``; the front door returns a fresh array, so it can."""
+    if a.dtype is b.dtype and b.dtype.isnative:
+        return b.copy(order="K")        # np.result_type(a, b) is b.dtype
     return b.astype(np.result_type(a, b), copy=True)
 
 
 def _routed(verb, label, iscomplex, stacked):
     """``(spec, driver)`` for one verb: the head of the refinement
     ladder and its ``la_*`` driver, or for a stack the first candidate
-    with a batched wrapper and that ``batch_*`` wrapper."""
+    with a batched wrapper and that ``batch_*`` wrapper.  The driver is
+    read from its module on each call, where a tracer may rebind it."""
+    spec, module, name = _route(verb, label, iscomplex, stacked)
+    return spec, getattr(module, name)
+
+
+@functools.cache
+def _route(verb, label, iscomplex, stacked):
+    """``(spec, module, driver name)`` behind :func:`_routed`, derived
+    once per quadruple like :func:`repro.specs.routing.candidates`."""
     if not stacked:
         spec = route(verb, label, iscomplex)
-        return spec, getattr(core, spec.name)
+        return spec, core, spec.name
     spec = next(s for s in candidates(verb, label, iscomplex)
                 if s.batchable)
-    return spec, getattr(batch, "batch_" + spec.name[3:])
+    return spec, batch, "batch_" + spec.name[3:]
 
 
 def _explain(verb, st, label, iscomplex, spec, stacked, cached):

@@ -59,19 +59,26 @@ _ENTRIES: dict = {}  # id(a) -> (weakref(a), shape, dtype, snapshot, Structure)
 _STATS = {"hits": 0, "misses": 0, "invalidated": 0}
 
 
+#: Item size -> the unsigned-integer dtype a bit view reads it as (an
+#: item wider than 8 bytes spans several).
+_UINTS = {size: np.dtype(f"u{min(size, 8)}")
+          for size in (1, 2, 4, 8, 16, 32)}
+
+
 def _bits(a):
     """``a``'s bit pattern as a C-ordered unsigned-integer view (a copy
     only when ``a`` is not C-contiguous): comparing these compares
     bits, not values."""
     a = np.ascontiguousarray(a)
-    return a.view(f"u{min(a.dtype.itemsize, 8)}")
+    return a.view(_UINTS[a.dtype.itemsize])
 
 
 def snapshot(a):
     """``(backend, bits)``: the backend serving this context and a copy
     of ``a``'s bit pattern, as :func:`store` keeps them (one C-ordered
     copy, whatever ``a``'s layout)."""
-    return get_backend_name(), _bits(np.array(a, order="C"))
+    copy = np.array(a, order="C")
+    return get_backend_name(), copy.view(_UINTS[copy.dtype.itemsize])
 
 
 def lookup(a):

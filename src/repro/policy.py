@@ -53,8 +53,8 @@ from .errors import (NONFINITE, IllConditionedWarning, NonFiniteInput,
                      NonFiniteWarning)
 
 __all__ = ["ExceptionPolicy", "get_policy", "set_policy",
-           "exception_policy", "screen", "screen_stack", "illcond_event",
-           "disnan", "notfinite", "has_nonfinite"]
+           "exception_policy", "screening", "screen", "screen_stack",
+           "illcond_event", "disnan", "notfinite", "has_nonfinite"]
 
 _NONFINITE_MODES = ("check", "warn", "propagate")
 _RCOND_MODES = ("warn", "silent")
@@ -138,6 +138,12 @@ def has_nonfinite(a: np.ndarray) -> bool:
 
 # ---------------------------------------------------------------------------
 # Driver-side hooks.
+
+def screening() -> bool:
+    """True unless the non-finite mode is ``"propagate"``: whether
+    :func:`screen` can return anything but ``(0, None)``."""
+    return _POLICY.nonfinite != "propagate"  # laflow: benign-race — one tear-free knob read; screen() re-reads the mode
+
 
 def screen(srname: str, *args):
     """Screen driver inputs per the active policy.

@@ -10,6 +10,10 @@ shell's report drains the frame into the caller's ``Info`` on the way
 out, and the shell's ``finally`` closes the frame however the call
 exits — so a frame never outlives its call.
 
+A frame is ``None`` until :func:`record` first writes to it, so a clean
+call (no kernel failed, nothing escalated) allocates nothing; a
+drained frame with no records reads ``{"attempts": []}``.
+
 Frames are purely thread-local telemetry — there is no cross-thread
 state here, so (unlike the deadline arming LA023 polices) no lock is
 taken on the per-call hot path.  Kernel calls made outside a
@@ -26,19 +30,20 @@ _FRAMES = threading.local()
 
 
 def _stack() -> list:
-    stack = getattr(_FRAMES, "stack", None)
-    if stack is None:
+    try:
+        return _FRAMES.stack
+    except AttributeError:
         stack = _FRAMES.stack = []
-    return stack
+        return stack
 
 
 def push():
     """Open a telemetry frame for the call being entered.  Returns
     ``(frames, depth)``: ``del frames[depth:]`` closes the frame (and
     any opened after it) however the call exits — a no-op once it was
-    drained."""
+    drained.  ``frames[depth] is None`` while nothing was recorded."""
     stack = _stack()
-    stack.append({"attempts": []})
+    stack.append(None)
     return stack, len(stack) - 1
 
 
@@ -46,25 +51,29 @@ def record(attempt: str) -> None:
     """Append one kernel-attempt record to the innermost frame."""
     stack = _stack()
     if stack:
-        stack[-1]["attempts"].append(attempt)
+        if stack[-1] is None:
+            stack[-1] = [attempt]
+        else:
+            stack[-1].append(attempt)
 
 
 def drain() -> dict | None:
-    """Pop and return the innermost frame (``None`` when no frame is
-    open)."""
+    """Pop and return the innermost frame as ``{"attempts": [...]}``
+    (``None`` when no frame is open)."""
     stack = _stack()
-    return stack.pop() if stack else None
+    if not stack:
+        return None
+    return {"attempts": stack.pop() or []}
 
 
 def drain_into(info) -> None:
     """Pop the innermost frame and attach its non-empty telemetry to the
     caller's ``Info`` handle (a no-op handle-wise when ``info`` is
     ``None``, but the frame is still consumed)."""
-    frame = drain()
-    if frame is None or info is None:
-        return
-    if frame["attempts"]:
-        info.attempts = tuple(frame["attempts"])
+    stack = _stack()
+    attempts = stack.pop() if stack else None
+    if attempts and info is not None:
+        info.attempts = tuple(attempts)
 
 
 def depth() -> int:

@@ -27,7 +27,7 @@ from contextlib import contextmanager
 from .._sync import STATE_LOCK
 from . import calllog
 
-__all__ = ["deadline", "check", "remaining"]
+__all__ = ["deadline", "check", "remaining", "armed"]
 
 #: Count of live deadline() scopes across all threads (fast gate).
 _ARMED = 0
@@ -64,6 +64,12 @@ def deadline(seconds: float):
         with STATE_LOCK:
             _ARMED -= 1
         stack.remove(limit)
+
+
+def armed() -> bool:
+    """True while a ``deadline()`` scope is live on any thread: the
+    driver shell's gate before the ``"entry"`` checkpoint."""
+    return _ARMED != 0  # laflow: benign-race — counter gate; check() re-reads this thread's own stack
 
 
 def remaining() -> float | None:
