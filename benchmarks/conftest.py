@@ -17,6 +17,11 @@ BACKEND_RECORDS = {}
 # of the derived batch_* wrapper vs looping the scalar driver.
 BATCH_RECORDS = {}
 
+# gate name -> {"ratio": paired-ratio spread, "bound": ..., "pass": ...},
+# filled by the gate tests in test_batch_throughput.py and written
+# beside the throughput rows of BENCH_batch.json.
+BATCH_GATES = {}
+
 # measurement name -> record, filled by test_dispatch_overhead.py and
 # flushed to BENCH_dispatch.json: the front door's cached-dispatch
 # overhead vs the direct driver call, the cold probe cost, and the
@@ -35,6 +40,37 @@ def best_of(*fns, rounds):
             fn()
             best[i] = min(best[i], time.perf_counter() - t0)
     return best
+
+
+def paired_ratios(calls, base, rounds):
+    """``{name: ratios}`` for every call in ``calls`` but ``base``: the
+    per-round ratio of its wall time over ``base``'s in the same round,
+    over ``rounds`` interleaved rounds (``calls`` maps a name to a
+    zero-argument call, in the order a round runs them).  Each round
+    starts at a different call, so none always runs first.  A gate reads
+    the median: a burst of host load inflates both sides of one round's
+    ratio alike, where it moves one side's best call but not the
+    other's."""
+    names = list(calls)
+    fns = [calls[name] for name in names]
+    times = np.empty((rounds, len(names)))
+    for i in range(rounds):
+        for k in range(len(names)):
+            j = (i + k) % len(names)
+            t0 = time.perf_counter()
+            fns[j]()
+            times[i, j] = time.perf_counter() - t0
+    b = names.index(base)
+    return {name: times[:, j] / times[:, b]
+            for j, name in enumerate(names) if j != b}
+
+
+def spread(ratios):
+    """``{"median", "q1", "q3"}`` of one call's :func:`paired_ratios`,
+    rounded for a ``BENCH_*.json`` record."""
+    q1, median, q3 = np.percentile(ratios, [25, 50, 75])
+    return {"median": round(float(median), 3), "q1": round(float(q1), 3),
+            "q3": round(float(q3), 3)}
 
 
 def record_backend_timing(routine, backend, n, stats):
@@ -116,8 +152,10 @@ def _write_batch_report(root):
                        "'parent' and 'change' are the same file run on "
                        "two checkouts",
     })
-    out[checkout_block(root)] = {"results": rows,
-                                 "speedup_batched": speedups}
+    block = {"results": rows, "speedup_batched": speedups}
+    if BATCH_GATES:
+        block["gates"] = {k: BATCH_GATES[k] for k in sorted(BATCH_GATES)}
+    out[checkout_block(root)] = block
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
 
 

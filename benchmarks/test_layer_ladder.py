@@ -49,7 +49,6 @@ not).
 
 import json
 import pathlib
-import time
 import warnings
 
 import numpy as np
@@ -59,7 +58,7 @@ from repro import backends, eig, la_gesv, la_posv, la_syev, solve
 from repro.backends import kernels
 from repro.dispatch_front import cache
 
-from .conftest import best_of, checkout_block
+from .conftest import best_of, checkout_block, paired_ratios
 
 scipy_lapack = pytest.importorskip("scipy.linalg.lapack")
 
@@ -158,22 +157,16 @@ def _time(rows, key, backend, routine, a, b, rounds):
 
 def _paired_over_raw(routine, n, rounds):
     """``{rung: ratio}`` for the F_GATE rungs of a ``/F`` row: the median
-    over interleaved rounds of each rung's call time over raw's.  Each
-    round starts at a different rung, so no rung always runs first."""
+    over interleaved rounds of each rung's call time over raw's
+    (:func:`conftest.paired_ratios`)."""
     a, b = _operands(routine, n)
     with backends.use_backend("accelerated"):
         calls = _rungs(routine, "accelerated", np.asfortranarray(a), b)
-        names = ["raw", *F_GATE]
-        times = np.empty((rounds, len(names)))
-        for i in range(rounds):
-            for k in range(len(names)):
-                j = (i + k) % len(names)
-                t0 = time.perf_counter()
-                calls[names[j]]()
-                times[i, j] = time.perf_counter() - t0
-    return {f"{routine}/{name}": round(float(np.median(
-        times[:, j] / times[:, 0])), 3)
-        for j, name in enumerate(names) if j}
+        ratios = paired_ratios({name: calls[name]
+                                for name in ("raw", *F_GATE)},
+                               "raw", rounds)
+    return {f"{routine}/{name}": round(float(np.median(r)), 3)
+            for name, r in ratios.items()}
 
 
 def _measure():

@@ -9,7 +9,8 @@ declares intent (``in`` / ``inout`` / ``out``) per argument, and the
 substrate definition of the kernel supplies the parameter order.
 Matching spec arguments to kernel parameters *by name* yields, per
 kernel, which call slots are array operands and which of those are
-written in place.  Drivers that share a kernel (``la_spgv`` and
+written in place; a parameter the substrate body stores into through a
+subscript is a written array slot whatever its name.  Drivers that share a kernel (``la_spgv`` and
 ``la_hpgv`` both bind ``spgv``) contribute the union of their effects.
 
 **Helper summaries** (:class:`SummaryEngine`) cover the wrapper layer's
@@ -35,6 +36,7 @@ no events).
 
 from __future__ import annotations
 
+import ast
 import functools
 from dataclasses import dataclass
 
@@ -77,6 +79,31 @@ class KernelEffect:
         return out
 
 
+def _stored_params(func, params) -> set:
+    """Parameters the substrate body itself writes through: the base of
+    a subscript store (``superdiag[:] = 0``, ``x[i] += v``).  Such a
+    slot is a written array operand whatever the spec calls the
+    argument a driver passes there (``gesvd``'s ``superdiag`` receives
+    ``la_gesvd``'s ``ev``)."""
+    stored = set()
+    for node in ast.walk(func):
+        if isinstance(node, ast.Assign):
+            targets = list(node.targets)
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        else:
+            continue
+        while targets:
+            t = targets.pop()
+            if isinstance(t, (ast.Tuple, ast.List)):
+                targets.extend(t.elts)
+            elif isinstance(t, ast.Subscript) \
+                    and isinstance(t.value, ast.Name) \
+                    and t.value.id in params:
+                stored.add(t.value.id)
+    return stored
+
+
 def kernel_effects(project, specs) -> dict:
     """Kernel name -> :class:`KernelEffect`, from spec bindings.
 
@@ -97,8 +124,9 @@ def kernel_effects(project, specs) -> dict:
             continue
         params = tuple(a.arg for a in (list(func.args.posonlyargs)
                                        + list(func.args.args)))
-        arrays = set(params) & set(spec.array_args)
-        written = set(params) & set(spec.written_args)
+        own = _stored_params(func, params)
+        arrays = set(params) & set(spec.array_args) | own
+        written = set(params) & set(spec.written_args) | own
         prev = effects.get(spec.kernel)
         if prev is not None:
             arrays |= prev.arrays

@@ -53,7 +53,7 @@ import numpy as np
 
 from .. import faults
 from .._sync import STATE_LOCK
-from ..errors import BackendFallbackWarning
+from ..errors import BackendFallbackWarning, warn_at_caller
 from ..resilience.ratelimit import WARNING_WINDOW, RateLimiter
 
 __all__ = [
@@ -320,7 +320,7 @@ def _announce(name, routine, reason):
     if suppressed:
         message += (" ({} identical warnings suppressed in the last "
                     "window)".format(suppressed))
-    warnings.warn(message, BackendFallbackWarning, stacklevel=4)
+    warn_at_caller(message, BackendFallbackWarning)
 
 
 def resolve(routine, dtype=None, backend=None):

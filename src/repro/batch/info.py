@@ -54,10 +54,12 @@ class BatchInfo(Info):
         self._codes = np.zeros(0, dtype=np.int64)
         self._problems: tuple | None = ()
 
-    def _arm(self, batch: int) -> None:
-        """Size the code vector for ``batch`` problems (called by the
-        batch wrappers); the per-problem handles wait for a reader."""
-        self._codes = np.zeros(batch, dtype=np.int64)
+    def _arm(self, batch: int, codes=None) -> None:
+        """Take ``codes``, an int64 vector of ``batch`` codes the batch
+        wrapper hands over, as the code vector, or start from all zeros;
+        the per-problem handles wait for a reader."""
+        self._codes = np.zeros(batch, dtype=np.int64) if codes is None \
+            else codes
         self._problems = None
 
     @property

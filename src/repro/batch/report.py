@@ -14,9 +14,7 @@ window rolls over.
 
 from __future__ import annotations
 
-import warnings
-
-from ..errors import NumericalWarning
+from ..errors import NumericalWarning, warn_at_caller
 from ..resilience.ratelimit import WARNING_WINDOW, RateLimiter
 
 __all__ = ["warn_batch", "reset_batch_announcements"]
@@ -30,9 +28,10 @@ def reset_batch_announcements() -> None:
 
 
 def warn_batch(srname: str, key, index: int, message: str,
-               category=NumericalWarning, stacklevel: int = 3) -> None:
+               category=NumericalWarning) -> None:
     """Emit a batch-index-annotated warning, rate-limited per
-    ``(srname, key)``.
+    ``(srname, key)`` and attributed to the caller's line
+    (:func:`repro.errors.warn_at_caller`).
 
     ``key`` identifies the warning class within the routine (e.g.
     ``("nonfinite", position)`` or ``("fallback", via)``); every problem
@@ -47,4 +46,4 @@ def warn_batch(srname: str, key, index: int, message: str,
     if suppressed:
         text += (f" ({suppressed} identical warnings suppressed in the "
                  "last window)")
-    warnings.warn(text, category, stacklevel=stacklevel)
+    warn_at_caller(text, category)

@@ -42,12 +42,11 @@ from __future__ import annotations
 
 import functools
 import sys
-import warnings
 from typing import NamedTuple
 
 from .. import faults
 from ..backends import _pinned
-from ..errors import DriverFallbackWarning, erinfo
+from ..errors import DriverFallbackWarning, erinfo, warn_at_caller
 from ..policy import screening
 from ..resilience import calllog, deadlines
 from ..specs import SPECS
@@ -146,7 +145,10 @@ def driver_shell(name: str, refused=_refused_none):
             values=", ".join(names),
             arguments=", ".join(f"{n}={n}" for n in names if n != "info"),
             warns=(spec.warn or "").startswith("n+1"))
-        namespace = {"_shell": sys.modules[__name__], "_spec": spec,
+        # ``__name__`` files the frame under this package, so a warning
+        # raised inside it names the caller's line (warn_at_caller).
+        namespace = {"__name__": __name__,
+                     "_shell": sys.modules[__name__], "_spec": spec,
                      "_push": calllog.push, "_pinned": _pinned,
                      "_deadline": deadlines.armed,
                      "_fault": faults.active,
@@ -199,8 +201,8 @@ def _record_fallback(srname, fallback, info):
     singular-to-working-precision verdict) and must not terminate.
     """
     calllog.drain_into(info)
-    warnings.warn(f"{srname}: {_fallback_message(fallback)}",
-                  DriverFallbackWarning, stacklevel=4)
+    warn_at_caller(f"{srname}: {_fallback_message(fallback)}",
+                   DriverFallbackWarning)
     if info is not None:
         info.value = int(fallback.linfo)
         info.fallback = fallback.via

@@ -23,6 +23,9 @@ In Python, "terminate with a message" becomes raising an exception, and the
 
 from __future__ import annotations
 
+import sys
+import warnings
+
 __all__ = [
     "Info",
     "LinAlgError",
@@ -203,6 +206,20 @@ class BackendFallbackWarning(NumericalWarning):
     not registered, routine missing, or dtype unsupported) and the call
     fell back to the ``reference`` kernels.  Announced once per
     (backend, routine) pair per process."""
+
+
+def warn_at_caller(message: str, category) -> None:
+    """``warnings.warn`` attributed to the first frame outside the
+    ``repro`` package: the user's call, however many library frames lie
+    between (driver bodies and their helpers, the driver shell's
+    compiled frame, a ``backend=`` pin's second pass through a
+    wrapper)."""
+    frame, level = sys._getframe(1), 2
+    while frame is not None \
+            and frame.f_globals.get("__name__", "").partition(".")[0] \
+            == "repro":
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
 
 
 class Info:

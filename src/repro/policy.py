@@ -42,7 +42,6 @@ non-finite magnitude unchanged.
 
 from __future__ import annotations
 
-import warnings
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -50,7 +49,7 @@ import numpy as np
 
 from ._sync import STATE_LOCK
 from .errors import (NONFINITE, IllConditionedWarning, NonFiniteInput,
-                     NonFiniteWarning)
+                     NonFiniteWarning, warn_at_caller)
 
 __all__ = ["ExceptionPolicy", "get_policy", "set_policy",
            "exception_policy", "screening", "screen", "screen_stack",
@@ -163,10 +162,10 @@ def screen(srname: str, *args):
         if has_nonfinite(arr):
             if mode == "check":
                 return NONFINITE - position, NonFiniteInput(srname, position)
-            warnings.warn(
+            warn_at_caller(
                 f"{srname}: argument {position} contains non-finite "
                 "entries; they will propagate through the computation",
-                NonFiniteWarning, stacklevel=3)
+                NonFiniteWarning)
     return 0, None
 
 
@@ -213,7 +212,8 @@ def illcond_event(srname: str, rcond: float) -> None:
     per the active policy.  The caller still sets ``info = n+1``; this
     hook only decides whether the condition is also announced."""
     if _POLICY.rcond_guard == "warn":  # laflow: benign-race — one tear-free knob read; worst case one warning under the departing mode
-        warnings.warn(
+        warn_at_caller(
             f"{srname}: matrix is singular to working precision "
             f"(RCOND = {rcond:.3e}); results carry info = n+1",
-            IllConditionedWarning, stacklevel=3)
+            IllConditionedWarning)
+

@@ -330,10 +330,12 @@ def validate_batch(spec: DriverSpec, bound: dict) -> tuple:
     identical trailing shapes and dtype, so the structural screen splits
     into (a) a stack-level pass over the array operands — present when
     required, an ndarray, carrying exactly one leading batch axis of a
-    size agreed by all operands — and (b) **one** run of the spec's
-    compiled validator over the problem-0 cross-section, whose verdict
-    then holds for the whole batch.  Per-problem *value* screens
-    (NaN/Inf) stay vectorized in :func:`repro.policy.screen_stack`.
+    size agreed by all operands, walked from the per-spec
+    :attr:`~repro.specs.model.DriverSpec.batch_walk` — and (b) **one**
+    run of the spec's compiled validator over the problem-0
+    cross-section, whose verdict then holds for the whole batch.
+    Per-problem *value* screens (NaN/Inf) stay vectorized in
+    :func:`repro.policy.screen_stack`.
 
     Returns the first violated check's negative ``LINFO`` code and the
     batch size (0 when no stacked operand is present or the leading axis
@@ -341,25 +343,21 @@ def validate_batch(spec: DriverSpec, bound: dict) -> tuple:
     the code is 0).
     """
     batch = None
-    stacked = set(spec.batch_stacked)
-    for a in spec.args:
-        if a.name not in stacked:
-            continue
-        val = bound.get(a.name)
+    cross = dict(bound)
+    for name, position, required, ndims in spec.batch_walk:
+        val = bound.get(name)
         if val is None:
-            if a.required:
-                return -a.position, 0
+            if required:
+                return -position, 0
             continue
-        if not isinstance(val, np.ndarray) \
-                or val.ndim not in _STACK_NDIM[a.kind]:
-            return -a.position, 0
+        if not isinstance(val, np.ndarray) or val.ndim not in ndims:
+            return -position, 0
         if batch is None:
             batch = val.shape[0]
         elif val.shape[0] != batch:
-            return -a.position, 0
+            return -position, 0
+        if batch:
+            cross[name] = val[0]
     if not batch:
         return 0, 0
-    cross = {name: (val[0] if name in stacked
-                    and isinstance(val, np.ndarray) else val)
-             for name, val in bound.items()}
     return spec.validator(**cross), batch

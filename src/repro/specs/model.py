@@ -166,6 +166,18 @@ class DriverSpec:
         stacks all of them; there is no per-argument opt-out)."""
         return self.array_args
 
+    @cached_property
+    def batch_walk(self) -> tuple:
+        """``(name, position, required, ndims)`` per stacked operand, in
+        argument order: the stack-level pass of
+        :func:`repro.specs.engine.validate_batch`, derived once per
+        spec instead of once per batched call.  ``ndims`` holds the
+        operand's accepted stack ranks."""
+        from .engine import _STACK_NDIM
+        stacked = set(self.batch_stacked)
+        return tuple((a.name, a.position, a.required, _STACK_NDIM[a.kind])
+                     for a in self.args if a.name in stacked)
+
     @property
     def batch_broadcast(self) -> tuple:
         """Arguments shared (broadcast) across the whole batch: option

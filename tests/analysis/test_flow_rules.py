@@ -396,6 +396,28 @@ def test_kernel_effects_derive_from_spec_intents():
     assert slots == {"a": 1, "b": 2}
 
 
+def test_kernel_effects_mark_the_slots_a_substrate_body_writes():
+    """``gesvd``'s ``superdiag`` matches no spec argument (``la_gesvd``
+    passes its ``ev`` workspace there), but the substrate body stores
+    into it, so it is a written array slot and aliasing it with ``a``
+    is an LA018 finding."""
+    effects = kernel_effects(Project.load([STUB]), SPECS)
+    gesvd = effects["gesvd"]
+    assert {"a", "superdiag"} <= gesvd.arrays
+    assert {"a", "superdiag"} <= gesvd.written
+    found = _findings([_flow_fixture("bad_la018.py"), STUB], "LA018")
+    (hit,) = [f for f in found if f.context == "la_gesvd"]
+    assert "operands a and superdiag of kernel gesvd" in hit.message
+
+
+def test_shipped_gesvd_superdiag_slot_is_written():
+    """The shipped substrate's ``gesvd`` gets the same written slot."""
+    src = os.path.join(REPO, "src", "repro")
+    effects = kernel_effects(Project.load([src]), SPECS)
+    assert "superdiag" in effects["gesvd"].written
+
+
+
 # -- the shipped tree passes the new rules ----------------------------
 
 def test_shipped_tree_clean_under_flow_rules():

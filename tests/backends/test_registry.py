@@ -167,6 +167,19 @@ class TestFallback:
                  if issubclass(w.category, BackendFallbackWarning)]
         assert later == []
 
+    def test_fallback_warning_names_the_caller(self):
+        """Announced from inside a driver, the fallback names the
+        caller's line, not the driver body's kernel call."""
+        from repro import la_geev
+        backends.reset_fallback_announcements()
+        with use_backend("accelerated"):
+            with warnings.catch_warnings(record=True) as rec:
+                warnings.simplefilter("always")
+                la_geev(np.eye(3) + 0.1)
+        got = [w for w in rec
+               if issubclass(w.category, BackendFallbackWarning)]
+        assert got and [w.filename for w in got] == [__file__] * len(got)
+
     @needs_accelerated
     def test_unsupported_dtype_falls_back(self):
         backends.reset_fallback_announcements()

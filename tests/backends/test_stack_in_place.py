@@ -180,3 +180,151 @@ def test_a_raising_slice_leaves_the_operands_untouched(monkeypatch, stack,
     assert len(calls) == fail_at + 1
     for x, p in zip(operands, pristine):
         assert x.tobytes() == p.tobytes()
+
+
+# -- positional typed-wrapper calls ------------------------------------
+# The stack adapters call the typed wrapper positionally, passing
+# f2py's documented default ``lwork`` for ?syev/?heev/?gels, so LAPACK
+# gets the very call the scalar adapters make by keyword.
+
+def _hermitian_stack(rng, dtype, batch, n):
+    g = _random(rng, (batch, n, n), dtype)
+    return g + g.conj().transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("n", [1, 2, 8, 33])
+@pytest.mark.parametrize("jobz", ["N", "V"])
+@pytest.mark.parametrize("uplo", ["U", "L"])
+def test_eig_stack_positional_lwork_matches_scalar(dtype, n, jobz, uplo):
+    rng = np.random.default_rng(n)
+    a = _hermitian_stack(rng, dtype, 3, n)
+    name = "heev" if np.dtype(dtype).kind == "c" else "syev"
+    ws, infos = _check(name, name + "_stack", name, [a], jobz, uplo)
+    assert ws.shape == (3, n) and ws.dtype == a.real.dtype
+    assert not infos.any()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("m, n, nrhs", [(7, 4, 6), (4, 7, 6), (3, 3, 5)],
+                         ids=["tall", "wide", "square"])
+@pytest.mark.parametrize("trans", ["N", "T"])
+def test_gels_stack_positional_lwork_matches_scalar(dtype, m, n, nrhs,
+                                                    trans):
+    """More right-hand sides than ``min(m, n)``, where ``nrhs`` sets
+    ``?gels``'s default ``lwork``."""
+    rng = np.random.default_rng(m * 10 + n)
+    a = _random(rng, (BATCH, m, n), dtype)
+    b = _random(rng, (BATCH, max(m, n), nrhs), dtype)
+    (infos,) = _check("gels", "gels_stack", "gels", [a, b], trans)
+    assert not infos.any()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("routine", ["gesv", "posv", "gels", "eig"])
+def test_a_batch_of_one_matches_scalar(dtype, routine):
+    rng = np.random.default_rng(6)
+    if routine == "eig":
+        name = "heev" if np.dtype(dtype).kind == "c" else "syev"
+        a = _hermitian_stack(rng, dtype, 1, N)
+        _check(name, name + "_stack", name, [a], "V", "U")
+        return
+    a = (_spd(rng, dtype, BATCH) if routine == "posv"
+         else _general(rng, dtype, BATCH))[:1].copy()
+    b = _random(rng, (1, N, 2), dtype)
+    args = ("N",) if routine == "gels" else ()
+    out = _check(routine, routine + "_stack", routine, [a, b], *args)
+    assert not out[-1].any()
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("nrhs", [None, 2], ids=["vector", "matrix"])
+def test_a_stack_where_every_slice_fails(dtype, nrhs):
+    rng = np.random.default_rng(7)
+    shape = (BATCH, N) if nrhs is None else (BATCH, N, nrhs)
+    a = np.zeros((BATCH, N, N), dtype=dtype)              # all singular
+    b = _random(rng, shape, dtype)
+    pristine = b.copy()
+    _, infos = _check("gesv", "gesv_stack", "gesv", [a, b])
+    assert (infos > 0).all()
+    assert b.tobytes() == pristine.tobytes()              # all unsolved
+    a = np.stack([np.diag([1.0, -2.0, 3.0, 4.0, 5.0])] * BATCH) \
+        .astype(dtype)                                    # all indefinite
+    b = _random(rng, shape, dtype)
+    pristine = b.copy()
+    (infos,) = _check("posv", "posv_stack", "posv", [a, b], "U")
+    assert (infos == 2).all()
+    assert b.tobytes() == pristine.tobytes()
+
+
+# -- the batch wrapper's clean stack path ------------------------------
+
+@pytest.fixture
+def no_chaos():
+    from repro import faults
+    faults.chaos_clear()
+    yield
+
+
+def _wrapper_stack(rng, routine, dtype="d", batch=BATCH):
+    a = _spd(rng, dtype, batch) if routine == "posv" \
+        else _general(rng, dtype, batch)
+    a[SINGULAR] = a[0]
+    a[NAN_PIVOT] = a[0]
+    return a, _random(rng, (batch, N, 2), dtype)
+
+
+@pytest.mark.parametrize("routine", ["gesv", "posv", "syev"])
+def test_a_clean_stack_call_builds_no_problems(no_chaos, routine):
+    import repro
+    from repro.batch import BatchInfo
+    rng = np.random.default_rng(8)
+    a, b = _wrapper_stack(rng, routine)
+    info = BatchInfo(value=5)
+    with repro.use_backend("accelerated"):
+        if routine == "syev":
+            w = repro.batch_syev(_hermitian_stack(rng, "d", BATCH, N),
+                                 info=info)
+            assert w.shape == (BATCH, N)
+        else:
+            getattr(repro, "batch_" + routine)(a, b, info=info)
+    assert info._problems is None
+    assert info.value == 0 and info.first_failure == -1
+    assert info.codes() == (0,) * BATCH and info.batch == BATCH
+
+
+def _run_wrapper(routine, a, b, info):
+    import repro
+    return getattr(repro, "batch_" + routine)(a, b, info=info)
+
+
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("routine", ["gesv", "posv"])
+@pytest.mark.parametrize("armed", ["deadline", "chaos", "fallbacks"])
+def test_armed_calls_give_the_stack_paths_bytes(no_chaos, dtype, routine,
+                                                armed):
+    """A deadline or chaos sends every problem through the parent body,
+    and ``fallbacks=True`` snapshots the stack first: the bytes match
+    the clean stack path's all the same."""
+    import contextlib
+
+    import repro
+    from repro import faults
+    from repro.batch import BatchInfo
+    rng = np.random.default_rng(9)
+    a, b = _wrapper_stack(rng, routine, dtype)
+    clean = [a.copy(), b.copy()]
+    with repro.use_backend("accelerated"):
+        _run_wrapper(routine, *clean, BatchInfo())
+        ctx = {"deadline": lambda: repro.deadline(3600.0),
+               "chaos": lambda: faults.chaos("getrs", latency=0.0),
+               "fallbacks": lambda: repro.exception_policy(
+                   fallbacks=True)}[armed]
+        armed_run = [a.copy(), b.copy()]
+        info = BatchInfo()
+        with ctx(), warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            _run_wrapper(routine, *armed_run, info)
+    assert info.first_failure == -1
+    for got, want in zip(armed_run, clean):
+        assert got.tobytes() == want.tobytes()

@@ -233,3 +233,75 @@ class TestScreeningAcrossFamilies:
         with exception_policy(nonfinite="check"):
             with pytest.raises(NonFiniteInput):
                 la_gesvd(a)
+
+
+class TestWarningLocation:
+    """A policy warning names the caller's line, not a library frame:
+    the driver shell's compiled frame, an expert driver's helper or the
+    batch wrapper's own frames sit between the warning and the call."""
+
+    def _caught(self, call, category):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call()
+        hits = [w for w in caught if issubclass(w.category, category)]
+        assert hits, f"no {category.__name__} raised"
+        return hits
+
+    def test_nonfinite_warning_names_the_scalar_caller(self, rng):
+        a, b = _poisoned(rng)
+        with exception_policy(nonfinite="warn"):
+            hits = self._caught(lambda: la_gesv(a, b, info=Info()),
+                                NonFiniteWarning)
+        assert hits[0].filename == __file__
+
+    def test_nonfinite_warning_names_the_batch_caller(self, rng):
+        from repro.batch import BatchInfo, batch_gesv
+        from repro.batch.report import reset_batch_announcements
+        reset_batch_announcements()
+        a, b = _poisoned(rng)
+        with exception_policy(nonfinite="warn"):
+            hits = self._caught(
+                lambda: batch_gesv(a[None].copy(), b[None].copy(),
+                                   info=BatchInfo()),
+                NonFiniteWarning)
+        assert hits[0].filename == __file__
+
+    def test_warnings_name_the_caller_through_a_backend_pin(self, rng):
+        """``backend=`` runs the wrapper a second time inside the first,
+        one more library frame to skip."""
+        from repro.batch import BatchInfo, batch_gesv, batch_posv
+        from repro.batch.report import reset_batch_announcements
+        from repro.errors import DriverFallbackWarning
+        reset_batch_announcements()
+        a, b = _poisoned(rng)
+        ind = np.diag([1.0, -1.0, 2.0, 3.0])
+        with exception_policy(nonfinite="warn"):
+            hits = self._caught(
+                lambda: la_gesv(a.copy(), b.copy(), info=Info(),
+                                backend="reference"), NonFiniteWarning)
+            hits += self._caught(
+                lambda: batch_gesv(a[None].copy(), b[None].copy(),
+                                   info=BatchInfo(), backend="reference"),
+                NonFiniteWarning)
+        with exception_policy(fallbacks=True):
+            hits += self._caught(
+                lambda: la_posv(ind.copy(), np.ones(4), info=Info(),
+                                backend="reference"),
+                DriverFallbackWarning)
+            hits += self._caught(
+                lambda: batch_posv(ind[None].copy(), np.ones((1, 4)),
+                                   info=BatchInfo(), backend="reference"),
+                DriverFallbackWarning)
+        assert [w.filename for w in hits] == [__file__] * len(hits)
+
+    @pytest.mark.parametrize("driver", ["la_gesvx", "la_sysvx"])
+    def test_illconditioned_warning_names_the_caller(self, driver):
+        import repro.core
+        a = np.diag([1.0, 1.0, 1.0, 1e-18])
+        call = getattr(repro.core, driver)
+        with exception_policy(rcond_guard="warn"):
+            hits = self._caught(
+                lambda: call(a.copy(), np.ones(4), info=Info()),
+                IllConditionedWarning)
+        assert hits[0].filename == __file__
