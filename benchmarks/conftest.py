@@ -22,6 +22,11 @@ BATCH_RECORDS = {}
 # beside the throughput rows of BENCH_batch.json.
 BATCH_GATES = {}
 
+# record name -> {"ratio": paired-ratio spread, "floor": ...}, filled
+# like BATCH_GATES by the ungated measurements in
+# test_batch_throughput.py and written beside them as "ungated".
+BATCH_UNGATED = {}
+
 # measurement name -> record, filled by test_dispatch_overhead.py and
 # flushed to BENCH_dispatch.json: the front door's cached-dispatch
 # overhead vs the direct driver call, the cold probe cost, and the
@@ -42,15 +47,11 @@ def best_of(*fns, rounds):
     return best
 
 
-def paired_ratios(calls, base, rounds):
-    """``{name: ratios}`` for every call in ``calls`` but ``base``: the
-    per-round ratio of its wall time over ``base``'s in the same round,
-    over ``rounds`` interleaved rounds (``calls`` maps a name to a
+def paired_times(calls, rounds):
+    """``{name: times}``: the wall time of every call in ``calls`` in
+    each of ``rounds`` interleaved rounds (``calls`` maps a name to a
     zero-argument call, in the order a round runs them).  Each round
-    starts at a different call, so none always runs first.  A gate reads
-    the median: a burst of host load inflates both sides of one round's
-    ratio alike, where it moves one side's best call but not the
-    other's."""
+    starts at a different call, so none always runs first."""
     names = list(calls)
     fns = [calls[name] for name in names]
     times = np.empty((rounds, len(names)))
@@ -60,9 +61,19 @@ def paired_ratios(calls, base, rounds):
             t0 = time.perf_counter()
             fns[j]()
             times[i, j] = time.perf_counter() - t0
-    b = names.index(base)
-    return {name: times[:, j] / times[:, b]
-            for j, name in enumerate(names) if j != b}
+    return {name: times[:, j] for j, name in enumerate(names)}
+
+
+def paired_ratios(calls, base, rounds):
+    """``{name: ratios}`` for every call in ``calls`` but ``base``: the
+    per-round ratio of its wall time over ``base``'s in the same round,
+    over ``rounds`` interleaved rounds (:func:`paired_times`).  A gate
+    reads the median: a burst of host load inflates both sides of one
+    round's ratio alike, where it moves one side's best call but not
+    the other's."""
+    times = paired_times(calls, rounds)
+    return {name: t / times[base] for name, t in times.items()
+            if name != base}
 
 
 def spread(ratios):
@@ -155,6 +166,9 @@ def _write_batch_report(root):
     block = {"results": rows, "speedup_batched": speedups}
     if BATCH_GATES:
         block["gates"] = {k: BATCH_GATES[k] for k in sorted(BATCH_GATES)}
+    if BATCH_UNGATED:
+        block["ungated"] = {k: BATCH_UNGATED[k]
+                            for k in sorted(BATCH_UNGATED)}
     out[checkout_block(root)] = block
     path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
 

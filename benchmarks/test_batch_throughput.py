@@ -37,13 +37,19 @@ import pytest
 from repro import backends, la_gesv, la_posv, la_syev
 from repro.batch import batch_gesv, batch_posv, batch_syev
 
-from .conftest import (BATCH_GATES, best_of, paired_ratios,
+from .conftest import (BATCH_GATES, BATCH_UNGATED, best_of, paired_ratios,
                        record_batch_timing, spread)
 
 N = 8
 BATCHES = (1, 16, 256)
 BACKENDS = ("reference", "accelerated")
 ROUTINES = ("gesv", "posv", "syev")
+
+#: Untimed rounds :func:`_paired` runs before its timed ones.
+WARM_ROUNDS = 5
+
+#: Timed rounds of the batch=256 floor gates.
+FLOOR_ROUNDS = 150
 
 
 def _stack(rng, routine, batch, n=N):
@@ -119,6 +125,28 @@ def _raw(routine):
     return make
 
 
+def _lapack(routine, count):
+    """The floor under the stack adapters: per problem, one positional
+    ``d<routine>`` call with its overwrite flags set (``dposv`` with
+    ``lower=0`` first, as ``batch_posv``'s default ``uplo`` calls it),
+    on Fortran-ordered copies made before the timed calls, one set for
+    each of ``count`` calls.  Unlike :func:`_raw` it pays neither f2py's
+    hidden copy nor a copy of its own: LAPACK itself."""
+    from scipy.linalg import lapack
+    f = getattr(lapack, "d" + routine)
+    flags = (1, 1) if routine == "gesv" else (0, 1, 1)
+
+    def make(a, b):
+        sets = iter([[(np.asfortranarray(a[k]), b[k].copy())
+                      for k in range(a.shape[0])] for _ in range(count)])
+
+        def loop():
+            for ak, bk in next(sets):
+                f(ak, bk, *flags)
+        return loop
+    return make
+
+
 def _paired(routine, batch, rng, rounds, *extra):
     """:func:`conftest.paired_ratios` of the batched call, and of each
     ``extra(a, b)``, over the looped driver on one accelerated
@@ -132,7 +160,7 @@ def _paired(routine, batch, rng, rounds, *extra):
     with backends.use_backend("accelerated"):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            paired_ratios(calls, "looped", 5)
+            paired_ratios(calls, "looped", WARM_ROUNDS)
             return paired_ratios(calls, "looped", rounds)
 
 
@@ -186,13 +214,20 @@ def test_batched_overhead_over_raw_lapack_at_256(rng, routine):
     positionally, so a slice costs about what the raw call costs (which
     makes its own hidden copy and parses its keywords).  Measured
     against that floor in the same interleaved rounds, a cheaper scalar
-    driver never reads as a slower batched one.
+    driver never reads as a slower batched one.  The same rounds record,
+    ungated, the batched call over :func:`_lapack`, the floor with no
+    copy at all: what the batch layer costs over LAPACK itself.
     """
-    ratios = _paired(routine, 256, rng, 150, _raw(routine))
+    ratios = _paired(routine, 256, rng, FLOOR_ROUNDS, _raw(routine),
+                     _lapack(routine, WARM_ROUNDS + FLOOR_ROUNDS))
     ratio = float(np.median(ratios["batched"] / ratios["extra0"]))
     _gate(f"{routine}/batch=256/batched_over_raw",
           ratios["batched"] / ratios["extra0"], FLOOR_GATE,
           ratio <= FLOOR_GATE)
+    BATCH_UNGATED[f"{routine}/batch=256/batched_over_lapack"] = {
+        "ratio": spread(ratios["batched"] / ratios["extra1"]),
+        "floor": f"positional d{routine} with overwrite flags on "
+                 "Fortran-ordered copies made before the timed calls"}
     assert ratio <= FLOOR_GATE, (
         f"batched {routine} costs {ratio:.2f}x raw d{routine} per "
         f"problem at batch=256 (median of paired rounds; looped "

@@ -44,6 +44,20 @@ call beside it (at 15-30 ms a call, the best call of each rung moves a
 few percent from run to run on a shared host; the paired ratio does
 not).
 
+The ``catalogue`` block (:func:`test_catalogue_ladder`) extends the
+ladder to every plain driver (Appendix G's "Driver Routines" sections)
+whose spec kernel the accelerated backend serves, one row each, read
+off the DriverSpec registry.  Its rungs are the raw typed wrapper
+(called positionally, its ``overwrite_*`` flags set, on
+Fortran-ordered copies), the adapter, the kernel proxy and the ``la_*``
+driver, every rung handed fresh Fortran-ordered copies of the same
+operands (``copies`` times those alone), at n=8 and n=500.  Each row
+records the median µs of every rung and the median and quartiles of
+its per-round ratios over raw (:func:`conftest.paired_times`); the
+rows are sorted by driver/raw, worst first.  The worst row's
+driver/raw at n=500 is gated at :data:`CATALOGUE_GATE`.  Run on its
+own with ``-k catalogue``.
+
     PYTHONPATH=src python -m pytest benchmarks/test_layer_ladder.py -q
 """
 
@@ -54,11 +68,14 @@ import warnings
 import numpy as np
 import pytest
 
+import repro
 from repro import backends, eig, la_gesv, la_posv, la_syev, solve
 from repro.backends import kernels
 from repro.dispatch_front import cache
+from repro.specs import all_specs
 
-from .conftest import best_of, checkout_block, paired_ratios
+from .conftest import (best_of, checkout_block, paired_ratios,
+                       paired_times, spread)
 
 scipy_lapack = pytest.importorskip("scipy.linalg.lapack")
 
@@ -213,7 +230,7 @@ def test_layer_ladder():
                             "n=1000, accelerated",
                    "bound": F_GATE},
     })
-    report[checkout_block(ROOT)] = {
+    report.setdefault(checkout_block(ROOT), {}).update({
         "us": rows,
         "gate_ratio": round(ratio, 3),
         "gate_pass": ratio <= GATE,
@@ -223,9 +240,209 @@ def test_layer_ladder():
                             for k, v in rows.items()},
         "front_door_over_raw": {k: round(v["front_door"] / v["raw"], 2)
                                 for k, v in rows.items()},
-    }
+    })
     OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     assert ratio <= GATE, (
         f"la_gesv costs {ratio:.2f}x raw dgesv at n=8 "
         f"({gesv8['driver']:.2f} us vs {gesv8['raw']:.2f} us)")
     assert f_pass, f"Fortran-ordered rows at n=1000 over raw: {f_ratios}"
+
+
+# -- the catalogue: every plain driver over its accelerated kernel ----
+
+#: Sizes of the catalogue rows.
+CATALOGUE_SIZES = (8, 500)
+
+#: Band widths of the ``gbsv``/``pbsv`` rows.
+BAND = 2
+
+
+def _random(rng, shape, dtype):
+    x = rng.standard_normal(shape)
+    if dtype == "D":
+        x = x + 1j * rng.standard_normal(shape)
+    return x.astype(dtype)
+
+
+def _general(rng, n, dtype):
+    return _random(rng, (n, n), dtype) + n * np.eye(n)
+
+
+def _hermitian(rng, n, dtype):
+    g = _random(rng, (n, n), dtype)
+    return g + g.conj().T
+
+
+def _spd(rng, n, dtype):
+    g = _random(rng, (n, n), dtype)
+    return g @ g.conj().T + n * np.eye(n)
+
+
+def _general_band(rng, n, dtype):
+    """``gbsv``'s factored-band storage: ``BAND`` sub- and
+    superdiagonals, ``BAND`` fill-in rows above them."""
+    ab = _random(rng, (3 * BAND + 1, n), dtype)
+    ab[:BAND] = 0
+    ab[2 * BAND] += 2 * BAND + 2
+    return ab
+
+
+def _spd_band(rng, n, dtype):
+    """Upper SPD band storage, ``BAND`` superdiagonals, the diagonal in
+    the last row."""
+    ab = 0.5 * _random(rng, (BAND + 1, n), dtype)
+    ab[BAND] = 2 * BAND + 2
+    return ab
+
+
+def _rhs(rng, n, dtype):
+    return _random(rng, (n,), dtype)
+
+
+#: kernel -> (dtype char, operands(rng, n, dtype), raw(f, n, *ops),
+#: kernel(k, *ops), driver(la, *ops)).  ``raw`` calls the typed
+#: wrapper ``f`` positionally with every ``overwrite_*`` flag set and
+#: f2py's defaults written out; ``kernel`` calls the adapter or the
+#: proxy ``k`` and ``driver`` the ``la_*`` driver the way the drivers
+#: and callers do.  Eigen and SVD rows ask for values only.
+RECIPES = {
+    "gesv": ("d", lambda r, n, t: (_general(r, n, t), _rhs(r, n, t)),
+             lambda f, n, a, b: f(a, b, 1, 1),
+             lambda k, a, b: k(a, b),
+             lambda la, a, b: la(a, b)),
+    "gbsv": ("d", lambda r, n, t: (_general_band(r, n, t), _rhs(r, n, t)),
+             lambda f, n, ab, b: f(BAND, BAND, ab, b, 1, 1),
+             lambda k, ab, b: k(ab, BAND, BAND, b),
+             lambda la, ab, b: la(ab, b, kl=BAND)),
+    "gtsv": ("d", lambda r, n, t: (_rhs(r, n - 1, t), _rhs(r, n, t) + 4,
+                                   _rhs(r, n - 1, t), _rhs(r, n, t)),
+             lambda f, n, dl, d, du, b: f(dl, d, du, b, 1, 1, 1, 1),
+             lambda k, dl, d, du, b: k(dl, d, du, b),
+             lambda la, dl, d, du, b: la(dl, d, du, b)),
+    "posv": ("d", lambda r, n, t: (_spd(r, n, t), _rhs(r, n, t)),
+             lambda f, n, a, b: f(a, b, 0, 1, 1),
+             lambda k, a, b: k(a, b, "U"),
+             lambda la, a, b: la(a, b)),
+    "pbsv": ("d", lambda r, n, t: (_spd_band(r, n, t), _rhs(r, n, t)),
+             lambda f, n, ab, b: f(ab, b, 0, BAND + 1, 1, 1),
+             lambda k, ab, b: k(ab, b, "U"),
+             lambda la, ab, b: la(ab, b)),
+    "ptsv": ("d", lambda r, n, t: (np.abs(_rhs(r, n, t)) + 4,
+                                   0.5 * _rhs(r, n - 1, t), _rhs(r, n, t)),
+             lambda f, n, d, e, b: f(d, e, b, 1, 1, 1),
+             lambda k, d, e, b: k(d, e, b),
+             lambda la, d, e, b: la(d, e, b)),
+    "sysv": ("d", lambda r, n, t: (_hermitian(r, n, t), _rhs(r, n, t)),
+             lambda f, n, a, b: f(a, b, max(n, 1), 0, 1, 1),
+             lambda k, a, b: k(a, b, "U"),
+             lambda la, a, b: la(a, b)),
+    "hesv": ("D", lambda r, n, t: (_hermitian(r, n, t), _rhs(r, n, t)),
+             lambda f, n, a, b: f(a, b, max(n, 1), 0, 1, 1),
+             lambda k, a, b: k(a, b, "U"),
+             lambda la, a, b: la(a, b)),
+    "gels": ("d", lambda r, n, t: (_random(r, (2 * n, n), t),
+                                   _rhs(r, 2 * n, t)),
+             lambda f, n, a, b: f(a, b, "N", max(n + n, 1), 1, 1),
+             lambda k, a, b: k(a, b, "N"),
+             lambda la, a, b: la(a, b)),
+    "syev": ("d", lambda r, n, t: (_hermitian(r, n, t),),
+             lambda f, n, a: f(a, 0, 0, max(3 * n - 1, 1), 1),
+             lambda k, a: k(a, "N", "U"),
+             lambda la, a: la(a)),
+    "heev": ("D", lambda r, n, t: (_hermitian(r, n, t),),
+             lambda f, n, a: f(a, 0, 0, max(2 * n - 1, 1), 1),
+             lambda k, a: k(a, "N", "U"),
+             lambda la, a: la(a)),
+    "gesvd": ("d", lambda r, n, t: (_general(r, n, t),),
+              lambda f, n, a: f(a, 0, 1, max(4 * n, 5 * n, 1), 1),
+              lambda k, a: k(a, "N", "N"),
+              lambda la, a: la(a)),
+}
+
+#: Seconds of rounds each catalogue row gets per size (each round runs
+#: every rung once); at least 9 and at most 3000 rounds.
+CATALOGUE_BUDGET = 0.5
+
+#: The worst plain driver's driver/raw at n=500 must stay under this.
+#: Ten runs on a 2-vCPU x86 host read 1.38-1.63 (median 1.54), always
+#: ``la_gtsv`` or ``la_ptsv``: an O(n) kernel of 10-15 us under the
+#: driver's fixed cost of about 5 us.
+CATALOGUE_GATE = 1.8
+
+
+def _catalogue_specs():
+    """The plain drivers whose spec kernel the accelerated backend
+    serves, from the DriverSpec registry."""
+    served = backends.get_backend("accelerated")
+    return [s for s in all_specs()
+            if s.section.startswith("Driver Routines") and s.kernel
+            and served.get(s.kernel) is not None]
+
+
+def _catalogue_row(spec, n):
+    """One catalogue row: median µs per rung and each rung's per-round
+    ratio over raw."""
+    char, make, raw, call, drive = RECIPES[spec.kernel]
+    from scipy.linalg import lapack
+    f = getattr(lapack, {"d": "d", "D": "z"}[char] + spec.kernel)
+    adapter = backends.get_backend("accelerated").get(spec.kernel)
+    proxy = getattr(kernels, spec.kernel)
+    driver = getattr(repro, spec.name)
+    operands = make(np.random.default_rng(n), n, char)
+
+    def fresh():
+        return [x.copy(order="F") for x in operands]
+
+    calls = {"copies": fresh,
+             "raw": lambda: raw(f, n, *fresh()),
+             "adapter": lambda: call(adapter, *fresh()),
+             "proxy": lambda: call(proxy, *fresh()),
+             "driver": lambda: drive(driver, *fresh())}
+    paired_times(calls, 3)                              # warm up
+    once = min(paired_times(calls, 3)["driver"])
+    rounds = int(min(3000, max(9, CATALOGUE_BUDGET / (4 * once))))
+    times = paired_times(calls, rounds)
+    return {"driver": spec.name, "kernel": spec.kernel, "rounds": rounds,
+            "us": {name: round(float(np.median(t)) * 1e6, 3)
+                   for name, t in times.items()},
+            "over_raw": {name: spread(times[name] / times["raw"])
+                         for name in ("adapter", "proxy", "driver")}}
+
+
+def test_catalogue_ladder():
+    if "accelerated" not in backends.available_backends():
+        pytest.skip("the accelerated backend needs SciPy")
+    rows = _catalogue_specs()
+    assert {s.kernel for s in rows} <= set(RECIPES), (
+        "a served plain driver has no catalogue recipe")
+    catalogue = {}
+    with backends.use_backend("accelerated"), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for n in CATALOGUE_SIZES:
+            measured = [_catalogue_row(spec, n) for spec in rows]
+            measured.sort(key=lambda r: -r["over_raw"]["driver"]["median"])
+            catalogue[f"n={n}"] = measured
+    report = json.loads(OUT.read_text()) if OUT.exists() else {}
+    worst = catalogue["n=500"][0]
+    ratio = worst["over_raw"]["driver"]["median"]
+    report["catalogue"] = {
+        "description": "every plain driver whose spec kernel the "
+                       "accelerated backend serves: median us per call "
+                       "of each rung on fresh Fortran-ordered copies "
+                       "('copies' times those alone), and each rung's "
+                       "per-round ratio over the raw typed wrapper "
+                       "(positional, overwrite flags set); rows sorted "
+                       "by driver/raw, worst first",
+        "rungs": ["copies", "raw", "adapter", "proxy", "driver"],
+        "gate": {"ratio": "the worst row's driver/raw (median of paired "
+                          "rounds), n=500",
+                 "bound": CATALOGUE_GATE},
+    }
+    block = report.setdefault(checkout_block(ROOT), {})
+    block["catalogue"] = catalogue
+    block["catalogue_gate"] = {"driver": worst["driver"], "ratio": ratio,
+                               "pass": ratio <= CATALOGUE_GATE}
+    OUT.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    assert ratio <= CATALOGUE_GATE, (
+        f"{worst['driver']} costs {ratio:.2f}x its raw typed wrapper at "
+        f"n=500 (median of paired rounds; gate {CATALOGUE_GATE})")

@@ -1,10 +1,12 @@
 """Dispatch-seam overhead on the la_gesv hot loop (reference backend).
 
 Times the dispatching kernel proxy, whose ``__call__`` is the seam that
-escalates a failed kernel once, against the directly resolved kernel with no deadline armed and no
-chaos, best single call of each over interleaved rounds, and writes
-BENCH_resilience.json (seconds per call).  It lives
-here, not in the test suite, because it rewrites that tracked file.
+escalates a failed kernel once, against the directly resolved kernel
+with no deadline armed and no chaos, over interleaved rounds, and
+writes BENCH_resilience.json: the median and quartiles of the per-round
+ratio (``conftest.paired_ratios``), which the gate reads, and the best
+single call of each side in seconds.  It lives here, not in the test
+suite, because it rewrites that tracked file.
 
     PYTHONPATH=src python -m pytest benchmarks/test_resilience_overhead.py -q
 """
@@ -16,7 +18,7 @@ import numpy as np
 
 from repro import la_gesv
 
-from .conftest import best_of
+from .conftest import best_of, paired_times, spread
 
 ROUNDS = 600
 
@@ -52,16 +54,22 @@ def test_resilience_overhead_on_undeadlined_hot_loop():
         # the copy is part of the timed call on both sides alike.
         return lambda: fn(a0.copy(), b0.copy())
 
-    best_of(timed(kernels.gesv), timed(pre_resilience_seam),
-            rounds=20)                      # warm both paths
-    seam, base = best_of(timed(kernels.gesv), timed(pre_resilience_seam),
-                         rounds=ROUNDS)
-    overhead = (seam - base) / base if base > 0 else 0.0
+    calls = {"seam": timed(kernels.gesv),
+             "base": timed(pre_resilience_seam)}
+    paired_times(calls, 20)                 # warm both paths
+    times = paired_times(calls, ROUNDS)
+    ratio = spread(times["seam"] / times["base"])
+    overhead = ratio["median"] - 1.0
     (driver,) = best_of(lambda: la_gesv(a0.copy(), b0.copy()),
                         rounds=ROUNDS // 10)
-    out = {"n": n, "rounds": ROUNDS, "proxy_seam_s": seam,
-           "pre_resilience_seam_s": base, "driver_call_s": driver,
-           "relative_seam_overhead": overhead}
+    out = {"n": n, "rounds": ROUNDS,
+           "proxy_seam_s": float(times["seam"].min()),
+           "pre_resilience_seam_s": float(times["base"].min()),
+           "driver_call_s": driver,
+           "seam_over_base": ratio,
+           "relative_seam_overhead": overhead,
+           "gate": "relative_seam_overhead < 0.15 (median of paired "
+                   "rounds)"}
     path = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "..", "BENCH_resilience.json")
     with open(os.path.abspath(path), "w", encoding="utf-8") as fh:

@@ -4,15 +4,22 @@ Each adapter presents the exact Python signature, in-place semantics and
 ``info`` conventions of its reference twin in :mod:`repro.lapack77`, so
 the :mod:`repro.core` drivers cannot tell the substrates apart:
 
-* the operands LAPACK overwrites (factors, solutions) are handed to
-  the typed wrapper with their ``overwrite_*`` flags set when every one
-  of them is writeable (f2py would write into a read-only array).  f2py
-  then passes a native-dtype Fortran-contiguous operand straight to
-  LAPACK, which works in place, and hands any other operand to LAPACK
-  as a private Fortran-ordered copy.  The adapter writes an output back only when f2py handed back a
-  new array, so a read-only operand raises on its write-back after
-  LAPACK worked on copies only.  The ``*_stack`` adapters follow the
-  same rule on one private copy per stack (:func:`_in_place`);
+* every typed wrapper is called positionally, with f2py's own default
+  for each optional argument before the last one passed written out
+  (``lwork``, ``lda``, ``ldab``): keyword parsing costs 0.3-0.6 us a
+  call, and LAPACK gets the very call the defaults would make;
+* the operands LAPACK overwrites (factors, solutions, the workspace
+  ``?syev``/``?heev``/``?gesvd`` destroy) are handed to the typed
+  wrapper with their ``overwrite_*`` flags set when every one of them
+  is writeable (f2py would write into a read-only array).  f2py then
+  passes a native-dtype Fortran-contiguous operand straight to LAPACK,
+  which works in place, and hands any other operand to LAPACK as a
+  private Fortran-ordered copy.  An output is written back only when
+  f2py handed back a new array (:func:`_put`).  With a read-only
+  operand LAPACK works on copies only, and the adapter raises
+  ``ValueError`` before its first write-back (:func:`_refuse`), so no
+  operand changes.  The ``*_stack`` adapters follow the same rule on
+  one private copy per stack (:func:`_in_place`);
 * f2py raises only before LAPACK runs (argument conversion and shape
   checks), so a failed adapter call leaves its operands untouched:
   every adapter is declared :attr:`~repro.backends.Backend.write_back`
@@ -21,9 +28,11 @@ the :mod:`repro.core` drivers cannot tell the substrates apart:
   ``ipiv`` from ``?sysv``/``?hesv`` is 1-based for interchanges and is
   shifted down (negative 2x2-block entries already match our encoding);
 * on a positive ``info`` the right-hand side is left unsolved, matching
-  LAPACK (and the reference kernels).  LAPACK itself skips the solve
-  there; the NaN-pivot check this SciPy build needs (:func:`posv`)
-  restores a right-hand side it solved in place;
+  LAPACK (and the reference kernels).  LAPACK skips the solve there,
+  except that ``?gtsv`` eliminates into B as it factors, and the
+  NaN-pivot check this SciPy build needs (:func:`posv`, :func:`pbsv`)
+  refuses a factor after the solve: those adapters save a right-hand
+  side LAPACK solves in place and restore it (:func:`_settle`);
 * argument errors raise through :func:`repro.errors.xerbla` with the
   reference kernels' positions.
 
@@ -39,6 +48,8 @@ registry then leaves the backend unregistered and selection degrades to
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -122,11 +133,64 @@ def _write_ok(dst, src, infos):
         dst[...] = src
 
 
+def _put(dst, src):
+    """Write the output ``src`` into the operand ``dst`` unless f2py
+    handed ``dst`` itself to LAPACK, which wrote there (f2py then
+    returns the same object)."""
+    if src is not dst:
+        dst[...] = src
+
+
+def _refuse(bm, info, *factors):
+    """Raise ``ValueError`` when an operand about to be written back is
+    read-only: the ``factors`` always, the right-hand side ``bm`` when
+    ``info`` is 0.  An adapter calls it, when its overwrite flags were
+    off, before its first write-back, so a refused call leaves every
+    operand untouched (LAPACK worked on f2py's copies only)."""
+    for x in (*factors, bm) if info == 0 else factors:
+        if not x.flags.writeable:
+            raise ValueError("assignment destination is read-only")
+
+
+def _saved(bm, w):
+    """A copy of a right-hand side LAPACK is about to solve in place
+    (``w`` set and ``bm`` Fortran-contiguous), for :func:`_settle` to
+    restore; ``None`` otherwise."""
+    return bm.copy() if w and bm.flags.f_contiguous else None
+
+
+def _settle(bm, x, info, saved):
+    """Leave the solution ``x`` in ``bm`` when ``info`` is 0; otherwise
+    leave ``bm`` unsolved, restoring ``saved`` when LAPACK had already
+    written into it (``?gtsv`` eliminates into B as it factors, and the
+    NaN-pivot check refuses a factor after ``?posv``/``?pbsv`` solved)."""
+    if info == 0:
+        _put(bm, x)
+    elif x is bm:
+        bm[...] = saved
+
+
 def _bk_ipiv(piv):
     """Map SciPy's 1-based Bunch-Kaufman interchange indices onto the
-    reference kernels' 0-based encoding (negatives already agree)."""
-    piv = piv.astype(np.int64)
-    return np.where(piv > 0, piv - 1, piv)
+    reference kernels' 0-based encoding (negatives already agree): one
+    gather from :func:`_bk_table`.  At n=8 that is about a third of
+    what a compare, a shift and a select cost (each ufunc pays a fixed
+    microsecond or so, and comparing an int32 array with a Python int
+    more)."""
+    return _bk_table(piv.shape[0]).take(piv)
+
+
+@functools.lru_cache(maxsize=64)
+def _bk_table(n):
+    """``t`` with ``t[p] = p - 1`` for ``p`` in ``1..n`` and ``t[p] =
+    p`` for ``p`` in ``-n..-1`` (a negative index counts from the end),
+    in int64: every entry of an order-``n`` Bunch-Kaufman ``ipiv``."""
+    return np.concatenate([np.arange(-1, n, dtype=np.int64),
+                           np.arange(-n, 0, dtype=np.int64)])
+
+
+#: ``trans`` flag -> the typed wrappers' integer code.
+_TRANS = {"N": 0, "T": 1, "C": 2}
 
 
 def _nan_diag_info(diag):
@@ -134,12 +198,13 @@ def _nan_diag_info(diag):
     the 1-based index of the first NaN factor diagonal, or 0.  Infinite
     pivots pass (``AJJ <= 0 .OR. DISNAN(AJJ)``) and propagate.  A sum
     that is not NaN holds no NaN term, which settles the common case in
-    one pass over Python floats."""
-    values = diag.tolist()
-    total = sum(values)
+    one pass: over Python floats up to 64 pivots, in one NumPy
+    reduction beyond (at n=500 the Python floats cost about 12 us, the
+    reduction under 2 us)."""
+    total = sum(diag.tolist()) if len(diag) <= 64 else diag.sum()
     if total == total:
         return 0
-    return next((j for j, x in enumerate(values, 1) if x != x), 0)
+    return next((j for j, x in enumerate(diag.tolist(), 1) if x != x), 0)
 
 
 def gesv(a, b):
@@ -151,6 +216,11 @@ def gesv(a, b):
     bm = _as2d(b)
     w = a.flags.writeable and bm.flags.writeable
     lu, piv, x, info = _flavor("gesv", a.dtype)(a, bm, w, w)
+    if not w:
+        _refuse(bm, info, a)
+    # The write-back rule of _put/_settle, inline: this adapter and
+    # posv's serve every general and SPD solve, and each helper call
+    # costs about 50 ns, 1-2% of an n=8 ?gesv/?posv.
     if lu is not a:
         a[...] = lu
     if info == 0 and x is not bm:
@@ -187,8 +257,7 @@ def gesv_stack(a, b):
 
 def getrf(a):
     lu, piv, info = _flavor("getrf", a.dtype)(a, a.flags.writeable)
-    if lu is not a:
-        a[...] = lu
+    _put(a, lu)
     return piv.astype(np.int64), int(info)
 
 
@@ -197,10 +266,9 @@ def getrs(a, ipiv, b, trans="N"):
     if t not in ("N", "T", "C"):
         xerbla("GETRS", 4, f"trans={trans!r}")
     bm = _as2d(b)
-    x, info = _flavor("getrs", a.dtype)(
-        a, ipiv, bm, {"N": 0, "T": 1, "C": 2}[t], bm.flags.writeable)
-    if x is not bm:
-        bm[...] = x
+    x, info = _flavor("getrs", a.dtype)(a, ipiv, bm, _TRANS[t],
+                                        bm.flags.writeable)
+    _put(bm, x)
     return int(info)
 
 
@@ -214,11 +282,13 @@ def posv(a, b, uplo="U"):
     saved = bm.copy() if w and bm.flags.f_contiguous else None
     c, x, info = _flavor("posv", a.dtype)(
         a, bm, uplo.upper() == "L", w, w)
-    if c is not a:
-        a[...] = c
     info = int(info)
     if info == 0:
         info = _nan_diag_info(c.diagonal().real)
+    if not w:
+        _refuse(bm, info, a)
+    if c is not a:                  # _put/_settle inline, as in gesv
+        a[...] = c
     if info == 0:
         if x is not bm:
             bm[...] = x
@@ -301,13 +371,12 @@ def trtrs(a, b, uplo="U", trans="N", diag="N"):
     if b.shape[0] != n:
         xerbla("TRTRS", 5, "dimension mismatch")
     bm = _as2d(b)
-    x, info = _flavor("trtrs", a.dtype)(
-        a, bm, lower=uplo.upper() == "L",
-        trans={"N": 0, "T": 1, "C": 2}[t],
-        unitdiag=diag.upper() == "U", overwrite_b=bm.flags.writeable)
+    x, info = _flavor("trtrs", a.dtype)(    # lda: f2py's default
+        a, bm, uplo.upper() == "L", _TRANS[t], diag.upper() == "U", n,
+        bm.flags.writeable)
     info = int(info)
-    if info == 0 and x is not bm:
-        bm[...] = x
+    if info == 0:
+        _put(bm, x)
     return info
 
 
@@ -317,8 +386,7 @@ def potrf(a, uplo="U"):
     # clean=0: leave the unreferenced triangle untouched, like LAPACK.
     c, info = _flavor("potrf", a.dtype)(
         a, uplo.upper() == "L", 0, a.flags.writeable)
-    if c is not a:
-        a[...] = c
+    _put(a, c)
     info = int(info)
     if info == 0:
         info = _nan_diag_info(c.diagonal().real)
@@ -331,97 +399,113 @@ def potrs(a, b, uplo="U"):
     bm = _as2d(b)
     x, info = _flavor("potrs", a.dtype)(
         a, bm, uplo.upper() == "L", bm.flags.writeable)
-    if x is not bm:
-        bm[...] = x
+    _put(bm, x)
     return int(info)
 
 
-def sysv(a, b, uplo="U"):
-    if uplo.upper() not in ("U", "L"):
-        xerbla("SYSV", 3, f"uplo={uplo!r}")
+def _indefinite(srname, name, a, b, uplo):
+    """``?sysv``/``?hesv``: Bunch-Kaufman factor and solve."""
+    u = uplo.upper()
+    if u not in ("U", "L"):
+        xerbla(srname, 3, f"uplo={uplo!r}")
     bm = _as2d(b)
     w = a.flags.writeable and bm.flags.writeable
-    udut, piv, x, info = _flavor("sysv", a.dtype)(
-        a, bm, lower=uplo.upper() == "L", overwrite_a=w, overwrite_b=w)
-    if udut is not a:
-        a[...] = udut
-    if info == 0 and x is not bm:
-        bm[...] = x
+    udut, piv, x, info = _flavor(name, a.dtype)(    # lwork: f2py's default
+        a, bm, max(a.shape[0], 1), u == "L", w, w)
+    if not w:
+        _refuse(bm, info, a)
+    _put(a, udut)
+    if info == 0:
+        _put(bm, x)
     return _bk_ipiv(piv), int(info)
+
+
+def sysv(a, b, uplo="U"):
+    return _indefinite("SYSV", "sysv", a, b, uplo)
 
 
 def hesv(a, b, uplo="U"):
-    if uplo.upper() not in ("U", "L"):
-        xerbla("HESV", 3, f"uplo={uplo!r}")
-    bm = _as2d(b)
-    w = a.flags.writeable and bm.flags.writeable
-    udut, piv, x, info = _flavor("hesv", a.dtype)(
-        a, bm, lower=uplo.upper() == "L", overwrite_a=w, overwrite_b=w)
-    if udut is not a:
-        a[...] = udut
-    if info == 0 and x is not bm:
-        bm[...] = x
-    return _bk_ipiv(piv), int(info)
+    return _indefinite("HESV", "hesv", a, b, uplo)
 
 
 def gtsv(dl, d, du, b):
     bm = _as2d(b)
-    dl2, d2, du2, x, info = _flavor("gtsv", d.dtype)(dl, d, du, bm)
-    dl[...] = dl2
-    d[...] = d2
-    du[...] = du2
-    if info == 0:
-        bm[...] = x
-    return int(info)
+    w = (dl.flags.writeable and d.flags.writeable and du.flags.writeable
+         and bm.flags.writeable)
+    saved = _saved(bm, w)
+    dl2, d2, du2, x, info = _flavor("gtsv", d.dtype)(
+        dl, d, du, bm, w, w, w, w)
+    if not w:
+        _refuse(bm, info, dl, d, du)
+    _put(dl, dl2)
+    _put(d, d2)
+    _put(du, du2)
+    info = int(info)
+    _settle(bm, x, info, saved)
+    return info
 
 
 def ptsv(d, e, b):
     bm = _as2d(b)
-    # LAPACK's D is REAL even in the complex flavors.
-    d_in = np.ascontiguousarray(d.real)
-    d2, e2, x, info = _flavor("ptsv", e.dtype)(d_in, e, bm)
-    d[...] = d2
-    e[...] = e2
+    w = d.flags.writeable and e.flags.writeable and bm.flags.writeable
+    # LAPACK's D is REAL even in the complex flavors; a complex ``d``
+    # reaches it as f2py's copy of its real part.
+    d2, e2, x, info = _flavor("ptsv", e.dtype)(d.real, e, bm, w, w, w)
+    if not w:
+        _refuse(bm, info, d, e)
+    _put(d, d2)
+    _put(e, e2)
+    info = int(info)
     if info == 0:
-        bm[...] = x
-    return int(info)
+        _put(bm, x)
+    return info
 
 
 def gbsv(ab, kl, ku, b):
     bm = _as2d(b)
-    lub, piv, x, info = _flavor("gbsv", ab.dtype)(kl, ku, ab, bm)
-    ab[...] = lub
+    w = ab.flags.writeable and bm.flags.writeable
+    lub, piv, x, info = _flavor("gbsv", ab.dtype)(kl, ku, ab, bm, w, w)
+    if not w:
+        _refuse(bm, info, ab)
+    _put(ab, lub)
     if info == 0:
-        bm[...] = x
+        _put(bm, x)
     return piv.astype(np.int64), int(info)
 
 
 def pbsv(ab, b, uplo="U"):
-    if uplo.upper() not in ("U", "L"):
+    u = uplo.upper()
+    if u not in ("U", "L"):
         xerbla("PBSV", 3, f"uplo={uplo!r}")
+    lower = u == "L"
     bm = _as2d(b)
-    c, x, info = _flavor("pbsv", ab.dtype)(
-        ab, bm, lower=uplo.upper() == "L")
-    ab[...] = c
+    w = ab.flags.writeable and bm.flags.writeable
+    saved = _saved(bm, w)
+    c, x, info = _flavor("pbsv", ab.dtype)(    # ldab: f2py's default
+        ab, bm, lower, ab.shape[0], w, w)
     info = int(info)
     if info == 0:
-        diag = c[0] if uplo.upper() == "L" else c[-1]
-        info = _nan_diag_info(diag.real)
-    if info == 0:
-        bm[...] = x
+        info = _nan_diag_info((c[0] if lower else c[-1]).real)
+    if not w:
+        _refuse(bm, info, ab)
+    _put(ab, c)
+    _settle(bm, x, info, saved)
     return info
 
 
 def _dense_eig(srname, name, a, jobz, uplo):
-    if jobz.upper() not in ("N", "V"):
+    j, u = jobz.upper(), uplo.upper()
+    if j not in ("N", "V"):
         xerbla(srname, 1, f"jobz={jobz!r}")
-    if uplo.upper() not in ("U", "L"):
+    if u not in ("U", "L"):
         xerbla(srname, 2, f"uplo={uplo!r}")
-    wantz = jobz.upper() == "V"
+    wantz = j == "V"
+    n = a.shape[0]
+    lwork = max((3 if name == "syev" else 2) * n - 1, 1)   # f2py's default
     w, v, info = _flavor(name, a.dtype)(
-        a, compute_v=1 if wantz else 0, lower=uplo.upper() == "L")
+        a, wantz, u == "L", lwork, a.flags.writeable)
     if wantz and info == 0:
-        a[...] = v
+        _put(a, v)
     return w, int(info)
 
 
@@ -466,16 +550,6 @@ def heev_stack(a, jobz="N", uplo="U"):
 
 
 def gesvd(a, jobu="N", jobvt="N", superdiag=None):
-    s, u, vt, info = _gesvd(a, jobu, jobvt)
-    # SciPy's gesvd does not expose the bidiagonal work array; the
-    # superdiagonal output is defined (all zero) only on convergence,
-    # and LAPACK overwrites it before any info > 0 return anyway.
-    if superdiag is not None:
-        superdiag[:] = 0
-    return s, u, vt, info
-
-
-def _gesvd(a, jobu, jobvt):
     ju, jvt = jobu.upper(), jobvt.upper()
     if ju not in ("N", "S", "A"):
         xerbla("GESVD", 2, f"jobu={jobu!r}")
@@ -483,40 +557,51 @@ def _gesvd(a, jobu, jobvt):
         xerbla("GESVD", 3, f"jobvt={jobvt!r}")
     m, n = a.shape
     k = min(m, n)
-    rdtype = np.float32 if a.dtype.char in "fF" else np.float64
     if k == 0:
-        s = np.zeros(0, dtype=rdtype)
+        rdtype = np.float32 if a.dtype.char in "fF" else np.float64
+        s, info = np.zeros(0, dtype=rdtype), 0
         u = np.eye(m, dtype=a.dtype) if ju == "A" else None
         vt = np.eye(n, dtype=a.dtype) if jvt == "A" else None
-        return s, u, vt, 0
-    f = _flavor("gesvd", a.dtype)
-    if ju == "N" and jvt == "N":
-        _, s, _, info = f(a, compute_uv=0)
-        return s, None, None, int(info)
-    full = 1 if "A" in (ju, jvt) else 0
-    u, s, vt, info = f(a, compute_uv=1, full_matrices=full)
-    u_out = None if ju == "N" else (u if ju == "A" else u[:, :k])
-    vt_out = None if jvt == "N" else (vt if jvt == "A" else vt[:k, :])
-    return s, u_out, vt_out, int(info)
+    else:
+        if a.dtype.kind == "c":                # f2py's default lwork
+            lwork = 2 * k + max(m, n)
+        else:
+            lwork = max(3 * k + max(m, n), 5 * k)
+        f = _flavor("gesvd", a.dtype)
+        if ju == "N" and jvt == "N":
+            _, s, _, info = f(a, 0, 1, lwork, a.flags.writeable)
+            u = vt = None
+        else:
+            u, s, vt, info = f(a, 1, 1 if "A" in (ju, jvt) else 0, lwork,
+                               a.flags.writeable)
+            u = None if ju == "N" else (u if ju == "A" else u[:, :k])
+            vt = None if jvt == "N" else (vt if jvt == "A" else vt[:k, :])
+    # SciPy's gesvd does not expose the bidiagonal work array; the
+    # superdiagonal output is defined (all zero) only on convergence,
+    # and LAPACK overwrites it before any info > 0 return anyway.
+    if superdiag is not None:
+        superdiag[:] = 0
+    return s, u, vt, int(info)
 
 
 def gels(a, b, trans="N"):
     t = trans.upper()
     if t not in ("N", "T", "C"):
         xerbla("GELS", 1, f"trans={trans!r}")
-    if np.iscomplexobj(a) and t == "T":
+    if t == "T" and a.dtype.kind == "c":
         t = "C"
     m, n = a.shape
     bm = _as2d(b)
     if bm.shape[0] < max(m, n):
         xerbla("GELS", 3, "b must have max(m, n) rows")
     w = a.flags.writeable and bm.flags.writeable
-    lqr, x, info = _flavor("gels", a.dtype)(
-        a, bm, trans=t, overwrite_a=w, overwrite_b=w)
-    if lqr is not a:
-        a[...] = lqr
-    if x is not bm:
-        bm[...] = x
+    k = min(m, n)
+    lwork = k + max(k, bm.shape[1], 1)          # f2py's default
+    lqr, x, info = _flavor("gels", a.dtype)(a, bm, t, lwork, w, w)
+    if not w:
+        _refuse(bm, 0, a)
+    _put(a, lqr)
+    _put(bm, x)
     return int(info)
 
 

@@ -167,9 +167,11 @@ def _explain(verb, st, label, iscomplex, spec, stacked, cached):
 
 def _band_storage(a, kl, ku):
     """Pack a dense band matrix into ``la_gbsv``'s ``2·kl+ku+1``-row
-    factored-band layout (``A[i, j]`` at ``ab[kl+ku+i-j, j]``)."""
+    factored-band layout (``A[i, j]`` at ``ab[kl+ku+i-j, j]``), in the
+    serving backend's memory order like :func:`_copy`."""
     n = a.shape[0]
-    ab = np.zeros((2 * kl + ku + 1, n), dtype=a.dtype)
+    ab = np.zeros((2 * kl + ku + 1, n), dtype=a.dtype,
+                  order=working_order())
     for d in range(-kl, ku + 1):
         lo = max(0, d)
         ab[kl + ku - d, lo:lo + n - abs(d)] = np.diagonal(a, d)
@@ -280,7 +282,7 @@ _SOLVERS = {
 
 
 def _exec_syev(st, a, info, vectors, driver):
-    ac = a.copy()
+    ac = _copy(a)
     w = driver(ac, jobz="V" if vectors else "N", info=info)
     return (w, ac) if vectors else w
 

@@ -168,9 +168,10 @@ def probe(a) -> Structure:
             label = "hermitian" if iscomplex else "symmetric"
     elif symmetric:
         label = "symmetric"          # complex symmetric, non-Hermitian
-    return Structure(label, kl=kl, ku=ku, uplo=uplo,
-                     symmetric=symmetric, hermitian=hermitian,
-                     probe_cost=time.perf_counter() - start)
+    # Positional: the dataclass's keyword matching costs more than the
+    # rest of the constructor on a small operand.
+    return Structure(label, kl, ku, uplo, symmetric, hermitian, None, None,
+                     time.perf_counter() - start)
 
 
 def probe_stack(a) -> Structure:

@@ -14,7 +14,13 @@ On accelerated the outputs must also equal the copy-back adapters',
 in which LAPACK never touched a caller's array: the typed SciPy
 wrapper is handed private copies, so every output reaches the caller
 through the write-back.  Singular, indefinite and NaN-pivot operands
-check that a failed factorization leaves the right-hand side unsolved.
+check that a failed factorization leaves the right-hand side unsolved
+(``?gtsv`` eliminates into B before it meets a zero pivot, and the
+NaN-pivot check refuses a ``posv``/``pbsv`` factor after the solve).
+A read-only operand, or a typed wrapper that raises, must leave every
+operand untouched; no adapter may pass its typed wrapper a keyword;
+and what a documented "destroyed" ``a`` holds after ``syev``/``heev``
+(``jobz='N'``) and ``gesvd`` is pinned per backend and layout.
 """
 
 from __future__ import annotations
@@ -95,6 +101,53 @@ def _wide(rng, dtype, case=None):
     return (_random(rng, (N - 2, N), dtype),)
 
 
+def _tridiagonal(rng, dtype, case=None):
+    """``(dl, d, du)`` of a diagonally dominant tridiagonal matrix;
+    singular: column 2 zeroed."""
+    dl, du = (_random(rng, (N - 1,), dtype) for _ in range(2))
+    d = _random(rng, (N,), dtype) + 4
+    if case == SINGULAR:
+        dl[2] = d[2] = du[1] = 0
+    return dl, d, du
+
+
+def _positive_tridiagonal(rng, dtype, case=None):
+    """``(d, e)``, ``d`` real, of a positive definite tridiagonal
+    matrix; indefinite: ``d[3] = -1``."""
+    d = (np.abs(rng.standard_normal(N)) + 4).astype(dtype.lower())
+    if case == INDEFINITE:
+        d[3] = -1
+    return d, _random(rng, (N - 1,), dtype)
+
+
+#: ``gbsv``'s band widths in the CASES below.
+KL, KU = 1, 2
+
+
+def _band(rng, dtype, case=None):
+    """A general band matrix in ``gbsv``'s factored-band storage
+    (``2·KL + KU + 1`` rows); singular: column 2 zeroed."""
+    ab = _random(rng, (2 * KL + KU + 1, N), dtype)
+    ab[:KL] = 0
+    ab[KL + KU] += 4
+    if case == SINGULAR:
+        ab[:, 2] = 0
+    return (ab,)
+
+
+def _spd_band(rng, dtype, case=None):
+    """An SPD band matrix (``KD = 2``) in lower band storage, row 0 its
+    diagonal; indefinite: a negative pivot at row 3, NaN: a NaN one at
+    row 2."""
+    ab = 0.1 * _random(rng, (3, N), dtype)
+    ab[0] = 4
+    if case == INDEFINITE:
+        ab[0, 3] = -1
+    elif case == NAN_PIVOT:
+        ab[0, 2] = np.nan
+    return (ab,)
+
+
 #: routine -> (kernel, operand maker, args after the operands,
 #: right-hand-side rows or None, dtype chars served)
 CASES = {
@@ -109,7 +162,34 @@ CASES = {
     "trtrs": ("trtrs", _triangular, ("U", "N", "N"), N, "fdFD"),
     "gels-tall": ("gels", _tall, ("N",), N + 2, "fdFD"),
     "gels-wide": ("gels", _wide, ("N",), N, "fdFD"),
+    "gtsv": ("gtsv", _tridiagonal, (), N, "fdFD"),
+    "ptsv": ("ptsv", _positive_tridiagonal, (), N, "fdFD"),
+    "gbsv": ("gbsv", _band, (), N, "fdFD"),
+    "pbsv": ("pbsv", _spd_band, ("L",), N, "fdFD"),
+    "syev": ("syev", _symmetric, ("V", "U"), None, "fd"),
+    "heev": ("heev", _hermitian, ("V", "L"), None, "FD"),
 }
+
+#: The adapters that run LAPACK in place on every operand they write
+#: and write each back under one read-only rule (every CASES kernel
+#: with a right-hand side but ``getrs``/``potrs``/``trtrs``, which
+#: write ``b`` only).
+WRITING = ("gels-tall", "gels-wide", "gbsv", "gesv", "gtsv", "hesv",
+           "pbsv", "posv", "ptsv", "sysv")
+
+
+def _operands_first(kernel, routine):
+    """``kernel`` taking its operands first: ``gbsv`` takes its band
+    widths between ``ab`` and ``b``."""
+    if routine == "gbsv":
+        return lambda ab, b: kernel(ab, KL, KU, b)
+    return kernel
+
+
+def _kernel(backend, routine):
+    """The backend's kernel, operands first."""
+    return _operands_first(get_backend(backend).get(routine), routine)
+
 
 LAYOUTS = {"C": np.ascontiguousarray, "F": np.asfortranarray}
 
@@ -159,7 +239,7 @@ def _check(monkeypatch, backend, case_name, dtype, nrhs, case=None):
     operands = make(rng, dtype, case)
     rhs = None if rows is None else _random(
         rng, (rows,) if nrhs is None else (rows, nrhs), dtype)
-    kernel = get_backend(backend).get(routine)
+    kernel = _kernel(backend, routine)
     runs = {layout: _run(kernel, ops, args)
             for layout, ops in _layouts(operands, rhs)}
     first = runs["C", "C"]
@@ -192,6 +272,11 @@ def test_in_place_kernels_are_layout_independent(monkeypatch, backend,
     ("gesv", SINGULAR, 3),
     ("posv", INDEFINITE, 4),
     ("posv", NAN_PIVOT, 3),
+    ("gtsv", SINGULAR, 3),
+    ("gbsv", SINGULAR, 3),
+    ("ptsv", INDEFINITE, 4),
+    ("pbsv", INDEFINITE, 4),
+    ("pbsv", NAN_PIVOT, 3),
 ])
 def test_a_failed_factorization_leaves_b_unsolved(monkeypatch, backend,
                                                   dtype, nrhs, routine,
@@ -278,8 +363,8 @@ def test_a_raising_wrapper_leaves_fortran_operands_untouched(monkeypatch,
     if "accelerated" not in BACKENDS:
         pytest.skip("the accelerated backend needs SciPy")
     from repro.backends import accelerated, kernels
-    routine, make, args, rows, _ = CASES[case_name]
-    dtype = "D" if routine == "hesv" else "d"
+    routine, make, args, rows, chars = CASES[case_name]
+    dtype = "d" if "d" in chars else "D"
 
     def broken(*args, **kwargs):
         raise _Broken(routine)
@@ -291,14 +376,15 @@ def test_a_raising_wrapper_leaves_fortran_operands_untouched(monkeypatch,
         operands.append(_random(rng, (rows, NRHS), dtype))
     fortran = [np.asfortranarray(x) for x in operands]
     with pytest.raises(_Broken):
-        get_backend("accelerated").get(routine)(*fortran, *args)
+        _kernel("accelerated", routine)(*fortran, *args)
     assert [x.tobytes() for x in fortran] == \
         [x.tobytes() for x in operands]
 
-    want = _run(get_backend("reference").get(routine),
+    want = _run(_kernel("reference", routine),
                 [x.copy() for x in operands], args)
     with use_backend("accelerated"):
-        got = _run(getattr(kernels, routine), fortran, args)
+        got = _run(_operands_first(getattr(kernels, routine), routine),
+                   fortran, args)
     assert got == want
     assert all(x.flags.f_contiguous for x in fortran)
 
@@ -330,3 +416,151 @@ def test_every_nan_pivot_position_is_reported(backend, dtype, n, dense):
                 assert kernels.get("potrf")(ac, uplo) == want
                 ac, b = a.copy(), _random(rng, (n,), dtype)
                 assert kernels.get("posv")(ac, b.copy(), uplo) == want
+
+
+@pytest.mark.parametrize("case_name", WRITING)
+@pytest.mark.parametrize("layout", ["C", "F"])
+def test_a_read_only_operand_raises_with_every_operand_untouched(case_name,
+                                                                 layout):
+    """Any one read-only operand turns every overwrite flag off, and the
+    adapter raises ``ValueError`` before its first write-back: LAPACK
+    worked on f2py's copies only, so no operand changed, the writeable
+    ones beside the read-only one included."""
+    if "accelerated" not in BACKENDS:
+        pytest.skip("the accelerated backend needs SciPy")
+    routine, make, args, rows, chars = CASES[case_name]
+    dtype = "d" if "d" in chars else "D"
+    kernel = _kernel("accelerated", routine)
+    rng = np.random.default_rng(19)
+    operands = [LAYOUTS[layout](x) if x.ndim == 2 else x
+                for x in make(rng, dtype)]
+    operands.append(LAYOUTS[layout](_random(rng, (rows, NRHS), dtype)))
+    for k in range(len(operands)):
+        ops = [x.copy(order="K") for x in operands]
+        ops[k].flags.writeable = False
+        with warnings.catch_warnings(), pytest.raises(ValueError):
+            warnings.simplefilter("ignore")
+            kernel(*ops, *args)
+        assert [x.tobytes() for x in ops] == \
+            [x.tobytes() for x in operands], f"operand {k} read-only"
+
+
+def _every_adapter_call():
+    """Call every accelerated adapter over its flags: each CASES kernel
+    in every served dtype, ``syev``/``heev`` with ``jobz='N'``,
+    ``gesvd`` over every job pair on a tall and a wide matrix, and the
+    stack adapters."""
+    backend = get_backend("accelerated")
+    rng = np.random.default_rng(23)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for routine, make, args, rows, chars in CASES.values():
+            for dtype in chars:
+                ops = list(make(rng, dtype))
+                if rows is not None:
+                    ops.append(_random(rng, (rows,), dtype))
+                _kernel("accelerated", routine)(*ops, *args)
+        for dtype in DTYPES:
+            name = "syev" if dtype in "fd" else "heev"
+            (h,) = _hermitian(rng, dtype)
+            backend.get(name)(h, "N", "L")
+            backend.get(name + "_stack")(np.stack([h, h]), "V", "U")
+            for shape in ((N + 2, N), (N - 2, N)):
+                for jobs in ("NN", "SN", "NA", "SS", "AA"):
+                    backend.get("gesvd")(_random(rng, shape, dtype), *jobs,
+                                         np.zeros(min(shape) - 1))
+            (g,) = _general(rng, dtype)
+            (p,) = _spd(rng, dtype)
+            b = _random(rng, (2, N), dtype)
+            backend.get("gesv_stack")(np.stack([g, g]), b.copy())
+            backend.get("posv_stack")(np.stack([p, p]), b.copy(), "L")
+            backend.get("gels_stack")(np.stack([g, g]), b.copy(), "T")
+
+
+def test_no_adapter_passes_a_keyword(monkeypatch):
+    """Every adapter calls its typed wrapper positionally, with f2py's
+    own defaults written out: a keyword costs f2py's keyword parsing on
+    every call.  Each ``_WRAPPERS`` entry is wrapped to refuse
+    keywords, and every routine in the table must have been called."""
+    if "accelerated" not in BACKENDS:
+        pytest.skip("the accelerated backend needs SciPy")
+    from repro.backends import accelerated
+    called = set()
+
+    def positional(key, wrapper):
+        def call(*args, **kwargs):
+            assert not kwargs, f"{key}: keywords {sorted(kwargs)}"
+            called.add(key[0])
+            return wrapper(*args)
+        return call
+
+    for key, wrapper in list(accelerated._WRAPPERS.items()):
+        monkeypatch.setitem(accelerated._WRAPPERS, key,
+                            positional(key, wrapper))
+    _every_adapter_call()
+    assert called == {name for name, _ in accelerated._WRAPPERS}
+
+
+def _raw_destroyed(name, a, *flags):
+    """What the typed wrapper leaves in a Fortran-ordered copy of ``a``
+    when it runs in place (``flags`` up to and including
+    ``overwrite_a``)."""
+    from repro.backends import accelerated
+    af = np.asfortranarray(a)
+    accelerated._WRAPPERS[name, a.dtype.char](af, *flags)
+    return af.tobytes()
+
+
+@pytest.fixture
+def no_chaos():
+    """Disarm the chaos profile, which would escalate the accelerated
+    kernel to reference and so leave reference's bytes."""
+    from repro import faults
+    faults.chaos_clear()
+    yield
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("dtype", DTYPES)
+@pytest.mark.parametrize("shape", [(N, N), (N + 2, N), (N - 2, N)])
+def test_what_a_destroyed_a_holds(no_chaos, backend, dtype, shape):
+    """``la_syev``/``la_heev`` with ``jobz='N'`` and ``la_gesvd``
+    document ``a`` as destroyed; this pins what each backend leaves.
+    Reference computes on C order, so both layouts hold the same bytes:
+    the reduced matrix, except that its ``gesvd`` reduces the adjoint
+    of a wide matrix and leaves ``a`` intact.  Accelerated runs LAPACK
+    in place on a writeable Fortran-ordered ``a``, which then holds
+    what the typed wrapper leaves there; any other ``a`` reaches LAPACK
+    as f2py's copy and is left intact.  Outputs never depend on the
+    layout."""
+    from repro import la_gesvd, la_heev, la_syev
+    rng = np.random.default_rng(29)
+    a0 = _random(rng, shape, dtype)
+    square = shape[0] == shape[1]
+    if square:
+        a0 = a0 + a0.conj().T
+        driver = la_syev if dtype in "fd" else la_heev
+        name, flags = driver.__name__[3:], (0, 0, max(3 * N - 1, 1), 1)
+        if name == "heev":
+            flags = (0, 0, max(2 * N - 1, 1), 1)
+    else:
+        driver, name = la_gesvd, "gesvd"
+        k, mx = min(shape), max(shape)
+        lwork = max(2 * k + mx, 1) if dtype in "FD" \
+            else max(3 * k + mx, 5 * k, 1)
+        flags = (0, 1, lwork, 1)
+    left, outputs = {}, {}
+    with use_backend(backend), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for layout, fn in LAYOUTS.items():
+            a = fn(a0.copy())
+            outputs[layout] = np.asarray(driver(a)).tobytes()
+            left[layout] = a.tobytes()
+    assert outputs["C"] == outputs["F"]
+    if backend == "reference":
+        assert left["C"] == left["F"]
+        assert (left["C"] == a0.tobytes()) == (shape[0] < shape[1])
+    else:
+        assert left["C"] == a0.tobytes()
+        assert left["F"] == _raw_destroyed(name, a0, *flags)
+        assert left["F"] != np.asfortranarray(a0).tobytes()
