@@ -7,9 +7,9 @@ import time
 import numpy as np
 import pytest
 
-# (routine, backend) -> timing record, filled by the backend sweep in
-# test_vs_reference.py and flushed to BENCH_backends.json at session end
-# so the reference-vs-accelerated perf trajectory accumulates over time.
+# (routine, backend) -> timing record, filled by the backend sweep and
+# the solve-phase rows in test_vs_reference.py and flushed at session end
+# to this checkout's block of BENCH_backends.json (checkout_block).
 BACKEND_RECORDS = {}
 
 # (routine, backend, batch, mode) -> throughput record, filled by
@@ -118,16 +118,24 @@ def _write_backends_report(root):
         ref = BACKEND_RECORDS.get((row["routine"], "reference"))
         if ref:
             ratios[row["routine"]] = ref["min_s"] / row["min_s"]
-    out = {
+    path = root / "BENCH_backends.json"
+    out = json.loads(path.read_text()) if path.exists() else {}
+    # Rows written at the top level before the blocks existed.
+    out.pop("results", None)
+    out.pop("speedup_accelerated", None)
+    out.update({
         "experiment": "XB3-backends",
         "description": "LA_* driver wall time under each registered "
-                       "backend (min over rounds); speedup = "
-                       "reference/accelerated",
-        "results": rows,
-        "speedup_accelerated": ratios,
-    }
-    (root / "BENCH_backends.json").write_text(
-        json.dumps(out, indent=2, sort_keys=True) + "\n")
+                       "backend, and the reference solve phases "
+                       "(getrs, potrs, sytrs: factors made once, one "
+                       "right-hand side) alone (min over rounds); "
+                       "speedup_accelerated = reference/accelerated; "
+                       "'parent' and 'change' are the same file run on "
+                       "two checkouts",
+    })
+    out[checkout_block(root)] = {"results": rows,
+                                 "speedup_accelerated": ratios}
+    path.write_text(json.dumps(out, indent=2, sort_keys=True) + "\n")
 
 
 def checkout_block(root):

@@ -5,6 +5,11 @@ NumPy.  The reference must win (it is compiled LAPACK), but the blocked
 Level-3 organization keeps the gap to a modest constant factor on the
 matmul-dominated routines — the *shape* that transfers from the paper's
 performance story.  Accuracy agreement is asserted alongside.
+
+The backend sweep and the reference solve-phase rows land in this
+checkout's block of ``BENCH_backends.json``; the same file run with
+``PYTHONPATH=<other checkout>/src`` writes its ``parent`` block
+(:func:`conftest.checkout_block`).  No timing is gated.
 """
 
 import warnings
@@ -14,7 +19,8 @@ import pytest
 import scipy.linalg as sla
 
 from repro import backends, la_gesv, la_posv, la_syev, la_sysv
-from repro.lapack77 import gesvd
+from repro.lapack77 import (gesvd, getrf, getrs, potrf, potrs, sytrf,
+                            sytrs)
 
 from .conftest import record_backend_timing
 
@@ -104,6 +110,33 @@ class TestBackendSweep:
                 benchmark(call, named_workloads)
         if benchmark.stats is not None:  # absent under --benchmark-disable
             record_backend_timing(routine, backend, N,
+                                  benchmark.stats.stats)
+
+
+class TestSolvePhases:
+    """XB3-solve — the reference solve phase alone, factors made once and
+    one right-hand side: ``getrs`` and ``potrs`` are two triangular
+    sweeps each, ``sytrs`` the Bunch–Kaufman pair of sweeps (its
+    indefinite operand mixes 1×1 and 2×2 pivots).  Rows land in
+    ``BENCH_backends.json`` beside the drivers."""
+
+    @pytest.fixture
+    def solves(self, workloads):
+        a, spd, sym, b = workloads
+        lu, chol, bk = a.copy(), spd.copy(), sym.copy()
+        piv, info = getrf(lu)
+        assert info == 0 and potrf(chol, "U") == 0
+        bkpiv, info = sytrf(bk, "U")
+        assert info == 0
+        return {"getrs": lambda: getrs(lu, piv, b.copy()),
+                "potrs": lambda: potrs(chol, b.copy(), "U"),
+                "sytrs": lambda: sytrs(bk, bkpiv, b.copy(), "U")}
+
+    @pytest.mark.parametrize("routine", ["getrs", "potrs", "sytrs"])
+    def test_solve_phase(self, benchmark, solves, routine):
+        benchmark(solves[routine])
+        if benchmark.stats is not None:  # absent under --benchmark-disable
+            record_backend_timing(routine, "reference", N,
                                   benchmark.stats.stats)
 
 

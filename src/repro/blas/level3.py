@@ -154,6 +154,51 @@ def trmm(alpha, a: np.ndarray, b: np.ndarray, side: str = "L",
     return b
 
 
+def _sweep_floats(blk, col, unit, backward):
+    """Substitute one float64 column ``col`` through ``blk``, the
+    diagonal block of op(A) (upper when ``backward``, else lower), on
+    Python floats, in place.  Row ``i`` subtracts ``blk[i, j] * x[j]``
+    for ``j`` in the order the NumPy sweep in :func:`_sweep` updates it,
+    each product and difference rounded on its own, then divides, so
+    the bytes are the same.  Returns False, touching nothing, when a
+    diagonal entry it would divide by is zero: Python raises there where
+    NumPy gives ±inf or NaN."""
+    if backward:
+        # Reversed rows and columns turn the upper sweep into a lower one.
+        blk, col = blk[::-1, ::-1], col[::-1]
+    if not unit:
+        d = blk.diagonal().tolist()
+        if 0.0 in d:
+            return False
+    x = col.tolist()
+    for i, row in enumerate(blk.tolist()):
+        acc = x[i]
+        for mij, xj in zip(row, x[:i]):
+            acc -= mij * xj
+        x[i] = acc if unit else acc / d[i]
+    col[:] = x
+    return True
+
+
+def _sweep(mat, b, j0, j1, up, unit, ta, backward):
+    """Substitute B's rows ``j0..j1-1`` through the diagonal block of
+    ``mat`` with one broadcast update of B per step, in place."""
+    order = range(j1 - 1, j0 - 1, -1) if backward else range(j0, j1)
+    for j in order:
+        if not unit:
+            b[j] = b[j] / mat[j, j]
+        if ta == "N":
+            if up and j > j0:
+                b[j0:j] -= mat[j0:j, j, None] * b[j]
+            elif not up and j < j1 - 1:
+                b[j + 1:j1] -= mat[j + 1:j1, j, None] * b[j]
+        else:
+            if up and j < j1 - 1:
+                b[j + 1:j1] -= mat[j, j + 1:j1, None] * b[j]
+            elif not up and j > j0:
+                b[j0:j] -= mat[j, j0:j, None] * b[j]
+
+
 def trsm(alpha, a: np.ndarray, b: np.ndarray, side: str = "L",
          uplo: str = "U", transa: str = "N", diag: str = "N") -> np.ndarray:
     """Triangular solve with multiple right-hand sides, in place:
@@ -161,8 +206,19 @@ def trsm(alpha, a: np.ndarray, b: np.ndarray, side: str = "L",
     * side='L': solve ``op(A) X = alpha B``  → ``B := X``
     * side='R': solve ``X op(A) = alpha B``  → ``B := X``
 
-    Column/row sweep substitution — O(n) Python steps, each a GEMM-shaped
-    vector-matrix update, so multiple RHS stay fully vectorized.
+    Blocked substitution: a sweep inside each 32-row diagonal block, one
+    GEMM update of the remaining rows between blocks, so multiple RHS
+    stay fully vectorized.  When B is one float64 column (a one-row B on
+    the right, through its transpose) and A is float64, the in-block
+    sweep runs on Python floats (:func:`_sweep_floats`): the same
+    divide, multiply and subtract in the same order, each rounded on
+    its own as NumPy rounds it, so the bytes match the NumPy sweep
+    (``tests/lapack77/test_lu_parity.py::test_trsm_bit_identical``).  A
+    block with an exact zero on a diagonal entry it divides by runs the
+    NumPy sweep, which gives ±inf/NaN where Python would raise.  Complex,
+    float32 and multi-column B always run the NumPy sweep; the block
+    size and the GEMM between blocks, which fix the summation order,
+    are the same on both paths.
     """
     up = uplo.upper() == "U"
     unit = diag.upper() == "U"
@@ -170,7 +226,7 @@ def trsm(alpha, a: np.ndarray, b: np.ndarray, side: str = "L",
     if alpha != 1:
         b *= alpha
     if ta == "C":
-        mat = np.conj(a)
+        mat = np.conj(a) if a.dtype.kind == "c" else a
         ta = "T"
     else:
         mat = a
@@ -185,24 +241,15 @@ def trsm(alpha, a: np.ndarray, b: np.ndarray, side: str = "L",
         blocks = list(range(0, n, nb))
         if backward:
             blocks = blocks[::-1]
+        floats = b.shape[1] == 1 and b.dtype == np.float64 \
+            and mat.dtype == np.float64
         for j0 in blocks:
             j1 = min(j0 + nb, n)
             # In-block substitution (rows j0..j1-1).
-            order = range(j1 - 1, j0 - 1, -1) if backward \
-                else range(j0, j1)
-            for j in order:
-                if not unit:
-                    b[j] = b[j] / mat[j, j]
-                if ta == "N":
-                    if up and j > j0:
-                        b[j0:j] -= mat[j0:j, j, None] * b[j]
-                    elif not up and j < j1 - 1:
-                        b[j + 1:j1] -= mat[j + 1:j1, j, None] * b[j]
-                else:
-                    if up and j < j1 - 1:
-                        b[j + 1:j1] -= mat[j, j + 1:j1, None] * b[j]
-                    elif not up and j > j0:
-                        b[j0:j] -= mat[j, j0:j, None] * b[j]
+            blk = mat[j0:j1, j0:j1]
+            if not (floats and _sweep_floats(blk if ta == "N" else blk.T,
+                                             b[j0:j1, 0], unit, backward)):
+                _sweep(mat, b, j0, j1, up, unit, ta, backward)
             # Rank-update the remaining rows with one GEMM.
             if ta == "N":
                 if up and j0 > 0:

@@ -87,7 +87,8 @@ def bandwidths(a):
     if rows.size == 0:
         return 0, 0
     offsets = cols - rows
-    return int(max(0, -offsets.min())), int(max(0, offsets.max()))
+    return (max(0, -int(np.minimum.reduce(offsets))),
+            max(0, int(np.maximum.reduce(offsets))))
 
 
 def _equals_adjoint(a, conj):

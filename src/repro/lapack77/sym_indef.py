@@ -28,7 +28,24 @@ _ALPHA = (1.0 + np.sqrt(17.0)) / 8.0
 
 
 def _cabs1(z):
-    return np.abs(z.real) + np.abs(z.imag) if np.iscomplexobj(z) else np.abs(z)
+    """``|Re z| + |Im z|`` of a complex scalar or array."""
+    return abs(z.real) + abs(z.imag)
+
+
+def _outer_real(x, y):
+    return x[:, None] * y
+
+
+def _kernels_for(a):
+    """``(cabs1, outer)`` for ``a``'s dtype, chosen once per
+    factorization.  Real: builtin ``abs`` (``np.abs`` on arrays, the
+    same ``fabs`` on scalars without a ufunc call) and a broadcast
+    product, which is ``np.outer`` without its wrapper.  Complex keeps
+    ``np.outer``: NumPy's complex multiply may round differently by
+    operand shape (DESIGN §7)."""
+    if np.iscomplexobj(a):
+        return _cabs1, np.outer
+    return abs, _outer_real
 
 
 def _diag_entry(a, k, hermitian):
@@ -37,15 +54,16 @@ def _diag_entry(a, k, hermitian):
 
 def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
     n = a.shape[0]
+    cabs1, outer = _kernels_for(a)
     info = 0
     k = n - 1
     while k >= 0:
         kstep = 1
-        absakk = abs(a[k, k].real) if hermitian else _cabs1(a[k, k])
+        absakk = abs(a[k, k].real) if hermitian else cabs1(a[k, k])
         if k > 0:
             col = a[:k, k]
-            imax = int(np.argmax(_cabs1(col)))
-            colmax = float(_cabs1(col[imax]))
+            imax = int(cabs1(col).argmax())
+            colmax = float(cabs1(col[imax]))
         else:
             imax, colmax = 0, 0.0
         if max(absakk, colmax) == 0.0 or absakk != absakk:  # DISNAN
@@ -58,12 +76,11 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
             if absakk >= _ALPHA * colmax:
                 kp = k
             else:
-                rowmax = float(np.max(_cabs1(a[imax, imax + 1: k + 1])))
+                rowmax = float(cabs1(a[imax, imax + 1: k + 1]).max())
                 if imax > 0:
-                    rowmax = max(rowmax,
-                                 float(np.max(_cabs1(a[:imax, imax]))))
+                    rowmax = max(rowmax, float(cabs1(a[:imax, imax]).max()))
                 dmag = abs(a[imax, imax].real) if hermitian \
-                    else _cabs1(a[imax, imax])
+                    else cabs1(a[imax, imax])
                 if absakk >= _ALPHA * colmax * (colmax / rowmax):
                     kp = k
                 elif dmag >= _ALPHA * rowmax:
@@ -108,7 +125,7 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                     else:
                         r1 = 1.0 / a[k, k]
                         x = a[:k, k]
-                        upd = r1 * np.outer(x, x)
+                        upd = r1 * outer(x, x)
                         a[:k, :k] -= upd
                         a[:k, k] *= r1
             else:
@@ -143,7 +160,7 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         colkm1 = a[:k - 1, k - 1].copy()
                         wkm1 = d12 * (d11 * colkm1 - colk)
                         wk = d12 * (d22 * colk - colkm1)
-                        upd = np.outer(colk, wk) + np.outer(colkm1, wkm1)
+                        upd = outer(colk, wk) + outer(colkm1, wkm1)
                         a[:k - 1, :k - 1] -= upd
                         a[:k - 1, k] = wk
                         a[:k - 1, k - 1] = wkm1
@@ -158,15 +175,16 @@ def _sytf2_upper(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
 
 def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
     n = a.shape[0]
+    cabs1, outer = _kernels_for(a)
     info = 0
     k = 0
     while k < n:
         kstep = 1
-        absakk = abs(a[k, k].real) if hermitian else _cabs1(a[k, k])
+        absakk = abs(a[k, k].real) if hermitian else cabs1(a[k, k])
         if k < n - 1:
             col = a[k + 1:, k]
-            imax = k + 1 + int(np.argmax(_cabs1(col)))
-            colmax = float(_cabs1(a[imax, k]))
+            imax = k + 1 + int(cabs1(col).argmax())
+            colmax = float(cabs1(a[imax, k]))
         else:
             imax, colmax = k, 0.0
         if max(absakk, colmax) == 0.0 or absakk != absakk:  # DISNAN
@@ -179,13 +197,13 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
             if absakk >= _ALPHA * colmax:
                 kp = k
             else:
-                rowmax = float(np.max(_cabs1(a[imax, k:imax]))) \
+                rowmax = float(cabs1(a[imax, k:imax]).max()) \
                     if imax > k else 0.0
                 if imax < n - 1:
                     rowmax = max(rowmax,
-                                 float(np.max(_cabs1(a[imax + 1:, imax]))))
+                                 float(cabs1(a[imax + 1:, imax]).max()))
                 dmag = abs(a[imax, imax].real) if hermitian \
-                    else _cabs1(a[imax, imax])
+                    else cabs1(a[imax, imax])
                 if absakk >= _ALPHA * colmax * (colmax / rowmax):
                     kp = k
                 elif dmag >= _ALPHA * rowmax:
@@ -229,7 +247,7 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                     else:
                         r1 = 1.0 / a[k, k]
                         x = a[k + 1:, k]
-                        upd = r1 * np.outer(x, x)
+                        upd = r1 * outer(x, x)
                         a[k + 1:, k + 1:] -= upd
                         a[k + 1:, k] *= r1
             else:
@@ -263,7 +281,7 @@ def _sytf2_lower(a: np.ndarray, ipiv: np.ndarray, hermitian: bool) -> int:
                         colkp1 = a[k + 2:, k + 1].copy()
                         wk = d21 * (d11 * colk - colkp1)
                         wkp1 = d21 * (d22 * colkp1 - colk)
-                        upd = np.outer(colk, wk) + np.outer(colkp1, wkp1)
+                        upd = outer(colk, wk) + outer(colkp1, wkp1)
                         a[k + 2:, k + 2:] -= upd
                         a[k + 2:, k] = wk
                         a[k + 2:, k + 1] = wkp1
@@ -322,37 +340,67 @@ def hetrf(a: np.ndarray, uplo: str = "U"):
     return sytf2(a, uplo, hermitian=True)
 
 
+def _rows(a, b):
+    """The rows the first phase of ``sytrs`` updates: the scalars of
+    B's column, as a 1-D view, when B is one float64 column and A is
+    float64; else the rows of the 2-D B."""
+    if b.shape[1] == 1 and b.dtype == np.float64 and a.dtype == np.float64:
+        return b[:, 0]
+    return b
+
+
+def _swap(r, i, j):
+    """Interchange rows ``i`` and ``j`` of :func:`_rows`'s ``r``."""
+    if r.ndim == 1:
+        r[i], r[j] = r[j], r[i]
+    else:
+        r[[i, j]] = r[[j, i]]
+
+
+def _axpy(r, x, s):
+    """``r -= x ⊗ s`` for rows ``r`` of :func:`_rows`: a broadcast
+    product on a column's scalars, ``np.outer`` on a 2-D B."""
+    if r.ndim == 1:
+        r -= x * s
+    else:
+        r -= np.outer(x, s)
+
+
 def _sytrs_upper(a, ipiv, b, hermitian):
     n = a.shape[0]
     conj = np.conj if hermitian else (lambda z: z)
+    r = _rows(a, b)
+    ipiv = np.asarray(ipiv).tolist()
     # Solve U D x = b (descending).
     k = n - 1
     while k >= 0:
         if ipiv[k] >= 0:
             kp = ipiv[k]
             if kp != k:
-                b[[k, kp]] = b[[kp, k]]
+                _swap(r, k, kp)
             if k > 0:
-                b[:k] -= np.outer(a[:k, k], b[k])
-            b[k] = b[k] / (a[k, k].real if hermitian else a[k, k])
+                _axpy(r[:k], a[:k, k], r[k])
+            r[k] = r[k] / (a[k, k].real if hermitian else a[k, k])
             k -= 1
         else:
             kp = -ipiv[k] - 1
             if kp != k - 1:
-                b[[k - 1, kp]] = b[[kp, k - 1]]
+                _swap(r, k - 1, kp)
             if k > 1:
-                b[:k - 1] -= np.outer(a[:k - 1, k], b[k])
-                b[:k - 1] -= np.outer(a[:k - 1, k - 1], b[k - 1])
+                _axpy(r[:k - 1], a[:k - 1, k], r[k])
+                _axpy(r[:k - 1], a[:k - 1, k - 1], r[k - 1])
             akm1k = a[k - 1, k]
             akm1 = a[k - 1, k - 1] / akm1k
             ak = a[k, k] / (conj(akm1k) if hermitian else akm1k)
             denom = akm1 * ak - 1.0
-            bkm1 = b[k - 1] / akm1k
-            bk = b[k] / (conj(akm1k) if hermitian else akm1k)
-            b[k - 1] = (ak * bkm1 - bk) / denom
-            b[k] = (akm1 * bk - bkm1) / denom
+            bkm1 = r[k - 1] / akm1k
+            bk = r[k] / (conj(akm1k) if hermitian else akm1k)
+            r[k - 1] = (ak * bkm1 - bk) / denom
+            r[k] = (akm1 * bk - bkm1) / denom
             k -= 2
-    # Solve (op(U)) x = b, op = transpose or conjugate transpose (ascending).
+    # Solve (op(U)) x = b, op = transpose or conjugate transpose
+    # (ascending).  The products stay on the 2-D B: their BLAS call fixes
+    # the summation order.
     k = 0
     while k < n:
         if ipiv[k] >= 0:
@@ -360,7 +408,7 @@ def _sytrs_upper(a, ipiv, b, hermitian):
                 b[k] -= conj(a[:k, k]) @ b[:k]
             kp = ipiv[k]
             if kp != k:
-                b[[k, kp]] = b[[kp, k]]
+                _swap(r, k, kp)
             k += 1
         else:
             if k > 0:
@@ -368,7 +416,7 @@ def _sytrs_upper(a, ipiv, b, hermitian):
                 b[k + 1] -= conj(a[:k, k + 1]) @ b[:k]
             kp = -ipiv[k] - 1
             if kp != k:
-                b[[k, kp]] = b[[kp, k]]
+                _swap(r, k, kp)
             k += 2
     return 0
 
@@ -376,34 +424,36 @@ def _sytrs_upper(a, ipiv, b, hermitian):
 def _sytrs_lower(a, ipiv, b, hermitian):
     n = a.shape[0]
     conj = np.conj if hermitian else (lambda z: z)
+    r = _rows(a, b)
+    ipiv = np.asarray(ipiv).tolist()
     # Solve L D x = b (ascending).
     k = 0
     while k < n:
         if ipiv[k] >= 0:
             kp = ipiv[k]
             if kp != k:
-                b[[k, kp]] = b[[kp, k]]
+                _swap(r, k, kp)
             if k < n - 1:
-                b[k + 1:] -= np.outer(a[k + 1:, k], b[k])
-            b[k] = b[k] / (a[k, k].real if hermitian else a[k, k])
+                _axpy(r[k + 1:], a[k + 1:, k], r[k])
+            r[k] = r[k] / (a[k, k].real if hermitian else a[k, k])
             k += 1
         else:
             kp = -ipiv[k] - 1
             if kp != k + 1:
-                b[[k + 1, kp]] = b[[kp, k + 1]]
+                _swap(r, k + 1, kp)
             if k < n - 2:
-                b[k + 2:] -= np.outer(a[k + 2:, k], b[k])
-                b[k + 2:] -= np.outer(a[k + 2:, k + 1], b[k + 1])
+                _axpy(r[k + 2:], a[k + 2:, k], r[k])
+                _axpy(r[k + 2:], a[k + 2:, k + 1], r[k + 1])
             akm1k = a[k + 1, k]
             akm1 = a[k, k] / (conj(akm1k) if hermitian else akm1k)
             ak = a[k + 1, k + 1] / akm1k
             denom = akm1 * ak - 1.0
-            bkm1 = b[k] / (conj(akm1k) if hermitian else akm1k)
-            bk = b[k + 1] / akm1k
-            b[k] = (ak * bkm1 - bk) / denom
-            b[k + 1] = (akm1 * bk - bkm1) / denom
+            bkm1 = r[k] / (conj(akm1k) if hermitian else akm1k)
+            bk = r[k + 1] / akm1k
+            r[k] = (ak * bkm1 - bk) / denom
+            r[k + 1] = (akm1 * bk - bkm1) / denom
             k += 2
-    # Solve op(L) x = b (descending).
+    # Solve op(L) x = b (descending), the products on the 2-D B.
     k = n - 1
     while k >= 0:
         if ipiv[k] >= 0:
@@ -411,7 +461,7 @@ def _sytrs_lower(a, ipiv, b, hermitian):
                 b[k] -= conj(a[k + 1:, k]) @ b[k + 1:]
             kp = ipiv[k]
             if kp != k:
-                b[[k, kp]] = b[[kp, k]]
+                _swap(r, k, kp)
             k -= 1
         else:
             if k < n - 1:
@@ -419,14 +469,25 @@ def _sytrs_lower(a, ipiv, b, hermitian):
                 b[k - 1] -= conj(a[k + 1:, k - 1]) @ b[k + 1:]
             kp = -ipiv[k] - 1
             if kp != k:
-                b[[k, kp]] = b[[kp, k]]
+                _swap(r, k, kp)
             k -= 2
     return 0
 
 
 def sytrs(a: np.ndarray, ipiv: np.ndarray, b: np.ndarray, uplo: str = "U",
           hermitian: bool = False) -> int:
-    """Solve from the Bunch–Kaufman factors (B in place)."""
+    """Solve from the Bunch–Kaufman factors (B in place).
+
+    When B is one float64 column and A is float64, the D-scaled
+    triangular phase (``U D`` or ``L D``) works on the column's scalars
+    through a 1-D view: scalar pivot swaps, a broadcast axpy in place of
+    ``np.outer`` and the 2×2 solve on NumPy scalars, the same operations
+    in the same order, so the bytes match the 2-D path
+    (``tests/lapack77/test_sym_indef_parity.py``).  The transposed phase
+    keeps its ``a[:k, k] @ b[:k]`` products on the 2-D column, because
+    their BLAS call fixes the summation order.  Complex, float32 and
+    multi-column B run the 2-D path throughout.
+    """
     n = a.shape[0]
     bmat = b if b.ndim == 2 else b[:, None]
     if bmat.shape[0] != n:

@@ -339,22 +339,66 @@ TRSM_CASES = [(s, u, t, d) for s in "LR" for u in "UL" for t in "NTC"
               for d in "UN"]
 
 
+SPECIALS = [np.nan, np.inf, -np.inf, -0.0, 5e-324, 2.5e-310]
+
+
+def _plant(rng, a, b, entries):
+    """``entries``: 'nonfinite' writes each of ``SPECIALS`` (rounded to
+    the dtype) into ``a`` and ``b`` at random places; 'zero-diag' puts an
+    exact zero on one diagonal entry of ``a``; 'plain' writes nothing."""
+    if entries == "zero-diag":
+        k = rng.integers(a.shape[0])
+        a[k, k] = 0.0
+    elif entries == "nonfinite":
+        for value in SPECIALS:
+            a[tuple(rng.integers(a.shape[0], size=2))] = value
+            b.flat[rng.integers(b.size)] = value
+
+
+def _strided_copy(b, side):
+    """One-column (one-row on the right) ``b`` as ``v[:, None]``
+    (``v[None, :]``) of a strided 1-D ``v``."""
+    v = np.zeros(2 * b.size, dtype=b.dtype)[::2]
+    v[:] = b.ravel()
+    return v[:, None] if side == "L" else v[None, :]
+
+
 @pytest.mark.parametrize("side,uplo,trans,diag", TRSM_CASES,
                          ids=["".join(c) for c in TRSM_CASES])
-@settings(max_examples=8, deadline=None)
-@given(n=st.sampled_from([1, 2, 31, 32, 33, 65]), nrhs=st.integers(1, 4),
-       alpha=st.sampled_from([1.0, -2.5]), dtype=st.sampled_from(REAL),
+@settings(max_examples=12, deadline=None)
+@given(n=st.sampled_from([1, 2, 31, 32, 33, 65, 128, 129]),
+       nrhs=st.integers(1, 4), alpha=st.sampled_from([1.0, -2.5]),
+       dtype=st.sampled_from(REAL), strided=st.booleans(),
+       entries=st.sampled_from(["plain", "nonfinite", "zero-diag"]),
        seed=seeds)
+@example(n=40, nrhs=1, alpha=1.0, dtype=np.float64, strided=False,
+         entries="zero-diag", seed=3)
+@example(n=129, nrhs=1, alpha=-2.5, dtype=np.float64, strided=True,
+         entries="nonfinite", seed=4)
+@example(n=128, nrhs=1, alpha=1.0, dtype=np.float64, strided=True,
+         entries="plain", seed=5)
 def test_trsm_bit_identical(side, uplo, trans, diag, n, nrhs, alpha, dtype,
-                            seed):
+                            strided, entries, seed):
+    """One column (the float64 case sweeps on Python floats) or several,
+    contiguous or a strided ``b[:, None]``, with NaN, ±Inf, ``-0.0`` and
+    subnormal entries, or an exact zero on the diagonal, which the
+    Python-float sweep must hand back to NumPy instead of raising."""
+    rng = np.random.default_rng(seed)
     a = _matrix(seed, n, n, dtype)
     a[np.diag_indices(n)] += n
+    if strided:
+        nrhs = 1
     shape = (n, nrhs) if side == "L" else (nrhs, n)
-    b = np.random.default_rng(seed + 1).standard_normal(shape).astype(dtype)
-    want, got = b.copy(), b.copy()
-    oracle_trsm(alpha, a, want, side, uplo, trans, diag)
-    assert trsm(alpha, a, got, side, uplo, trans, diag) is got
-    assert _bytes_equal(got, want)
+    b = rng.standard_normal(shape).astype(dtype)
+    _plant(rng, a, b, entries)
+    if strided:
+        want, got = _strided_copy(b, side), _strided_copy(b, side)
+    else:
+        want, got = b.copy(), b.copy()
+    with np.errstate(all="ignore"):
+        oracle_trsm(alpha, a, want, side, uplo, trans, diag)
+        assert trsm(alpha, a, got, side, uplo, trans, diag) is got
+    assert _bytes_equal(np.ascontiguousarray(got), np.ascontiguousarray(want))
 
 
 @pytest.mark.parametrize("side,uplo,trans,diag", TRSM_CASES,
