@@ -15,7 +15,11 @@ Three layers, mirroring the paper's architecture:
 Both interface layers reach the substrate through the pluggable backend
 registry (:mod:`repro.backends`): ``reference`` is the lapack77 package
 itself, ``accelerated`` adapts ``scipy.linalg.lapack`` when SciPy is
-available.  Select with :func:`set_backend` / ``use_backend`` / the
+installed.  ``import repro`` loads no SciPy: it loads at the
+accelerated backend's first kernel call, and a process that stays on
+the default backend never loads it.  If it then fails to import, that
+call is served by the reference substrate and ``accelerated`` leaves
+the registry.  Select with :func:`set_backend` / ``use_backend`` / the
 ``REPRO_BACKEND`` environment variable, or per call via the drivers'
 ``backend=`` keyword (which pins that one call, not the process).
 

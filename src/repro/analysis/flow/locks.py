@@ -85,6 +85,7 @@ GUARDED_BY = {
     "_POLICY": ("repro/policy.py", STATE_LOCK),
     "_SELECTED": ("repro/backends/__init__.py", STATE_LOCK),
     "_REGISTRY": ("repro/backends/__init__.py", STATE_LOCK),
+    "_RETIRED": ("repro/backends/__init__.py", STATE_LOCK),
     "_PINNED": ("repro/backends/__init__.py", None),
     "_BLOCK_SIZES": ("repro/config.py", STATE_LOCK),
     # deadline arming and the per-thread deadline stack
@@ -95,6 +96,9 @@ GUARDED_BY = {
     "ACTIVE": ("repro/faults.py", STATE_LOCK),
     "_CHAOS": ("repro/faults.py", STATE_LOCK),
     "CHAOS_ACTIVE": ("repro/faults.py", STATE_LOCK),
+    # the accelerated backend's typed-wrapper table, filled at first use
+    "_WRAPPERS": ("repro/backends/accelerated.py", "_LOAD_LOCK"),
+    "_LOADED": ("repro/backends/accelerated.py", "_LOAD_LOCK"),
     # the structure cache and its stats
     "_ENTRIES": ("repro/dispatch_front/cache.py", STATE_LOCK),
     "_STATS": ("repro/dispatch_front/cache.py", STATE_LOCK),

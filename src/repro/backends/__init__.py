@@ -16,8 +16,13 @@ Two substrates are known:
 ``accelerated``
     Thin adapters over ``scipy.linalg.lapack`` with LAPACK-style info
     translation (:mod:`repro.backends.accelerated`).  Auto-registered
-    only when SciPy imports; selecting it without SciPy degrades
-    gracefully per routine.
+    when SciPy is installed, which is checked without importing it:
+    SciPy loads on the backend's first kernel call, so ``import repro``
+    on the default backend loads no SciPy.  Selecting it without SciPy
+    degrades gracefully per routine.  If SciPy is installed but fails
+    to import at that first call, the backend leaves the registry, the
+    dispatch seam serves that call from ``reference``, and later calls
+    degrade per routine as if SciPy were absent.
 
 Selection mirrors :mod:`repro.policy`: a process-global knob
 (:func:`set_backend`, also initialised from the ``REPRO_BACKEND``
@@ -83,6 +88,10 @@ KNOWN_BACKENDS = ("reference", "accelerated")
 _SERVED_CHARS = "fdFD"
 
 _REGISTRY: dict[str, "Backend"] = {}
+#: Backends dropped from the registry (:func:`unregister_backend`,
+#: :func:`_retire`), by name, so the dispatch seam can still read a
+#: dropped backend's :attr:`Backend.write_back` (:func:`_writes_back`).
+_RETIRED: dict[str, "Backend"] = {}
 _SELECTED = "reference"
 _ANNOUNCED = RateLimiter()
 #: The per-call ``backend=`` pin: read before ``_SELECTED``, set only
@@ -191,9 +200,32 @@ def unregister_backend(name):
     if name == "reference":
         raise ValueError("the reference backend cannot be unregistered")
     with STATE_LOCK:
-        _REGISTRY.pop(name, None)
+        _retire(name)
         if _SELECTED == name:
             _SELECTED = "reference"
+
+
+def _retire(name):
+    """Drop ``name`` from the registry and leave the selection alone:
+    a backend whose substrate failed to load at its first call
+    (:mod:`repro.backends.accelerated`).  Calls that select it then
+    fall back to ``reference`` per routine, with a warning, as when it
+    never registered."""
+    with STATE_LOCK:
+        backend = _REGISTRY.pop(name, None)
+        if backend is not None:
+            _RETIRED[name] = backend
+
+
+def _writes_back(name, routine):
+    """True when backend ``name`` declares ``routine`` write-back
+    (:attr:`Backend.write_back`).  A backend no longer registered
+    answers for the one last registered under its name: the dispatch
+    seam asks after the failed call, and that call may be the one that
+    retired it."""
+    with STATE_LOCK:
+        backend = _REGISTRY.get(name) or _RETIRED.get(name)
+    return backend is not None and routine in backend.write_back
 
 
 def available_backends():

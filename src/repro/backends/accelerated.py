@@ -42,37 +42,79 @@ expert drivers build on (``sytrf``/``sytrs``, condition estimators,
 refinement loops) stay on the reference substrate — their factored forms
 and ``ipiv`` encodings would otherwise mix between substrates mid-driver.
 
-``build_accelerated_backend`` returns ``None`` when SciPy is absent; the
-registry then leaves the backend unregistered and selection degrades to
-``reference`` per routine.
+SciPy loads on the first adapter call, not at import: ``import repro``
+loads no SciPy, and neither does a process that only ever calls the
+reference backend.  :func:`build_accelerated_backend` asks
+``importlib.util.find_spec`` whether SciPy is installed, which imports
+nothing, and returns ``None`` when it is not; the registry then leaves
+the backend unregistered and selection degrades to ``reference`` per
+routine.  The typed-wrapper table fills on the first lookup that
+misses (:func:`_flavor`, :func:`_load_wrappers`), once, under a lock.
+When SciPy is installed but its import fails there, the backend leaves
+the registry (the selection stays) and the import error propagates
+into the dispatch seam, which serves that call once from reference;
+every later call falls back per routine with a
+:class:`~repro.errors.BackendFallbackWarning`, as when SciPy is absent.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.util
+import threading
 
 import numpy as np
 
 from ..errors import xerbla
 
-try:
-    from scipy.linalg import lapack as _scipy_lapack
-except Exception:  # pragma: no cover - exercised on the no-SciPy CI leg
-    _scipy_lapack = None
-
 #: NumPy dtype char -> LAPACK precision prefix.
 _PREFIX = {"f": "s", "d": "d", "F": "c", "D": "z"}
 
 #: ``(routine, dtype char) -> typed SciPy wrapper`` (``("gesv", "d")``
-#: -> ``dgesv``), filled once by :func:`build_accelerated_backend` and
-#: only read afterwards.
+#: -> ``dgesv``), filled once by :func:`_load_wrappers` and only read
+#: afterwards.  A plain ``dict``: a clean call is one subscript, which
+#: CPython specialises for exact dicts only.
 _WRAPPERS = {}
+#: Set once ``_WRAPPERS`` holds every typed wrapper SciPy provides.
+_LOADED = False
+_LOAD_LOCK = threading.Lock()
 
 
 def _flavor(name, dtype):
     """The typed SciPy wrapper (e.g. ``dgesv``) for ``name`` and the
-    NumPy ``dtype`` of its operands."""
-    return _WRAPPERS[name, dtype.char]
+    NumPy ``dtype`` of its operands.  The first miss loads SciPy
+    (:func:`_load_wrappers`) and looks again; a pair SciPy lacks still
+    raises ``KeyError``."""
+    try:
+        return _WRAPPERS[name, dtype.char]  # laflow: benign-race — filled once under _LOAD_LOCK, entry by entry; a miss takes the lock
+    except KeyError:
+        _load_wrappers()
+        return _WRAPPERS[name, dtype.char]  # laflow: benign-race — read after _load_wrappers returned, which filled the table under _LOAD_LOCK
+
+
+def _load_wrappers():
+    """Import ``scipy.linalg.lapack`` and fill ``_WRAPPERS`` from the
+    adapter names and the s/d/c/z prefixes, once.  When the import
+    fails, drop ``accelerated`` from the registry (the selection stays,
+    so later calls fall back per routine with a warning) and re-raise:
+    the dispatch seam serves the failed call from reference."""
+    global _LOADED
+    with _LOAD_LOCK:
+        if _LOADED:
+            return
+        try:
+            from scipy.linalg import lapack
+        except Exception:
+            from . import _retire
+            _retire("accelerated")
+            raise
+        # The *_stack adapters call their scalar routine's wrapper.
+        _WRAPPERS.update(
+            ((fn.__name__, char), getattr(lapack, prefix + fn.__name__))
+            for fn in _ADAPTERS if not fn.__name__.endswith("_stack")
+            for char, prefix in _PREFIX.items()
+            if hasattr(lapack, prefix + fn.__name__))
+        _LOADED = True
 
 
 def _as2d(b):
@@ -620,15 +662,13 @@ _ADAPTERS = (gesv, gesv_stack, getrf, getrs, posv, posv_stack, trtrs,
 
 
 def build_accelerated_backend():
-    if _scipy_lapack is None:
+    """The ``accelerated`` :class:`~repro.backends.Backend`, or ``None``
+    when SciPy is not installed.  Nothing is imported here: SciPy loads
+    on the first adapter call (:func:`_load_wrappers`)."""
+    if importlib.util.find_spec("scipy") is None:
         return None
     from . import Backend
     table = {fn.__name__: fn for fn in _ADAPTERS}
-    _WRAPPERS.update(
-        ((name, char), getattr(_scipy_lapack, prefix + name))
-        for name in table if not name.endswith("_stack")
-        for char, prefix in _PREFIX.items()
-        if hasattr(_scipy_lapack, prefix + name))
     chars = {name: _DTYPES.get(name, "fdFD") for name in table}
     return Backend("accelerated", table, dtype_chars=chars,
                    write_back=table)

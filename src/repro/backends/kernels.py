@@ -41,7 +41,7 @@ import numpy as np
 from .. import faults, lapack77
 from ..errors import LinAlgError
 from ..resilience import calllog
-from . import get_backend, get_backend_name, resolve
+from . import _writes_back, get_backend_name, resolve
 
 
 class KernelProxy:
@@ -76,7 +76,7 @@ class KernelProxy:
             calllog.record("{}:{}#1:error={}".format(
                 backend, routine, type(exc).__name__))
             if backend == "reference" \
-                    or routine not in get_backend(backend).write_back:
+                    or not _writes_back(backend, routine):
                 raise
         return _escalate(routine, reference, args, kwargs)
 

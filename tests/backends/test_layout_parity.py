@@ -485,6 +485,7 @@ def test_no_adapter_passes_a_keyword(monkeypatch):
     if "accelerated" not in BACKENDS:
         pytest.skip("the accelerated backend needs SciPy")
     from repro.backends import accelerated
+    accelerated._load_wrappers()        # SciPy loads at the first call
     called = set()
 
     def positional(key, wrapper):
@@ -507,7 +508,7 @@ def _raw_destroyed(name, a, *flags):
     ``overwrite_a``)."""
     from repro.backends import accelerated
     af = np.asfortranarray(a)
-    accelerated._WRAPPERS[name, a.dtype.char](af, *flags)
+    accelerated._flavor(name, a.dtype)(af, *flags)
     return af.tobytes()
 
 

@@ -160,7 +160,7 @@ class _Broken(Exception):
 def test_a_raising_slice_leaves_the_operands_untouched(monkeypatch, stack,
                                                        name, args, fail_at):
     from repro.backends import accelerated
-    real = accelerated._WRAPPERS[name, "d"]
+    real = accelerated._flavor(name, np.dtype("d"))
     calls = []
 
     def flaky(*a, **kw):
