@@ -14,10 +14,12 @@ Three layers, mirroring the paper's architecture:
 
 Both interface layers reach the substrate through the pluggable backend
 registry (:mod:`repro.backends`): ``reference`` is the lapack77 package
-itself, ``accelerated`` adapts ``scipy.linalg.lapack`` when SciPy is
-installed.  ``import repro`` loads no SciPy: it loads at the
-accelerated backend's first kernel call, and a process that stays on
-the default backend never loads it.  If it then fails to import, that
+itself, ``accelerated`` adapts the typed wrappers of SciPy's compiled
+``_flapack`` extension (the objects ``scipy.linalg.lapack`` re-exports)
+when SciPy is installed.  ``import repro`` loads no SciPy: the
+extension loads at the accelerated backend's first kernel call, without
+the ``scipy.linalg`` package, and a process that stays on the default
+backend never loads it.  If it then fails to import, that
 call is served by the reference substrate and ``accelerated`` leaves
 the registry.  Select with :func:`set_backend` / ``use_backend`` / the
 ``REPRO_BACKEND`` environment variable, or per call via the drivers'

@@ -14,11 +14,14 @@ Two substrates are known:
     Today's pure-NumPy :mod:`repro.lapack77` kernels, registered from
     the package's explicit export catalogue.  Always present.
 ``accelerated``
-    Thin adapters over ``scipy.linalg.lapack`` with LAPACK-style info
-    translation (:mod:`repro.backends.accelerated`).  Auto-registered
-    when SciPy is installed, which is checked without importing it:
-    SciPy loads on the backend's first kernel call, so ``import repro``
-    on the default backend loads no SciPy.  Selecting it without SciPy
+    Thin adapters over the typed wrappers of SciPy's compiled
+    ``_flapack`` extension (the objects ``scipy.linalg.lapack``
+    re-exports) with LAPACK-style info translation
+    (:mod:`repro.backends.accelerated`).  Auto-registered when SciPy is
+    installed, which is checked without importing it: the extension
+    loads on the backend's first kernel call, without the
+    ``scipy.linalg`` package, so ``import repro`` on the default
+    backend loads no SciPy.  Selecting it without SciPy
     degrades gracefully per routine.  If SciPy is installed but fails
     to import at that first call, the backend leaves the registry, the
     dispatch seam serves that call from ``reference``, and later calls

@@ -1,4 +1,9 @@
-"""The ``accelerated`` substrate: adapters over ``scipy.linalg.lapack``.
+"""The ``accelerated`` substrate: adapters over SciPy's compiled LAPACK.
+
+The adapters call the typed wrappers (``dgesv``, ``zheev``, ...) of
+SciPy's f2py extension ``scipy.linalg._flapack``: the very objects
+``scipy.linalg.lapack`` re-exports, loaded without the ``scipy.linalg``
+package (:func:`_lapack`).
 
 Each adapter presents the exact Python signature, in-place semantics and
 ``info`` conventions of its reference twin in :mod:`repro.lapack77`, so
@@ -44,16 +49,20 @@ and ``ipiv`` encodings would otherwise mix between substrates mid-driver.
 
 SciPy loads on the first adapter call, not at import: ``import repro``
 loads no SciPy, and neither does a process that only ever calls the
-reference backend.  :func:`build_accelerated_backend` asks
-``importlib.util.find_spec`` whether SciPy is installed, which imports
-nothing, and returns ``None`` when it is not; the registry then leaves
-the backend unregistered and selection degrades to ``reference`` per
-routine.  The typed-wrapper table fills on the first lookup that
-misses (:func:`_flavor`, :func:`_load_wrappers`), once, under a lock.
-When SciPy is installed but its import fails there, the backend leaves
-the registry (the selection stays) and the import error propagates
-into the dispatch seam, which serves that call once from reference;
-every later call falls back per routine with a
+reference backend.  That first call runs ``import scipy`` and loads the
+``_flapack`` extension from its file; the ``scipy.linalg`` package
+stays unloaded until the caller imports it.
+:func:`build_accelerated_backend` asks ``importlib.util.find_spec``
+whether SciPy is installed, which imports nothing, and returns ``None``
+when it is not; the registry then leaves the backend unregistered and
+selection degrades to ``reference`` per routine.  The typed-wrapper
+table fills on the first lookup that misses (:func:`_flavor`,
+:func:`_load_wrappers`), once, under a lock.  When the extension cannot
+be loaded directly, ``scipy.linalg.lapack`` is imported instead.  When
+SciPy is installed but fails to load there, the backend leaves the
+registry (the selection stays) and the import error propagates into
+the dispatch seam, which serves that call once from reference; every
+later call falls back per routine with a
 :class:`~repro.errors.BackendFallbackWarning`, as when SciPy is absent.
 """
 
@@ -61,7 +70,10 @@ from __future__ import annotations
 
 import functools
 import importlib.util
+import os
+import sys
 import threading
+from importlib import machinery
 
 import numpy as np
 
@@ -93,17 +105,18 @@ def _flavor(name, dtype):
 
 
 def _load_wrappers():
-    """Import ``scipy.linalg.lapack`` and fill ``_WRAPPERS`` from the
-    adapter names and the s/d/c/z prefixes, once.  When the import
-    fails, drop ``accelerated`` from the registry (the selection stays,
-    so later calls fall back per routine with a warning) and re-raise:
-    the dispatch seam serves the failed call from reference."""
+    """Fill ``_WRAPPERS`` from SciPy's typed LAPACK wrappers
+    (:func:`_lapack`) by the adapter names and the s/d/c/z prefixes,
+    once.  When SciPy fails to load, drop ``accelerated`` from the
+    registry (the selection stays, so later calls fall back per routine
+    with a warning) and re-raise: the dispatch seam serves the failed
+    call from reference."""
     global _LOADED
     with _LOAD_LOCK:
         if _LOADED:
             return
         try:
-            from scipy.linalg import lapack
+            lapack = _lapack()
         except Exception:
             from . import _retire
             _retire("accelerated")
@@ -115,6 +128,42 @@ def _load_wrappers():
             for char, prefix in _PREFIX.items()
             if hasattr(lapack, prefix + fn.__name__))
         _LOADED = True
+
+
+def _lapack():
+    """A module holding SciPy's typed LAPACK wrappers (``dgesv``, ...).
+
+    These are the functions of SciPy's compiled ``scipy.linalg._flapack``
+    extension, which ``scipy.linalg.lapack`` re-exports.  A process that
+    already loaded either module gets it from ``sys.modules``.
+    Otherwise only ``import scipy`` runs (SciPy's platform set-up), and
+    the extension is loaded from its file without the ``scipy.linalg``
+    package, whose import costs several times more.  The
+    ``sys.modules`` entry the extension's initialisation makes is
+    removed again, so a later ``import scipy.linalg`` loads it as its
+    own submodule (sharing these very function objects).  When the
+    extension is not found or does not load, ``scipy.linalg.lapack`` is
+    imported instead."""
+    for name in ("scipy.linalg.lapack", "scipy.linalg._flapack"):
+        module = sys.modules.get(name)
+        if module is not None:
+            return module
+    import scipy
+    finder = machinery.FileFinder(
+        os.path.join(scipy.__path__[0], "linalg"),
+        (machinery.ExtensionFileLoader, machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg._flapack")
+    if spec is not None:
+        try:
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+        except ImportError:     # a broken build: take the package route
+            pass
+        finally:
+            sys.modules.pop(spec.name, None)
+    from scipy.linalg import lapack
+    return lapack
 
 
 def _as2d(b):

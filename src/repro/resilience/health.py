@@ -34,9 +34,13 @@ def healthcheck() -> dict:
 
     The probe solves a fixed well-conditioned
     3×3 system, so ``residual`` should be at round-off level for any
-    correct substrate.  The ``batch`` entry reports the backend's batch
-    capability per batchable kernel — ``"native"`` when the substrate
-    ships its own ``*_stack`` entry (one substrate call per problem, one
+    correct substrate.  ``ok`` also needs the backend to have served
+    the probe itself: a kernel failure the dispatch seam escalated to
+    reference still gives a correct answer, but reads ``ok=False`` with
+    the attempt trail (``Info.attempts``) in ``error``.  The ``batch``
+    entry reports the backend's batch capability per batchable
+    kernel — ``"native"`` when the substrate ships its own ``*_stack``
+    entry (one substrate call per problem, one
     seam crossing per stack; accelerated ``gesv``/``posv``/``gels``/
     ``syev``/``heev``), ``"stack"`` when the grafted loop-mode entry
     crosses the seam once per stack, ``"loop"`` when the derived wrapper
@@ -66,10 +70,14 @@ def healthcheck() -> dict:
             la_gesv(a0.copy(), x, info=info, backend=name)
             residual = float(np.max(np.abs(a0 @ x - b0)))
             entry["residual"] = residual
-            entry["ok"] = int(info) == 0 and residual < 1e-10
+            entry["ok"] = (int(info) == 0 and residual < 1e-10
+                           and info.attempts is None)
             if not entry["ok"]:
                 entry["error"] = "info={}, residual={:.3e}".format(
                     int(info), residual)
+                if info.attempts is not None:
+                    entry["error"] += ", attempts={}".format(
+                        ", ".join(info.attempts))
         except Exception as exc:  # a probe must never take the caller down
             entry["error"] = "{}: {}".format(type(exc).__name__, exc)
         entry["batch"] = {"ok": False, "error": None,

@@ -1,18 +1,24 @@
 """SciPy loads at the accelerated backend's first kernel call, not at
-``import repro``.
+``import repro``, and without the ``scipy.linalg`` package.
 
 Every case runs in a fresh child process (``sys.modules`` is the thing
 under test), with ``REPRO_BACKEND`` and ``REPRO_CHAOS`` cleared unless
 the case sets them:
 
 * the reference backend never loads SciPy, through any entry point;
-* each way into the accelerated backend loads it exactly once, and
-  gives the same bytes as a process that imported SciPy before repro;
+* each way into the accelerated backend fills its wrapper table once,
+  from one load of SciPy's ``_flapack`` extension, leaves the
+  ``scipy.linalg`` package unloaded, and gives the same bytes as a
+  process that imported ``scipy.linalg.lapack`` before repro; a later
+  ``import scipy.linalg`` works and re-exports the backend's wrappers;
+* with the extension hidden (not found, or failing to load) the backend
+  imports ``scipy.linalg.lapack`` instead, with the same bytes;
 * eight threads making their first accelerated call at once all
   succeed, with the bytes of a serial run;
 * a SciPy that is found but fails to import serves its first call from
   reference (recorded in ``Info.attempts``), leaves the registry, and
-  later calls fall back per routine with a warning.
+  later calls fall back per routine with a warning; ``healthcheck()``
+  reports it not ok, with that trail.
 """
 
 from __future__ import annotations
@@ -93,17 +99,27 @@ def digest(out):
     return h.hexdigest()
 """
 
-#: Counts the imports of ``scipy.linalg.lapack`` (a finder is asked only
-#: while a module is not yet in ``sys.modules``) and the calls to the
-#: accelerated backend's one-time load.
+#: Counts the imports of the ``scipy.linalg`` package (a finder is asked
+#: only while a module is not yet in ``sys.modules``), the loads of the
+#: ``_flapack`` extension (each creates the module anew) and the calls
+#: to the accelerated backend's one-time table fill.
 _COUNTERS = """
 class _Counter:
-    loads = 0
+    linalg = 0
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy.linalg.lapack":
-            _Counter.loads += 1
+        if name == "scipy.linalg":
+            _Counter.linalg += 1
         return None
 sys.meta_path.insert(0, _Counter())
+
+from importlib import machinery
+_create = machinery.ExtensionFileLoader.create_module
+extension_loads = []
+def _counting_create(self, spec):
+    if spec.name == "scipy.linalg._flapack":
+        extension_loads.append(1)
+    return _create(self, spec)
+machinery.ExtensionFileLoader.create_module = _counting_create
 
 from repro.backends import accelerated
 _fill = accelerated._load_wrappers
@@ -152,9 +168,41 @@ ENTRIES = {
 }
 
 
-def _entry_child(entry, preload):
+#: Run first in :func:`_entry_child`: SciPy imported eagerly.
+_PRELOAD = "import scipy.linalg.lapack\n"
+
+#: Run first in :func:`_entry_child`: the ``_flapack`` extension hidden
+#: from the backend's direct load, as not found or as failing to load.
+#: Only the backend's own reference to ``importlib.machinery`` is
+#: replaced; the import system keeps its classes.
+_HIDDEN = {
+    "not-found": """
+class _Blind(machinery.FileFinder):
+    def find_spec(self, fullname, target=None):
+        return None
+hidden = {"FileFinder": _Blind}
+""",
+    "fails-to-load": """
+class _Failing(machinery.ExtensionFileLoader):
+    def create_module(self, spec):
+        raise ImportError("this extension does not load")
+hidden = {"ExtensionFileLoader": _Failing}
+""",
+}
+
+
+def _hiding(hide):
+    return "import types\nfrom importlib import machinery\n" \
+        + _HIDDEN[hide] + """
+from repro.backends import accelerated
+accelerated.machinery = types.SimpleNamespace(**{
+    name: hidden.get(name, getattr(machinery, name))
+    for name in ("FileFinder", "ExtensionFileLoader", "EXTENSION_SUFFIXES")})
+"""
+
+
+def _entry_child(entry, head=""):
     body, env = ENTRIES[entry]
-    head = "import scipy.linalg.lapack\n" if preload else ""
     return _child(head + "import json, sys\n" + _SCIPY_MODULES + _WORKLOAD
                   + """
 import repro
@@ -162,12 +210,19 @@ import repro
 before = scipy_modules()
 """ + body + """
 again = run(seed=5, backend="accelerated")
+after = scipy_modules()
+linalg_imports, loads = _Counter.linalg, len(extension_loads)
+import scipy.linalg
+wrapper = accelerated._WRAPPERS["gesv", "d"]
 print(json.dumps({
     "backend": repro.get_backend_name(),
-    "before": before, "after": scipy_modules(),
-    "loads": _Counter.loads, "fills": len(fills),
+    "before": before, "after": after,
+    "linalg_imports": linalg_imports, "loads": loads,
+    "fills": len(fills),
     "digest": digest(out), "again": digest(again),
     "attempts": [o for o in out + again if isinstance(o, list)],
+    "reexported": [scipy.linalg._flapack.dgesv is wrapper,
+                   scipy.linalg.lapack.dgesv is wrapper],
 }))
 """, **env)
 
@@ -175,17 +230,38 @@ print(json.dumps({
 @needs_scipy
 @pytest.mark.parametrize("entry", sorted(ENTRIES))
 def test_each_entry_loads_scipy_once_with_preloaded_bytes(entry):
-    lazy = _entry_child(entry, preload=False)
-    eager = _entry_child(entry, preload=True)
+    lazy = _entry_child(entry)
+    eager = _entry_child(entry, head=_PRELOAD)
     assert lazy["before"] == []
-    assert "scipy.linalg.lapack" in lazy["after"]
+    # One load of the extension, without the scipy.linalg package.
+    assert "scipy" in lazy["after"]
+    assert "scipy.linalg" not in lazy["after"]
+    assert lazy["linalg_imports"] == 0
     assert lazy["loads"] == 1 and lazy["fills"] == 1
-    assert eager["before"] != [] and eager["loads"] == 0
+    # A later import of the package shares the backend's wrappers.
+    assert lazy["reexported"] == [True, True]
+    assert "scipy.linalg" in eager["before"]
+    assert eager["loads"] == 0 and eager["fills"] == 1
+    assert eager["reexported"] == [True, True]
     assert (lazy["digest"], lazy["again"]) == \
         (eager["digest"], eager["again"])
     # Served by accelerated itself: no call escalated or fell back.
     assert all(a[1] is None and a[2] is None for a in lazy["attempts"])
     assert lazy["attempts"] == eager["attempts"]
+
+
+@needs_scipy
+@pytest.mark.parametrize("hide", sorted(_HIDDEN))
+def test_a_hidden_extension_falls_back_to_the_package_import(hide):
+    hidden = _entry_child("set_backend", head=_hiding(hide))
+    eager = _entry_child("set_backend", head=_PRELOAD)
+    assert hidden["before"] == []
+    assert "scipy.linalg.lapack" in hidden["after"]
+    assert hidden["linalg_imports"] == 1 and hidden["fills"] == 1
+    assert hidden["reexported"] == [True, True]
+    assert (hidden["digest"], hidden["again"]) == \
+        (eager["digest"], eager["again"])
+    assert all(a[1] is None and a[2] is None for a in hidden["attempts"])
 
 
 @needs_scipy
@@ -212,13 +288,15 @@ for t in threads:
 serial = [digest(run(seed=10 + k, backend="accelerated"))
           for k in range(8)]
 print(json.dumps({"errors": errors, "threads": results, "serial": serial,
-                  "loads": _Counter.loads,
+                  "loads": len(extension_loads), "fills": len(fills),
                   "attempts": [run(seed=10 + k, backend="accelerated")[3]
                                for k in range(8)]}))
 """)
     assert got["errors"] == []
     assert got["threads"] == got["serial"]
-    assert got["loads"] == 1
+    # Each thread that missed the table asked for the fill; the
+    # extension loaded once.
+    assert got["loads"] == 1 and 1 <= got["fills"] <= 8
     assert all(a == [0, None, None] for a in got["attempts"])
 
 
@@ -296,3 +374,26 @@ print(json.dumps({
     assert all("backend not registered" in w
                for w in got["later_warnings"])
     assert got["same_x"] == [True, True]
+
+
+def test_healthcheck_reports_a_scipy_that_fails_to_import_as_not_ok():
+    got = _child("import json, sys, warnings\n" + _BROKEN_SCIPY + """
+import repro
+registered = repro.available_backends()
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    report = repro.healthcheck()
+print(json.dumps({"registered": registered,
+                  "after": repro.available_backends(),
+                  "accelerated": report["backends"]["accelerated"],
+                  "reference": report["backends"]["reference"]}))
+""")
+    assert got["registered"] == ["reference", "accelerated"]
+    assert got["after"] == ["reference"]
+    sick = got["accelerated"]
+    # Reference served the probe correctly, but accelerated did not.
+    assert sick["ok"] is False and sick["residual"] < 1e-10
+    assert "accelerated:gesv#1:error=ImportError" in sick["error"]
+    assert "reference:gesv#2" in sick["error"]
+    assert got["reference"]["ok"] is True
+    assert got["reference"]["error"] is None

@@ -93,7 +93,12 @@ def test_healthcheck_surfaces_a_sick_backend_without_raising():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         report = healthcheck()
-    # The accelerated probe degraded to reference (escalation), so the
-    # answer is still correct — healthcheck never raises.
-    assert report["backends"]["accelerated"]["ok"]
+    # The accelerated probe degraded to reference (escalation): the
+    # answer is still correct and healthcheck never raises, but the
+    # backend did not serve its own probe, so it is not ok.
+    sick = report["backends"]["accelerated"]
+    assert sick["ok"] is False
+    assert sick["residual"] < 1e-10
+    assert "accelerated:gesv#1:error=InjectedFault" in sick["error"]
+    assert "reference:gesv#2" in sick["error"]
     assert report["backends"]["reference"]["ok"]
