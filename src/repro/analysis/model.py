@@ -197,8 +197,7 @@ class Project:
                     parts = src.split(".")
                     # Direct substrate imports and registry-dispatched
                     # proxies (repro.backends.kernels) both count as
-                    # "the lapack77 call" for the catalogue rule
-                    # (LA006) and the dataflow rules.
+                    # "the lapack77 call" for the dataflow rules.
                     if "lapack77" in parts or \
                             ("backends" in parts and
                              parts[-1] == "kernels"):

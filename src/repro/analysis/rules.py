@@ -31,12 +31,6 @@ LAPACK_ERRORS = {
 #: Reporter callables and the index of their LINFO argument.
 REPORTERS = {"erinfo": 0, "xerbla": 1}
 
-#: Real <-> complex driver-family digraphs (``la_sysv`` pairs with
-#: ``la_hesv`` and so on).
-_REAL_COMPLEX = {"sy": "he", "sp": "hp", "sb": "hb", "or": "un"}
-PAIRS = dict(_REAL_COMPLEX)
-PAIRS.update({v: k for k, v in _REAL_COMPLEX.items()})
-
 #: Named code-class constants (``repro.errors``) whose raw values must
 #: not be spelled as literals inside driver modules.
 CODE_CLASS_FLOOR = -100
@@ -166,68 +160,6 @@ def check_la005(project: Project):
             findings.append(_f(
                 "LA005", f"__all__ exports undefined name {name}",
                 mod, mod.all_node, context=name))
-    return findings
-
-
-# ---------------------------------------------------------------------
-# LA006 — dtype-dispatch completeness against the lapack77 substrate
-# ---------------------------------------------------------------------
-
-def check_la006(project: Project):
-    findings = []
-    submods, flat = {}, set()
-    for mod in project.modules:
-        if not mod.is_substrate:
-            continue
-        base = mod.path.replace("\\", "/").rsplit("/", 1)[-1][:-3]
-        names = set(mod.functions) | set(mod.imports)
-        submods.setdefault(base, set()).update(names)
-        flat |= names
-    if flat:
-        for mod in project.modules:
-            if mod.is_substrate:
-                continue
-            for node in ast.walk(mod.tree):
-                if not isinstance(node, ast.ImportFrom):
-                    continue
-                src = node.module or ""
-                parts = src.split(".")
-                # A registry-dispatched import (repro.backends.kernels)
-                # is "the lapack77 call": its proxies must name real
-                # substrate routines too.
-                dispatched = "backends" in parts and \
-                    parts[-1] == "kernels"
-                if "lapack77" not in parts and not dispatched:
-                    continue
-                last = parts[-1]
-                pool = flat if (dispatched or last == "lapack77") \
-                    else submods.get(last, flat)
-                for alias in node.names:
-                    if alias.name == "*":
-                        continue
-                    if alias.name not in pool and alias.name not in flat:
-                        findings.append(_f(
-                            "LA006",
-                            f"substrate routine {alias.name} not found "
-                            f"in the scanned lapack77 package", mod,
-                            node))
-    # Real/complex pairing: the s/d (real) family driver and its c/z
-    # (complex) partner must both exist for the dispatch to cover all
-    # four type combinations.
-    all_drivers = set()
-    for mod in project.modules:
-        all_drivers |= set(mod.drivers())
-    for mod in project.modules:
-        for name, func in sorted(mod.drivers().items()):
-            digraph = name[3:5]
-            if digraph not in PAIRS or len(name) <= 5:
-                continue
-            partner = "la_" + PAIRS[digraph] + name[5:]
-            if partner not in all_drivers:
-                findings.append(_f(
-                    "LA006",
-                    f"{name} has no {partner} partner — s/d/c/z "
-                    "dispatch is incomplete", mod, func, context=name))
     return findings
 
 
@@ -503,7 +435,6 @@ RULES = [
     ("LA001", "every public driver goes through the driver shell",
      check_la001),
     ("LA005", "__all__ agrees with public drivers", check_la005),
-    ("LA006", "s/d/c/z dispatch completeness", check_la006),
     ("LA007", "code-class literal discipline", check_la007),
     ("LA008", "no direct substrate imports in driver modules",
      check_la008),

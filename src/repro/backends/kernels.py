@@ -29,7 +29,7 @@ A clean call resolves once and records nothing.  The chaos harness
 (:mod:`repro.faults`) is consulted before each kernel only while a
 chaos fault is armed.
 
-lalint treats these imports as substrate imports: LA006 and laflow see a
+lalint treats these imports as substrate imports: laflow sees a
 dispatched call as "the lapack77 call", and LA008 requires driver
 modules to import kernels from here rather than from ``repro.lapack77``.
 """

@@ -155,11 +155,12 @@ def make_batched(spec):
                       if bound[a.name] is not None]
         return outs[0] if len(outs) == 1 else tuple(outs)
 
-    def refused(bound, batch):
+    def empty(bound):
+        """The quick return of an empty stack or of n = 0."""
         if rhs is not None:
             return bound[rhs]
         w = bound["w"]
-        return returned(bound, w if w is not None else np.zeros((batch, 0)))
+        return returned(bound, w if w is not None else np.zeros((0, 0)))
 
     def wrapper(*args, info=None, backend=None, **kwargs):
         if backend is not None:
@@ -181,7 +182,7 @@ def make_batched(spec):
             batch = 0               # n = 0: nothing to compute
         if linfo != 0 or batch == 0:
             erinfo(linfo, srname, info)
-            return refused(bound, batch)
+            return None if linfo else empty(bound)
         frames, depth = calllog.push()
         try:
             return run(bound, batch, info, frames, depth)
@@ -226,7 +227,7 @@ def make_batched(spec):
         if not flagged and faults.alloc_fault(srname):
             calllog.drain_into(binfo)
             erinfo(ALLOC_FAILED, srname, info)
-            return refused(bound, batch)
+            return None
 
         pol = get_policy()
 

@@ -14,19 +14,14 @@ from ..backends.kernels import (gecon, geequ, gerfs, getrf, getri, getrs,
                                 hegst, hetrd, lange, lanhe, lansy, orgtr,
                                 pocon, potrf, sygst, sytrd, trtrs, ungtr)
 from .auxmod import as_matrix
-from .shell import _unchanged, driver_shell
+from .shell import driver_shell
 
 __all__ = ["la_getrf", "la_getrs", "la_trtrs", "la_getri", "la_gerfs",
            "la_geequ", "la_potrf", "la_sygst", "la_hegst", "la_sytrd",
            "la_hetrd", "la_orgtr", "la_ungtr"]
 
 
-def _getrf_refused(linfo, ipiv=None, **_):
-    return (ipiv if ipiv is not None else np.zeros(0, dtype=np.int64)), \
-        None
-
-
-@driver_shell("la_getrf", refused=_getrf_refused)
+@driver_shell("la_getrf")
 def la_getrf(a: np.ndarray, ipiv: np.ndarray | None = None,
              rcond: bool = False, norm: str = "1",
              info: Info | None = None):
@@ -52,7 +47,7 @@ def la_getrf(a: np.ndarray, ipiv: np.ndarray | None = None,
         SingularMatrix
 
 
-@driver_shell("la_getrs", refused=_unchanged("b"))
+@driver_shell("la_getrs")
 def la_getrs(a: np.ndarray, ipiv: np.ndarray, b: np.ndarray,
              trans: str = "N", info: Info | None = None) -> np.ndarray:
     """Solves a general system using the LU factorization computed by
@@ -62,7 +57,7 @@ def la_getrs(a: np.ndarray, ipiv: np.ndarray, b: np.ndarray,
     return b, getrs(a, ipiv, bmat, trans=trans), None
 
 
-@driver_shell("la_trtrs", refused=_unchanged("b"))
+@driver_shell("la_trtrs")
 def la_trtrs(a: np.ndarray, b: np.ndarray, uplo: str = "U",
              trans: str = "N", diag: str = "N",
              info: Info | None = None) -> np.ndarray:
@@ -79,7 +74,7 @@ def la_trtrs(a: np.ndarray, b: np.ndarray, uplo: str = "U",
         SingularMatrix
 
 
-@driver_shell("la_getri", refused=_unchanged("a"))
+@driver_shell("la_getri")
 def la_getri(a: np.ndarray, ipiv: np.ndarray,
              info: Info | None = None) -> np.ndarray:
     """Computes the inverse of a matrix from its LU factorization
@@ -99,11 +94,7 @@ def la_getri(a: np.ndarray, ipiv: np.ndarray,
     return a, getri(a, ipiv, lwork=lwork), SingularMatrix
 
 
-def _no_bounds(linfo, **_):
-    return np.zeros(0), np.zeros(0)
-
-
-@driver_shell("la_gerfs", refused=_no_bounds)
+@driver_shell("la_gerfs")
 def la_gerfs(a: np.ndarray, af: np.ndarray, ipiv: np.ndarray,
              b: np.ndarray, x: np.ndarray, trans: str = "N",
              info: Info | None = None):
@@ -155,7 +146,7 @@ def la_potrf(a: np.ndarray, uplo: str = "U", rcond: bool = False,
     return rc, linfo, NotPositiveDefinite
 
 
-@driver_shell("la_sygst", refused=_unchanged("a"))
+@driver_shell("la_sygst")
 def la_sygst(a: np.ndarray, b: np.ndarray, itype: int = 1,
              uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Reduces a real symmetric-definite generalized eigenproblem to
@@ -165,7 +156,7 @@ def la_sygst(a: np.ndarray, b: np.ndarray, itype: int = 1,
     return a, sygst(a, b, itype=itype, uplo=uplo), None
 
 
-@driver_shell("la_hegst", refused=_unchanged("a"))
+@driver_shell("la_hegst")
 def la_hegst(a: np.ndarray, b: np.ndarray, itype: int = 1,
              uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Hermitian-definite analogue of :func:`la_sygst`
@@ -202,7 +193,7 @@ def la_hetrd(a: np.ndarray, tau: np.ndarray | None = None,
     return _tridiagonal(hetrd, a, tau, uplo)
 
 
-@driver_shell("la_orgtr", refused=_unchanged("a"))
+@driver_shell("la_orgtr")
 def la_orgtr(a: np.ndarray, tau: np.ndarray, uplo: str = "U",
              info: Info | None = None) -> np.ndarray:
     """Generates the orthogonal matrix Q of the tridiagonal reduction
@@ -212,7 +203,7 @@ def la_orgtr(a: np.ndarray, tau: np.ndarray, uplo: str = "U",
     return a, 0, None
 
 
-@driver_shell("la_ungtr", refused=_unchanged("a"))
+@driver_shell("la_ungtr")
 def la_ungtr(a: np.ndarray, tau: np.ndarray, uplo: str = "U",
              info: Info | None = None) -> np.ndarray:
     """Unitary analogue of :func:`la_orgtr` (paper ``LA_UNGTR``)."""

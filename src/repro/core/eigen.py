@@ -39,27 +39,12 @@ def _jobz(flag) -> str:
     return "V" if _want(flag) else "N"
 
 
-def _nothing(first, *flags):
-    """A refused call's outputs: ``first`` plus ``None`` for each
-    requested optional output (a lone value unwrapped)."""
-    out = (first,) + (None,) * sum(map(_want, flags))
-    return out[0] if len(out) == 1 else out
-
-
-def _no_values(linfo, **_):
-    return np.zeros(0)
-
-
-def _no_values_z(linfo, z=None, **_):
-    return _nothing(np.zeros(0), z)
-
-
 def _dense_ev(driver, a, w, jobz, uplo):
     wout, linfo = driver(a, jobz=jobz, uplo=uplo)
     return _store(w, wout), linfo, NoConvergence
 
 
-@driver_shell("la_syev", refused=_no_values)
+@driver_shell("la_syev")
 def la_syev(a: np.ndarray, w: np.ndarray | None = None, jobz: str = "N",
             uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Computes all eigenvalues and, optionally, eigenvectors of a real
@@ -72,7 +57,7 @@ def la_syev(a: np.ndarray, w: np.ndarray | None = None, jobz: str = "N",
     return _dense_ev(syev, a, w, jobz, uplo)
 
 
-@driver_shell("la_heev", refused=_no_values)
+@driver_shell("la_heev")
 def la_heev(a: np.ndarray, w: np.ndarray | None = None, jobz: str = "N",
             uplo: str = "U", info: Info | None = None) -> np.ndarray:
     """Hermitian analogue of :func:`la_syev` (paper ``LA_HEEV``);
@@ -93,7 +78,7 @@ def _packed_ev(driver, ap, w, uplo, z):
     return _values_z(w, z, wout, zv), linfo, NoConvergence
 
 
-@driver_shell("la_spev", refused=_no_values_z)
+@driver_shell("la_spev")
 def la_spev(ap: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
             z=None, info: Info | None = None):
     """Computes all eigenvalues and, optionally, eigenvectors of a real
@@ -105,7 +90,7 @@ def la_spev(ap: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
     return _packed_ev(spev, ap, w, uplo, z)
 
 
-@driver_shell("la_hpev", refused=_no_values_z)
+@driver_shell("la_hpev")
 def la_hpev(ap: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
             z=None, info: Info | None = None):
     """Packed Hermitian eigen driver (paper ``LA_HPEV``)."""
@@ -117,7 +102,7 @@ def _band_ev(driver, ab, w, uplo, z):
     return _values_z(w, z, wout, zv), linfo, NoConvergence
 
 
-@driver_shell("la_sbev", refused=_no_values_z)
+@driver_shell("la_sbev")
 def la_sbev(ab: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
             z=None, info: Info | None = None):
     """Symmetric band eigen driver (paper ``LA_SBEV``); ``ab`` is the
@@ -125,15 +110,11 @@ def la_sbev(ab: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
     return _band_ev(sbev, ab, w, uplo, z)
 
 
-@driver_shell("la_hbev", refused=_no_values_z)
+@driver_shell("la_hbev")
 def la_hbev(ab: np.ndarray, w: np.ndarray | None = None, uplo: str = "U",
             z=None, info: Info | None = None):
     """Hermitian band eigen driver (paper ``LA_HBEV``)."""
     return _band_ev(hbev, ab, w, uplo, z)
-
-
-def _tridiag_refused(linfo, d, z=None, **_):
-    return _nothing(d, z)
 
 
 def _tridiag_ev(driver, d, e, z):
@@ -144,7 +125,7 @@ def _tridiag_ev(driver, d, e, z):
     return (d, zbuf), driver(d, e, zbuf, jobz="V"), NoConvergence
 
 
-@driver_shell("la_stev", refused=_tridiag_refused)
+@driver_shell("la_stev")
 def la_stev(d: np.ndarray, e: np.ndarray, z=None,
             info: Info | None = None):
     """Computes all eigenvalues (and optionally eigenvectors) of a real
@@ -156,12 +137,7 @@ def la_stev(d: np.ndarray, e: np.ndarray, z=None,
     return _tridiag_ev(stev, d, e, z)
 
 
-def _gees_refused(linfo, vs=None, **_):
-    w = np.zeros(0, dtype=complex)
-    return (w, None, 0) if _want(vs) else (w, 0)
-
-
-@driver_shell("la_gees", refused=_gees_refused)
+@driver_shell("la_gees")
 def la_gees(a: np.ndarray, w: np.ndarray | None = None, vs=None,
             select=None, info: Info | None = None):
     """Computes the eigenvalues and Schur form of a nonsymmetric matrix,
@@ -180,11 +156,7 @@ def la_gees(a: np.ndarray, w: np.ndarray | None = None, vs=None,
     return out, linfo, NoConvergence
 
 
-def _geev_refused(linfo, vl=None, vr=None, **_):
-    return _nothing(np.zeros(0, dtype=complex), vl, vr)
-
-
-@driver_shell("la_geev", refused=_geev_refused)
+@driver_shell("la_geev")
 def la_geev(a: np.ndarray, w: np.ndarray | None = None, vl=None, vr=None,
             info: Info | None = None):
     """Computes the eigenvalues and, optionally, left/right eigenvectors
@@ -203,11 +175,7 @@ def la_geev(a: np.ndarray, w: np.ndarray | None = None, vl=None, vr=None,
     return (out[0] if len(out) == 1 else tuple(out)), linfo, NoConvergence
 
 
-def _gesvd_refused(linfo, u=None, vt=None, **_):
-    return _nothing(np.zeros(0), u, vt)
-
-
-@driver_shell("la_gesvd", refused=_gesvd_refused)
+@driver_shell("la_gesvd")
 def la_gesvd(a: np.ndarray, s: np.ndarray | None = None, u=None, vt=None,
              ww: np.ndarray | None = None, job: str = "N",
              info: Info | None = None):

@@ -17,11 +17,6 @@ __all__ = ["la_syevx", "la_heevx", "la_spevx", "la_hpevx", "la_sbevx",
            "la_hbevx", "la_stevx", "la_geesx", "la_geevx"]
 
 
-def _none_selected(linfo, z=None, **_):
-    head = (np.zeros(0), None) if _want(z) else (np.zeros(0),)
-    return head + (0, np.zeros(0, dtype=np.int64))
-
-
 def _selected(w, z, wout, zv, m, ifail):
     """``(w[, z], m, ifail)``, the ``m`` found eigenvalues also copied
     into the caller's ``w``."""
@@ -39,7 +34,7 @@ def _dense_evx(srname, driver, a, w, uplo, z, vl, vu, il, iu, abstol):
     return _selected(w, z, wout, zv, m, ifail), linfo, exc
 
 
-@driver_shell("la_syevx", refused=_none_selected)
+@driver_shell("la_syevx")
 def la_syevx(a, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Selected eigenvalues/vectors of a real symmetric matrix by
@@ -53,7 +48,7 @@ def la_syevx(a, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
                       abstol)
 
 
-@driver_shell("la_heevx", refused=_none_selected)
+@driver_shell("la_heevx")
 def la_heevx(a, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Hermitian expert eigen driver (paper ``LA_HEEVX``)."""
@@ -73,7 +68,7 @@ def _packed_order(ap):
     return int((np.sqrt(8.0 * ln + 1.0) - 1.0) / 2.0 + 0.5)
 
 
-@driver_shell("la_spevx", refused=_none_selected)
+@driver_shell("la_spevx")
 def la_spevx(ap, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Packed symmetric expert driver (paper ``LA_SPEVX``)."""
@@ -81,7 +76,7 @@ def la_spevx(ap, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
                            vu, il, iu, abstol)
 
 
-@driver_shell("la_hpevx", refused=_none_selected)
+@driver_shell("la_hpevx")
 def la_hpevx(ap, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Packed Hermitian expert driver (paper ``LA_HPEVX``)."""
@@ -89,7 +84,7 @@ def la_hpevx(ap, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
                            vu, il, iu, abstol)
 
 
-@driver_shell("la_sbevx", refused=_none_selected)
+@driver_shell("la_sbevx")
 def la_sbevx(ab, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Symmetric band expert driver (paper ``LA_SBEVX``)."""
@@ -97,7 +92,7 @@ def la_sbevx(ab, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
                            iu, abstol)
 
 
-@driver_shell("la_hbevx", refused=_none_selected)
+@driver_shell("la_hbevx")
 def la_hbevx(ab, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
              iu=None, abstol=0.0, info: Info | None = None):
     """Hermitian band expert driver (paper ``LA_HBEVX``)."""
@@ -105,7 +100,7 @@ def la_hbevx(ab, w=None, uplo="U", z=None, vl=None, vu=None, il=None,
                            iu, abstol)
 
 
-@driver_shell("la_stevx", refused=_none_selected)
+@driver_shell("la_stevx")
 def la_stevx(d, e, w=None, z=None, vl=None, vu=None, il=None, iu=None,
              abstol=0.0, info: Info | None = None):
     """Tridiagonal expert driver (paper: ``CALL LA_STEVX( D, E, W, Z=z,
@@ -119,12 +114,7 @@ def la_stevx(d, e, w=None, z=None, vl=None, vu=None, il=None, iu=None,
     return _selected(w, z, wout, zv, m, ifail), linfo, NoConvergence
 
 
-def _geesx_refused(linfo, vs=None, **_):
-    w = np.zeros(0, dtype=complex)
-    return ((w, None) if _want(vs) else (w,)) + (0, 1.0, 0.0)
-
-
-@driver_shell("la_geesx", refused=_geesx_refused)
+@driver_shell("la_geesx")
 def la_geesx(a, w=None, vs=None, select=None, sense: str = "B",
              info: Info | None = None):
     """Expert Schur driver: ordered Schur form plus reciprocal condition
@@ -142,12 +132,7 @@ def la_geesx(a, w=None, vs=None, select=None, sense: str = "B",
     return head + (sdim, rconde, rcondv), linfo, NoConvergence
 
 
-def _geevx_refused(linfo, **_):
-    return (np.zeros(0, dtype=complex), None, None, 0, -1, np.zeros(0),
-            0.0, np.zeros(0), np.zeros(0))
-
-
-@driver_shell("la_geevx", refused=_geevx_refused)
+@driver_shell("la_geevx")
 def la_geevx(a, w=None, vl=None, vr=None, balanc: str = "B",
              sense: str = "B", info: Info | None = None):
     """Expert eigen driver: eigenvalues/vectors plus balancing data and

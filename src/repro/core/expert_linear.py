@@ -21,16 +21,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import Info, SingularMatrix, NotPositiveDefinite
-from ..backends.kernels import (gbcon, gbequ, gbrfs, gbtrf, gbtrs, gecon,
-                                geequ, gerfs, getrf, getrs, gtcon, gtrfs,
-                                gttrf, gttrs, hecon, herfs, hetrf, hetrs,
-                                hpcon, hptrf, lamch, langb, lange, langt,
-                                lanhe, lansb, lansp, lansy, lanst, laqge,
-                                laqsy, pbcon, pbequ, pbrfs, pbtrf, pbtrs,
-                                pocon, poequ, porfs, potrf, potrs, ppcon,
-                                pprfs, pptrf, pptrs, ptcon, ptrfs, pttrf,
-                                pttrs, spcon, sptrf, sptrs, sycon, syrfs,
-                                sytrf, sytrs)
+from ..backends.kernels import (gbcon, gbrfs, gbtrf, gbtrs, gecon, geequ,
+                                gerfs, getrf, getrs, gtcon, gtrfs, gttrf,
+                                gttrs, hecon, herfs, hetrf, hetrs, hpcon,
+                                hptrf, lamch, langb, lange, langt, lanhe,
+                                lansb, lansp, lansy, lanst, laqge, laqsy,
+                                pbcon, pbrfs, pbtrf, pbtrs, pocon, poequ,
+                                porfs, potrf, potrs, ppcon, pprfs, pptrf,
+                                pptrs, ptcon, ptrfs, pttrf, pttrs, spcon,
+                                sptrf, sptrs, sycon, syrfs, sytrf, sytrs)
 from ..policy import illcond_event
 from ..resilience import deadlines
 from .auxmod import as_matrix, lsame
@@ -51,6 +50,8 @@ class ExpertResult:
     and scalings (``r``/``c`` or ``s``), the reciprocal pivot growth
     ``rpvgrw`` (GE/GB only), and the factorization (``af``/``ipiv`` or
     family-specific factors) for reuse with ``fact='F'``.
+    ``info_value`` is the code of a failed factorization (or the
+    warning-class ``n+1``); a refused call returns ``None`` instead.
     """
     x: np.ndarray | None = None
     rcond: float = 0.0
@@ -65,10 +66,6 @@ class ExpertResult:
     ipiv: np.ndarray | None = None
     factors: tuple = field(default_factory=tuple)
     info_value: int = 0
-
-
-def _refused(linfo, **_):
-    return ExpertResult(info_value=linfo)
 
 
 def _failed(res, linfo, exc):
@@ -97,7 +94,7 @@ def _solved(srname, res, x, x2d, was_vec, n, dtype):
     return res, linfo, None
 
 
-@driver_shell("la_gesvx", refused=_refused)
+@driver_shell("la_gesvx")
 def la_gesvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              af: np.ndarray | None = None, ipiv: np.ndarray | None = None,
              fact: str = "N", trans: str = "N", equed: str | None = None,
@@ -169,7 +166,7 @@ def la_gesvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     return _solved(srname, res, x, x2d, was_vec, n, a.dtype)
 
 
-@driver_shell("la_gbsvx", refused=_refused)
+@driver_shell("la_gbsvx")
 def la_gbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              kl: int | None = None, abf: np.ndarray | None = None,
              ipiv: np.ndarray | None = None, fact: str = "N",
@@ -210,7 +207,7 @@ def la_gbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     return _solved(srname, res, x, x2d, was_vec, n, ab.dtype)
 
 
-@driver_shell("la_gtsvx", refused=_refused)
+@driver_shell("la_gtsvx")
 def la_gtsvx(dl, d, du, b, x=None, trans: str = "N",
              info: Info | None = None) -> ExpertResult:
     """Expert tridiagonal solver (paper ``LA_GTSVX``)."""
@@ -239,7 +236,7 @@ def la_gtsvx(dl, d, du, b, x=None, trans: str = "N",
     return _solved(srname, res, x, x2d, was_vec, n, d.dtype)
 
 
-@driver_shell("la_posvx", refused=_refused)
+@driver_shell("la_posvx")
 def la_posvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              uplo: str = "U", af: np.ndarray | None = None,
              fact: str = "N", s: np.ndarray | None = None,
@@ -282,7 +279,7 @@ def la_posvx(a: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     return _solved(srname, res, x, x2d, was_vec, n, a.dtype)
 
 
-@driver_shell("la_ppsvx", refused=_refused)
+@driver_shell("la_ppsvx")
 def la_ppsvx(ap: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              uplo: str = "U", afp: np.ndarray | None = None,
              fact: str = "N", info: Info | None = None) -> ExpertResult:
@@ -312,7 +309,7 @@ def la_ppsvx(ap: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     return _solved(srname, res, x, x2d, was_vec, n, ap.dtype)
 
 
-@driver_shell("la_pbsvx", refused=_refused)
+@driver_shell("la_pbsvx")
 def la_pbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
              uplo: str = "U", afb: np.ndarray | None = None,
              fact: str = "N", info: Info | None = None) -> ExpertResult:
@@ -342,7 +339,7 @@ def la_pbsvx(ab: np.ndarray, b: np.ndarray, x: np.ndarray | None = None,
     return _solved(srname, res, x, x2d, was_vec, n, ab.dtype)
 
 
-@driver_shell("la_ptsvx", refused=_refused)
+@driver_shell("la_ptsvx")
 def la_ptsvx(d: np.ndarray, e: np.ndarray, b: np.ndarray,
              x: np.ndarray | None = None, fact: str = "N",
              info: Info | None = None) -> ExpertResult:
@@ -393,7 +390,7 @@ def _indef_expert(srname, trf, trs, con, rfs, a, b, x, uplo, af, ipiv,
     return _solved(srname, res, x, x2d, was_vec, n, a.dtype)
 
 
-@driver_shell("la_sysvx", refused=_refused)
+@driver_shell("la_sysvx")
 def la_sysvx(a, b, x=None, uplo="U", af=None, ipiv=None, fact="N",
              info: Info | None = None) -> ExpertResult:
     """Expert symmetric indefinite solver (paper ``LA_SYSVX``)."""
@@ -401,7 +398,7 @@ def la_sysvx(a, b, x=None, uplo="U", af=None, ipiv=None, fact="N",
                          uplo, af, ipiv, fact, info, hermitian=False)
 
 
-@driver_shell("la_hesvx", refused=_refused)
+@driver_shell("la_hesvx")
 def la_hesvx(a, b, x=None, uplo="U", af=None, ipiv=None, fact="N",
              info: Info | None = None) -> ExpertResult:
     """Expert Hermitian indefinite solver (paper ``LA_HESVX``)."""
@@ -446,7 +443,7 @@ def _packed_indef_expert(srname, hermitian, ap, b, x, uplo, afp, ipiv,
     return _solved(srname, res, x, x2d, was_vec, n, ap.dtype)
 
 
-@driver_shell("la_spsvx", refused=_refused)
+@driver_shell("la_spsvx")
 def la_spsvx(ap, b, x=None, uplo="U", afp=None, ipiv=None, fact="N",
              info: Info | None = None) -> ExpertResult:
     """Expert packed symmetric indefinite solver (paper ``LA_SPSVX``)."""
@@ -454,7 +451,7 @@ def la_spsvx(ap, b, x=None, uplo="U", afp=None, ipiv=None, fact="N",
                                 ipiv, fact, info)
 
 
-@driver_shell("la_hpsvx", refused=_refused)
+@driver_shell("la_hpsvx")
 def la_hpsvx(ap, b, x=None, uplo="U", afp=None, ipiv=None, fact="N",
              info: Info | None = None) -> ExpertResult:
     """Expert packed Hermitian indefinite solver (paper ``LA_HPSVX``)."""

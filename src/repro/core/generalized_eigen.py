@@ -6,9 +6,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import Info, NoConvergence, NotPositiveDefinite
-from ..backends.kernels import (gegs, gegv, ggsvd, hbgv, hegv, hpgv, sbgv,
-                                spgv, sygv)
-from .eigen import _jobz, _store, _want, _no_values, _no_values_z
+from ..backends.kernels import (gegs, gegv, ggsvd, hegv, sbgv, spgv,
+                                sygv)
+from .eigen import _jobz, _store, _want
 from .shell import driver_shell
 
 __all__ = ["la_sygv", "la_hegv", "la_spgv", "la_hpgv", "la_sbgv",
@@ -27,7 +27,7 @@ def _gv(srname, driver, a, b, w, itype, jobz, uplo):
     return _store(w, wout), linfo, _definite(srname, linfo, a.shape[0])
 
 
-@driver_shell("la_sygv", refused=_no_values)
+@driver_shell("la_sygv")
 def la_sygv(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None,
             itype: int = 1, jobz: str = "N", uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
@@ -43,7 +43,7 @@ def la_sygv(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None,
     return _gv("LA_SYGV", sygv, a, b, w, itype, jobz, uplo)
 
 
-@driver_shell("la_hegv", refused=_no_values)
+@driver_shell("la_hegv")
 def la_hegv(a: np.ndarray, b: np.ndarray, w: np.ndarray | None = None,
             itype: int = 1, jobz: str = "N", uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
@@ -62,14 +62,14 @@ def _packed_gv(srname, driver, ap, bp, w, itype, uplo, z):
     return out, linfo, _definite(srname, linfo, n)
 
 
-@driver_shell("la_spgv", refused=_no_values_z)
+@driver_shell("la_spgv")
 def la_spgv(ap, bp, w=None, itype: int = 1, uplo: str = "U", z=None,
             info: Info | None = None):
     """Packed generalized symmetric-definite driver (paper ``LA_SPGV``)."""
     return _packed_gv("LA_SPGV", spgv, ap, bp, w, itype, uplo, z)
 
 
-@driver_shell("la_hpgv", refused=_no_values_z)
+@driver_shell("la_hpgv")
 def la_hpgv(ap, bp, w=None, itype: int = 1, uplo: str = "U", z=None,
             info: Info | None = None):
     """Packed generalized Hermitian-definite driver (paper ``LA_HPGV``)."""
@@ -84,25 +84,21 @@ def _band_gv(srname, driver, ab, bb, w, uplo, z):
     return out, linfo, _definite(srname, linfo, n)
 
 
-@driver_shell("la_sbgv", refused=_no_values_z)
+@driver_shell("la_sbgv")
 def la_sbgv(ab, bb, w=None, uplo: str = "U", z=None,
             info: Info | None = None):
     """Band generalized symmetric-definite driver (paper ``LA_SBGV``)."""
     return _band_gv("LA_SBGV", sbgv, ab, bb, w, uplo, z)
 
 
-@driver_shell("la_hbgv", refused=_no_values_z)
+@driver_shell("la_hbgv")
 def la_hbgv(ab, bb, w=None, uplo: str = "U", z=None,
             info: Info | None = None):
     """Band generalized Hermitian-definite driver (paper ``LA_HBGV``)."""
     return _band_gv("LA_HBGV", sbgv, ab, bb, w, uplo, z)
 
 
-def _no_pencil(linfo, **_):
-    return np.zeros(0, complex), np.zeros(0, complex)
-
-
-@driver_shell("la_gegs", refused=_no_pencil)
+@driver_shell("la_gegs")
 def la_gegs(a: np.ndarray, b: np.ndarray, vsl=None, vsr=None,
             info: Info | None = None):
     """Generalized Schur factorization of a nonsymmetric pencil (A, B)
@@ -128,7 +124,7 @@ def la_gegs(a: np.ndarray, b: np.ndarray, vsl=None, vsr=None,
     return tuple(out), linfo, NoConvergence
 
 
-@driver_shell("la_gegv", refused=_no_pencil)
+@driver_shell("la_gegv")
 def la_gegv(a: np.ndarray, b: np.ndarray, vl=None, vr=None,
             info: Info | None = None):
     """Generalized eigenvalues (and optionally eigenvectors) of a pair of

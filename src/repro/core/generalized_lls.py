@@ -7,12 +7,12 @@ import numpy as np
 
 from ..errors import Info
 from ..backends.kernels import gglse, ggglm
-from .shell import _unchanged, driver_shell
+from .shell import driver_shell
 
 __all__ = ["la_gglse", "la_ggglm"]
 
 
-@driver_shell("la_gglse", refused=_unchanged("x"))
+@driver_shell("la_gglse")
 def la_gglse(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
              x: np.ndarray | None = None,
              info: Info | None = None) -> np.ndarray:
@@ -30,7 +30,7 @@ def la_gglse(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
     return sol, linfo, None
 
 
-@driver_shell("la_ggglm", refused=lambda linfo, x=None, y=None, **_: (x, y))
+@driver_shell("la_ggglm")
 def la_ggglm(a: np.ndarray, b: np.ndarray, d: np.ndarray,
              x: np.ndarray | None = None, y: np.ndarray | None = None,
              info: Info | None = None):

@@ -7,7 +7,7 @@ import numpy as np
 from ..errors import Info
 from ..backends.kernels import gels, gelss, gelsx
 from .auxmod import as_matrix
-from .shell import _unchanged, driver_shell
+from .shell import driver_shell
 
 __all__ = ["la_gels", "la_gelsx", "la_gelss"]
 
@@ -27,7 +27,7 @@ def _ls_rhs(a, b):
     return bw, was_vec
 
 
-@driver_shell("la_gels", refused=_unchanged("b"))
+@driver_shell("la_gels")
 def la_gels(a: np.ndarray, b: np.ndarray, trans: str = "N",
             info: Info | None = None) -> np.ndarray:
     """Solves over-determined or under-determined full-rank linear
@@ -49,7 +49,7 @@ def la_gels(a: np.ndarray, b: np.ndarray, trans: str = "N",
     return (bw[:out_rows, 0] if was_vec else bw[:out_rows]), linfo, None
 
 
-@driver_shell("la_gelsx", refused=lambda linfo, b, **_: (b, 0))
+@driver_shell("la_gelsx")
 def la_gelsx(a: np.ndarray, b: np.ndarray, rcond: float = -1.0,
              jpvt: np.ndarray | None = None,
              info: Info | None = None):
@@ -68,8 +68,7 @@ def la_gelsx(a: np.ndarray, b: np.ndarray, rcond: float = -1.0,
     return ((bw[:n, 0] if was_vec else bw[:n]), rank), linfo, None
 
 
-@driver_shell("la_gelss",
-              refused=lambda linfo, b, **_: (b, 0, np.zeros(0)))
+@driver_shell("la_gelss")
 def la_gelss(a: np.ndarray, b: np.ndarray, rcond: float = -1.0,
              info: Info | None = None):
     """Computes the minimum norm solution to a least squares problem

@@ -46,14 +46,11 @@ from ..backends.kernels import (gbsv, gtsv, gesv, hesv, hpsv, pbsv, posv,
 from ..policy import get_policy, has_nonfinite
 from .auxmod import as_matrix
 from .expert_linear import la_gbsvx, la_gesvx
-from .shell import Fallback, _unchanged, driver_shell
+from .shell import Fallback, driver_shell
 
 __all__ = ["la_gesv", "la_gbsv", "la_gtsv", "la_posv", "la_ppsv",
            "la_pbsv", "la_ptsv", "la_sysv", "la_hesv", "la_spsv",
            "la_hpsv"]
-
-
-_rhs = _unchanged("b")
 
 
 def _fallback_posv(a_orig, bmat, uplo):
@@ -94,7 +91,7 @@ def _fallback_gesv(a_orig, bmat, n):
                             n, fact="E")
 
 
-@driver_shell("la_gesv", refused=_rhs)
+@driver_shell("la_gesv")
 def la_gesv(a: np.ndarray, b: np.ndarray, ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
     """Solves a general system of linear equations ``A X = B``
@@ -137,7 +134,7 @@ def la_gesv(a: np.ndarray, b: np.ndarray, ipiv: np.ndarray | None = None,
     return b, linfo, SingularMatrix
 
 
-@driver_shell("la_gbsv", refused=_rhs)
+@driver_shell("la_gbsv")
 def la_gbsv(ab: np.ndarray, b: np.ndarray, kl: int | None = None,
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
@@ -168,7 +165,7 @@ def la_gbsv(ab: np.ndarray, b: np.ndarray, kl: int | None = None,
     return b, linfo, SingularMatrix
 
 
-@driver_shell("la_gtsv", refused=_rhs)
+@driver_shell("la_gtsv")
 def la_gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray,
             info: Info | None = None) -> np.ndarray:
     """Solves a general tridiagonal system of linear equations ``A X = B``
@@ -183,7 +180,7 @@ def la_gtsv(dl: np.ndarray, d: np.ndarray, du: np.ndarray, b: np.ndarray,
     return b, gtsv(dl, d, du, bmat), SingularMatrix
 
 
-@driver_shell("la_posv", refused=_rhs)
+@driver_shell("la_posv")
 def la_posv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric/Hermitian positive definite system ``A X = B``
@@ -205,7 +202,7 @@ def la_posv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
     return b, linfo, NotPositiveDefinite
 
 
-@driver_shell("la_ppsv", refused=_rhs)
+@driver_shell("la_ppsv")
 def la_ppsv(ap: np.ndarray, b: np.ndarray, uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric/Hermitian positive definite system with A in
@@ -217,7 +214,7 @@ def la_ppsv(ap: np.ndarray, b: np.ndarray, uplo: str = "U",
     return b, ppsv(ap, bmat, uplo), NotPositiveDefinite
 
 
-@driver_shell("la_pbsv", refused=_rhs)
+@driver_shell("la_pbsv")
 def la_pbsv(ab: np.ndarray, b: np.ndarray, uplo: str = "U",
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric/Hermitian positive definite band system
@@ -231,7 +228,7 @@ def la_pbsv(ab: np.ndarray, b: np.ndarray, uplo: str = "U",
     return b, pbsv(ab, bmat, uplo), NotPositiveDefinite
 
 
-@driver_shell("la_ptsv", refused=_rhs)
+@driver_shell("la_ptsv")
 def la_ptsv(d: np.ndarray, e: np.ndarray, b: np.ndarray,
             info: Info | None = None) -> np.ndarray:
     """Solves a symmetric/Hermitian positive definite tridiagonal system
@@ -256,7 +253,7 @@ def _indef_driver(solver, a, b, uplo, ipiv):
     return b, linfo, SingularMatrix
 
 
-@driver_shell("la_sysv", refused=_rhs)
+@driver_shell("la_sysv")
 def la_sysv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
@@ -266,7 +263,7 @@ def la_sysv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
     return _indef_driver(sysv, a, b, uplo, ipiv)
 
 
-@driver_shell("la_hesv", refused=_rhs)
+@driver_shell("la_hesv")
 def la_hesv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
@@ -274,7 +271,7 @@ def la_hesv(a: np.ndarray, b: np.ndarray, uplo: str = "U",
     return _indef_driver(hesv, a, b, uplo, ipiv)
 
 
-@driver_shell("la_spsv", refused=_rhs)
+@driver_shell("la_spsv")
 def la_spsv(ap: np.ndarray, b: np.ndarray, uplo: str = "U",
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:
@@ -283,7 +280,7 @@ def la_spsv(ap: np.ndarray, b: np.ndarray, uplo: str = "U",
     return _indef_driver(spsv, ap, b, uplo, ipiv)
 
 
-@driver_shell("la_hpsv", refused=_rhs)
+@driver_shell("la_hpsv")
 def la_hpsv(ap: np.ndarray, b: np.ndarray, uplo: str = "U",
             ipiv: np.ndarray | None = None,
             info: Info | None = None) -> np.ndarray:

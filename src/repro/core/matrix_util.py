@@ -7,12 +7,12 @@ import numpy as np
 
 from ..errors import Info
 from ..backends.kernels import lagge, lange
-from .shell import _unchanged, driver_shell
+from .shell import driver_shell
 
 __all__ = ["la_lange", "la_lagge"]
 
 
-@driver_shell("la_lange", refused=lambda linfo, **_: 0.0)
+@driver_shell("la_lange")
 def la_lange(a: np.ndarray, norm: str = "1",
              info: Info | None = None) -> float:
     """Returns the value of the one norm, the Frobenius norm, the
@@ -24,7 +24,7 @@ def la_lange(a: np.ndarray, norm: str = "1",
     return float(lange(norm, a)), 0, None
 
 
-@driver_shell("la_lagge", refused=_unchanged("a"))
+@driver_shell("la_lagge")
 def la_lagge(a: np.ndarray, kl: int | None = None, ku: int | None = None,
              d: np.ndarray | None = None, iseed: int | None = None,
              info: Info | None = None) -> np.ndarray:

@@ -26,8 +26,9 @@ linfo)`` for a positive ``linfo``), a pre-built exception, or a
 :class:`Fallback` record when the body's fallback ladder served the
 call.  A positive ``linfo`` with no outcome is the expert drivers'
 warning-class ``n+1``: stored, never raised.  When validation or the
-gate refuses the call the body never runs; the driver returns
-``refused(linfo, **arguments)`` instead (``None`` by default).
+gate refuses the call the body never runs and the driver returns
+``None``, with the caller's operands as passed (``ERINFO``: ``INFO`` is
+set and control returns).
 
 The frame is one source template (:data:`_FRAME`) compiled for each
 driver with the body's own signature, so the public function binds its
@@ -65,15 +66,6 @@ class Fallback(NamedTuple):
     linfo: int
 
 
-def _refused_none(linfo, **_):
-    return None
-
-
-def _unchanged(name):
-    """A ``refused`` hook handing back argument *name* as passed."""
-    return lambda linfo, **arguments: arguments[name]
-
-
 #: The frame every driver runs in, compiled once per driver with the
 #: body's own signature: Python's call binding applies the defaults and
 #: raises the usual ``TypeError``.  The entry gate is reached as an
@@ -93,7 +85,7 @@ def {fn}({params}, *, backend=None):
         linfo = _spec.validator({arguments})
         outcome = None
 {gate}        if linfo:
-            result = _refused(linfo, {arguments})
+            result = None
         else:
             result, linfo, outcome = _body({values})
         if linfo == 0 and outcome.__class__ is not _Fallback \\
@@ -114,7 +106,7 @@ _GATE = """\
 """
 
 
-def driver_shell(name: str, refused=_refused_none):
+def driver_shell(name: str):
     """Decorator running a driver body inside the shell of spec
     *name*: the body gets the caller's arguments, in signature order,
     only when validation and the entry gate let the call through."""
@@ -154,8 +146,7 @@ def driver_shell(name: str, refused=_refused_none):
                      "_fault": faults.active,
                      "_screens": screening, "_report": _report,
                      "_Fallback": Fallback,
-                     "_body": body, "_refused": refused,
-                     "_defaults": defaults}
+                     "_body": body, "_defaults": defaults}
         exec(source, namespace)
         return functools.update_wrapper(namespace[body.__name__], body)
     return decorate

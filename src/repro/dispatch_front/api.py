@@ -58,7 +58,7 @@ from .. import batch, core
 from ..backends import working_order
 from ..backends.kernels import potrs
 from ..core.auxmod import as_matrix
-from ..core.shell import _unchanged, driver_shell
+from ..core.shell import driver_shell
 from ..errors import Info, erinfo
 from ..specs.routing import REFINEMENTS, STRUCTURES, candidates, route
 from . import cache
@@ -178,7 +178,7 @@ def _band_storage(a, kl, ku):
     return ab
 
 
-@driver_shell("la_posv", refused=_unchanged("b"))
+@driver_shell("la_posv")
 def _posv_from_factor(a, b, uplo="U", info=None, cholesky=None):
     """Repeat SPD solve: the cached ``la_posv`` factor goes straight
     to ``potrs``, inside the full ``LA_POSV`` shell (spec validation,
@@ -204,8 +204,13 @@ def _served_by(info):
     return info.attempts[-1].split(":", 1)[0] if info.attempts else None
 
 
+#: What :func:`_solve_from_factor` answers after dropping a stale
+#: entry (``None`` is the answer of a refused call).
+_STALE = object()
+
+
 def _solve_from_factor(st, a, b, info):
-    """A warm SPD solve: the cached factor's ``potrs``, or ``None``
+    """A warm SPD solve: the cached factor's ``potrs``, or ``_STALE``
     after dropping the entry when that ``potrs`` was served by another
     backend than the one that made the factor (a fault came or went
     since), so that a warm answer always equals a cold one.  Runs on
@@ -217,7 +222,7 @@ def _solve_from_factor(st, a, b, info):
                           cholesky=st.cholesky)
     if _served_by(trial) != st.maker:
         cache.invalidate(a)
-        return None
+        return _STALE
     if info is None:
         erinfo(trial.value, "LA_POSV")
     return x
@@ -254,7 +259,7 @@ def _solve_probed_definite(st, a, b, iscomplex, info, spec, driver):
         cache.store(a, st, snap)  # laflow: atomic-split — the factor is computed unlocked by design; a racing store for the same operand carries its own snapshot
     if info is None:
         erinfo(trial.value, "LA_POSV")
-    return bc, st, spec
+    return (None if trial.value else bc), st, spec
 
 
 def _exec_gtsv(st, a, bc, info, cached, driver):
@@ -284,7 +289,7 @@ _SOLVERS = {
 def _exec_syev(st, a, info, vectors, driver):
     ac = _copy(a)
     w = driver(ac, jobz="V" if vectors else "N", info=info)
-    return (w, ac) if vectors else w
+    return (w, ac) if vectors and w is not None else w
 
 
 def _exec_geev(st, a, info, vectors, driver):
@@ -330,7 +335,7 @@ def solve(a, b, *, info=None, explain=False, assume=None):
                         cached)
     if spec.kernel == "posv" and cached:
         x = _solve_from_factor(st, a, b, info)
-        if x is None:
+        if x is _STALE:
             return solve(a, b, info=info)
     elif spec.kernel == "posv" and not stacked and assume is None:
         x, st, spec = _solve_probed_definite(st, a, b, iscomplex, info,

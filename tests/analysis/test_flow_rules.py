@@ -184,7 +184,7 @@ def test_good_flow_fixtures_are_clean():
                  "good_la014.py"):
         assert _findings([_flow_fixture(name)]) == [], name
     # The LA018/LA020 twins load together with the substrate stub so
-    # the effect signatures (and LA006's import audit) see its defs.
+    # the effect signatures see its defs.
     for name in ("good_la018.py", "good_la020.py"):
         assert _findings([_flow_fixture(name), STUB]) == [], name
     for name in ("good_la023_foreign_config.py",

@@ -78,14 +78,6 @@ def test_la005_fires_on_seeded_violations():
     assert "exports undefined name la_nothere" in messages
 
 
-def test_la006_fires_on_seeded_violations():
-    found = _assert_matches_markers(
-        [os.path.join(FIXTURES, "la006bad")], "LA006")
-    messages = " | ".join(f.message for f in found)
-    assert "nosuchroutine" in messages
-    assert "la_hesv partner" in messages
-
-
 def test_la007_fires_on_seeded_violations():
     found = _assert_matches_markers(_fixture("bad_la007.py"), "LA007")
     messages = " | ".join(f.message for f in found)
@@ -102,10 +94,6 @@ def test_la008_fires_on_seeded_violations():
 
 def test_conforming_driver_is_clean():
     assert _findings(_fixture("clean_driver.py")) == []
-
-
-def test_conforming_la006_tree_is_clean():
-    assert _findings([os.path.join(FIXTURES, "la006ok")]) == []
 
 
 def test_bad_fixtures_only_fire_their_own_rule():

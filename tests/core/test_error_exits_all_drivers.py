@@ -2,6 +2,9 @@
 Section 6 methodology generalized beyond LA_GESV: every driver reports
 a negative code through info= and raises IllegalArgument without it.
 
+A refused call returns ``None`` and leaves its operands as passed,
+pinned for all 77 drivers and every ``batch_*`` wrapper at the end.
+
 Expected codes come from :data:`repro.testing.ERROR_EXIT_CODES`, the
 (driver, argument, code) table derived from the driver specs; the
 driver shell checks each spec against its body's signature when it
@@ -16,7 +19,14 @@ from repro import (Info, IllegalArgument, la_gbsv, la_gels, la_gesv,
                    la_hpevx, la_pbsv, la_posv, la_ppsv, la_ptsv, la_sbevx,
                    la_spevx, la_spsv, la_stevx, la_syev, la_syevx, la_sysv,
                    la_sygv)
+from repro import batch, core
+from repro.batch.generator import batchable_specs
+from repro.errors import ALLOC_FAILED
+from repro.specs import SPECS
 from repro.testing import ERROR_EXIT_CODES
+from repro.testing import faultinject as fi
+
+from .driver_calls import COMPLEX, first_operand, well_formed_call
 
 
 def _code(driver, arg):
@@ -152,3 +162,64 @@ def test_info_records_for_each_family():
     assert info == _code("la_syev", "jobz")
     la_sygv(np.eye(3), np.eye(3), itype=9, info=info)
     assert info == _code("la_sygv", "itype")
+
+
+# -- the refused-call contract, over the whole catalogue ---------------
+# A refused call returns None, stores its code on ``info`` and leaves
+# every operand byte-for-byte as passed (``ERINFO``: INFO is set and
+# control returns); without ``info=`` it raises.
+
+def _refusable(name, stack=None):
+    """A well-formed call of *name* (a stack of ``stack`` problems when
+    given) whose first required operand is made 0-d, which every
+    spec's validator refuses.  (A 3-D ``d`` is not refused by the
+    tridiagonal eigen drivers, whose order is ``d.shape[0]``.)"""
+    dtype = np.complex128 if name in COMPLEX else np.float64
+    args, kwargs = well_formed_call(name, 3, dtype)
+    spec = SPECS[name]
+    stacked = {a.position - 1 for a in spec.args
+               if stack and a.name in spec.batch_stacked}
+    args = [np.stack([x] * stack) if i in stacked else x
+            for i, x in enumerate(args)]
+    first = first_operand(name).position - 1
+    args[first] = np.array(args[first].ravel()[0])
+    return args, kwargs
+
+
+def _assert_refused(call, args, kwargs):
+    arrays = [x for x in [*args, *kwargs.values()]
+              if isinstance(x, np.ndarray)]
+    before = [(x.dtype, x.shape, x.tobytes()) for x in arrays]
+    info = Info()
+    assert call(*args, **kwargs, info=info) is None
+    assert info.value < 0
+    assert [(x.dtype, x.shape, x.tobytes()) for x in arrays] == before
+    with pytest.raises(IllegalArgument):
+        call(*args, **kwargs)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_a_refused_call_returns_none_and_leaves_its_operands(name):
+    _assert_refused(getattr(core, name), *_refusable(name))
+
+
+@pytest.mark.parametrize("name", sorted(s.name for s in batchable_specs()))
+def test_a_refused_batch_call_returns_none_and_leaves_its_operands(name):
+    _assert_refused(getattr(batch, "batch_" + name[3:]),
+                    *_refusable(name, stack=2))
+
+
+@pytest.mark.parametrize("name,call,stack", [
+    ("la_gesv", la_gesv, None), ("batch_gesv", batch.batch_gesv, 2)],
+    ids=["la_gesv", "batch_gesv"])
+def test_an_allocation_fault_returns_none_and_leaves_its_operands(
+        name, call, stack):
+    args, _ = well_formed_call("la_gesv", 3, np.float64)
+    if stack:
+        args = [np.stack([x] * stack) for x in args]
+    before = [x.tobytes() for x in args]
+    info = Info()
+    with fi.injected(name, alloc=True):
+        assert call(*args, info=info) is None
+    assert info.value == ALLOC_FAILED
+    assert [x.tobytes() for x in args] == before

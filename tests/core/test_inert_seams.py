@@ -32,7 +32,8 @@ from repro.resilience import calllog
 from repro.specs import SPECS
 from repro.testing import faultinject as fi
 
-from .test_entry_gate import COMPLEX, SCREENED, _call, _first_operand
+from .driver_calls import COMPLEX, first_operand, well_formed_call
+from .test_entry_gate import SCREENED
 
 BACKENDS = [b for b in ("reference", "accelerated")
             if b in available_backends()]
@@ -49,9 +50,9 @@ def _clean_harness():
 
 def _args(name, n=3, poison=False):
     dtype = np.complex128 if name in COMPLEX else np.float64
-    args, kwargs = _call(name, n, dtype)
+    args, kwargs = well_formed_call(name, n, dtype)
     if poison:
-        args[_first_operand(name).position - 1].flat[0] = np.nan
+        args[first_operand(name).position - 1].flat[0] = np.nan
     return args, kwargs
 
 
@@ -168,7 +169,7 @@ def test_an_armed_alloc_fault_refuses(name):
 
 @pytest.mark.parametrize("name", SCREENED_NAMES)
 def test_check_mode_refuses_a_nonfinite_operand(name):
-    position = _first_operand(name).position
+    position = first_operand(name).position
     args, kwargs = _args(name, poison=True)
     info = Info()
     with exception_policy(nonfinite="check"):
@@ -182,7 +183,7 @@ def test_check_mode_refuses_a_nonfinite_operand(name):
 
 @pytest.mark.parametrize("name", SCREENED_NAMES)
 def test_warn_mode_announces_a_nonfinite_operand(name):
-    position = _first_operand(name).position
+    position = first_operand(name).position
     args, kwargs = _args(name, poison=True)
     with exception_policy(nonfinite="warn"), \
             warnings.catch_warnings(record=True) as rec:

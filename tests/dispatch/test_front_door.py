@@ -11,8 +11,9 @@ from repro import (Explanation, NoConvergence, available_backends, batch,
                    eig, la_geev, la_posv, lstsq, solve, use_backend)
 from repro.batch import BatchInfo
 from repro.dispatch_front import cache
-from repro.errors import Info
+from repro.errors import ALLOC_FAILED, Info
 from repro.specs.routing import route
+from repro.testing import faultinject as fi
 
 
 @pytest.fixture(autouse=True)
@@ -105,6 +106,31 @@ def test_solve_never_mutates_its_operands():
     a0, b0 = a.copy(), b.copy()
     solve(a, b)
     solve(a, b)                   # cached potrs path
+    np.testing.assert_array_equal(a, a0)
+    np.testing.assert_array_equal(b, b0)
+
+
+@pytest.mark.parametrize("driver,verb,warm", [
+    ("la_posv", lambda a, b, info: solve(a, b, info=info), False),
+    ("la_posv", lambda a, b, info: solve(a, b, info=info), True),
+    ("la_gesv", lambda a, b, info: solve(a + np.triu(a, 1), b, info=info),
+     False),
+    ("la_syev", lambda a, b, info: eig(a, vectors=True, info=info), False),
+    ("la_gels", lambda a, b, info: lstsq(a[:, :4], b, info=info), False),
+], ids=["spd-cold", "spd-warm", "general", "eig", "lstsq"])
+def test_a_refused_verb_returns_none(driver, verb, warm):
+    """A refused call returns None through the front door too, on the
+    cached-factor path as well (which must not mistake the refusal for
+    a stale entry and re-solve)."""
+    a = _spd(6, seed=4)
+    b = a @ np.arange(1.0, 7.0)
+    a0, b0 = a.copy(), b.copy()
+    if warm:
+        solve(a, b)
+    info = Info()
+    with fi.injected(driver, alloc=True):
+        assert verb(a, b, info) is None
+    assert info.value == ALLOC_FAILED
     np.testing.assert_array_equal(a, a0)
     np.testing.assert_array_equal(b, b0)
 
