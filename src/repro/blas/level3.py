@@ -161,8 +161,10 @@ def _sweep_floats(blk, col, unit, backward):
     for ``j`` in the order the NumPy sweep in :func:`_sweep` updates it,
     each product and difference rounded on its own, then divides, so
     the bytes are the same.  Returns False, touching nothing, when a
-    diagonal entry it would divide by is zero: Python raises there where
-    NumPy gives ±inf or NaN."""
+    diagonal entry it would divide by is zero (Python raises there where
+    NumPy gives ±inf or NaN) or when the result holds a NaN: CPython and
+    NumPy keep different operands' NaN for NaN × NaN and NaN − NaN, and
+    a NaN met on the way always reaches the result."""
     if backward:
         # Reversed rows and columns turn the upper sweep into a lower one.
         blk, col = blk[::-1, ::-1], col[::-1]
@@ -176,27 +178,29 @@ def _sweep_floats(blk, col, unit, backward):
         for mij, xj in zip(row, x[:i]):
             acc -= mij * xj
         x[i] = acc if unit else acc / d[i]
+    total = sum(x)
+    if total != total:
+        return False
     col[:] = x
     return True
 
 
-def _sweep(mat, b, j0, j1, up, unit, ta, backward):
-    """Substitute B's rows ``j0..j1-1`` through the diagonal block of
-    ``mat`` with one broadcast update of B per step, in place."""
-    order = range(j1 - 1, j0 - 1, -1) if backward else range(j0, j1)
-    for j in order:
+def _sweep(blk, b, unit, backward):
+    """Substitute ``b`` through ``blk``, the diagonal block of op(A)
+    (upper when ``backward``, else lower), with one broadcast update of
+    ``b`` per step, in place."""
+    # Each step multiplies a column of blk as a contiguous row of one
+    # C-ordered copy, the operand np.outer makes: NumPy's float32 loops
+    # keep a different operand's NaN for NaN × NaN on a strided column.
+    cols = np.ascontiguousarray(blk.T)
+    nb = blk.shape[0]
+    for k in range(nb - 1, -1, -1) if backward else range(nb):
         if not unit:
-            b[j] = b[j] / mat[j, j]
-        if ta == "N":
-            if up and j > j0:
-                b[j0:j] -= mat[j0:j, j, None] * b[j]
-            elif not up and j < j1 - 1:
-                b[j + 1:j1] -= mat[j + 1:j1, j, None] * b[j]
+            b[k] = b[k] / blk[k, k]
+        if backward:
+            b[:k] -= cols[k, :k, None] * b[k]
         else:
-            if up and j < j1 - 1:
-                b[j + 1:j1] -= mat[j, j + 1:j1, None] * b[j]
-            elif not up and j > j0:
-                b[j0:j] -= mat[j, j0:j, None] * b[j]
+            b[k + 1:] -= cols[k, k + 1:, None] * b[k]
 
 
 def trsm(alpha, a: np.ndarray, b: np.ndarray, side: str = "L",
@@ -215,10 +219,11 @@ def trsm(alpha, a: np.ndarray, b: np.ndarray, side: str = "L",
     its own as NumPy rounds it, so the bytes match the NumPy sweep
     (``tests/lapack77/test_lu_parity.py::test_trsm_bit_identical``).  A
     block with an exact zero on a diagonal entry it divides by runs the
-    NumPy sweep, which gives ±inf/NaN where Python would raise.  Complex,
-    float32 and multi-column B always run the NumPy sweep; the block
-    size and the GEMM between blocks, which fix the summation order,
-    are the same on both paths.
+    NumPy sweep, which gives ±inf/NaN where Python would raise, and so
+    does a block whose result holds a NaN, whose sign bit only the NumPy
+    sweep pins.  Complex, float32 and multi-column B always run the
+    NumPy sweep; the block size and the GEMM between blocks, which fix
+    the summation order, are the same on both paths.
     """
     up = uplo.upper() == "U"
     unit = diag.upper() == "U"
@@ -247,9 +252,11 @@ def trsm(alpha, a: np.ndarray, b: np.ndarray, side: str = "L",
             j1 = min(j0 + nb, n)
             # In-block substitution (rows j0..j1-1).
             blk = mat[j0:j1, j0:j1]
-            if not (floats and _sweep_floats(blk if ta == "N" else blk.T,
-                                             b[j0:j1, 0], unit, backward)):
-                _sweep(mat, b, j0, j1, up, unit, ta, backward)
+            if ta != "N":
+                blk = blk.T
+            if not (floats and _sweep_floats(blk, b[j0:j1, 0], unit,
+                                             backward)):
+                _sweep(blk, b[j0:j1], unit, backward)
             # Rank-update the remaining rows with one GEMM.
             if ta == "N":
                 if up and j0 > 0:

@@ -10,6 +10,8 @@ triangles of the output arrays match LAPACK's layout.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["larfg", "larf_left", "larf_right", "larft", "larfb"]
@@ -24,26 +26,43 @@ def larfg(alpha, x: np.ndarray):
     ``beta`` real for the complex case.
 
     ``x`` is overwritten with ``v2``; returns ``(beta, tau)``.
-    """
-    n = x.shape[0] + 1
-    if n <= 0:
-        return alpha, 0.0
-    complex_case = np.iscomplexobj(x) or np.iscomplexobj(np.asarray(alpha))
-    xnorm = float(np.linalg.norm(x)) if x.size else 0.0
-    if xnorm == 0.0 and (not complex_case or np.imag(alpha) == 0.0):
-        return np.real(alpha) if complex_case else alpha, 0.0
 
-    if complex_case:
+    A real double-precision reflector does its scalar arithmetic on
+    Python floats and hands back NumPy float64 scalars, so callers see
+    the bytes and types of NumPy scalar arithmetic.  float32 keeps NumPy
+    scalars, which carry its rounding, and so does the complex case.
+    """
+    cplx = x.dtype.kind == "c" or isinstance(alpha, (complex,
+                                                     np.complexfloating))
+    # ‖x‖₂ as np.linalg.norm forms it, without its dispatch.
+    xr = x.ravel(order="K")
+    if x.dtype.kind == "c":
+        sq = xr.real.dot(xr.real) + xr.imag.dot(xr.imag)
+    else:
+        sq = xr.dot(xr)
+    single = x.dtype.char in "fF"
+    xnorm = float(np.sqrt(sq)) if single else math.sqrt(sq)
+    if xnorm == 0.0 and (not cplx or alpha.imag == 0.0):
+        return (alpha.real if cplx else alpha), 0.0
+    if cplx:
         alphr, alphi = np.real(alpha), np.imag(alpha)
-        beta = -np.sign(alphr if alphr != 0 else 1.0) * _lapy3(alphr, alphi, xnorm)
+        beta = -np.sign(alphr if alphr != 0 else 1.0) * _lapy3(alphr, alphi,
+                                                                xnorm)
         tau = complex((beta - alphr) / beta, -alphi / beta)
-        denom = alpha - beta
-        x /= denom
+        x /= alpha - beta
         return beta, tau
-    beta = -np.sign(alpha if alpha != 0 else 1.0) * float(np.hypot(alpha, xnorm))
-    tau = (beta - alpha) / beta
-    x /= (alpha - beta)
-    return beta, tau
+    a, sign = (alpha, np.sign) if single else (float(alpha), _sign)
+    beta = -sign(a if a != 0 else 1.0) * float(np.hypot(alpha, xnorm))
+    tau = (beta - a) / beta
+    x /= a - beta
+    if single:
+        return beta, tau
+    return np.float64(beta), np.float64(tau)
+
+
+def _sign(v: float) -> float:
+    """``np.sign`` of a nonzero Python float; a NaN passes through."""
+    return 1.0 if v > 0 else (-1.0 if v < 0 else v)
 
 
 def _lapy3(x, y, z):

@@ -3,7 +3,8 @@
 * ``sytrd``/``hetrd`` — Householder tridiagonalization ``QᴴAQ = T``,
 * ``orgtr``/``ungtr`` — accumulate the transformation Q,
 * ``steqr`` — implicit-shift QL iteration (eigenvalues ± eigenvectors),
-* ``sterf`` — eigenvalues only,
+* ``sterf`` — eigenvalues only, by the root-free (Pal–Walker–Kahan) QL/QR
+  iteration of LAPACK's ``xSTERF``,
 * ``laev2`` — the 2×2 closed form,
 * ``stebz`` — bisection (by value range or index range),
 * ``stein`` — inverse iteration for selected eigenvectors,
@@ -39,7 +40,11 @@ def sytd2(a: np.ndarray, uplo: str = "L", hermitian: bool | None = None):
     (whose lower triangle is the upper triangle of ``a``), with ``d``,
     ``e`` and ``tau`` read back in reverse: one loop serves both layouts.
     The loop works on a full symmetric/Hermitian copy of the active
-    block, so each column costs one matvec and one rank-2 update.
+    block, so each column costs one matvec and one rank-2 update, the
+    latter as a single k=2 product ``[v, w] @ [w, v]ᴴ``.  That product
+    need not round ``(j, k)`` and ``(k, j)`` alike, so the working copy
+    may lose exact symmetry in the last bit; only its lower triangle is
+    stored back, and ``d`` is the real part of its diagonal.
     """
     n = a.shape[0]
     if hermitian is None:
@@ -55,6 +60,7 @@ def sytd2(a: np.ndarray, uplo: str = "L", hermitian: bool | None = None):
     full = np.tril(b) + conj(np.tril(b, -1)).T
     if hermitian:
         np.fill_diagonal(full, full.diagonal().real)
+    work = np.empty((n, 2), dtype=a.dtype)
     for i in range(n - 1):
         # Annihilate B[i+2:, i], leaving e[i] at B[i+1, i].
         beta, taui = larfg(full[i + 1, i], full[i + 2:, i])
@@ -63,14 +69,16 @@ def sytd2(a: np.ndarray, uplo: str = "L", hermitian: bool | None = None):
         b[i + 1, i] = e[i]
         b[i + 2:, i] = full[i + 2:, i]
         if taui != 0:
-            v = full[i + 1:, i].copy()
+            # vw = [v, w]: blk -= v wᴴ + w vᴴ = vw [w, v]ᴴ.
+            vw = work[i + 1:]
+            v = vw[:, 0]
+            v[:] = full[i + 1:, i]
             v[0] = 1
             blk = full[i + 1:, i + 1:]
             x = taui * (blk @ v)
             alpha = -0.5 * taui * np.dot(conj(x), v)
-            w = x + alpha * v
-            upd = np.outer(v, conj(w))
-            blk -= upd + conj(upd).T
+            np.add(x, alpha * v, out=vw[:, 1])
+            blk -= vw @ conj(vw[:, ::-1]).T
     d[:] = full.diagonal().real
     np.fill_diagonal(b, d)
     if up:
@@ -132,35 +140,46 @@ def ungtr(a, tau, uplo="L"):
     return orgtr(a, tau, uplo)
 
 
-def laev2(a: float, b: float, c: float):
-    """Eigendecomposition of the symmetric 2×2 ``[[a, b], [b, c]]``.
-
-    Returns ``(rt1, rt2, cs1, sn1)`` with ``rt1 ≥ rt2`` and the rotation
-    ``[cs1, sn1]`` giving the eigenvector of ``rt1``.
-    """
+def _lae2(a: float, b: float, c: float):
+    """Eigenvalues ``(rt1, rt2)``, ``|rt1| ≥ |rt2|``, of the symmetric
+    2×2 ``[[a, b], [b, c]]`` (``xLAE2``), and ``rt = rt1 − rt2`` in
+    magnitude.  A NaN entry makes both eigenvalues NaN."""
     sm = a + c
-    df = a - c
-    adf = abs(df)
-    tb = b + b
-    ab = abs(tb)
+    adf = abs(a - c)
+    ab = abs(b + b)
+    acmx, acmn = (a, c) if abs(a) > abs(c) else (c, a)
     if adf > ab:
-        rt = adf * np.sqrt(1.0 + (ab / adf) ** 2)
+        rt = adf * math.sqrt(1.0 + (ab / adf) * (ab / adf))
     elif adf < ab:
-        rt = ab * np.sqrt(1.0 + (adf / ab) ** 2)
+        rt = ab * math.sqrt(1.0 + (adf / ab) * (adf / ab))
     else:
-        rt = ab * np.sqrt(2.0)
+        rt = ab * math.sqrt(2.0)
     if sm < 0:
         rt1 = 0.5 * (sm - rt)
-        sgn1 = -1
-        rt2 = (a / rt1) * c - (b / rt1) * b
     elif sm > 0:
         rt1 = 0.5 * (sm + rt)
-        sgn1 = 1
-        rt2 = (a / rt1) * c - (b / rt1) * b
+    elif sm == 0:
+        return 0.5 * rt, -0.5 * rt, rt
     else:
-        rt1 = 0.5 * rt
-        rt2 = -0.5 * rt
-        sgn1 = 1
+        return sm, sm, rt
+    # rt1 is nonzero here: |sm ± rt| ≥ |sm| and a lone half-ulp sm needs
+    # rt = 0, which makes sm an even multiple of it.
+    return rt1, (acmx / rt1) * acmn - (b / rt1) * b, rt
+
+
+def laev2(a: float, b: float, c: float):
+    """Eigendecomposition of the symmetric 2×2 ``[[a, b], [b, c]]``
+    (``xLAEV2``).
+
+    Returns ``(rt1, rt2, cs1, sn1)``: the eigenvalues of :func:`_lae2`
+    (``|rt1| ≥ |rt2|``) and the rotation ``[cs1, sn1]`` giving the
+    eigenvector of ``rt1``.
+    """
+    rt1, rt2, rt = _lae2(a, b, c)
+    sgn1 = -1 if a + c < 0 else 1
+    df = a - c
+    tb = b + b
+    ab = abs(tb)
     # Eigenvector.
     if df >= 0:
         cs = df + rt
@@ -171,14 +190,14 @@ def laev2(a: float, b: float, c: float):
     acs = abs(cs)
     if acs > ab:
         ct = -tb / cs
-        sn1 = 1.0 / np.sqrt(1.0 + ct * ct)
+        sn1 = 1.0 / math.sqrt(1.0 + ct * ct)
         cs1 = ct * sn1
     else:
         if ab == 0:
             cs1, sn1 = 1.0, 0.0
         else:
             tn = -cs / tb
-            cs1 = 1.0 / np.sqrt(1.0 + tn * tn)
+            cs1 = 1.0 / math.sqrt(1.0 + tn * tn)
             sn1 = tn * cs1
     if sgn1 == sgn2:
         cs1, sn1 = -sn1, cs1
@@ -295,8 +314,166 @@ def _ql(d: list, e: list, eps: float, nmax_iter: int, z) -> int:
 
 
 def sterf(d: np.ndarray, e: np.ndarray, maxiter_factor: int = 30) -> int:
-    """Eigenvalues of a symmetric tridiagonal matrix (no vectors)."""
-    return steqr(d, e, None, compz="N", maxiter_factor=maxiter_factor)
+    """Eigenvalues of a symmetric tridiagonal matrix (``xSTERF``).
+
+    The Pal–Walker–Kahan root-free variant of implicit QL/QR: it iterates
+    on ``d`` and the squares of ``e``, so its rotations take no square
+    root (one per sweep forms the shift).  Each unreduced block runs QL,
+    or QR when its bottom diagonal entry is the smaller in magnitude;
+    QR is QL on the reversed block.  A block whose max-norm lies outside
+    ``[ssfmin, ssfmax]`` is scaled first, since squaring an off-diagonal
+    above about 1e154 overflows.
+
+    On success the eigenvalues overwrite ``d`` in ascending order and
+    ``e`` is zeroed.  Returns ``info`` > 0 after ``maxiter_factor · n``
+    sweeps: the number of off-diagonals of ``e`` not yet zero, with
+    ``d``/``e`` holding a tridiagonal matrix that has the eigenvalues of
+    the input.  Like :func:`steqr` it runs on Python floats, so float32
+    input is carried in double precision and rounded on store.
+    """
+    n = d.shape[0]
+    if n <= 1:
+        return 0
+    dv = d.tolist()
+    ev = e[: n - 1].tolist()
+    info = _sterf(dv, ev, float(lamch("E", d.dtype)), maxiter_factor * n)
+    d[:] = dv
+    if info:
+        e[: n - 1] = ev
+        return info
+    d.sort()
+    e[:] = 0
+    return 0
+
+
+# dsterf's scaling thresholds, for the double precision the sweeps run in.
+_SAFMIN = lamch("S", np.float64)
+_SSFMAX = math.sqrt(1.0 / _SAFMIN) / 3.0
+
+
+def _sterf(d: list, e: list, eps: float, nmaxit: int) -> int:
+    """``dsterf`` on the lists ``d``/``e`` (in place, unsorted).
+
+    Returns 0, or the number of nonzero ``e`` once a block is still
+    unreduced after ``nmaxit`` sweeps in all.
+    """
+    sqrt = math.sqrt
+    n = len(d)
+    eps2 = eps * eps
+    ssfmin = sqrt(_SAFMIN) / eps2
+    jtot = 0
+    l1 = 0
+    while l1 < n:
+        # Split off the next unreduced block d[l:lend+1].  An exact zero
+        # splits even where a NaN (or inf · 0) makes the relative test
+        # false.
+        m = l1
+        while m < n - 1:
+            em = e[m]
+            if em == 0.0 or abs(em) <= sqrt(abs(d[m])) * sqrt(
+                    abs(d[m + 1])) * eps:
+                e[m] = 0.0
+                break
+            m += 1
+        l, lend = l1, m
+        l1 = m + 1
+        if lend == l:
+            continue
+        bd = d[l:lend + 1]
+        be = e[l:lend]
+        # Scale a block outside [ssfmin, ssfmax] to the nearer bound
+        # (dlascl), and back afterwards.
+        anorm = float(np.max(np.abs(bd + be)))   # NaN-propagating
+        down = 1.0
+        if anorm > _SSFMAX or anorm < ssfmin:
+            target = _SSFMAX if anorm > _SSFMAX else ssfmin
+            up, down = target / anorm, anorm / target
+            bd = [x * up for x in bd]
+            be = [x * up for x in be]
+        be = [x * x for x in be]
+        flip = abs(bd[-1]) < abs(bd[0])
+        if flip:
+            bd.reverse()
+            be.reverse()
+        jtot = _pwk_ql(bd, be, eps2, jtot, nmaxit)
+        if flip:
+            bd.reverse()
+            be.reverse()
+        if down != 1.0:
+            bd = [x * down for x in bd]
+        d[l:lend + 1] = bd
+        if any(be):
+            # Out of sweeps: store the block's off-diagonals back.
+            e[l:lend] = [sqrt(x) * down for x in be]
+            return sum(1 for x in e if x != 0.0)
+        e[l:lend] = be
+    return 0
+
+
+def _pwk_ql(d: list, e: list, eps2: float, jtot: int, nmaxit: int) -> int:
+    """Root-free QL sweeps on one block (``e`` holds squared
+    off-diagonals), until it is reduced or ``jtot`` reaches ``nmaxit``.
+
+    Returns the updated sweep count ``jtot``.
+    """
+    sqrt = math.sqrt
+    lend = len(d) - 1
+    l = 0
+    while l <= lend:
+        # Look for a small subdiagonal element; as above, an exact zero
+        # splits, so no shift divides by a zero off-diagonal.
+        m = l
+        while m < lend:
+            em = e[m]            # a square: never negative
+            if em <= eps2 * abs(d[m] * d[m + 1]) or em == 0.0:
+                e[m] = 0.0
+                break
+            m += 1
+        if m == l:
+            l += 1
+            continue
+        if m == l + 1:
+            d[l], d[l + 1], _ = _lae2(d[l], sqrt(e[l]), d[l + 1])
+            e[l] = 0.0
+            l += 2
+            continue
+        if jtot == nmaxit:
+            break
+        jtot += 1
+        # Wilkinson-like shift from the leading 2×2.
+        p = d[l]
+        rte = sqrt(e[l])
+        sigma = (d[l + 1] - p) / (2.0 * rte)
+        r = math.hypot(sigma, 1.0)
+        sigma = p - rte / (sigma + math.copysign(r, sigma))
+        # The chase from i = m - 1 up to l; its first step (c = 1, s = 0
+        # before it) is peeled so that the loop stores e[i + 1] freely.
+        gamma = d[m] - sigma
+        p = gamma * gamma
+        bb = e[m - 1]
+        r = p + bb
+        c = p / r
+        s = bb / r
+        alpha = d[m - 1]
+        g = c * (alpha - sigma) - s * gamma
+        d[m] = gamma + (alpha - g)
+        gamma = g
+        p = g * g / c if c != 0.0 else bb
+        for i in range(m - 2, l - 1, -1):
+            bb = e[i]
+            r = p + bb
+            e[i + 1] = s * r
+            oldc = c
+            c = p / r
+            s = bb / r
+            alpha = d[i]
+            g = c * (alpha - sigma) - s * gamma
+            d[i + 1] = gamma + (alpha - g)
+            gamma = g
+            p = g * g / c if c != 0.0 else oldc * bb
+        e[l] = s * p
+        d[l] = sigma + gamma
+    return jtot
 
 
 def _sturm_count(d: np.ndarray, e2: np.ndarray, x: float,

@@ -139,6 +139,8 @@ def _predicate(c, consts, ctx):
         return [], f"not ({_square(x)}) or {x}.shape[0] != {dim}"
     if k == "matrix2d":
         return [], f"not (isinstance({x}, _nd) and {x}.ndim == 2)"
+    if k == "vector1d":
+        return [], f"not (isinstance({x}, _nd) and {x}.ndim == 1)"
     if k == "rhs":
         return [], f"not ({_rhs(x, dim)})"
     if k == "rhs_same":

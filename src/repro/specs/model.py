@@ -28,6 +28,7 @@ CHECK_KINDS = frozenset({
     "square",          # arg is a square 2-D array
     "square_conform",  # square and shape[0] == dim
     "matrix2d",        # arg is a 2-D array
+    "vector1d",        # arg is a 1-D array
     "rhs",             # 1-D/2-D with dim rows (the check_rhs contract)
     "rhs_same",        # rhs plus shape identical to a reference arg
     "nonneg",          # derived dimension is non-negative

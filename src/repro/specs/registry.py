@@ -573,7 +573,8 @@ _SPEC_LIST = [
         args=_args("d:vector:inout", "e:vector:inout", "z:opt:out",
                    "info:info"),
         dims=(("n", "len", "d"),),
-        checks=(C(-1, "nonneg", (), "n"),
+        checks=(C(-1, "vector1d", ("d",)),
+                C(-2, "vector1d", ("e",)),
                 C(-2, "offdiag", ("e",), "n", {"mode": "min"})),
         kernel="stev", dtypes="real",
         positive_info="i: i off-diagonal elements failed to converge"),
@@ -686,7 +687,8 @@ _SPEC_LIST = [
         args=_args("d:vector:inout", "e:vector:inout", "z:opt:out",
                    "info:info"),
         dims=(("n", "len", "d"),),
-        checks=(C(-1, "nonneg", (), "n"),
+        checks=(C(-1, "vector1d", ("d",)),
+                C(-2, "vector1d", ("e",)),
                 C(-2, "offdiag", ("e",), "n", {"mode": "min"})),
         kernel="stevd", dtypes="real",
         positive_info="i: the algorithm failed to converge"),
@@ -773,7 +775,8 @@ _SPEC_LIST = [
                    "vu:scalar:opt", "il:scalar:opt", "iu:scalar:opt",
                    "abstol:scalar:opt", "info:info"),
         dims=(("n", "len", "d"),),
-        checks=(C(-1, "nonneg", (), "n"),
+        checks=(C(-1, "vector1d", ("d",)),
+                C(-2, "vector1d", ("e",)),
                 C(-2, "offdiag", ("e",), "n", {"mode": "min"}),
                 C(-5, "range_pair", ("vl", "vu")),
                 C(-7, "index_pair", ("il", "iu"))),

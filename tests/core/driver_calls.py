@@ -121,6 +121,18 @@ def well_formed_call(name, n, dtype):
     raise KeyError(name)
 
 
+#: Operands of the wrong rank for the tridiagonal eigen drivers, whose
+#: order is ``d.shape[0]``: ``(driver, operand, shape, code)``.  Each is
+#: refused with its operand's code, ``d`` -1 and ``e`` -2.
+NON_VECTOR_OPERANDS = [
+    (name, arg, shape, code)
+    for name in ("la_stev", "la_stevd", "la_stevx")
+    for arg, shape, code in (("d", (1, 3), -1), ("d", (1, 1, 3), -1),
+                             ("d", (), -1), ("e", (1, 2), -2),
+                             ("e", (2, 1), -2), ("e", (), -2))
+]
+
+
 def first_operand(name):
     spec = SPECS[name]
     return min((a for a in spec.args if a.required

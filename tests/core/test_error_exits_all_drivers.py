@@ -26,7 +26,8 @@ from repro.specs import SPECS
 from repro.testing import ERROR_EXIT_CODES
 from repro.testing import faultinject as fi
 
-from .driver_calls import COMPLEX, first_operand, well_formed_call
+from .driver_calls import (COMPLEX, NON_VECTOR_OPERANDS, first_operand,
+                           well_formed_call)
 
 
 def _code(driver, arg):
@@ -169,11 +170,10 @@ def test_info_records_for_each_family():
 # every operand byte-for-byte as passed (``ERINFO``: INFO is set and
 # control returns); without ``info=`` it raises.
 
-def _refusable(name, stack=None):
+def _refusable(name, stack=None, extra_axes=False):
     """A well-formed call of *name* (a stack of ``stack`` problems when
     given) whose first required operand is made 0-d, which every
-    spec's validator refuses.  (A 3-D ``d`` is not refused by the
-    tridiagonal eigen drivers, whose order is ``d.shape[0]``.)"""
+    spec's validator refuses, or given two extra leading axes."""
     dtype = np.complex128 if name in COMPLEX else np.float64
     args, kwargs = well_formed_call(name, 3, dtype)
     spec = SPECS[name]
@@ -182,25 +182,43 @@ def _refusable(name, stack=None):
     args = [np.stack([x] * stack) if i in stacked else x
             for i, x in enumerate(args)]
     first = first_operand(name).position - 1
-    args[first] = np.array(args[first].ravel()[0])
+    if extra_axes:
+        args[first] = args[first][None, None]
+    else:
+        args[first] = np.array(args[first].ravel()[0])
     return args, kwargs
 
 
-def _assert_refused(call, args, kwargs):
+def _assert_refused(call, args, kwargs, code=None):
     arrays = [x for x in [*args, *kwargs.values()]
               if isinstance(x, np.ndarray)]
     before = [(x.dtype, x.shape, x.tobytes()) for x in arrays]
     info = Info()
     assert call(*args, **kwargs, info=info) is None
-    assert info.value < 0
+    assert info.value < 0 if code is None else info.value == code
     assert [(x.dtype, x.shape, x.tobytes()) for x in arrays] == before
     with pytest.raises(IllegalArgument):
         call(*args, **kwargs)
 
 
-@pytest.mark.parametrize("name", sorted(SPECS))
-def test_a_refused_call_returns_none_and_leaves_its_operands(name):
-    _assert_refused(getattr(core, name), *_refusable(name))
+@pytest.mark.parametrize(
+    "name,extra_axes", [(n, x) for x in (False, True) for n in sorted(SPECS)],
+    ids=[n + "-extra-axes" * x for x in (False, True) for n in sorted(SPECS)])
+def test_a_refused_call_returns_none_and_leaves_its_operands(name,
+                                                             extra_axes):
+    _assert_refused(getattr(core, name),
+                    *_refusable(name, extra_axes=extra_axes))
+
+
+@pytest.mark.parametrize("name,arg,shape,code", NON_VECTOR_OPERANDS,
+                         ids=[f"{n}-{a}-{'x'.join(map(str, s)) or '0d'}"
+                              for n, a, s, _ in NON_VECTOR_OPERANDS])
+def test_a_non_vector_tridiagonal_operand_is_refused(name, arg, shape, code):
+    # The order is d.shape[0]: a d of shape (1, 3) must not run as n = 1.
+    args, kwargs = well_formed_call(name, 3, np.float64)
+    args = list(args)
+    args[[a.name for a in SPECS[name].args].index(arg)] = np.ones(shape)
+    _assert_refused(getattr(core, name), args, kwargs, code)
 
 
 @pytest.mark.parametrize("name", sorted(s.name for s in batchable_specs()))

@@ -99,6 +99,11 @@ def _ck_matrix2d(c, ctx):
     return not _is2d(ctx.get(c.args[0]))
 
 
+def _ck_vector1d(c, ctx):
+    v = ctx.get(c.args[0])
+    return not (isinstance(v, np.ndarray) and v.ndim == 1)
+
+
 def _ck_rhs(c, ctx):
     return not _rhs_ok(ctx[c.dim], ctx.get(c.args[0]))
 
@@ -285,6 +290,7 @@ _KINDS = {
     "square": _ck_square,
     "square_conform": _ck_square_conform,
     "matrix2d": _ck_matrix2d,
+    "vector1d": _ck_vector1d,
     "rhs": _ck_rhs,
     "rhs_same": _ck_rhs_same,
     "nonneg": _ck_nonneg,

@@ -377,6 +377,10 @@ def _strided_copy(b, side):
          entries="nonfinite", seed=4)
 @example(n=128, nrhs=1, alpha=1.0, dtype=np.float64, strided=True,
          entries="plain", seed=5)
+@example(n=31, nrhs=1, alpha=1.0, dtype=np.float32, strided=False,
+         entries="nonfinite", seed=323)
+@example(n=65, nrhs=1, alpha=-2.5, dtype=np.float64, strided=True,
+         entries="nonfinite", seed=7)
 def test_trsm_bit_identical(side, uplo, trans, diag, n, nrhs, alpha, dtype,
                             strided, entries, seed):
     """One column (the float64 case sweeps on Python floats) or several,

@@ -287,3 +287,120 @@ def test_steqr_float32_keeps_dtype(rng, compz):
         assert z.dtype == np.float32
         np.testing.assert_allclose(z.T @ z, np.eye(n),
                                    atol=tol_for(np.float32, 10))
+
+
+# -- sterf (the root-free iteration) edge cases ------------------------------
+
+@pytest.mark.parametrize("power", [530, -530])
+def test_sterf_scales_extreme_blocks(rng, power):
+    # Squaring an off-diagonal of 2^530 overflows and one of 2^-530
+    # underflows to zero; the block is scaled into range first.
+    n = 30
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    t = tridiag(d, e)
+    scale = 2.0 ** power
+    dd, ee = d * scale, e * scale
+    assert sterf(dd, ee) == 0
+    np.testing.assert_allclose(
+        dd / scale, np.linalg.eigvalsh(t), rtol=0,
+        atol=4 * n * np.finfo(np.float64).eps * np.abs(t).sum(axis=1).max())
+
+
+def test_sterf_nan_diagonal_with_zero_offdiagonals():
+    d = np.array([1.0, np.nan, 3.0, 2.0])
+    assert sterf(d, np.zeros(3)) == 0
+    assert np.isnan(d).sum() == 1
+    np.testing.assert_array_equal(d[:3], [1.0, 2.0, 3.0])
+
+
+def test_sterf_exact_zero_beside_an_infinite_diagonal_splits():
+    # The relative split test reads inf · 0 = NaN there; an exact zero
+    # still splits, so the finite block keeps its eigenvalues.
+    d = np.array([np.inf, 0.0, 1.0])
+    assert sterf(d, np.array([0.0, 1.0])) == 0
+    np.testing.assert_allclose(d[:2], np.linalg.eigvalsh([[0, 1], [1, 1.]]))
+    assert d[2] == np.inf
+
+
+def test_sterf_offdiagonal_squaring_to_zero_beside_a_nan():
+    # 1e-200 squares to an exact zero next to the NaN, where the relative
+    # test is false; the zero must split before a shift divides by it.
+    d = np.array([np.nan, 1.0, 2.0])
+    assert sterf(d, np.array([1e-200, 1.0])) == 0
+    np.testing.assert_allclose(d[:2], np.linalg.eigvalsh([[1, 1], [1, 2.]]))
+    assert np.isnan(d[2])
+
+
+@pytest.mark.parametrize("d,e", [
+    ([np.nan, 1.0], [1.0]), ([1.0, np.nan], [1.0]), ([1.0, 2.0], [np.nan]),
+    ([1.0, np.nan, 2.0], [1.0, 0.0]), ([1.0, np.nan, 2.0], [1.0, 1e-200])],
+    ids=["d0", "d1", "e0", "split-by-zero", "split-by-underflow"])
+def test_sterf_nan_in_a_2x2_block_is_not_lost(d, e):
+    # The 2×2 closed form sees a NaN a + c where the split tests are
+    # false; it must not answer ±rt/2 from the finite off-diagonal.
+    d, e = np.array(d), np.array(e)
+    assert sterf(d, e) > 0 or np.isnan(d).any()
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["d0", "d3", "d6", "e0", "e3", "e5"])
+def test_sterf_nonfinite_entry_terminates(rng, value, where):
+    n = 7
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    (d if where[0] == "d" else e)[int(where[1])] = value
+    with np.errstate(all="ignore"):
+        info = sterf(d, e)
+    assert info >= 0
+    # Never a finite answer reported as converged.
+    assert info > 0 or not np.all(np.isfinite(d))
+
+
+def test_sterf_iteration_cap_reports_unconverged_offdiagonals(rng):
+    n = 6
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    assert sterf(d.copy(), e.copy(), maxiter_factor=0) > 0
+
+
+def test_sterf_iteration_cap_mid_run_leaves_a_matrix_with_its_spectrum(rng):
+    n = 40
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    dd, ee = d.copy(), e.copy()
+    info = sterf(dd, ee, maxiter_factor=1)
+    assert 0 < info == np.count_nonzero(ee)
+    np.testing.assert_allclose(np.linalg.eigvalsh(tridiag(dd, ee)),
+                               np.linalg.eigvalsh(tridiag(d, e)), atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_sterf_tiny_orders(rng, n):
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(max(n - 1, 0))
+    t = tridiag(d, e)
+    assert sterf(d, e) == 0
+    np.testing.assert_allclose(d, np.linalg.eigvalsh(t), atol=1e-14)
+
+
+def test_sterf_exactly_split_matrix(rng):
+    n = 12
+    d = rng.standard_normal(n)
+    e = rng.standard_normal(n - 1)
+    e[[3, 4, 8]] = 0.0
+    t = tridiag(d, e)
+    assert sterf(d, e) == 0
+    np.testing.assert_allclose(d, np.linalg.eigvalsh(t), atol=1e-13)
+    assert not e.any()
+
+
+def test_sterf_float32_keeps_dtype(rng):
+    n = 30
+    d = rng.standard_normal(n).astype(np.float32)
+    e = rng.standard_normal(n - 1).astype(np.float32)
+    ref = np.linalg.eigvalsh(tridiag(d, e))
+    assert sterf(d, e) == 0
+    assert d.dtype == np.float32 and e.dtype == np.float32
+    np.testing.assert_allclose(d, ref, rtol=0,
+                               atol=tol_for(np.float32, 10) * np.abs(ref).max())
